@@ -49,7 +49,6 @@ def _build_parser():
         cmd.add_argument("--out", help="output file path")
         cmd.add_argument("--format", choices=("json", "csv"), dest="fmt")
         cmd.add_argument("--tol", type=float)
-        cmd.add_argument("--threads", type=int)
         cmd.add_argument("--samples", type=int)
     return parser
 
@@ -61,12 +60,11 @@ def _merge_config(args):
         config.update(jsonio.read(args.config))
     for key in ("potential", "a", "matrix", "family", "alpha", "beta_re", "beta_im",
                 "gamma", "theta", "phi", "direction", "emin", "emax", "grid", "out",
-                "fmt", "tol", "threads", "samples"):
+                "fmt", "tol", "samples"):
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
     config.setdefault("fmt", "json")
-    config.setdefault("threads", 1)
     return config
 
 
@@ -210,7 +208,7 @@ def _cmd_spectrum(config):
     bc = bcclassify.classify(_load_unitary(config))
     result = spectrum.find_eigenvalues(
         p, bc, e_min=config.get("emin"), e_max=config.get("emax", 40.0),
-        grid=config.get("grid"), threads=config.get("threads", 1))
+        grid=config.get("grid"))
     if config.get("fmt") == "csv":
         if config.get("out") is None:
             raise UsageError("csv output needs --out")

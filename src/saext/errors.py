@@ -14,10 +14,11 @@ class PotentialError(SaextError, ValueError):
 
 
 class IntegrationError(SaextError, RuntimeError):
-    """The adaptive integrator failed to advance.
+    """The integrator failed to advance: the solution overflowed, or the
+    error estimate still failed after the maximum number of step halvings.
 
     Attributes:
-        x_fail: abscissa at which the step size underflowed.
+        x_fail: start of the smooth piece of V on which it failed.
     """
 
     def __init__(self, message, x_fail=None):

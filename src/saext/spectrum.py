@@ -19,7 +19,6 @@ doubly degenerate level.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,19 +70,19 @@ class SpectrumResult:
 
 
 def _bc_matrix(p, bc, energy, rtol, atol):
-    """Normalized M(E) and the per-column cancellation scales."""
+    """Normalized M(E) and the per-column cancellation scales.
+
+    energy may be a scalar or a 1-D array; the array form propagates all
+    energies in one call and returns (n, 2, 2) matrices with (n, 2) scales.
+    """
     transfer = odesolve.propagate(p, energy, -p.a, p.a, rtol, atol)
-    u_matrix = bc.Ucal.matrix
-    cols = np.empty((2, 2), dtype=complex)
-    scales = np.empty(2)
-    for k in range(2):
-        ua, dua = transfer[0, k], transfer[1, k]
-        uma, duma = (1.0, 0.0) if k == 0 else (0.0, 1.0)
-        minus = np.array([dua - 1j * ua, duma + 1j * uma])
-        plus = np.array([dua + 1j * ua, duma - 1j * uma])
-        s = max(abs(ua), abs(dua), abs(uma), abs(duma))
-        cols[:, k] = (minus - u_matrix @ plus) / s
-        scales[k] = (np.linalg.norm(minus) + np.linalg.norm(plus)) / s
+    ua, dua = transfer[..., 0, :], transfer[..., 1, :]  # column k: u_k(a), u_k'(a)
+    uma, duma = np.eye(2)                               # u_k(-a), u_k'(-a)
+    minus = np.stack(np.broadcast_arrays(dua - 1j * ua, duma + 1j * uma), axis=-2)
+    plus = np.stack(np.broadcast_arrays(dua + 1j * ua, duma - 1j * uma), axis=-2)
+    s = np.maximum(np.maximum(np.abs(ua), np.abs(dua)), 1.0)[..., None, :]
+    cols = (minus - bc.Ucal.matrix @ plus) / s
+    scales = (np.linalg.norm(minus, axis=-2) + np.linalg.norm(plus, axis=-2)) / s[..., 0, :]
     return cols, scales
 
 
@@ -94,10 +93,10 @@ def det_function(p, bc, energy, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
 
 
 def _det_metrics(p, bc, energy, rtol, atol):
-    """(|det M|, |det M| / column scale) at one energy."""
+    """(|det M|, |det M| / column scale) at one energy or an array of them."""
     cols, scales = _bc_matrix(p, bc, energy, rtol, atol)
-    absdet = abs(np.linalg.det(cols))
-    return absdet, absdet / (scales[0] * scales[1])
+    absdet = np.abs(np.linalg.det(cols))
+    return absdet, absdet / (scales[..., 0] * scales[..., 1])
 
 
 def _det_ratio(p, bc, energy, rtol, atol):
@@ -163,12 +162,13 @@ def _eigenfunctions_at(p, bc, energy, rtol, atol):
 
 
 def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL, threads=1, scan_rtol=SCAN_RTOL):
+                     atol=DEFAULT_ATOL, scan_rtol=SCAN_RTOL):
     """Locate all eigenvalues of the extension in [e_min, e_max].
 
-    The scan runs at the coarse ``scan_rtol`` (locating minima needs no
-    more); every candidate is then refined by bounded minimization of
-    |det|^2 at full tolerance and accepted only if |det| falls below
+    The scan propagates all grid energies in one batched call at the
+    coarse ``scan_rtol`` (locating minima needs no more); every candidate
+    is then refined by bounded minimization of |det|^2 at full tolerance
+    and accepted only if |det| falls below
     ACCEPT_RATIO times the column scale.  Roots closer than
     (e_max - e_min)/(10 grid) are deduplicated.
 
@@ -177,7 +177,6 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
             conditions with negative levels are not missed.
         grid: number of scan points (>= 16); defaults to a density of
             eight points per (pi/2a)^2, half the bottom level spacing.
-        threads: worker threads for the scan stage.
 
     Returns:
         SpectrumResult (empty eigenvalue list when no roots are found).
@@ -193,17 +192,9 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         raise ValueError("grid must be at least 16")
 
     energies = np.linspace(e_min, e_max, grid)
-
-    def scan(e):
-        return _det_metrics(p, bc, e, scan_rtol, atol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            metrics = list(pool.map(scan, energies))
-    else:
-        metrics = [scan(e) for e in energies]
-    ratios = [ratio for _, ratio in metrics]
-    det_trace = [(float(e), float(absdet)) for e, (absdet, _) in zip(energies, metrics)]
+    absdets, ratios = _det_metrics(p, bc, energies, scan_rtol, atol)
+    ratios = ratios.tolist()
+    det_trace = list(zip(energies.tolist(), absdets.tolist()))
 
     candidates = [i for i in range(len(energies))
                   if (i == 0 or ratios[i] <= ratios[i - 1])

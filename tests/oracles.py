@@ -1,10 +1,13 @@
-"""Independent oracles used by the spectrum and acceptance tests.
+"""Independent oracles used by the integrator, spectrum and acceptance tests.
 
-Everything here is closed form or a direct matrix discretization; none of
-it touches the shooting machinery under test.
+Everything here is closed form, a direct matrix discretization, or scipy's
+adaptive Dormand-Prince integrator; none of it touches the Magnus stepping
+or the shooting machinery under test.  The reference integrator only
+borrows the library's sample grid, so trajectories compare pointwise.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 
 
@@ -104,3 +107,53 @@ def fd_dirichlet_levels(vfun, count, a=1.0, n=4000):
     coarse = levels(n // 2)
     fine = levels(n)
     return (4.0 * fine - coarse) / 3.0  # h^2 error cancels
+
+
+# DOP853 at scipy's tightest relative tolerance (100 machine epsilons); RK45
+# there errs ten times more than the Magnus step on the free particle
+REFERENCE_METHOD = "DOP853"
+REFERENCE_RTOL = 3e-14
+REFERENCE_ATOL = 1e-16
+
+
+def _solve_segment(vfun, lam, grid, y0):
+    def rhs(t, y):
+        return np.array([y[1], (vfun(t) - lam) * y[0]])
+
+    sol = solve_ivp(rhs, (grid[0], grid[-1]), y0, method=REFERENCE_METHOD, t_eval=grid,
+                    rtol=REFERENCE_RTOL, atol=REFERENCE_ATOL, dense_output=False)
+    if not sol.success:
+        raise RuntimeError(f"reference integration failed: {sol.message}")
+    return sol.y
+
+
+def reference_integrate(p, lam, x0, x1, f0, df0):
+    """Dense trajectory of -f'' + V f = lam f by solve_ivp, restarted at
+    every breakpoint and sampled on the library's grid."""
+    # imported here: perfbench loads the closed-form oracles above with only
+    # tests/ on sys.path
+    from saext.odesolve import OdeSolution, _segment_grid
+
+    lam = complex(lam)
+    y = np.array([f0, df0], dtype=complex)
+    xs, fs, dfs, seg_starts = [], [], [], []
+    count = 0
+    for _, _, vfun, grid in _segment_grid(p, x0, x1):
+        ys = _solve_segment(vfun, lam, grid, y)
+        skip = 1 if count else 0  # junction point already recorded
+        seg_starts.append(count - skip)
+        xs.append(grid[skip:])
+        fs.append(ys[0, skip:])
+        dfs.append(ys[1, skip:])
+        count += len(grid) - skip
+        y = ys[:, -1].copy()
+    return OdeSolution(lam, float(x0), float(x1), complex(f0), complex(df0),
+                       np.concatenate(xs), np.concatenate(fs), np.concatenate(dfs),
+                       tuple(seg_starts))
+
+
+def reference_propagate(p, lam, x0, x1):
+    """Transfer matrix (f, f')(x1) = T (f, f')(x0): its columns are the end
+    values of the reference trajectories from (1, 0) and (0, 1)."""
+    ends = [reference_integrate(p, lam, x0, x1, *start) for start in ((1.0, 0.0), (0.0, 1.0))]
+    return np.array([[u.f[-1] for u in ends], [u.df[-1] for u in ends]])

@@ -1,4 +1,5 @@
-"""Integration engine oracles: closed forms, Wronskian, linearity."""
+"""Integration engine oracles: closed forms, Wronskian, linearity, and the
+Magnus stepper against the solve_ivp reference."""
 
 import cmath
 import math
@@ -6,11 +7,37 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from saext import odesolve
 from saext.errors import GridError, IntegrationError
 from saext.potential import Potential
 
 P0 = Potential.zero(1.0)
+
+# every potential kind; the finite well and the piecewise V put breakpoints
+# inside [-1, 1]
+KINDS = [
+    Potential.zero(1.0),
+    Potential.finite_well(-10.0, 0.5, 1.0),
+    Potential.harmonic(25.0, 1.0),
+    Potential.cosine(5.0, np.pi, 1.0),
+    Potential.polynomial([0.5, -1.0, 3.0, 2.0], 1.0),
+    Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0),
+]
+MAGNUS_RTOL = 1e-12
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
+def _free_transfer(q, length):
+    """Exact transfer matrix of f'' = q f over a signed length."""
+    k = cmath.sqrt(-q)
+    if k == 0:
+        return np.array([[1.0, length], [0.0, 1.0]])
+    return np.array([[cmath.cos(k * length), cmath.sin(k * length) / k],
+                     [-k * cmath.sin(k * length), cmath.cos(k * length)]])
 
 
 def test_cosh_oracle():
@@ -149,3 +176,80 @@ def test_invalid_arguments():
         odesolve.integrate(P0, 1.0, 0.5, 0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         odesolve.integrate(P0, 1.0, -1.0, 1.0, 1.0, 0.0, rtol=-1e-10)
+
+
+@pytest.mark.parametrize("p", KINDS, ids=lambda p: p.kind)
+@pytest.mark.parametrize("lam", [-5.0, 40.0, 400.0, 1j])
+def test_magnus_propagate_matches_reference(p, lam):
+    for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
+        got = odesolve.propagate(p, lam, x0, x1, MAGNUS_RTOL, 1e-14)
+        assert _relative(got, oracles.reference_propagate(p, lam, x0, x1)) <= MAGNUS_RTOL
+
+
+@pytest.mark.parametrize("p", KINDS, ids=lambda p: p.kind)
+def test_magnus_integrate_matches_reference(p):
+    for lam, (x0, x1) in ((3.0, (-1.0, 1.0)), (1j, (1.0, -1.0)), (1j, (0.0, 1.0))):
+        got = odesolve.integrate(p, lam, x0, x1, 0.3, -1.1, MAGNUS_RTOL, 1e-14)
+        want = oracles.reference_integrate(p, lam, x0, x1, 0.3, -1.1)
+        assert np.array_equal(got.x, want.x) and got.segments == want.segments
+        scale = max(1.0, np.max(np.abs(want.f)), np.max(np.abs(want.df)))
+        assert np.max(np.abs(got.f - want.f)) <= MAGNUS_RTOL * scale
+        assert np.max(np.abs(got.df - want.df)) <= MAGNUS_RTOL * scale
+
+
+@pytest.mark.parametrize("lam", [-990.0, -5.0, 3.0, 400.0])
+def test_deep_well_matches_piecewise_closed_form(lam):
+    # depth -1000: the reference integrator itself errs by 5e-12 here, so the
+    # exact product of the three constant-V pieces is the reference
+    p = Potential.finite_well(-1000.0, 0.5, 1.0)
+    outer, inner = _free_transfer(-lam, 0.5), _free_transfer(-1000.0 - lam, 1.0)
+    exact = outer @ inner @ outer
+    assert _relative(odesolve.propagate(p, lam, -1.0, 1.0, MAGNUS_RTOL, 1e-14), exact) <= 1e-12
+    outer, inner = _free_transfer(-lam, -0.5), _free_transfer(-1000.0 - lam, -1.0)
+    back = odesolve.propagate(p, lam, 1.0, -1.0, MAGNUS_RTOL, 1e-14)
+    assert _relative(back, outer @ inner @ outer) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [-990.0, -30.0, -1.0, 0.0, 2.5, 40.0, 400.0, 1j, 3.0 + 2.0j])
+def test_zero_potential_matches_closed_form(lam):
+    for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
+        exact = _free_transfer(-lam, x1 - x0)
+        assert _relative(odesolve.propagate(P0, lam, x0, x1), exact) <= 1e-13
+
+
+def test_batched_propagate_matches_single_energies():
+    p = Potential.harmonic(25.0, 1.0)
+    energies = np.linspace(-30.0, 60.0, 2 * odesolve.ENERGY_BLOCK + 3)
+    batched = odesolve.propagate(p, energies, -1.0, 1.0)
+    assert batched.shape == (len(energies), 2, 2)
+    for e, got in zip(energies, batched):
+        assert _relative(got, odesolve.propagate(p, e, -1.0, 1.0)) <= odesolve.DEFAULT_RTOL
+
+
+def test_scalar_lam_returns_one_matrix():
+    assert odesolve.propagate(P0, 1.0, -1.0, 1.0).shape == (2, 2)
+    assert odesolve.propagate(P0, 1j, -1.0, 1.0).shape == (2, 2)
+    assert odesolve.propagate(P0, [1.0], -1.0, 1.0).shape == (1, 2, 2)
+
+
+def test_observed_order_is_four():
+    # a coarse 32-interval grid keeps both errors far above roundoff
+    p = Potential.harmonic(25.0, 1.0)
+    vfun, grid, lams = p.piece_callable(-1.0, 1.0), np.linspace(-1.0, 1.0, 33), np.array([10.0])
+
+    def transfer(halvings):
+        return np.array(odesolve._chain(odesolve._interval_transfers(vfun, lams, grid, (halvings,))))
+
+    fine, finer = transfer(6), transfer(7)
+    exact = finer + (finer - fine) / 15.0
+    ratio = np.max(np.abs(transfer(0) - exact)) / np.max(np.abs(transfer(1) - exact))
+    assert 12.0 <= ratio <= 20.0
+
+
+def test_unresolved_potential_raises_after_max_halvings():
+    # about 30 periods of a strong V per grid interval: even 2**MAX_HALVINGS
+    # steps per interval leave too few per period to meet the tolerance
+    wild = Potential.cosine(1e3, 1e5, 1.0)
+    with pytest.raises(IntegrationError) as info:
+        odesolve.propagate(wild, 3.0, -1.0, 1.0)
+    assert info.value.x_fail == -1.0

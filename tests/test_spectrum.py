@@ -174,3 +174,18 @@ def test_invalid_scan_arguments():
         find_eigenvalues(P0, bc_named("dirichlet"), e_min=5.0, e_max=1.0, grid=100)
     with pytest.raises(ValueError):
         find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.0, e_max=1.0, grid=4)
+
+
+def test_scan_is_one_batched_propagate(monkeypatch):
+    calls = []
+    propagate = odesolve.propagate
+
+    def counting(p, lam, *args):
+        calls.append(np.ndim(lam))
+        return propagate(p, lam, *args)
+
+    monkeypatch.setattr(odesolve, "propagate", counting)
+    bc = classify(synthesize("dirichlet"))
+    result = find_eigenvalues(Potential.zero(1.0), bc, e_min=0.1, e_max=12.0, grid=64)
+    assert calls[0] == 1 and calls.count(1) == 1
+    assert len(result.det_trace) == 64 and len(result.eigenvalues) == 2
