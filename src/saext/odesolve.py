@@ -180,31 +180,46 @@ def _prefix(m):
     return m
 
 
-def _interval_transfers(vfun, lams, grid, levels):
+def _gauss_samples(vfun, grid, sub, h):
+    """Energy-independent parts of every Magnus step with 2**k = sub steps per
+    grid interval: qbar + lam = (V1 + V2)/2 and d, from V at the two Gauss
+    points, in chunks of at most STEP_CHUNK steps."""
+    n = len(grid) - 1
+    per_chunk = max(1, STEP_CHUNK // sub)
+    chunks = []
+    for j0 in range(0, n, per_chunk):
+        mid = grid[0] + (np.arange(j0 * sub, min(n, j0 + per_chunk) * sub) + 0.5) * h
+        v1, v2 = vfun(mid - _GAUSS_OFFSET * h), vfun(mid + _GAUSS_OFFSET * h)
+        chunks.append((0.5 * (v1 + v2), (np.sqrt(3.0) / 12.0 * h * h) * (v1 - v2)))
+    return chunks
+
+
+def _interval_transfers(vfun, lams, grid, levels, samples=None):
     """Transfer matrices of every grid interval, each covered by 2**k Magnus steps.
 
     lams is a 1-D array of spectral parameters and levels a tuple of
     halving counts k; returns the entries (t00 - 1, t01, t10, t11 - 1),
     each of shape (len(levels), len(lams), len(grid) - 1).  Steps are
     generated STEP_CHUNK at a time so memory stays flat as h shrinks.
+    samples, a dict keyed by k, keeps the sampled potential between calls
+    on the same piece, so V is sampled once per level however many energy
+    blocks pass through it.
     """
+    samples = {} if samples is None else samples
     n = len(grid) - 1
     out = []
     for halvings in levels:
         sub = 1 << halvings
         h = (grid[-1] - grid[0]) / (n * sub)
-        per_chunk = max(1, STEP_CHUNK // sub)
+        if halvings not in samples:
+            samples[halvings] = _gauss_samples(vfun, grid, sub, h)
         parts = []
-        for j0 in range(0, n, per_chunk):
-            j1 = min(n, j0 + per_chunk)
-            mid = grid[0] + (np.arange(j0 * sub, j1 * sub) + 0.5) * h
-            v1, v2 = vfun(mid - _GAUSS_OFFSET * h), vfun(mid + _GAUSS_OFFSET * h)
-            h_qbar = h * (0.5 * (v1 + v2) - lams[:, None])
-            d = (np.sqrt(3.0) / 12.0 * h * h) * (v1 - v2)
+        for vbar, d in samples[halvings]:
+            h_qbar = h * (vbar - lams[:, None])
             cm1, sc = _cosh_sinhc(d * d + h * h_qbar)
             sd = sc * d
             steps = (cm1 + sd, sc * h, sc * h_qbar, cm1 - sd)  # exp(Omega) - I
-            parts.append(_chain([x.reshape(len(lams), j1 - j0, sub) for x in steps]))
+            parts.append(_chain([x.reshape(len(lams), -1, sub) for x in steps]))
         out.append([np.concatenate(p, axis=1) for p in zip(*parts)])
     return tuple(np.stack(x) for x in zip(*out))
 
@@ -318,8 +333,9 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     parameters, giving an (n, 2, 2) stack; the boundary-determinant scan
     evaluates all its energies in one call.  Energies are processed
     ENERGY_BLOCK at a time, and each piece's step matrices are reduced by
-    a pairwise tree product.  rtol and atol bound the estimated error of
-    every piece's transfer matrix T, relative to max(1, max |T - I|).
+    a pairwise tree product; V is sampled once per piece and halving level
+    and shared by all energy blocks.  rtol and atol bound the estimated
+    error of every piece's transfer matrix T, relative to max(1, max |T - I|).
 
     Raises:
         IntegrationError: when the solution overflows or h would be halved
@@ -327,15 +343,17 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """
     lams = _spectral_array(lam)
     pieces = _segment_grid(p, x0, x1)
+    samples = [{} for _ in pieces]
     out = np.empty((len(lams), 2, 2), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
             t = (0.0, 0.0, 0.0, 0.0)  # deviation from the identity
-            for _, _, vfun, grid in pieces:
-                def transfer(levels, bad, vfun=vfun, grid=grid):
+            for (_, _, vfun, grid), cache in zip(pieces, samples):
+                def transfer(levels, bad, vfun=vfun, grid=grid, cache=cache):
                     sel = block if bad is None else block[bad]
-                    return np.stack(_chain(_interval_transfers(vfun, sel, grid, levels)), axis=1)
+                    steps = _interval_transfers(vfun, sel, grid, levels, cache)
+                    return np.stack(_chain(steps), axis=1)
                 t = _mul(_refine(transfer, rtol, atol, float(grid[0])), t)
             t = np.broadcast_arrays(1.0 + t[0], t[1], t[2], 1.0 + t[3])
             out[start:start + len(block)] = np.stack(t, axis=-1).reshape(-1, 2, 2)

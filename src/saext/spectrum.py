@@ -10,10 +10,11 @@ Column k of the 2x2 matrix M(E) is the endpoint-relation residual of u_k,
 scaled by the largest boundary magnitude of u_k so nothing overflows for
 deep wells or large |E|.  det M(E) = 0 exactly when some combination of
 u1, u2 satisfies the boundary conditions, i.e. when E is an eigenvalue;
-eigenvalues are located by scanning |det| on a grid and refining each
-local minimum by bracketed minimization of |det|^2.  Eigenfunctions come
-from the null space of M(E); two vanishing singular values signal a
-doubly degenerate level.
+eigenvalues are located by scanning |det| on a grid and refining all
+local minima together: every round of the bracketed minimization of
+|det|^2 and of the secant polish evaluates M(E) for all live candidates
+in one batched propagation.  Eigenfunctions come from the null space of
+M(E); two vanishing singular values signal a doubly degenerate level.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+# Chandrupatla's bracketed minimizer, vectorized over candidates; bound to the
+# name of the scalar minimizer it replaced, which perfbench's tracer wraps
+from scipy.optimize.elementwise import find_minimum as minimize_scalar
 
 from . import odesolve
 from .bcclassify import BoundaryCondition, apply_bc
@@ -92,42 +95,48 @@ def det_function(p, bc, energy, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return complex(np.linalg.det(cols))
 
 
-def _det_metrics(p, bc, energy, rtol, atol):
-    """(|det M|, |det M| / column scale) at one energy or an array of them."""
+def _scaled_det(p, bc, energy, rtol, atol):
+    """det M(E) over the product of the column scales; its modulus is the
+    acceptance metric."""
     cols, scales = _bc_matrix(p, bc, energy, rtol, atol)
-    absdet = np.abs(np.linalg.det(cols))
-    return absdet, absdet / (scales[..., 0] * scales[..., 1])
+    return np.linalg.det(cols) / (scales[..., 0] * scales[..., 1])
 
 
-def _det_ratio(p, bc, energy, rtol, atol):
-    return _det_metrics(p, bc, energy, rtol, atol)[1]
-
-
-def _polish_root(p, bc, root, value, lo, hi, rtol, atol):
-    """Secant steps on the complex determinant to sharpen a refined root.
+def _polish_roots(p, bc, roots, values, lo, hi, rtol, atol):
+    """Secant steps on the complex determinant to sharpen refined roots.
 
     The determinant is analytic in E, so near a simple root one
     finite-difference slope gives the least-squares real step; near a
-    double root the step halves the error per pass.  Runs only while the
-    acceptance metric is not already comfortably met.
+    double root the step halves the error per pass.  A root keeps being
+    polished only while its acceptance metric is not already comfortably
+    met and each step lowers it, for at most six passes.  values holds the
+    metric at each root (inf when unknown) and is re-measured at every
+    polished root.  All roots step in lockstep: a pass evaluates every
+    live root and its offset in one batched call and every step target
+    in a second one.
     """
+    roots, values = roots.copy(), values.copy()
+    live = np.arange(len(roots))
     for _ in range(6):
-        if value <= 0.1 * ACCEPT_RATIO:
+        live = live[~(values[live] <= 0.1 * ACCEPT_RATIO)]
+        if not len(live):
             break
-        cols, scales = _bc_matrix(p, bc, root, rtol, atol)
-        d0 = np.linalg.det(cols) / (scales[0] * scales[1])
-        h = 1e-9 * max(1.0, abs(root))
-        cols_h, scales_h = _bc_matrix(p, bc, root + h, rtol, atol)
-        slope = (np.linalg.det(cols_h) / (scales_h[0] * scales_h[1]) - d0) / h
-        if not np.isfinite(slope) or abs(slope) == 0.0:
+        root = roots[live]
+        h = 1e-9 * np.maximum(1.0, np.abs(root))
+        d0, dh = np.split(_scaled_det(p, bc, np.concatenate([root, root + h]), rtol, atol), 2)
+        values[live] = np.abs(d0)
+        slope = (dh - d0) / h
+        ok = np.isfinite(slope) & (slope != 0.0)
+        live, root, d0, slope = live[ok], root[ok], d0[ok], slope[ok]
+        if not len(live):
             break
-        step = -np.real(np.conj(slope) * d0) / abs(slope) ** 2
-        candidate = min(max(root + step, lo), hi)
-        new_value = _det_ratio(p, bc, candidate, rtol, atol)
-        if not new_value < value:
-            break
-        root, value = candidate, new_value
-    return root, value
+        step = -np.real(np.conj(slope) * d0) / np.abs(slope) ** 2
+        candidate = np.clip(root + step, lo[live], hi[live])
+        new_value = np.abs(_scaled_det(p, bc, candidate, rtol, atol))
+        improved = new_value < values[live]
+        live = live[improved]
+        roots[live], values[live] = candidate[improved], new_value[improved]
+    return roots, values
 
 
 def _phase_fixed(sol):
@@ -136,12 +145,13 @@ def _phase_fixed(sol):
     return sol.scaled(np.conj(peak) / abs(peak)) if abs(peak) > 0 else sol
 
 
-def _eigenfunctions_at(p, bc, energy, rtol, atol):
-    """Null-space eigenfunctions at an accepted root, with residuals."""
-    cols, scales = _bc_matrix(p, bc, energy, rtol, atol)
-    svals = np.linalg.svd(cols, compute_uv=False)
+def _eigenfunctions_at(p, bc, energy, cols, scales, rtol, atol):
+    """Null-space eigenfunctions at an accepted root, with residuals.
+
+    cols and scales are M(E) and its column scales from _bc_matrix.
+    """
+    _, svals, vh = np.linalg.svd(cols)
     double = svals[0] <= DEGENERACY_RATIO * max(scales)
-    _, _, vh = np.linalg.svd(cols)
     null_vectors = [np.conj(vh[-1])] if not double else [np.conj(vh[-1]), np.conj(vh[-2])]
 
     u1 = odesolve.integrate(p, energy, -p.a, p.a, 1.0, 0.0, rtol, atol)
@@ -161,16 +171,57 @@ def _eigenfunctions_at(p, bc, energy, rtol, atol):
     return funcs, residuals, 2 if double else 1
 
 
+def _refine(p, bc, energies, candidates, rtol, atol):
+    """Refine every scan minimum in lockstep; returns the accepted roots.
+
+    Candidate i is bracketed by the grid points one step either side of
+    energies[i].  At the first and last grid point the outer bracket point
+    lies one step outside the scan range, so roots inside the edge
+    intervals keep a valid three-point bracket; a root found out there is
+    clipped back into range and judged by the polish.  The minimization
+    runs on offsets from energies[i] in units of max(1, |E|), so its
+    sqrt(eps)-relative resolution floor applies to the small offset, not
+    to E itself.  A bracket whose middle is not its lowest point at full
+    tolerance starts the polish from its lower end.
+    """
+    step = energies[1] - energies[0]
+    mid = energies[candidates]
+    scale = np.maximum(1.0, np.abs(mid))
+    lo = energies[np.maximum(candidates - 1, 0)]
+    hi = energies[np.minimum(candidates + 1, len(energies) - 1)]
+    result = minimize_scalar(
+        lambda d, mid, scale: np.abs(_scaled_det(p, bc, mid + d * scale, rtol, atol)) ** 2,
+        (-step / scale, np.zeros_like(mid), step / scale), args=(mid, scale),
+        tolerances={"xatol": 1e-12}, maxiter=200)
+    invalid = result.status == -1
+    first = result.f_bracket[0] <= result.f_bracket[2]
+    offset = np.where(invalid, np.where(first, *result.bracket[::2]), result.x)
+    fun = np.where(invalid, np.minimum(*result.f_bracket[::2]), result.f_x)
+    for i in np.flatnonzero(~invalid & ~result.success):
+        log.warning("refinement did not converge near E = %g: find_minimum status %d",
+                    energies[candidates[i]], result.status[i])
+    ok = invalid | result.success
+    root = mid + offset * scale
+    clipped = np.clip(root, lo, hi)
+    value = np.where(clipped == root, np.sqrt(np.maximum(fun, 0.0)), np.inf)
+    root, value = _polish_roots(p, bc, clipped[ok], value[ok], lo[ok], hi[ok], rtol, atol)
+    return root[value <= ACCEPT_RATIO].tolist()
+
+
 def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL,
                      atol=DEFAULT_ATOL, scan_rtol=SCAN_RTOL):
     """Locate all eigenvalues of the extension in [e_min, e_max].
 
     The scan propagates all grid energies in one batched call at the
-    coarse ``scan_rtol`` (locating minima needs no more); every candidate
-    is then refined by bounded minimization of |det|^2 at full tolerance
-    and accepted only if |det| falls below
+    coarse ``scan_rtol`` (locating minima needs no more).  Every local
+    minimum of the scan is a candidate, bracketed by its two grid
+    neighbours.  All candidates are refined in lockstep at full tolerance,
+    by Chandrupatla's bracketed minimization of |det|^2 and then secant
+    steps on det, and each round evaluates every live candidate in one
+    batched propagation.  A root is accepted only if |det| falls below
     ACCEPT_RATIO times the column scale.  Roots closer than
-    (e_max - e_min)/(10 grid) are deduplicated.
+    (e_max - e_min)/(10 grid) are deduplicated, and M(E) at the kept
+    roots comes from one more batched call.
 
     Args:
         e_min: scan floor; defaults to -sup|V| - 1 so attractive boundary
@@ -192,38 +243,15 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         raise ValueError("grid must be at least 16")
 
     energies = np.linspace(e_min, e_max, grid)
-    absdets, ratios = _det_metrics(p, bc, energies, scan_rtol, atol)
-    ratios = ratios.tolist()
+    cols, scales = _bc_matrix(p, bc, energies, scan_rtol, atol)
+    absdets = np.abs(np.linalg.det(cols))
+    ratios = absdets / (scales[:, 0] * scales[:, 1])
     det_trace = list(zip(energies.tolist(), absdets.tolist()))
 
-    candidates = [i for i in range(len(energies))
-                  if (i == 0 or ratios[i] <= ratios[i - 1])
-                  and (i == len(energies) - 1 or ratios[i] <= ratios[i + 1])]
-
-    roots = []
-    for i in candidates:
-        lo = energies[max(i - 1, 0)]
-        hi = energies[min(i + 1, len(energies) - 1)]
-        if hi <= lo:
-            continue
-        # minimize in the offset from the bracket midpoint: the minimizer's
-        # internal sqrt(eps)*|x| resolution floor then applies to the small
-        # offset, not to E itself
-        mid = 0.5 * (lo + hi)
-        result = minimize_scalar(
-            lambda d: _det_ratio(p, bc, mid + d, rtol, atol) ** 2,
-            bounds=(lo - mid, hi - mid), method="bounded",
-            options={"xatol": 1e-12 * max(1.0, abs(mid)), "maxiter": 200})
-        if not result.success:
-            log.warning("refinement did not converge near E = %g: %s", energies[i],
-                        getattr(result, "message", ""))
-            continue
-        root, value = _polish_root(p, bc, float(mid + result.x),
-                                   np.sqrt(max(result.fun, 0.0)), lo, hi, rtol, atol)
-        if value <= ACCEPT_RATIO:
-            roots.append(root)
-
-    roots.sort()
+    # local minima of the scan; the lowest point is always one, so there is one at least
+    candidates = np.flatnonzero(np.r_[True, ratios[1:] <= ratios[:-1]]
+                                & np.r_[ratios[:-1] <= ratios[1:], True])
+    roots = sorted(_refine(p, bc, energies, candidates, rtol, atol))
     dedup_tol = (e_max - e_min) / (10.0 * grid)
     kept = []
     for root in roots:
@@ -232,8 +260,10 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         kept.append(root)
 
     eigenvalues, degeneracies, eigenfunctions, residuals = [], [], [], []
-    for root in kept:
-        funcs, res, degeneracy = _eigenfunctions_at(p, bc, root, rtol, atol)
+    cols, scales = _bc_matrix(p, bc, np.array(kept), rtol, atol) if kept else ([], [])
+    for root, root_cols, root_scales in zip(kept, cols, scales):
+        funcs, res, degeneracy = _eigenfunctions_at(p, bc, root, root_cols, root_scales,
+                                                    rtol, atol)
         worst = max(res)
         symmetry = max(_symmetry_defect(f) for f in funcs)
         if worst > RESIDUAL_LIMIT or symmetry > RESIDUAL_LIMIT:

@@ -177,15 +177,33 @@ def test_invalid_scan_arguments():
 
 
 def test_scan_is_one_batched_propagate(monkeypatch):
-    calls = []
+    # the first call scans every grid energy; each refinement round batches
+    # all candidates, so the call count does not grow with their number
+    sizes = []
     propagate = odesolve.propagate
 
     def counting(p, lam, *args):
-        calls.append(np.ndim(lam))
+        sizes.append(np.size(lam))
         return propagate(p, lam, *args)
 
     monkeypatch.setattr(odesolve, "propagate", counting)
-    bc = classify(synthesize("dirichlet"))
-    result = find_eigenvalues(Potential.zero(1.0), bc, e_min=0.1, e_max=12.0, grid=64)
-    assert calls[0] == 1 and calls.count(1) == 1
-    assert len(result.det_trace) == 64 and len(result.eigenvalues) == 2
+    bc = classify(synthesize("periodic"))
+    calls, levels = [], []
+    for e_max in (40.0, 160.0):
+        sizes.clear()
+        result = find_eigenvalues(Potential.zero(1.0), bc, e_max=e_max)
+        assert sizes[0] == len(result.det_trace)
+        calls.append(len(sizes))
+        levels.append(len(result.eigenvalues))
+    assert levels[1] > levels[0]
+    assert calls[1] <= calls[0] + 5
+
+
+@pytest.mark.parametrize("e_min, e_max, levels", [
+    (np.pi ** 2 / 4 - 0.05, 10.0, [np.pi ** 2 / 4, np.pi ** 2]),
+    (5.0, 9 * np.pi ** 2 / 4 + 0.05, [np.pi ** 2, 9 * np.pi ** 2 / 4]),
+])
+def test_roots_in_edge_scan_intervals(e_min, e_max, levels):
+    # the lowest or highest level lies inside the first or last grid interval
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=e_min, e_max=e_max, grid=16)
+    assert_matches(result, [(e, 1) for e in levels])
