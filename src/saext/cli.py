@@ -32,24 +32,29 @@ def _build_parser():
                        ("verify", "run the numerical property suites")):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", help="JSON config file; flags override its values")
-        cmd.add_argument("--potential", help="potential descriptor file (or basis.json for map)")
-        cmd.add_argument("--a", type=float, help="half-width override for the potential")
-        cmd.add_argument("--matrix", help="2x2 complex matrix file {\"rows\": ...}")
-        cmd.add_argument("--family", help="named BC family instead of a matrix")
-        cmd.add_argument("--alpha", type=float)
-        cmd.add_argument("--beta-re", type=float, dest="beta_re")
-        cmd.add_argument("--beta-im", type=float, dest="beta_im")
-        cmd.add_argument("--gamma", type=float)
-        cmd.add_argument("--theta", type=float)
-        cmd.add_argument("--phi", type=float)
-        cmd.add_argument("--direction", choices=("u-to-bc", "bc-to-u"))
-        cmd.add_argument("--emin", type=float)
-        cmd.add_argument("--emax", type=float)
-        cmd.add_argument("--grid", type=int)
         cmd.add_argument("--out", help="output file path")
-        cmd.add_argument("--format", choices=("json", "csv"), dest="fmt")
-        cmd.add_argument("--tol", type=float)
-        cmd.add_argument("--samples", type=int)
+        if name in ("deficiency", "map", "spectrum"):
+            cmd.add_argument("--potential", help="potential descriptor file (or basis.json for map)")
+            cmd.add_argument("--a", type=float, help="half-width override for the potential")
+        if name in ("map", "classify", "spectrum"):
+            cmd.add_argument("--matrix", help="2x2 complex matrix file {\"rows\": ...}")
+            cmd.add_argument("--family", help="named BC family instead of a matrix")
+            cmd.add_argument("--alpha", type=float)
+            cmd.add_argument("--beta-re", type=float, dest="beta_re")
+            cmd.add_argument("--beta-im", type=float, dest="beta_im")
+            cmd.add_argument("--gamma", type=float)
+            cmd.add_argument("--theta", type=float)
+            cmd.add_argument("--phi", type=float)
+            cmd.add_argument("--tol", type=float)
+        if name == "map":
+            cmd.add_argument("--direction", choices=("u-to-bc", "bc-to-u"))
+        if name == "spectrum":
+            cmd.add_argument("--emin", type=float)
+            cmd.add_argument("--emax", type=float)
+            cmd.add_argument("--grid", type=int)
+            cmd.add_argument("--format", choices=("json", "csv"), dest="fmt")
+        if name == "verify":
+            cmd.add_argument("--samples", type=int)
     return parser
 
 

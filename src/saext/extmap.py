@@ -140,17 +140,14 @@ def inverse_map(basis, ucal):
         conj(U) [(A - iB) Ut + (A + iB)]
             = -[(conj(A) - i conj(B)) Ut + (conj(A) + i conj(B))],
 
-    materialized as a 4x4 matrix acting on the row-major vectorization of
-    conj(U).  Uniqueness of the solution is exactly invertibility of that
-    system, which is checked and reported.
+    materialized by ``homogeneous_system`` as a 4x4 matrix acting on the
+    row-major vectorization of conj(U).  Uniqueness of the solution is
+    exactly invertibility of that system, which is checked and reported.
     """
-    _require_mode(basis, EVEN_MODE)
-    a_mat, b_mat = basis.mat_A, basis.mat_B
+    system = homogeneous_system(basis, ucal)
+    a_conj, b_conj = np.conj(basis.mat_A), np.conj(basis.mat_B)
     utilde = 0.5 * _Q @ ucal.matrix @ _P
-    m = (a_mat - 1j * b_mat) @ utilde + (a_mat + 1j * b_mat)
-    rhs = -((np.conj(a_mat) - 1j * np.conj(b_mat)) @ utilde
-            + (np.conj(a_mat) + 1j * np.conj(b_mat)))
-    system = np.kron(np.eye(2), m.T)  # K @ vec(X) = vec(X @ m), row-major
+    rhs = -((a_conj - 1j * b_conj) @ utilde + (a_conj + 1j * b_conj))
     sigma = np.linalg.svd(system, compute_uv=False)
     if sigma[-1] <= UNIQUENESS_RATIO * sigma[0]:
         raise UniquenessError(f"inverse-map system near singular (sigma = {sigma})")
@@ -163,7 +160,7 @@ def homogeneous_system(basis, ucal):
     _require_mode(basis, EVEN_MODE)
     utilde = 0.5 * _Q @ ucal.matrix @ _P
     m = (basis.mat_A - 1j * basis.mat_B) @ utilde + (basis.mat_A + 1j * basis.mat_B)
-    return np.kron(np.eye(2), m.T)
+    return np.kron(np.eye(2), m.T)  # K @ vec(X) = vec(X @ m), row-major
 
 
 def forward_map_general(basis, u):

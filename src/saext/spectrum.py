@@ -1,20 +1,24 @@
-"""Spectra of self-adjoint extensions via boundary-determinant shooting.
+"""Spectra of self-adjoint extensions by counting eigenphase crossings.
 
-For a trial energy E the two fundamental solutions u1, u2 of
--f'' + V f = E f are launched from x = -a with data (1, 0) and (0, 1).
-Column k of the 2x2 matrix M(E) is the endpoint-relation residual of u_k,
+The fundamental solutions u1, u2 of -f'' + V f = E f start at x = -a with
+data (1, 0) and (0, 1).  Their boundary vectors (u_k'(a) -+ i u_k(a),
+u_k'(-a) +- i u_k(-a)) are the columns of minus and plus, and the unitary
+S(E) = minus plus^-1 maps the plus data of every solution to its minus
+data.  E is an eigenvalue exactly when an eigenphase of
+W(E) = Ucal^dagger S(E) is 0 mod 2 pi; the number of such eigenphases is
+its multiplicity, and the null vectors of M(E) = minus - Ucal plus give as
+many eigenfunctions.  The eigenphases fall monotonically in E, so with
+C(E) the sum of the eigenphases, each taken in [0, 2 pi), and D the fall
+of arg det W across [E-, E+), the interval holds
+n = (C(E+) - C(E-) + D) / 2 pi crossings of 0.
 
-    (u_k'(a) - i u_k(a), u_k'(-a) + i u_k(-a))^T
-        - Ucal (u_k'(a) + i u_k(a), u_k'(-a) - i u_k(-a))^T,
-
-scaled by the largest boundary magnitude of u_k so nothing overflows for
-deep wells or large |E|.  det M(E) = 0 exactly when some combination of
-u1, u2 satisfies the boundary conditions, i.e. when E is an eigenvalue;
-eigenvalues are located by scanning |det| on a grid and refining all
-local minima together: every round of the bracketed minimization of
-|det|^2 and of the secant polish evaluates M(E) for all live candidates
-in one batched propagation.  Eigenfunctions come from the null space of
-M(E); two vanishing singular values signal a doubly degenerate level.
+A uniform scan evaluates W in one batched propagation, and rounds of one
+batched call each bisect every interval across which arg det W falls by
+more than PHASE_STEP, so no eigenphase wraps unseen.  A single crossing is
+the sign change of Re(det(I - W) conj(sqrt(det W))), with the branch of
+the root fixed at the bracket's left end.  A double crossing is solved for
+arg det W = 0: a double level when both eigenphases vanish there, or else
+the split point of two single-crossing brackets.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-# Chandrupatla's bracketed minimizer, vectorized over candidates; bound to the
-# name of the scalar minimizer it replaced, which perfbench's tracer wraps
-from scipy.optimize.elementwise import find_minimum as minimize_scalar
+# Chandrupatla's bracketed root finder, vectorized over brackets, under the
+# name perfbench's tracer wraps as the refinement
+from scipy.optimize.elementwise import find_root as minimize_scalar
 
 from . import odesolve
 from .bcclassify import BoundaryCondition, apply_bc
@@ -35,20 +39,20 @@ from .potential import Potential
 
 log = logging.getLogger(__name__)
 
-ACCEPT_RATIO = 1e-7        # |det| acceptance relative to the column scale
-DEGENERACY_RATIO = 1e-5    # both singular values below this => double level
+PHASE_STEP = np.pi / 2     # largest fall of arg det W accepted across one scan interval
 RESIDUAL_LIMIT = 1e-6      # stored eigenfunctions must satisfy the BC this well
-SCAN_RTOL = 1e-7           # coarse tolerance for the minima-locating scan
+SCAN_RTOL = 1e-7           # coarse tolerance for the scan and its bisection
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
     """Eigenvalues of one extension with eigenfunctions and diagnostics.
 
-    ``eigenfunctions[i]`` holds one or two L2-normalized OdeSolution
-    trajectories matching ``degeneracies[i]``; ``residuals[i]`` is the
-    worst endpoint-relation residual among them.  ``det_trace`` keeps the
-    (E, |det|) samples of the scan for plotting and diagnostics.
+    ``degeneracies[i]`` is the number of eigenphases of W that cross 0 at
+    ``eigenvalues[i]``, and ``eigenfunctions[i]`` holds as many
+    L2-normalized OdeSolution trajectories; ``residuals[i]`` is the worst
+    endpoint-relation residual among them.  ``det_trace`` keeps the
+    (E, |det M|) samples of the uniform scan for plotting and diagnostics.
     """
 
     bc: BoundaryCondition
@@ -73,70 +77,55 @@ class SpectrumResult:
 
 
 def _bc_matrix(p, bc, energy, rtol, atol):
-    """Normalized M(E) and the per-column cancellation scales.
-
-    energy may be a scalar or a 1-D array; the array form propagates all
-    energies in one call and returns (n, 2, 2) matrices with (n, 2) scales.
-    """
+    """M(E) = minus - Ucal plus and W(E) = Ucal^dagger minus plus^-1 for a
+    scalar E or, from one propagation, (n, 2, 2) stacks for a 1-D array.
+    Column k is divided by the largest boundary magnitude of u_k, so nothing
+    overflows for deep wells or large |E|; W does not change."""
     transfer = odesolve.propagate(p, energy, -p.a, p.a, rtol, atol)
     ua, dua = transfer[..., 0, :], transfer[..., 1, :]  # column k: u_k(a), u_k'(a)
     uma, duma = np.eye(2)                               # u_k(-a), u_k'(-a)
-    minus = np.stack(np.broadcast_arrays(dua - 1j * ua, duma + 1j * uma), axis=-2)
-    plus = np.stack(np.broadcast_arrays(dua + 1j * ua, duma - 1j * uma), axis=-2)
     s = np.maximum(np.maximum(np.abs(ua), np.abs(dua)), 1.0)[..., None, :]
-    cols = (minus - bc.Ucal.matrix @ plus) / s
-    scales = (np.linalg.norm(minus, axis=-2) + np.linalg.norm(plus, axis=-2)) / s[..., 0, :]
-    return cols, scales
+    minus = np.stack(np.broadcast_arrays(dua - 1j * ua, duma + 1j * uma), axis=-2) / s
+    plus = np.stack(np.broadcast_arrays(dua + 1j * ua, duma - 1j * uma), axis=-2) / s
+    ucal = bc.Ucal.matrix
+    return minus - ucal @ plus, ucal.conj().T @ minus @ np.linalg.inv(plus)
 
 
 def det_function(p, bc, energy, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """det M(E) with overflow-guarded (column-normalized) entries."""
-    cols, _ = _bc_matrix(p, bc, energy, rtol, atol)
-    return complex(np.linalg.det(cols))
+    return complex(np.linalg.det(_bc_matrix(p, bc, energy, rtol, atol)[0]))
 
 
-def _scaled_det(p, bc, energy, rtol, atol):
-    """det M(E) over the product of the column scales; its modulus is the
-    acceptance metric."""
-    cols, scales = _bc_matrix(p, bc, energy, rtol, atol)
-    return np.linalg.det(cols) / (scales[..., 0] * scales[..., 1])
+def _phase_sum(w):
+    """C: the eigenphases of W, each taken in [0, 2 pi), summed."""
+    return np.sum(np.angle(np.linalg.eigvals(w)) % (2 * np.pi), axis=-1)
 
 
-def _polish_roots(p, bc, roots, values, lo, hi, rtol, atol):
-    """Secant steps on the complex determinant to sharpen refined roots.
+def _fall(c_lo, c_hi):
+    """Fall of arg det W between phase sums c_lo and c_hi, in [0, 2 pi)."""
+    return (c_lo - c_hi) % (2 * np.pi)
 
-    The determinant is analytic in E, so near a simple root one
-    finite-difference slope gives the least-squares real step; near a
-    double root the step halves the error per pass.  A root keeps being
-    polished only while its acceptance metric is not already comfortably
-    met and each step lowers it, for at most six passes.  values holds the
-    metric at each root (inf when unknown) and is re-measured at every
-    polished root.  All roots step in lockstep: a pass evaluates every
-    live root and its offset in one batched call and every step target
-    in a second one.
+
+def _solve(p, bc, lo, hi, c_lo, target, rtol, atol):
+    """Roots of target(W, phi) in the brackets [lo, hi], one vectorized call,
+    and the mask of brackets that converged.
+
+    phi is arg det W continued from c_lo, its phase sum at lo.  Ends that
+    share a sign at full tolerance put the crossing at an end, within the
+    accuracy of W: the end with the smaller |target| is taken.
     """
-    roots, values = roots.copy(), values.copy()
-    live = np.arange(len(roots))
-    for _ in range(6):
-        live = live[~(values[live] <= 0.1 * ACCEPT_RATIO)]
-        if not len(live):
-            break
-        root = roots[live]
-        h = 1e-9 * np.maximum(1.0, np.abs(root))
-        d0, dh = np.split(_scaled_det(p, bc, np.concatenate([root, root + h]), rtol, atol), 2)
-        values[live] = np.abs(d0)
-        slope = (dh - d0) / h
-        ok = np.isfinite(slope) & (slope != 0.0)
-        live, root, d0, slope = live[ok], root[ok], d0[ok], slope[ok]
-        if not len(live):
-            break
-        step = -np.real(np.conj(slope) * d0) / np.abs(slope) ** 2
-        candidate = np.clip(root + step, lo[live], hi[live])
-        new_value = np.abs(_scaled_det(p, bc, candidate, rtol, atol))
-        improved = new_value < values[live]
-        live = live[improved]
-        roots[live], values[live] = candidate[improved], new_value[improved]
-    return roots, values
+    def f(energy, c_lo):
+        w = _bc_matrix(p, bc, energy, rtol, atol)[1]
+        return target(w, c_lo + (_phase_sum(w) - c_lo + np.pi) % (2 * np.pi) - np.pi)
+
+    res = minimize_scalar(f, (lo, hi), args=(c_lo,), tolerances={"xatol": rtol, "xrtol": rtol})
+    invalid = res.status == -1
+    ok = invalid | res.success
+    for i in np.flatnonzero(~ok):
+        log.warning("refinement did not converge near E = %g: find_root status %d",
+                    lo[i], res.status[i])
+    nearer = np.where(np.abs(res.f_bracket[0]) <= np.abs(res.f_bracket[1]), *res.bracket)
+    return np.where(invalid, nearer, res.x), ok
 
 
 def _phase_fixed(sol):
@@ -145,22 +134,16 @@ def _phase_fixed(sol):
     return sol.scaled(np.conj(peak) / abs(peak)) if abs(peak) > 0 else sol
 
 
-def _eigenfunctions_at(p, bc, energy, cols, scales, rtol, atol):
-    """Null-space eigenfunctions at an accepted root, with residuals.
-
-    cols and scales are M(E) and its column scales from _bc_matrix.
-    """
-    _, svals, vh = np.linalg.svd(cols)
-    double = svals[0] <= DEGENERACY_RATIO * max(scales)
-    null_vectors = [np.conj(vh[-1])] if not double else [np.conj(vh[-1]), np.conj(vh[-2])]
-
+def _eigenfunctions_at(p, bc, energy, cols, count, rtol, atol):
+    """The count null-space eigenfunctions of M(E) = cols, with residuals."""
+    _, _, vh = np.linalg.svd(cols)
     u1 = odesolve.integrate(p, energy, -p.a, p.a, 1.0, 0.0, rtol, atol)
     u2 = odesolve.integrate(p, energy, -p.a, p.a, 0.0, 1.0, rtol, atol)
     # undo the column normalization: M columns were divided by scales s_k
     s = np.array([max(abs(u1.f1), abs(u1.df1), 1.0), max(abs(u2.f1), abs(u2.df1), 1.0)])
 
     funcs = []
-    for vec in null_vectors:
+    for vec in np.conj(vh[::-1][:count]):
         f = odesolve.combine([u1, u2], vec / s)
         for prev in funcs:  # L2-orthonormalize a degenerate pair
             f = odesolve.combine([f, prev], [1.0, -odesolve.l2_inner(prev, f)])
@@ -168,71 +151,64 @@ def _eigenfunctions_at(p, bc, energy, cols, scales, rtol, atol):
         funcs.append(_phase_fixed(f))
 
     residuals = [apply_bc(bc, f.f1, f.f0, f.df1, f.df0) for f in funcs]
-    return funcs, residuals, 2 if double else 1
+    return funcs, residuals
 
 
-def _refine(p, bc, energies, candidates, rtol, atol):
-    """Refine every scan minimum in lockstep; returns the accepted roots.
+def _bisect(p, bc, energies, phase, atol):
+    """Bisect, one batched call per round, every interval across which
+    arg det W falls by more than PHASE_STEP, down to float resolution."""
+    while True:
+        mid = 0.5 * (energies[:-1] + energies[1:])
+        split = np.flatnonzero((_fall(phase[:-1], phase[1:]) > PHASE_STEP)
+                               & (energies[:-1] < mid) & (mid < energies[1:]))
+        if not len(split):
+            return energies, phase
+        new = _phase_sum(_bc_matrix(p, bc, mid[split], SCAN_RTOL, atol)[1])
+        energies = np.insert(energies, split + 1, mid[split])
+        phase = np.insert(phase, split + 1, new)
 
-    Candidate i is bracketed by the grid points one step either side of
-    energies[i].  At the first and last grid point the outer bracket point
-    lies one step outside the scan range, so roots inside the edge
-    intervals keep a valid three-point bracket; a root found out there is
-    clipped back into range and judged by the polish.  The minimization
-    runs on offsets from energies[i] in units of max(1, |E|), so its
-    sqrt(eps)-relative resolution floor applies to the small offset, not
-    to E itself.  A bracket whose middle is not its lowest point at full
-    tolerance starts the polish from its lower end.
+
+def _levels_below(bc, w, rtol):
+    """Number of levels below E < min V, from w = W(E).
+
+    Below min V each eigenphase of S = Ucal W stays in (-pi, 0) and tends to
+    0 as E -> -inf, so W tends to Ucal^dagger from below and
+    N = (C(E) - C_U + D_S) / 2 pi, with C_U the phase sum of Ucal^dagger and
+    D_S = -sum arg eig S(E) the fall of arg det W from -inf.  An eigenphase
+    of Ucal^dagger at 0 (within rtol: W is known no better) counts as 2 pi.
     """
-    step = energies[1] - energies[0]
-    mid = energies[candidates]
-    scale = np.maximum(1.0, np.abs(mid))
-    lo = energies[np.maximum(candidates - 1, 0)]
-    hi = energies[np.minimum(candidates + 1, len(energies) - 1)]
-    result = minimize_scalar(
-        lambda d, mid, scale: np.abs(_scaled_det(p, bc, mid + d * scale, rtol, atol)) ** 2,
-        (-step / scale, np.zeros_like(mid), step / scale), args=(mid, scale),
-        tolerances={"xatol": 1e-12}, maxiter=200)
-    invalid = result.status == -1
-    first = result.f_bracket[0] <= result.f_bracket[2]
-    offset = np.where(invalid, np.where(first, *result.bracket[::2]), result.x)
-    fun = np.where(invalid, np.minimum(*result.f_bracket[::2]), result.f_x)
-    for i in np.flatnonzero(~invalid & ~result.success):
-        log.warning("refinement did not converge near E = %g: find_minimum status %d",
-                    energies[candidates[i]], result.status[i])
-    ok = invalid | result.success
-    root = mid + offset * scale
-    clipped = np.clip(root, lo, hi)
-    value = np.where(clipped == root, np.sqrt(np.maximum(fun, 0.0)), np.inf)
-    root, value = _polish_roots(p, bc, clipped[ok], value[ok], lo[ok], hi[ok], rtol, atol)
-    return root[value <= ACCEPT_RATIO].tolist()
+    ucal = bc.Ucal.matrix
+    u_phase = np.angle(np.linalg.eigvals(ucal.conj().T)) % (2 * np.pi)
+    c_u = np.where(u_phase > rtol, u_phase, 2 * np.pi).sum()
+    s_fall = -np.angle(np.linalg.eigvals(ucal @ w)).sum()
+    return int(np.rint((_phase_sum(w) - c_u + s_fall) / (2 * np.pi)))
 
 
 def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL, scan_rtol=SCAN_RTOL):
-    """Locate all eigenvalues of the extension in [e_min, e_max].
+                     atol=DEFAULT_ATOL):
+    """Locate all eigenvalues of the extension in [e_min, e_max).
 
-    The scan propagates all grid energies in one batched call at the
-    coarse ``scan_rtol`` (locating minima needs no more).  Every local
-    minimum of the scan is a candidate, bracketed by its two grid
-    neighbours.  All candidates are refined in lockstep at full tolerance,
-    by Chandrupatla's bracketed minimization of |det|^2 and then secant
-    steps on det, and each round evaluates every live candidate in one
-    batched propagation.  A root is accepted only if |det| falls below
-    ACCEPT_RATIO times the column scale.  Roots closer than
-    (e_max - e_min)/(10 grid) are deduplicated, and M(E) at the kept
-    roots comes from one more batched call.
+    The scan and its bisection run at the coarse SCAN_RTOL and leave a
+    count of eigenphase crossings per interval, which is the multiplicity.
+    Double crossings are solved together for arg det W = 0, then every
+    single-crossing bracket in one more vectorized call, both to
+    rtol (1 + |E|).  M(E) at the roots comes from one batched call; a root
+    whose eigenfunctions miss the boundary relation or the symmetry check
+    by more than RESIDUAL_LIMIT is dropped with a warning.
 
     Args:
-        e_min: scan floor; defaults to -sup|V| - 1 so attractive boundary
-            conditions with negative levels are not missed.
+        e_min: scan floor.  The default -sup|V| - 1 lies below min V, where
+            the scan's first point gives the number of levels below it;
+            while that is positive the depth below -sup|V| doubles, and
+            the final floor is prepended as one interval to bisect.
         grid: number of scan points (>= 16); defaults to a density of
             eight points per (pi/2a)^2, half the bottom level spacing.
 
     Returns:
         SpectrumResult (empty eigenvalue list when no roots are found).
     """
-    if e_min is None:
+    default_floor = e_min is None
+    if default_floor:
         e_min = -p.sup_norm() - 1.0
     if grid is None:
         spacing = (np.pi / (2.0 * p.a)) ** 2 / 8.0
@@ -243,27 +219,50 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         raise ValueError("grid must be at least 16")
 
     energies = np.linspace(e_min, e_max, grid)
-    cols, scales = _bc_matrix(p, bc, energies, scan_rtol, atol)
-    absdets = np.abs(np.linalg.det(cols))
-    ratios = absdets / (scales[:, 0] * scales[:, 1])
-    det_trace = list(zip(energies.tolist(), absdets.tolist()))
+    cols, w = _bc_matrix(p, bc, energies, SCAN_RTOL, atol)
+    det_trace = list(zip(energies.tolist(), np.abs(np.linalg.det(cols)).tolist()))
+    phase = _phase_sum(w)
+    if default_floor:
+        depth, low, w_low = 1.0, e_min, w[0]
+        while _levels_below(bc, w_low, rtol) > 0:
+            depth *= 2.0
+            low = e_min + 1.0 - depth  # depth below -sup|V|
+            w_low = _bc_matrix(p, bc, low, SCAN_RTOL, atol)[1]
+        if low < e_min:
+            energies, phase = np.r_[low, energies], np.r_[_phase_sum(w_low), phase]
+    energies, phase = _bisect(p, bc, energies, phase, atol)
 
-    # local minima of the scan; the lowest point is always one, so there is one at least
-    candidates = np.flatnonzero(np.r_[True, ratios[1:] <= ratios[:-1]]
-                                & np.r_[ratios[:-1] <= ratios[1:], True])
-    roots = sorted(_refine(p, bc, energies, candidates, rtol, atol))
-    dedup_tol = (e_max - e_min) / (10.0 * grid)
-    kept = []
-    for root in roots:
-        if kept and root - kept[-1] < dedup_tol:
-            continue
-        kept.append(root)
+    lo, hi, c_lo, fall = energies[:-1], energies[1:], phase[:-1], _fall(phase[:-1], phase[1:])
+    count = np.rint((phase[1:] - c_lo + fall) / (2 * np.pi)).astype(int)
+    for i in np.flatnonzero((count < 0) | (count > 2)):
+        log.warning("refinement did not converge near E = %g: %d crossings", lo[i], count[i])
+    levels = []  # (E, multiplicity)
+    one, two = count == 1, count == 2
+    lo1, hi1, c1 = lo[one], hi[one], c_lo[one]
+    if two.any():
+        lo2, hi2 = lo[two], hi[two]
+        root, ok = _solve(p, bc, lo2, hi2, c_lo[two], lambda w, phi: phi, rtol, atol)
+        w = _bc_matrix(p, bc, root, rtol, atol)[1]
+        # double when both eigenphases vanish to within what the pair sweeps
+        # over one root tolerance, rtol (1 + |E|)
+        sweep = fall[two] * rtol * (1 + np.abs(root)) / (hi2 - lo2)
+        double = ok & (np.abs(np.angle(np.linalg.eigvals(w))).max(axis=-1) <= sweep)
+        split = ok & ~double
+        levels += [(e, 2) for e in root[double].tolist()]
+        lo1, hi1 = np.r_[lo1, lo2[split], root[split]], np.r_[hi1, root[split], hi2[split]]
+        c1 = np.r_[c1, c_lo[two][split], _phase_sum(w[split])]
+    if len(lo1):
+        # -4 sin(t1/2) sin(t2/2) for eigenphases t1 + t2 = phi, up to a sign
+        # fixed per bracket: it changes sign where one of them crosses 0
+        root, ok = _solve(p, bc, lo1, hi1, c1, lambda w, phi: np.real(
+            np.linalg.det(np.eye(2) - w) * np.exp(-0.5j * phi)), rtol, atol)
+        levels += [(e, 1) for e in root[ok].tolist()]
 
+    levels.sort()
     eigenvalues, degeneracies, eigenfunctions, residuals = [], [], [], []
-    cols, scales = _bc_matrix(p, bc, np.array(kept), rtol, atol) if kept else ([], [])
-    for root, root_cols, root_scales in zip(kept, cols, scales):
-        funcs, res, degeneracy = _eigenfunctions_at(p, bc, root, root_cols, root_scales,
-                                                    rtol, atol)
+    all_cols = _bc_matrix(p, bc, np.array([e for e, _ in levels]), rtol, atol)[0] if levels else []
+    for (root, count), cols in zip(levels, all_cols):
+        funcs, res = _eigenfunctions_at(p, bc, root, cols, count, rtol, atol)
         worst = max(res)
         symmetry = max(_symmetry_defect(f) for f in funcs)
         if worst > RESIDUAL_LIMIT or symmetry > RESIDUAL_LIMIT:
@@ -271,7 +270,7 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
                         "symmetry defect %.2e)", root, worst, symmetry)
             continue
         eigenvalues.append(root)
-        degeneracies.append(degeneracy)
+        degeneracies.append(count)
         eigenfunctions.append(tuple(funcs))
         residuals.append(worst)
 

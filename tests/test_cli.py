@@ -141,3 +141,6 @@ def test_usage_errors_exit_2(tmp_path, zero_potential_file):
                      "--family", "dirichlet"]) == cli.USAGE_ERROR         # missing file
     bad = write_matrix(tmp_path / "bad.json", np.diag([2.0, 1.0]))
     assert cli.main(["classify", "--matrix", bad]) == cli.USAGE_ERROR     # not unitary
+    with pytest.raises(SystemExit) as exc:                                # not a classify flag
+        cli.main(["classify", "--emax", "5"])
+    assert exc.value.code == cli.USAGE_ERROR

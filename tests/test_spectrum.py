@@ -1,5 +1,7 @@
 """Boundary-determinant spectra against closed-form and discretization oracles."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,40 @@ def test_roots_in_edge_scan_intervals(e_min, e_max, levels):
     # the lowest or highest level lies inside the first or last grid interval
     result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=e_min, e_max=e_max, grid=16)
     assert_matches(result, [(e, 1) for e in levels])
+
+
+def robin_levels(alpha, gamma):
+    return [(e, 1) for e in oracles.bisect_roots(oracles.robin_det(alpha, gamma), -46.0, 40.0)]
+
+
+@pytest.mark.parametrize("p, bc, e_max, levels", [
+    # collocation references (perfbench/oracle.collocation_levels), error estimate 3.2e-10
+    (Potential.harmonic(25.0, 1.0), bc_named("periodic"), 40.0,
+     lambda: [(4.8093443118, 1), (16.2856182085, 1), (21.6785110794, 1)]),
+    # error estimate 2.8e-8
+    (Potential.finite_well(-10.0, 0.5, 1.0), bc_named("periodic"), 40.0,
+     lambda: [(-6.7827193366, 1), (4.24769163, 1), (6.4639491761, 1), (34.326616751, 1),
+              (34.9409929297, 1)]),
+    # error estimate 4.9e-10
+    (Potential.cosine(5.0, np.pi, 1.0),
+     bc_named("general-coupled", alpha=1.0, beta=0.5 + 0.5j, gamma=-2.0), 40.0,
+     lambda: [(-9.2942699535, 1), (-2.5135727102, 1), (9.5398566071, 1), (18.8998959361, 1),
+              (37.7105413175, 1)]),
+    # two surface states 0.18 apart
+    (P0, bc_named("robin", alpha=3.0, gamma=-3.0), 40.0, lambda: robin_levels(3.0, -3.0)),
+    # a surface state at -25, far below the default floor -1
+    (P0, bc_named("robin", alpha=5.0, gamma=5.0), 40.0, lambda: robin_levels(5.0, 5.0)),
+    # two simple surface states 0.009 apart
+    (P0, bc_named("robin", alpha=5.0, gamma=-5.0), 40.0, lambda: robin_levels(5.0, -5.0)),
+    # the level -1 sits exactly on the default floor
+    (P0, bc_named("robin", alpha=1.0, gamma=1.0), 40.0, lambda: robin_levels(1.0, 1.0)),
+    (Potential.harmonic(25.0 / 4.0, 2.0), bc_named("dirichlet"), 10.0,
+     lambda: [(e, 1) for e in oracles.fd_dirichlet_levels(lambda x: 6.25 * x * x, 4, a=2.0)
+              if e <= 10.0]),
+], ids=["harmonic-periodic", "well-periodic", "cosine-coupled", "robin(3,-3)", "robin(5,5)",
+        "robin(5,-5)", "robin(1,1)", "harmonic-dirichlet-a2"])
+def test_default_arguments_find_every_level(p, bc, e_max, levels, caplog):
+    with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
+        result = find_eigenvalues(p, bc, e_max=e_max)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+    assert_matches(result, levels())
