@@ -4,8 +4,15 @@ Units are fixed to hbar = 2m = 1 so the operator reads -d^2/dx^2 + V(x).
 Supported shapes: zero, square finite well, harmonic c*x^2, cosine,
 polynomial, and piecewise polynomial.  All values are finite by
 construction; distributional potentials (delta spikes) cannot be
-expressed.  Evaluation at an interior jump uses the right-limit value so
-results are deterministic.
+expressed.
+
+Each kind is lowered once, on construction, to a tuple of (lo, hi, V)
+pieces that tiles [-a, a], with V vectorized and smooth on its piece.
+One table, ``_KINDS``, gives per kind the required parameters, the
+lowering and whether the shape is even by construction.  Validation,
+evaluation, the breakpoints, the parity check and the integrator's V are
+all read from the pieces.  Evaluation at an interior jump uses the
+right-limit value so results are deterministic.
 """
 
 from __future__ import annotations
@@ -17,22 +24,73 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PotentialError
 
-# kinds that are even by construction: the parity check short-circuits
-_EVEN_BY_CONSTRUCTION = frozenset({"zero", "finite-well", "harmonic", "cosine"})
-
-_KINDS = ("zero", "finite-well", "harmonic", "cosine", "polynomial", "piecewise")
-
 _PARITY_GRID = 1001  # fixed sampling grid for the parity check
 
 
-def _require_finite(name, value):
+def _numbers(name, value, ndim):
+    """value as floats, checked to be a finite scalar (ndim 0) or non-empty list (ndim 1)."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise PotentialError(f"{name} must be numeric, got {value!r}") from exc
+    if arr.ndim != ndim or arr.size == 0:
+        raise PotentialError(f"{name} must be a {('scalar', 'non-empty list')[ndim]}, got {value!r}")
     if not np.all(np.isfinite(arr)):
         raise PotentialError(f"{name} must be finite, got {value!r}")
-    return value
+    return arr.tolist()
+
+
+def _scalar(name, value):
+    return _numbers(name, value, 0)
+
+
+def _coefficients(name, value):
+    return _numbers(name, value, 1)
+
+
+def _piece_list(name, value):
+    """[((lo, hi), coefficients)] of a list of {"interval", "coefficients"} pieces."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise PotentialError(f"{name} must be a non-empty list, got {value!r}")
+    out = []
+    for piece in value:
+        try:
+            interval, coeffs = piece["interval"], piece["coefficients"]
+        except (TypeError, KeyError) as exc:
+            raise PotentialError(f"a piece needs an interval and coefficients, got {piece!r}") from exc
+        interval = _numbers("interval", interval, 1)
+        if len(interval) != 2:
+            raise PotentialError(f"interval must be a pair [lo, hi], got {interval!r}")
+        out.append((interval, _coefficients("coefficients", coeffs)))
+    return out
+
+
+def _constant(value):
+    return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+
+
+def _polynomial(coeffs):
+    return lambda x: npoly.polyval(np.asarray(x, dtype=float), coeffs)
+
+
+# kind -> ({parameter: check}, even-by-construction predicate on the checked
+# parameters, lowering of (a, *checked parameters) to pieces from -a to a)
+_KINDS = {
+    "zero": ({}, lambda *_: True, lambda a: [(-a, a, _constant(0.0))]),
+    "finite-well": (
+        {"depth": _scalar, "half_width": _scalar}, lambda *_: True,
+        lambda a, depth, hw: [(-a, -hw, _constant(0.0)), (-hw, hw, _constant(depth)),
+                              (hw, a, _constant(0.0))]),
+    "harmonic": ({"coefficient": _scalar}, lambda *_: True,
+                 lambda a, c: [(-a, a, lambda x: c * np.square(x))]),
+    "cosine": ({"amplitude": _scalar, "wavenumber": _scalar}, lambda *_: True,
+               lambda a, amp, wn: [(-a, a, lambda x: amp * np.cos(wn * np.asarray(x)))]),
+    "polynomial": ({"coefficients": _coefficients},
+                   lambda cs: all(c == 0.0 for c in cs[1::2]),
+                   lambda a, cs: [(-a, a, _polynomial(cs))]),
+    "piecewise": ({"pieces": _piece_list}, lambda _: False,
+                  lambda a, pieces: [(lo, hi, _polynomial(cs)) for (lo, hi), cs in pieces]),
+}
 
 
 @dataclass(frozen=True)
@@ -41,61 +99,34 @@ class Potential:
 
     Construct through the factory classmethods (``Potential.zero`` etc.)
     or ``from_json``; instances are immutable and safe to share.
+    Construction raises ``PotentialError`` for a malformed descriptor.
     """
 
     kind: str
     a: float
     params: dict = field(default_factory=dict)
+    _pieces: tuple = field(init=False, repr=False, compare=False)
+    _even: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise PotentialError(f"unknown potential kind {self.kind!r}")
         if not (np.isfinite(self.a) and self.a > 0):
             raise PotentialError(f"half-width a must be positive and finite, got {self.a}")
-        validator = getattr(self, "_validate_" + self.kind.replace("-", "_"))
-        validator()
-
-    # -- per-kind validation ------------------------------------------------
-
-    def _validate_zero(self):
-        pass
-
-    def _validate_finite_well(self):
-        depth = _require_finite("depth", self.params.get("depth"))
-        hw = _require_finite("half_width", self.params.get("half_width"))
-        if not 0 < hw < self.a:
-            raise PotentialError(f"well half_width must lie in (0, a), got {hw}")
-        del depth
-
-    def _validate_harmonic(self):
-        _require_finite("coefficient", self.params.get("coefficient"))
-
-    def _validate_cosine(self):
-        _require_finite("amplitude", self.params.get("amplitude"))
-        _require_finite("wavenumber", self.params.get("wavenumber"))
-
-    def _validate_polynomial(self):
-        coeffs = self.params.get("coefficients")
-        if coeffs is None or len(coeffs) == 0:
-            raise PotentialError("polynomial requires a non-empty coefficient list")
-        _require_finite("coefficients", coeffs)
-
-    def _validate_piecewise(self):
-        pieces = self.params.get("pieces")
-        if not pieces:
-            raise PotentialError("piecewise requires at least one piece")
-        prev = -self.a
-        for piece in pieces:
-            lo, hi = piece["interval"]
-            _require_finite("interval", [lo, hi])
-            _require_finite("coefficients", piece["coefficients"])
-            if abs(lo - prev) > 1e-12 * max(1.0, self.a):
+        checks, even, lower = _KINDS[self.kind]
+        values = [check(name, self.params.get(name)) for name, check in checks.items()]
+        pieces = tuple(lower(self.a, *values))
+        tol, edge = 1e-12 * max(1.0, self.a), -self.a
+        for lo, hi, _ in pieces:
+            if abs(lo - edge) > tol:
                 raise PotentialError(f"pieces must tile [-a, a]; gap/overlap at {lo}")
-            if hi <= lo:
+            if not hi > lo:
                 raise PotentialError(f"empty piece interval [{lo}, {hi}]")
-            prev = hi
-        if abs(prev - self.a) > 1e-12 * max(1.0, self.a):
+            edge = hi
+        if abs(edge - self.a) > tol:
             raise PotentialError("pieces must cover the interval up to x = a")
+        object.__setattr__(self, "_pieces", pieces)
+        object.__setattr__(self, "_even", even(*values))
 
     # -- factories ------------------------------------------------------------
 
@@ -128,60 +159,42 @@ class Potential:
 
     # -- evaluation -----------------------------------------------------------
 
+    def _right_limits(self, x):
+        """V on the 1-D array x; right limit at a jump, and x = a belongs to the last piece."""
+        owner = np.searchsorted(self.breakpoints(), x, side="right")
+        out = np.empty(len(x))
+        for k, (_, _, v) in enumerate(self._pieces):
+            on = owner == k
+            out[on] = v(x[on])
+        return out
+
     def evaluate(self, x):
         """Return V(x) for x in [-a, a]; right-limit value at a jump."""
         x = float(x)
         if x < -self.a - 4e-16 * self.a or x > self.a + 4e-16 * self.a:
             raise DomainError(f"x = {x} outside [-{self.a}, {self.a}]")
-        x = min(max(x, -self.a), self.a)
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "harmonic":
-            return self.params["coefficient"] * x * x
-        if self.kind == "cosine":
-            return float(self.params["amplitude"] * np.cos(self.params["wavenumber"] * x))
-        if self.kind == "finite-well":
-            hw = self.params["half_width"]
-            # right-limit convention: x = -hw is inside, x = +hw is outside
-            return self.params["depth"] if -hw <= x < hw else 0.0
-        if self.kind == "polynomial":
-            return float(npoly.polyval(x, self.params["coefficients"]))
-        # piecewise: right-continuous, last piece owns x = a
-        pieces = self.params["pieces"]
-        for piece in pieces:
-            lo, hi = piece["interval"]
-            if lo <= x < hi:
-                return float(npoly.polyval(x, piece["coefficients"]))
-        return float(npoly.polyval(x, pieces[-1]["coefficients"]))
+        return float(self._right_limits(np.array([min(max(x, -self.a), self.a)]))[0])
 
     def is_even(self, tol=1e-12):
         """True when V(-x) = V(x) within tol on a fixed 1001-point grid.
 
         Kinds that are even by construction (zero, finite-well, harmonic,
-        cosine) short-circuit to True, as do polynomials with vanishing
-        odd coefficients, so one-sided jump conventions cannot spoil the
-        answer at a breakpoint.
+        cosine) return True at once, as do polynomials with vanishing odd
+        coefficients.  Any other V is compared with right limits on both
+        sides, so an even V whose mirrored jumps fall on grid points reads
+        as odd: right limits at -x0 and x0 lie on opposite sides of the
+        jump.
         """
-        if self.kind in _EVEN_BY_CONSTRUCTION:
+        if self._even:
             return True
-        if self.kind == "polynomial":
-            if all(c == 0.0 for c in self.params["coefficients"][1::2]):
-                return True
         grid = np.linspace(-self.a, self.a, _PARITY_GRID)
-        worst = max(abs(self.evaluate(x) - self.evaluate(-x)) for x in grid)
-        return worst <= tol
+        return bool(np.max(np.abs(self._right_limits(grid) - self._right_limits(-grid))) <= tol)
 
     # -- structure used by the integrator --------------------------------------
 
     def breakpoints(self):
-        """Sorted interior discontinuity abscissae (may be empty)."""
-        if self.kind == "finite-well":
-            hw = self.params["half_width"]
-            return (-hw, hw)
-        if self.kind == "piecewise":
-            edges = [p["interval"][1] for p in self.params["pieces"][:-1]]
-            return tuple(sorted(e for e in edges if -self.a < e < self.a))
-        return ()
+        """Interior piece edges in ascending order (may be empty)."""
+        return tuple(hi for _, hi, _ in self._pieces[:-1])
 
     def piece_callable(self, lo, hi):
         """Vectorized V on [lo, hi], which must contain no interior breakpoint.
@@ -190,27 +203,7 @@ class Potential:
         (lo, hi), so the value at the right edge is the left limit: the
         integrator and quadrature never see the jump.
         """
-        if self.kind == "zero":
-            return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        if self.kind == "harmonic":
-            c = self.params["coefficient"]
-            return lambda x: c * np.square(x)
-        if self.kind == "cosine":
-            amp, wn = self.params["amplitude"], self.params["wavenumber"]
-            return lambda x: amp * np.cos(wn * np.asarray(x))
-        mid = 0.5 * (lo + hi)
-        if self.kind == "finite-well":
-            value = self.params["depth"] if abs(mid) < self.params["half_width"] else 0.0
-            return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-        if self.kind == "polynomial":
-            coeffs = self.params["coefficients"]
-            return lambda x: npoly.polyval(np.asarray(x, dtype=float), coeffs)
-        for piece in self.params["pieces"]:
-            plo, phi = piece["interval"]
-            if plo <= mid <= phi:
-                coeffs = piece["coefficients"]
-                return lambda x: npoly.polyval(np.asarray(x, dtype=float), coeffs)
-        raise PotentialError(f"no piece covers [{lo}, {hi}]")
+        return self._pieces[np.searchsorted(self.breakpoints(), 0.5 * (lo + hi), side="right")][2]
 
     def sup_norm(self):
         """Estimate of max |V| on [-a, a] (dense sampling per smooth piece)."""
@@ -229,6 +222,9 @@ class Potential:
     @classmethod
     def from_json(cls, data):
         try:
-            return cls(data["kind"], float(data["a"]), dict(data.get("params", {})))
+            kind, a, params = data["kind"], float(data["a"]), dict(data.get("params", {}))
         except KeyError as exc:
             raise PotentialError(f"potential descriptor missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise PotentialError(f"malformed potential descriptor {data!r}") from exc
+        return cls(kind, a, params)

@@ -144,3 +144,7 @@ def test_usage_errors_exit_2(tmp_path, zero_potential_file):
     with pytest.raises(SystemExit) as exc:                                # not a classify flag
         cli.main(["classify", "--emax", "5"])
     assert exc.value.code == cli.USAGE_ERROR
+    empty = tmp_path / "empty.json"                                       # no coefficients
+    jsonio.write(empty, {"kind": "piecewise", "a": 1.0, "params": {"pieces": [
+        {"interval": [-1.0, 1.0], "coefficients": []}]}})
+    assert cli.main(["deficiency", "--potential", str(empty)]) == cli.USAGE_ERROR

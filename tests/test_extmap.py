@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from saext.deficiency import change_of_basis, solve_even_odd, solve_orthonormal_pair
+from saext.deficiency import (GENERAL_MODE, DeficiencyBasis, change_of_basis, solve_even_odd,
+                              solve_orthonormal_pair)
 from saext.errors import ModeError, UnitarityError
 from saext.extmap import (Unitary2, build_V_Vtilde, check_identities, forward_map,
                           forward_map_general, haar_unitary, homogeneous_system,
@@ -163,6 +164,25 @@ def test_general_map_agrees_with_even_map(p):
         u_general = Unitary2.certify(c @ u.matrix @ c.T, tol=1e-8)
         ucal_general = forward_map_general(general, u_general).matrix
         assert np.abs(ucal_even - ucal_general).max() < 1e-7
+
+
+@pytest.mark.parametrize("p", [
+    Potential.zero(1.0),
+    Potential.harmonic(25.0, 1.0),
+    Potential.finite_well(-10.0, 0.5, 1.0),
+    Potential.cosine(5.0, np.pi, 1.0),
+    Potential.zero(3.0),
+], ids=lambda p: f"{p.kind}-a{p.a:g}")
+def test_general_map_on_even_table_is_forward_map(p):
+    # the paper's even-mode formula and the general construction agree on one table
+    even = solve_even_odd(p)
+    general = DeficiencyBasis(GENERAL_MODE, p, even.boundary_table, None, None,
+                              even.normalization, None)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        u = Unitary2.certify(haar_unitary(rng))
+        ucal = forward_map(even, u).Ucal.matrix
+        assert np.abs(forward_map_general(general, u).matrix - ucal).max() < 1e-12
 
 
 def test_check_identities_passes(basis):
