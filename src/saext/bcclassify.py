@@ -116,20 +116,15 @@ def classify(ucal, tol=DEFAULT_TOL):
     sigma = {"I_minus_U": [float(s) for s in sig_minus],
              "I_plus_U": [float(s) for s in sig_plus]}
 
-    if not minus_singular and not plus_singular:
+    if not minus_singular:  # cases I and II share H
         h = _hermitian_part(1j * np.linalg.solve(_IDENTITY - u, _IDENTITY + u))
-        alpha, beta, gamma = h[0, 0].real, h[0, 1], -h[1, 1].real
-        h_scale = max(1.0, np.abs(h).max())
-        name = "robin" if abs(beta) <= tol * h_scale else "general-coupled"
-        return BoundaryCondition(ucal, CASE_I, name, H=h,
-                                 robin=(alpha, beta, gamma), sigma=sigma)
-
-    if plus_singular and not minus_singular:
-        h = _hermitian_part(1j * np.linalg.solve(_IDENTITY - u, _IDENTITY + u))
-        alpha, beta, gamma = h[0, 0].real, h[0, 1], -h[1, 1].real
-        name = "neumann" if sig_plus[0] <= tol * scale else "general-case-II"
-        return BoundaryCondition(ucal, CASE_II, name, H=h,
-                                 robin=(alpha, beta, gamma), sigma=sigma)
+        robin = (h[0, 0].real, h[0, 1], -h[1, 1].real)
+        if plus_singular:
+            case, name = CASE_II, "neumann" if sig_plus[0] <= tol * scale else "general-case-II"
+        else:
+            h_scale = max(1.0, np.abs(h).max())
+            case, name = CASE_I, "robin" if abs(robin[1]) <= tol * h_scale else "general-coupled"
+        return BoundaryCondition(ucal, case, name, H=h, robin=robin, sigma=sigma)
 
     if minus_singular and not plus_singular:
         hp = _hermitian_part(-1j * np.linalg.solve(_IDENTITY + u, _IDENTITY - u))
@@ -223,28 +218,17 @@ def synthesize(family, alpha=None, beta=None, gamma=None, theta=None, phi=None, 
         h = np.diag([float(alpha), -float(gamma)]).astype(complex)
         return Unitary2.certify(_cayley(h))
 
-    if family in ("general-coupled", "general-case-II"):
-        if alpha is None or gamma is None:
-            raise ParameterError(f"{family} needs alpha, beta, gamma")
-        beta = complex(beta or 0.0)
-        h = np.array([[float(alpha), beta], [np.conj(beta), -float(gamma)]])
-        det_h = -(float(alpha) * float(gamma) + abs(beta) ** 2)
-        h_scale = max(1.0, np.abs(h).max() ** 2)
-        if family == "general-coupled" and abs(det_h) <= 1e-10 * h_scale:
-            raise ParameterError("alpha*gamma + |beta|^2 = 0: H singular, use general-case-II")
-        if family == "general-case-II" and abs(det_h) > 1e-10 * h_scale:
-            raise ParameterError("general-case-II needs alpha*gamma + |beta|^2 = 0")
-        return Unitary2.certify(_cayley(h))
-
-    # general-case-III: singular Hermitian H' from primed parameters
+    # general-coupled (H invertible), general-case-II (H singular) and
+    # general-case-III (singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']])
     if alpha is None or gamma is None:
-        raise ParameterError("general-case-III needs alpha, beta, gamma (primed)")
-    beta = complex(beta or 0.0)
-    hp = np.array([[float(alpha), -beta], [-np.conj(beta), -float(gamma)]])
-    det_hp = -(float(alpha) * float(gamma) + abs(beta) ** 2)
-    if abs(det_hp) > 1e-10 * max(1.0, np.abs(hp).max() ** 2):
-        raise ParameterError("general-case-III needs alpha'*gamma' + |beta'|^2 = 0")
-    return Unitary2.certify(_cayley_prime(hp))
+        raise ParameterError(f"{family} needs alpha, beta, gamma")
+    beta = complex(beta or 0.0) * (-1.0 if family == "general-case-III" else 1.0)
+    h = np.array([[float(alpha), beta], [np.conj(beta), -float(gamma)]])
+    det = float(alpha) * float(gamma) + abs(beta) ** 2
+    singular = abs(det) <= 1e-10 * max(1.0, np.abs(h).max() ** 2)
+    if singular == (family == "general-coupled"):
+        raise ParameterError(f"{family} needs alpha*gamma + |beta|^2 {'!=' if singular else '='} 0")
+    return Unitary2.certify(_cayley_prime(h) if family == "general-case-III" else _cayley(h))
 
 
 def synthesize_from(bc):
@@ -254,16 +238,13 @@ def synthesize_from(bc):
     to the stored H / H' (their named parameters do not pin the matrix)."""
     if bc.case == CASE_I:
         alpha, beta, gamma = bc.robin
-        family = "robin" if bc.name == "robin" else "general-coupled"
-        if family == "robin":
+        if bc.name == "robin":
             return synthesize("robin", alpha=alpha, gamma=gamma)
         return synthesize("general-coupled", alpha=alpha, beta=beta, gamma=gamma)
     if bc.case == CASE_IV:
+        if bc.K is None:  # the mixed Dirichlet/Neumann pairs carry no parameters
+            return synthesize(bc.name)
         theta, phi = bc.angles
-        if bc.name == "dirichlet-at-a-neumann-at-minus-a":
-            return synthesize("dirichlet-at-a-neumann-at-minus-a")
-        if bc.name == "neumann-at-a-dirichlet-at-minus-a":
-            return synthesize("neumann-at-a-dirichlet-at-minus-a")
         return synthesize("automorphic", theta=theta, phi=phi)
     if bc.case == CASE_II:
         return Unitary2.certify(_cayley(bc.H), tol=1e-8)

@@ -1,19 +1,21 @@
 """Command-line front end: saext deficiency|map|classify|spectrum|verify.
 
 Configuration comes from flags, from a JSON file passed with --config, or
-both (flags win).  All emitted files use the canonical JSON writer, so a
-repeated run with the same inputs is byte-identical.
+both (flags win).  A config key is a flag's dest and its value goes through
+the flag's own type and choices.  All emitted files use the canonical JSON
+writer, so a repeated run with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 
 import numpy as np
 
-from . import bcclassify, deficiency, extmap, jsonio, odesolve, spectrum
+from . import bcclassify, checks, deficiency, extmap, jsonio, spectrum
 from .errors import SaextError
 from .extmap import Unitary2
 from .potential import Potential
@@ -21,67 +23,101 @@ from .potential import Potential
 USAGE_ERROR = 2
 
 
+def _complex(text):
+    """A complex number from JSON text: a real number or an [re, im] pair."""
+    value = json.loads(text)
+    real, imag = value if isinstance(value, list) else (value, 0.0)
+    return complex(real, imag)
+
+
 def _build_parser():
+    """The parser and, per subcommand, {dest: Action} of its flags and config-only keys."""
     parser = argparse.ArgumentParser(prog="saext",
                                      description="self-adjoint extensions of -d2/dx2 + V on [-a, a]")
     sub = parser.add_subparsers(dest="command", required=True)
+    actions = {}
     for name, text in (("deficiency", "build and store a deficiency basis"),
                        ("map", "map between the von Neumann unitary and the boundary unitary"),
                        ("classify", "classify a boundary-condition unitary"),
                        ("spectrum", "compute the spectrum of one extension"),
                        ("verify", "run the numerical property suites")):
         cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", help="JSON config file; flags override its values")
-        cmd.add_argument("--out", help="output file path")
+        own = [cmd.add_argument("--config", help="JSON config file; flags override its values"),
+               cmd.add_argument("--out", help="output file path")]
         if name in ("deficiency", "map", "spectrum"):
-            cmd.add_argument("--potential", help="potential descriptor file (or basis.json for map)")
-            cmd.add_argument("--a", type=float, help="half-width override for the potential")
+            own += [cmd.add_argument("--potential",
+                                     help="potential descriptor file (or basis.json for map)"),
+                    cmd.add_argument("--a", type=float, help="half-width override for the potential")]
         if name in ("map", "classify", "spectrum"):
-            cmd.add_argument("--matrix", help="2x2 complex matrix file {\"rows\": ...}")
-            cmd.add_argument("--family", help="named BC family instead of a matrix")
-            cmd.add_argument("--alpha", type=float)
-            cmd.add_argument("--beta-re", type=float, dest="beta_re")
-            cmd.add_argument("--beta-im", type=float, dest="beta_im")
-            cmd.add_argument("--gamma", type=float)
-            cmd.add_argument("--theta", type=float)
-            cmd.add_argument("--phi", type=float)
-            cmd.add_argument("--tol", type=float)
+            own += [cmd.add_argument("--matrix", help="2x2 complex matrix file {\"rows\": ...}"),
+                    cmd.add_argument("--family", help="named BC family instead of a matrix"),
+                    argparse.Action([], "K", type=_complex)]
+            own += [cmd.add_argument(f"--{flag}", type=float)
+                    for flag in ("alpha", "beta-re", "beta-im", "gamma", "theta", "phi", "tol")]
+        if name == "deficiency":
+            own.append(argparse.Action([], "mode", choices=(deficiency.EVEN_MODE,
+                                                            deficiency.GENERAL_MODE)))
         if name == "map":
-            cmd.add_argument("--direction", choices=("u-to-bc", "bc-to-u"))
+            own.append(cmd.add_argument("--direction", choices=("u-to-bc", "bc-to-u")))
         if name == "spectrum":
-            cmd.add_argument("--emin", type=float)
-            cmd.add_argument("--emax", type=float)
-            cmd.add_argument("--grid", type=int)
-            cmd.add_argument("--format", choices=("json", "csv"), dest="fmt")
+            own += [cmd.add_argument("--emin", type=float),
+                    cmd.add_argument("--emax", type=float),
+                    cmd.add_argument("--grid", type=int),
+                    cmd.add_argument("--format", choices=("json", "csv"), dest="fmt"),
+                    argparse.Action([], "eigenfunctions_out")]
         if name == "verify":
-            cmd.add_argument("--samples", type=int)
-    return parser
-
-
-def _merge_config(args):
-    """Flags override config-file values; returns a plain dict."""
-    config = {}
-    if args.config:
-        config.update(jsonio.read(args.config))
-    for key in ("potential", "a", "matrix", "family", "alpha", "beta_re", "beta_im",
-                "gamma", "theta", "phi", "direction", "emin", "emax", "grid", "out",
-                "fmt", "tol", "samples"):
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    config.setdefault("fmt", "json")
-    return config
+            own.append(cmd.add_argument("--samples", type=int))
+        actions[name] = {action.dest: action for action in own}
+    return parser, actions
 
 
 class UsageError(SaextError):
     pass
 
 
-def _load_potential(config):
+def _admit(action, value):
+    """A config value converted and checked as the flag's text would be."""
+    try:
+        value = (action.type or str)(str(value))
+    except (TypeError, ValueError):
+        raise UsageError(f"config {action.dest!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config {action.dest!r}: {value!r} is not one of "
+                         f"{', '.join(action.choices)}")
+    return value
+
+
+def _merge_config(args, actions):
+    """Config-file values admitted through the subcommand's actions, then
+    the flags, which win; JSON null leaves a value unset."""
+    own = actions[args.command]
+    data = jsonio.read(args.config) if args.config else {}
+    if not isinstance(data, dict):
+        raise UsageError("a config file holds one JSON object")
+    config = {}
+    for key, value in data.items():
+        if key in own:
+            if value is not None:
+                config[key] = _admit(own[key], value)
+        elif not any(key in other for other in actions.values()):
+            raise UsageError(f"config key {key!r} is not an option of any subcommand")
+    for key in own:
+        if getattr(args, key, None) is not None:
+            config[key] = getattr(args, key)
+    return config
+
+
+def _read_potential(config):
+    """The JSON of the --potential file: a potential descriptor or a basis.json."""
     path = config.get("potential")
     if path is None:
-        raise UsageError("--potential is required for this command")
-    data = jsonio.read(path)
+        raise UsageError("--potential is required (a potential descriptor or a basis.json)")
+    return jsonio.read(path)
+
+
+def _load_potential(config, data=None):
+    """The potential of the --potential file, --a overriding its half-width."""
+    data = _read_potential(config) if data is None else data
     if "mode" in data:  # a basis.json embeds its potential descriptor
         data = data["potential"]
     if config.get("a") is not None:
@@ -89,18 +125,18 @@ def _load_potential(config):
     return Potential.from_json(data)
 
 
+def _solve_basis(p, mode=None):
+    """The even/odd basis for an even potential, else the orthonormal pair, unless mode says."""
+    even = p.is_even() if mode is None else mode == deficiency.EVEN_MODE
+    return deficiency.solve_even_odd(p) if even else deficiency.solve_orthonormal_pair(p)
+
+
 def _load_basis(config):
     """Basis from a basis.json file, or rebuilt from a potential descriptor."""
-    path = config.get("potential")
-    if path is None:
-        raise UsageError("map needs --potential (a basis.json or a potential descriptor)")
-    data = jsonio.read(path)
+    data = _read_potential(config)
     if "mode" in data:
         return deficiency.DeficiencyBasis.from_json(data)
-    p = Potential.from_json(data if config.get("a") is None else dict(data, a=config["a"]))
-    if p.is_even(1e-12):
-        return deficiency.solve_even_odd(p)
-    return deficiency.solve_orthonormal_pair(p)
+    return _solve_basis(_load_potential(config, data))
 
 
 def _load_unitary(config):
@@ -108,17 +144,12 @@ def _load_unitary(config):
         m = jsonio.matrix_from_json(jsonio.read(config["matrix"]))
         return Unitary2.certify(m, tol=config.get("tol") or extmap.INPUT_UNITARITY_TOL)
     if config.get("family"):
-        beta = None
-        if config.get("beta_re") is not None or config.get("beta_im") is not None:
-            beta = complex(config.get("beta_re") or 0.0, config.get("beta_im") or 0.0)
-        kval = None
-        if config.get("K") is not None:
-            kre, kim = config["K"] if isinstance(config["K"], (list, tuple)) else (config["K"], 0.0)
-            kval = complex(kre, kim)
+        b_re, b_im = config.get("beta_re"), config.get("beta_im")
+        beta = None if b_re is None and b_im is None else complex(b_re or 0.0, b_im or 0.0)
         return bcclassify.synthesize(config["family"], alpha=config.get("alpha"),
                                      beta=beta, gamma=config.get("gamma"),
                                      theta=config.get("theta"), phi=config.get("phi"),
-                                     K=kval)
+                                     K=config.get("K"))
     raise UsageError("need --matrix or --family")
 
 
@@ -131,16 +162,13 @@ def _write_out(config, payload):
 
 
 def _cmd_deficiency(config):
-    p = _load_potential(config)
-    mode = config.get("mode")
-    if mode is None:
-        mode = deficiency.EVEN_MODE if p.is_even(1e-12) else deficiency.GENERAL_MODE
-    if mode == deficiency.EVEN_MODE:
-        basis = deficiency.solve_even_odd(p)
-    else:
-        basis = deficiency.solve_orthonormal_pair(p)
+    basis = _solve_basis(_load_potential(config), config.get("mode"))
     _write_out(config, basis.to_json())
     return 0
+
+
+def _max_error(got, want):
+    return float(np.abs(got.matrix - want.matrix).max())
 
 
 def _cmd_map(config):
@@ -149,36 +177,26 @@ def _cmd_map(config):
     if direction is None:
         raise UsageError("map needs --direction u-to-bc|bc-to-u")
     u = _load_unitary(config)
-    if direction == "u-to-bc":
-        if basis.parity_mode == deficiency.GENERAL_MODE:
-            ucal = extmap.forward_map_general(basis, u)
-            payload = {"direction": direction, "input": jsonio.matrix_to_json(u.matrix),
-                       "output": jsonio.matrix_to_json(ucal.matrix),
-                       "diagnostics": {"unitarity_defect": ucal.defect}}
-        else:
-            pair = extmap.forward_map(basis, u)
-            back = extmap.inverse_map(basis, pair.Ucal)
-            payload = {"direction": direction, "input": jsonio.matrix_to_json(u.matrix),
-                       "output": jsonio.matrix_to_json(pair.Ucal.matrix),
-                       "diagnostics": {
-                           "V": jsonio.matrix_to_json(pair.V),
-                           "Vtilde": jsonio.matrix_to_json(pair.Vtilde),
-                           "Utilde": jsonio.matrix_to_json(pair.Utilde.matrix),
-                           "unitarity_defect": pair.Ucal.defect,
-                           "roundtrip_error": float(np.abs(back.matrix - u.matrix).max()),
-                       }}
+    general = basis.parity_mode == deficiency.GENERAL_MODE
+    if direction == "u-to-bc" and general:
+        out = extmap.forward_map_general(basis, u)
+        diagnostics = {"unitarity_defect": out.defect}
+    elif direction == "u-to-bc":
+        pair = extmap.forward_map(basis, u)
+        out = pair.Ucal
+        diagnostics = {"V": jsonio.matrix_to_json(pair.V),
+                       "Vtilde": jsonio.matrix_to_json(pair.Vtilde),
+                       "Utilde": jsonio.matrix_to_json(pair.Utilde.matrix),
+                       "unitarity_defect": out.defect,
+                       "roundtrip_error": _max_error(extmap.inverse_map(basis, out), u)}
+    elif general:
+        raise UsageError("bc-to-u is defined for even-potential bases only")
     else:
-        if basis.parity_mode == deficiency.GENERAL_MODE:
-            raise UsageError("bc-to-u is defined for even-potential bases only")
-        von_neumann = extmap.inverse_map(basis, u)
-        pair = extmap.forward_map(basis, von_neumann)
-        payload = {"direction": direction, "input": jsonio.matrix_to_json(u.matrix),
-                   "output": jsonio.matrix_to_json(von_neumann.matrix),
-                   "diagnostics": {
-                       "unitarity_defect": von_neumann.defect,
-                       "roundtrip_error": float(np.abs(pair.Ucal.matrix - u.matrix).max()),
-                   }}
-    _write_out(config, payload)
+        out = extmap.inverse_map(basis, u)
+        diagnostics = {"unitarity_defect": out.defect,
+                       "roundtrip_error": _max_error(extmap.forward_map(basis, out).Ucal, u)}
+    _write_out(config, {"direction": direction, "input": jsonio.matrix_to_json(u.matrix),
+                        "output": jsonio.matrix_to_json(out.matrix), "diagnostics": diagnostics})
     return 0
 
 
@@ -189,23 +207,11 @@ def _cmd_classify(config):
     return 0
 
 
-def _write_spectrum_csv(path, result):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["eigenvalue", "degeneracy", "residual"])
-        for e, d, r in zip(result.eigenvalues, result.degeneracies, result.residuals):
-            writer.writerow([format(e, ".17g"), d, format(r, ".17g")])
-
-
-def _write_eigenfunction_csv(prefix, result):
-    for i, funcs in enumerate(result.eigenfunctions):
-        for j, f in enumerate(funcs):
-            with open(f"{prefix}_{i}_{j}.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "re_f", "im_f"])
-                for x, value in zip(f.x, f.f):
-                    writer.writerow([format(x, ".17g"), format(value.real, ".17g"),
-                                     format(value.imag, ".17g")])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_spectrum(config):
@@ -217,72 +223,34 @@ def _cmd_spectrum(config):
     if config.get("fmt") == "csv":
         if config.get("out") is None:
             raise UsageError("csv output needs --out")
-        _write_spectrum_csv(config["out"], result)
+        _write_csv(config["out"], ["eigenvalue", "degeneracy", "residual"],
+                   ([format(e, ".17g"), d, format(r, ".17g")] for e, d, r
+                    in zip(result.eigenvalues, result.degeneracies, result.residuals)))
     else:
         _write_out(config, result.to_json())
-    if config.get("eigenfunctions_out"):
-        _write_eigenfunction_csv(config["eigenfunctions_out"], result)
+    prefix = config.get("eigenfunctions_out")
+    if prefix:
+        for i, funcs in enumerate(result.eigenfunctions):
+            for j, f in enumerate(funcs):
+                _write_csv(f"{prefix}_{i}_{j}.csv", ["x", "re_f", "im_f"],
+                           ([format(x, ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")]
+                            for x, v in zip(f.x, f.f)))
     return 0
 
 
-def _verify_report(samples):
-    """Run the cross-module invariant suites at a reduced sample count."""
-    checks = {}
-
-    canonical = [Potential.zero(1.0), Potential.harmonic(1.0, 1.0),
-                 Potential.cosine(1.0, np.pi, 1.0), Potential.finite_well(-10.0, 0.5, 1.0)]
-    worst = 0.0
-    for p in canonical:
-        if not p.is_even(1e-12):
-            worst = np.inf
-        basis = deficiency.solve_even_odd(p)
-        for j in range(2):
-            worst = max(worst, abs(deficiency.wronskian_identity(basis.boundary_table, j) - 1j))
-    checks["deficiency_wronskian"] = {"worst": worst, "threshold": 1e-8, "passed": worst <= 1e-8}
-
-    oracle = odesolve.integrate(Potential.zero(1.0), -1.0, -1.0, 1.0, 1.0, 0.0)
-    err = abs(oracle.f1 - np.cosh(2.0))
-    checks["ode_oracle_cosh"] = {"worst": err, "threshold": 1e-9, "passed": err <= 1e-9}
-
-    basis = deficiency.solve_even_odd(Potential.zero(1.0))
-    identity_report = extmap.check_identities(basis, samples)
-    checks["extension_map"] = {"passed": identity_report["passed"],
-                               "detail": identity_report["checks"]}
-
-    rng = np.random.default_rng(11)
-    worst_rt = 0.0
-    for _ in range(samples):
-        u = Unitary2.certify(extmap.haar_unitary(rng))
-        pair = extmap.forward_map(basis, u)
-        back = extmap.inverse_map(basis, pair.Ucal)
-        worst_rt = max(worst_rt, float(np.abs(back.matrix - u.matrix).max()))
-    checks["map_roundtrip"] = {"worst": worst_rt, "threshold": 1e-8, "passed": worst_rt <= 1e-8}
-
-    worst_cls = 0.0
-    for _ in range(samples):
-        u = Unitary2.certify(extmap.haar_unitary(rng))
-        bc = bcclassify.classify(u)
-        if bc.case in (bcclassify.CASE_I, bcclassify.CASE_IV):
-            rebuilt = bcclassify.synthesize_from(bc)
-            worst_cls = max(worst_cls, float(np.abs(rebuilt.matrix - u.matrix).max()))
-    checks["classify_roundtrip"] = {"worst": worst_cls, "threshold": 1e-7,
-                                    "passed": worst_cls <= 1e-7}
-
-    box = spectrum.find_eigenvalues(Potential.zero(1.0), bcclassify.classify(
-        bcclassify.synthesize("dirichlet")), e_min=0.1, e_max=12.0, grid=200)
-    expected = [(np.pi / 2) ** 2, np.pi ** 2]
-    ok = (len(box.eigenvalues) >= 2
-          and all(abs(e - w) <= 1e-6 * w for e, w in zip(box.eigenvalues, expected)))
-    checks["box_spectrum"] = {"eigenvalues": box.eigenvalues[:2], "passed": bool(ok)}
-
-    passed = all(c["passed"] for c in checks.values())
-    return {"samples": samples, "passed": passed, "checks": checks}
-
-
 def _cmd_verify(config):
-    report = _verify_report(config.get("samples") or 100)
-    _write_out(config, report)
-    return 0 if report["passed"] else 1
+    samples = config.get("samples") or 100
+    basis = deficiency.solve_even_odd(Potential.zero(1.0))
+    rng = np.random.default_rng(11)  # map_roundtrip draws first, classify_roundtrip after
+    report = {"deficiency_wronskian": checks.deficiency_wronskian(),
+              "ode_oracle_cosh": checks.ode_oracle_cosh(),
+              "extension_map": checks.extension_map(basis, samples),
+              "map_roundtrip": checks.map_roundtrip(basis, samples, rng),
+              "classify_roundtrip": checks.classify_roundtrip(samples, rng),
+              "box_spectrum": checks.box_spectrum()}
+    passed = all(c["passed"] for c in report.values())
+    _write_out(config, {"samples": samples, "passed": passed, "checks": report})
+    return 0 if passed else 1
 
 
 _COMMANDS = {"deficiency": _cmd_deficiency, "map": _cmd_map, "classify": _cmd_classify,
@@ -290,10 +258,10 @@ _COMMANDS = {"deficiency": _cmd_deficiency, "map": _cmd_map, "classify": _cmd_cl
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, actions = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _merge_config(args)
+        config = _merge_config(args, actions)
         return _COMMANDS[args.command](config)
     except UsageError as exc:
         print(f"saext: {exc}", file=sys.stderr)

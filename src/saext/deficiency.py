@@ -181,7 +181,7 @@ def solve_even_odd(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     Raises:
         ParityError: when the potential is not even.
     """
-    if not p.is_even(1e-12):
+    if not p.is_even():
         raise ParityError(f"potential {p.kind!r} is not even")
 
     halves = [odesolve.integrate(p, 1j, 0.0, p.a, 1.0, 0.0, rtol, atol),

@@ -35,6 +35,7 @@ OUTPUT_UNITARITY_TOL = 1e-9
 GENERAL_UNITARITY_TOL = 1e-8
 SINGULARITY_RATIO = 1e-8
 UNIQUENESS_RATIO = 1e-10
+SIGMA_FLOOR = 1e-6
 
 _IDENTITY = np.eye(2)
 _P = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -216,61 +217,35 @@ def check_identities(basis, samples, seed=0):
     """
     _require_mode(basis, EVEN_MODE)
     rng = np.random.default_rng(seed)
-    identity_tol = 1e-8
-    sigma_floor = 1e-6
-
-    worst_identity = 0.0
-    worst_sigma_v = np.inf
-    worst_sigma_vt = np.inf
-    worst_sigma_system = np.inf
-    worst_unitarity = 0.0
-    fails = {"identity": 0, "v_nonsingular": 0, "vtilde_nonsingular": 0,
-             "homogeneous_system": 0, "forward_unitarity": 0}
-
     draws = [(haar_unitary(rng), True) for _ in range(samples)]
     draws += [(random_matrix(rng), False) for _ in range(samples)]
-
+    seen = {"identity": [], "v_nonsingular": [], "vtilde_nonsingular": [],
+            "homogeneous_system": [], "forward_unitarity": []}
     for u_mat, unitary in draws:
         v, vt = build_V_Vtilde(basis, u_mat)
         uc = np.conj(u_mat)
         lhs = v @ v.conj().T - vt @ vt.conj().T
         rhs = 2.0 * (_IDENTITY - uc @ uc.conj().T)
-        scale = max(1.0, np.linalg.norm(rhs))
-        residual = float(np.linalg.norm(lhs - rhs)) / scale
-        worst_identity = max(worst_identity, residual)
-        if residual > identity_tol:
-            fails["identity"] += 1
-        if not unitary:
-            continue
-        sv = np.linalg.svd(v, compute_uv=False)[-1]
-        svt = np.linalg.svd(vt, compute_uv=False)[-1]
-        worst_sigma_v = min(worst_sigma_v, float(sv))
-        worst_sigma_vt = min(worst_sigma_vt, float(svt))
-        if sv <= sigma_floor:
-            fails["v_nonsingular"] += 1
-        if svt <= sigma_floor:
-            fails["vtilde_nonsingular"] += 1
-        pair = forward_map(basis, Unitary2.certify(u_mat))
-        worst_unitarity = max(worst_unitarity, pair.Ucal.defect)
-        if pair.Ucal.defect > OUTPUT_UNITARITY_TOL:
-            fails["forward_unitarity"] += 1
-        ss = np.linalg.svd(homogeneous_system(basis, pair.Ucal), compute_uv=False)[-1]
-        worst_sigma_system = min(worst_sigma_system, float(ss))
-        if ss <= sigma_floor:
-            fails["homogeneous_system"] += 1
+        seen["identity"].append(float(np.linalg.norm(lhs - rhs)) / max(1.0, np.linalg.norm(rhs)))
+        if unitary:
+            seen["v_nonsingular"].append(float(np.linalg.svd(v, compute_uv=False)[-1]))
+            seen["vtilde_nonsingular"].append(float(np.linalg.svd(vt, compute_uv=False)[-1]))
+            ucal = forward_map(basis, Unitary2.certify(u_mat)).Ucal
+            seen["forward_unitarity"].append(ucal.defect)
+            seen["homogeneous_system"].append(float(np.linalg.svd(
+                homogeneous_system(basis, ucal), compute_uv=False)[-1]))
 
-    checks = {
-        "identity": {"worst": worst_identity, "threshold": identity_tol,
-                     "failed": fails["identity"], "count": 2 * samples},
-        "v_nonsingular": {"worst": worst_sigma_v, "threshold": sigma_floor,
-                          "failed": fails["v_nonsingular"], "count": samples},
-        "vtilde_nonsingular": {"worst": worst_sigma_vt, "threshold": sigma_floor,
-                               "failed": fails["vtilde_nonsingular"], "count": samples},
-        "homogeneous_system": {"worst": worst_sigma_system, "threshold": sigma_floor,
-                               "failed": fails["homogeneous_system"], "count": samples},
-        "forward_unitarity": {"worst": worst_unitarity, "threshold": OUTPUT_UNITARITY_TOL,
-                              "failed": fails["forward_unitarity"], "count": samples},
-    }
+    def check(name, threshold, floor=False):  # singular values fail at or below a floor
+        values = seen[name]
+        return {"worst": min(values, default=np.inf) if floor else max(values, default=0.0),
+                "threshold": threshold, "count": len(values),
+                "failed": sum((v <= threshold) if floor else (v > threshold) for v in values)}
+
+    checks = {"identity": check("identity", 1e-8),
+              "v_nonsingular": check("v_nonsingular", SIGMA_FLOOR, floor=True),
+              "vtilde_nonsingular": check("vtilde_nonsingular", SIGMA_FLOOR, floor=True),
+              "homogeneous_system": check("homogeneous_system", SIGMA_FLOOR, floor=True),
+              "forward_unitarity": check("forward_unitarity", OUTPUT_UNITARITY_TOL)}
     return {"samples": samples,
             "passed": all(c["failed"] == 0 for c in checks.values()),
             "checks": checks}

@@ -84,11 +84,6 @@ class OdeSolution:
     def df1(self):
         return self.df[-1]
 
-    @property
-    def samples(self):
-        """The dense output as (x, f, f') triples."""
-        return list(zip(self.x, self.f, self.df))
-
     def scaled(self, c):
         """The trajectory for initial data c*(f0, df0); exact by linearity."""
         c = complex(c)

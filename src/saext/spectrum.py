@@ -63,17 +63,15 @@ class SpectrumResult:
     residuals: list
     det_trace: list = field(default_factory=list)
 
-    def to_json(self, include_trace=True):
-        data = {
+    def to_json(self):
+        return {
             "bc": self.bc.to_json(),
             "potential": self.potential.to_json(),
             "eigenvalues": list(self.eigenvalues),
             "degeneracies": list(self.degeneracies),
             "residuals": list(self.residuals),
+            "det_trace": [[e, d] for e, d in self.det_trace],
         }
-        if include_trace:
-            data["det_trace"] = [[e, d] for e, d in self.det_trace]
-        return data
 
 
 def _bc_matrix(p, bc, energy, rtol, atol):

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import oracles
-from saext.bcclassify import classify, synthesize, synthesize_from
+from saext import checks
+from saext.bcclassify import classify, synthesize
 from saext.deficiency import (change_of_basis, endpoint_form, solve_even_odd,
-                              solve_orthonormal_pair, wronskian_identity)
-from saext.extmap import (Unitary2, check_identities, forward_map, forward_map_general,
-                          haar_unitary, homogeneous_system, inverse_map)
+                              solve_orthonormal_pair)
+from saext.extmap import Unitary2, check_identities, forward_map, forward_map_general, haar_unitary
 from saext.potential import Potential
 from saext.spectrum import eigenfunction_residuals, find_eigenvalues
 
@@ -26,13 +26,6 @@ def _report(number, label, ok, elapsed, budget):
     print(f"{status} criterion {number}: {label} ({elapsed:.1f} s < {budget:.0f} s)")
     assert ok, f"criterion {number} failed: {label}"
     assert elapsed < budget, f"criterion {number} exceeded {budget} s ({elapsed:.1f} s)"
-
-
-def even_test_potentials(a):
-    return [Potential.zero(a),
-            Potential.harmonic(1.0, a),
-            Potential.cosine(1.0, np.pi, a),
-            Potential.finite_well(-10.0, a / 2.0, a)]
 
 
 @pytest.fixture(scope="module")
@@ -65,14 +58,9 @@ def harmonic_spectrum():
 
 def test_criterion_01_endpoint_wronskian():
     start = time.perf_counter()
-    worst = 0.0
-    for a in (0.5, 1.0, 2.0):
-        for p in even_test_potentials(a):
-            basis = solve_even_odd(p)
-            for j in range(2):
-                worst = max(worst, abs(wronskian_identity(basis.boundary_table, j) - 1j))
-    _report(1, f"endpoint Wronskian = i (worst defect {worst:.1e})",
-            worst <= 1e-8, time.perf_counter() - start, 5.0)
+    record = checks.deficiency_wronskian(half_widths=(0.5, 1.0, 2.0))
+    _report(1, f"endpoint Wronskian = i (worst defect {record['worst']:.1e})",
+            record["passed"], time.perf_counter() - start, 5.0)
 
 
 def test_criterion_02_unitarity_equivalence():
@@ -90,7 +78,7 @@ def test_criterion_02_unitarity_equivalence():
 def test_criterion_03_v_vtilde_nonsingular():
     start = time.perf_counter()
     worst = np.inf
-    for p in even_test_potentials(1.0):
+    for p in checks.even_potentials(1.0):
         report = check_identities(solve_even_odd(p), samples=500, seed=3)
         worst = min(worst, report["checks"]["v_nonsingular"]["worst"],
                     report["checks"]["vtilde_nonsingular"]["worst"])
@@ -100,19 +88,9 @@ def test_criterion_03_v_vtilde_nonsingular():
 
 def test_criterion_04_bijection_round_trip():
     start = time.perf_counter()
-    basis = solve_even_odd(P0)
-    rng = np.random.default_rng(4)
-    worst_rt, worst_sigma = 0.0, np.inf
-    for _ in range(500):
-        u = Unitary2.certify(haar_unitary(rng))
-        ucal = forward_map(basis, u).Ucal
-        back = inverse_map(basis, ucal)
-        worst_rt = max(worst_rt, float(np.abs(back.matrix - u.matrix).max()))
-        sigma = np.linalg.svd(homogeneous_system(basis, ucal), compute_uv=False)
-        worst_sigma = min(worst_sigma, float(sigma[-1]))
-    ok = worst_rt <= 1e-8 and worst_sigma > 1e-6
-    _report(4, f"U -> Ucal -> U round trip (worst {worst_rt:.1e}, "
-               f"system sigma_min {worst_sigma:.2e})", ok,
+    record = checks.map_roundtrip(solve_even_odd(P0), 500, np.random.default_rng(4))
+    _report(4, f"U -> Ucal -> U round trip (worst {record['worst']:.1e}, "
+               f"system sigma_min {record['sigma_min']:.2e})", record["passed"],
             time.perf_counter() - start, 10.0)
 
 
@@ -124,17 +102,9 @@ def test_criterion_05_classification_table():
                 and classify(synthesize("anti-periodic")).name == "anti-periodic"
                 and classify(Unitary2.certify(np.diag([1.0, -1.0]).astype(complex))).name
                 == "dirichlet-at-a-neumann-at-minus-a")
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(10_000):
-        u = Unitary2.certify(haar_unitary(rng))
-        bc = classify(u)
-        if bc.case in ("I", "IV"):
-            rebuilt = synthesize_from(bc)
-            worst = max(worst, float(np.abs(rebuilt.matrix - u.matrix).max()))
-    ok = table_ok and worst <= 1e-7
-    _report(5, f"named special cases and synthesize(classify(.)) (worst {worst:.1e})",
-            ok, time.perf_counter() - start, 30.0)
+    record = checks.classify_roundtrip(10_000, np.random.default_rng(5))
+    _report(5, f"named special cases and synthesize(classify(.)) (worst {record['worst']:.1e})",
+            table_ok and record["passed"], time.perf_counter() - start, 30.0)
 
 
 def test_criterion_06_box_spectra(box_spectra):

@@ -148,3 +148,29 @@ def test_usage_errors_exit_2(tmp_path, zero_potential_file):
     jsonio.write(empty, {"kind": "piecewise", "a": 1.0, "params": {"pieces": [
         {"interval": [-1.0, 1.0], "coefficients": []}]}})
     assert cli.main(["deficiency", "--potential", str(empty)]) == cli.USAGE_ERROR
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("spectrum", {"grid": 20.5}),        # not an int
+    ("spectrum", {"emax": "twelve"}),    # not a float
+    ("spectrum", {"fmt": "xml"}),        # not one of the --format choices
+    ("spectrum", {"e_max": 5}),          # no subcommand has this key
+    ("deficiency", {"mode": "evn"}),     # not one of the basis modes
+], ids=["grid-float", "emax-text", "fmt-xml", "typo-key", "mode-typo"])
+def test_config_values_checked_like_flags(tmp_path, zero_potential_file, command, entry):
+    config = tmp_path / "run.json"
+    # deficiency ignores "family", a key of other subcommands
+    jsonio.write(config, {"potential": zero_potential_file, "family": "dirichlet", **entry})
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == cli.USAGE_ERROR
+    assert not out.exists()
+
+
+def test_config_null_leaves_default(tmp_path, zero_potential_file):
+    config = tmp_path / "run.json"
+    jsonio.write(config, {"potential": zero_potential_file, "family": "dirichlet",
+                          "emin": 0.1, "emax": None, "grid": 400})
+    out = tmp_path / "spec.json"
+    assert cli.main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
+    want = [((n * np.pi) / 2) ** 2 for n in range(1, 5)]  # Dirichlet levels below 40
+    assert json.loads(out.read_text())["eigenvalues"] == pytest.approx(want, rel=1e-6)

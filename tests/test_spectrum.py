@@ -211,6 +211,12 @@ def test_roots_in_edge_scan_intervals(e_min, e_max, levels):
     assert_matches(result, [(e, 1) for e in levels])
 
 
+PHASE_ALIASING = ("ROADMAP item 1: the phase-fall scan misses eigenphases that turn by "
+                  "2 pi inside one scan interval; an exact count N(E) fixes it")
+DEEP_STATES = ("ROADMAP item 2: deep surface states are lost to cancellation in S(E) and "
+               "in the one-sided eigenfunctions; a star-product S(E) fixes it")
+
+
 def robin_levels(alpha, gamma):
     return [(e, 1) for e in oracles.bisect_roots(oracles.robin_det(alpha, gamma), -46.0, 40.0)]
 
@@ -239,8 +245,32 @@ def robin_levels(alpha, gamma):
     (Potential.harmonic(25.0 / 4.0, 2.0), bc_named("dirichlet"), 10.0,
      lambda: [(e, 1) for e in oracles.fd_dirichlet_levels(lambda x: 6.25 * x * x, 4, a=2.0)
               if e <= 10.0]),
+    # collocation references, error estimate 6.3e-14; an eigenphase turns by 2 pi
+    # inside one scan interval behind the thick barrier, so 1.25 and 3.75 are missed
+    pytest.param(Potential.harmonic(25.0 / 16.0, 4.0), bc_named("dirichlet"), 10.0,
+                 lambda: [(1.2500000253, 1), (3.7500009573, 1), (6.2500170788, 1),
+                          (8.7501904594, 1)],
+                 marks=pytest.mark.xfail(strict=True, reason=PHASE_ALIASING)),
+    # collocation references, error estimate 9.1e-9; 2 of the 11 levels are found
+    pytest.param(Potential.finite_well(-1000.0, 0.5, 1.0), bc_named("dirichlet"), 10.0,
+                 lambda: [(-991.2711478665, 1), (-965.1030622057, 1), (-921.5532690663, 1),
+                          (-860.72532404, 1), (-782.7829213523, 1), (-687.9765764692, 1),
+                          (-576.6960276981, 1), (-449.584215119, 1), (-307.8337360944, 1),
+                          (-154.2604536805, 1), (-3.1111296874, 1)],
+                 marks=pytest.mark.xfail(strict=True, reason=PHASE_ALIASING)),
+    # bisection of oracles.robin_det to 1e-12 relative; collocation agrees to 6.0e-9.
+    # The surface state at -400 is found and dropped at boundary residual 10.4
+    pytest.param(P0, bc_named("robin", alpha=30.0, gamma=-20.0), 5.0,
+                 lambda: [(-900.0, 1), (-400.0, 1), (2.6862167155, 1)],
+                 marks=pytest.mark.xfail(strict=True, reason=DEEP_STATES)),
+    # collocation references, error estimate 9.7e-9; bisection of oracles.robin_det
+    # agrees at -900 and 2.616. The state at -900 is dropped at residual 1.97
+    pytest.param(P0, bc_named("robin", alpha=41.0, gamma=-30.0), 5.0,
+                 lambda: [(-1681.0, 1), (-900.0, 1), (2.6161196176, 1)],
+                 marks=pytest.mark.xfail(strict=True, reason=DEEP_STATES)),
 ], ids=["harmonic-periodic", "well-periodic", "cosine-coupled", "robin(3,-3)", "robin(5,5)",
-        "robin(5,-5)", "robin(1,1)", "harmonic-dirichlet-a2"])
+        "robin(5,-5)", "robin(1,1)", "harmonic-dirichlet-a2", "harmonic-dirichlet-a4",
+        "deep-well-dirichlet", "robin(30,-20)", "robin(41,-30)"])
 def test_default_arguments_find_every_level(p, bc, e_max, levels, caplog):
     with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
         result = find_eigenvalues(p, bc, e_max=e_max)
