@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .extmap import Unitary2
+from .extmap import Unitary2, _singular_values, _solve
 
 DEFAULT_TOL = 1e-8
 
@@ -107,17 +107,15 @@ def classify(ucal, tol=DEFAULT_TOL):
     """
     if not 0.0 < tol <= 1e-4:
         raise ParameterError(f"tol must lie in (0, 1e-4], got {tol}")
-    u = ucal.matrix
-    sig_minus = np.linalg.svd(_IDENTITY - u, compute_uv=False)
-    sig_plus = np.linalg.svd(_IDENTITY + u, compute_uv=False)
+    minus, plus = _IDENTITY - ucal.matrix, _IDENTITY + ucal.matrix
+    sig_minus, sig_plus = _singular_values(minus), _singular_values(plus)
     scale = max(sig_minus[0], sig_plus[0])
-    minus_singular = sig_minus[-1] <= tol * scale
-    plus_singular = sig_plus[-1] <= tol * scale
-    sigma = {"I_minus_U": [float(s) for s in sig_minus],
-             "I_plus_U": [float(s) for s in sig_plus]}
+    minus_singular = sig_minus[1] <= tol * scale
+    plus_singular = sig_plus[1] <= tol * scale
+    sigma = {"I_minus_U": sig_minus, "I_plus_U": sig_plus}
 
     if not minus_singular:  # cases I and II share H
-        h = _hermitian_part(1j * np.linalg.solve(_IDENTITY - u, _IDENTITY + u))
+        h = _hermitian_part(1j * _solve(minus, plus))
         robin = (h[0, 0].real, h[0, 1], -h[1, 1].real)
         if plus_singular:
             case, name = CASE_II, "neumann" if sig_plus[0] <= tol * scale else "general-case-II"
@@ -127,7 +125,7 @@ def classify(ucal, tol=DEFAULT_TOL):
         return BoundaryCondition(ucal, case, name, H=h, robin=robin, sigma=sigma)
 
     if minus_singular and not plus_singular:
-        hp = _hermitian_part(-1j * np.linalg.solve(_IDENTITY + u, _IDENTITY - u))
+        hp = _hermitian_part(-1j * _solve(plus, minus))
         alpha_p, beta_p, gamma_p = hp[0, 0].real, -hp[0, 1], -hp[1, 1].real
         name = "dirichlet" if sig_minus[0] <= tol * scale else "general-case-III"
         return BoundaryCondition(ucal, CASE_III, name, Hprime=hp,
@@ -154,13 +152,13 @@ def classify(ucal, tol=DEFAULT_TOL):
 def _cayley(h):
     """Ucal = (H + iI)^-1 (H - iI); unitary for Hermitian H, never has
     eigenvalue 1, and inverts H = i(I - Ucal)^-1 (I + Ucal)."""
-    return np.linalg.solve(h + 1j * _IDENTITY, h - 1j * _IDENTITY)
+    return _solve(h + 1j * _IDENTITY, h - 1j * _IDENTITY)
 
 
 def _cayley_prime(hp):
     """Ucal = (iI - H')^-1 (H' + iI), the inverse of
     H' = -i(I + Ucal)^-1 (I - Ucal)."""
-    return np.linalg.solve(1j * _IDENTITY - hp, hp + 1j * _IDENTITY)
+    return _solve(1j * _IDENTITY - hp, hp + 1j * _IDENTITY)
 
 
 def _case_iv_matrix(theta, phi):

@@ -49,7 +49,8 @@ def _build_parser():
                                      help="potential descriptor file (or basis.json for map)"),
                     cmd.add_argument("--a", type=float, help="half-width override for the potential")]
         if name in ("map", "classify", "spectrum"):
-            own += [cmd.add_argument("--matrix", help="2x2 complex matrix file {\"rows\": ...}"),
+            own += [cmd.add_argument("--matrix",
+                                     help="2x2 complex matrix file {\"rows\": ...} or a map output"),
                     cmd.add_argument("--family", help="named BC family instead of a matrix"),
                     argparse.Action([], "K", type=_complex)]
             own += [cmd.add_argument(f"--{flag}", type=float)
@@ -141,7 +142,10 @@ def _load_basis(config):
 
 def _load_unitary(config):
     if config.get("matrix"):
-        m = jsonio.matrix_from_json(jsonio.read(config["matrix"]))
+        data = jsonio.read(config["matrix"])
+        if isinstance(data, dict) and "output" in data:  # a map payload carries its matrix
+            data = data["output"]
+        m = jsonio.matrix_from_json(data)
         return Unitary2.certify(m, tol=config.get("tol") or extmap.INPUT_UNITARITY_TOL)
     if config.get("family"):
         b_re, b_im = config.get("beta_re"), config.get("beta_im")

@@ -15,13 +15,20 @@ the extension domain through
     (f'(a) - i f(a), f'(-a) + i f(-a))^T = Ucal (f'(a) + i f(a), f'(-a) - i f(-a))^T.
 
 The inverse direction recovers conj(U) from Ucal as the unique solution
-of a 4x4 linear system; for a general (non-even) potential the same
-boundary unitary is produced from an orthonormal deficiency pair without
-any parity assumption.
+of a linear system; for a general (non-even) potential the same boundary
+unitary is produced from an orthonormal deficiency pair without any
+parity assumption.
+
+Every map acts on one 2x2 matrix at a time, so the singular values, the
+solves and the unitarity defects are written out in closed form (the
+private helpers below, shared with ``bcclassify``) instead of calling
+LAPACK per matrix; ``check_identities`` evaluates all its draws as one
+stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +49,47 @@ _P = np.array([[1.0, 1.0], [-1.0, 1.0]])
 _Q = np.array([[1.0, -1.0], [1.0, 1.0]])
 
 
+def _entries(m):
+    """(m00, m01, m10, m11) of a 2x2 matrix as Python numbers, or of an
+    (n, 2, 2) stack as four length-n arrays."""
+    return m.ravel().tolist() if m.ndim == 2 else tuple(m.reshape(-1, 4).T)
+
+
+def _gram(a, b, c, d):
+    """(p, q, o) with m^dagger m = [[p, o], [conj(o), q]] for m = [[a, b], [c, d]]."""
+    return (abs(a) ** 2 + abs(c) ** 2, abs(b) ** 2 + abs(d) ** 2,
+            a.conjugate() * b + c.conjugate() * d)
+
+
+def _unitarity_defect(a, b, c, d):
+    """||m^dagger m - I||_F of m = [[a, b], [c, d]] (entrywise on stacks)."""
+    p, q, o = _gram(a, b, c, d)
+    return ((p - 1.0) ** 2 + (q - 1.0) ** 2 + 2.0 * abs(o) ** 2) ** 0.5
+
+
+def _singular_values(m):
+    """[sigma_max, sigma_min] of a 2x2 matrix.
+
+    sigma_max^2 is the larger eigenvalue of the Gram matrix, which keeps
+    full relative precision also when both singular values are equal, and
+    sigma_min = |det m| / sigma_max.
+    """
+    a, b, c, d = _entries(m)
+    p, q, o = _gram(a, b, c, d)
+    s_max = math.sqrt(0.5 * (p + q) + math.hypot(0.5 * (p - q), abs(o)))
+    return [s_max, abs(a * d - b * c) / s_max if s_max else 0.0]
+
+
+def _solve(lhs, rhs):
+    """lhs^-1 rhs for 2x2 matrices by Cramer's rule; ZeroDivisionError if
+    lhs is exactly singular."""
+    a, b, c, d = _entries(lhs)
+    e, f, g, h = _entries(rhs)
+    det = a * d - b * c
+    return np.array([[(d * e - b * g) / det, (d * f - b * h) / det],
+                     [(a * g - c * e) / det, (a * h - c * f) / det]])
+
+
 @dataclass(frozen=True)
 class Unitary2:
     """A certified 2x2 unitary matrix (read-only entries)."""
@@ -51,7 +99,7 @@ class Unitary2:
     @staticmethod
     def defect_of(m):
         """Frobenius distance of m^dagger m from the identity."""
-        return float(np.linalg.norm(m.conj().T @ m - _IDENTITY))
+        return _unitarity_defect(*_entries(m))
 
     @classmethod
     def certify(cls, matrix, tol=INPUT_UNITARITY_TOL):
@@ -59,7 +107,7 @@ class Unitary2:
         if m.shape != (2, 2):
             raise UnitarityError(f"expected a 2x2 matrix, got shape {m.shape}")
         defect = cls.defect_of(m)
-        if defect > tol:
+        if not defect <= tol:  # a NaN defect fails too
             raise UnitarityError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
         m.setflags(write=False)
         return cls(m)
@@ -87,7 +135,8 @@ def _require_mode(basis, mode):
 
 
 def build_V_Vtilde(basis, u_matrix):
-    """The pair (V, V~) for an arbitrary (not necessarily unitary) matrix.
+    """The pair (V, V~) for an arbitrary (not necessarily unitary) matrix,
+    or for each matrix of an (n, 2, 2) stack.
 
     Keeping non-unitary inputs legal matters: the identity
 
@@ -120,16 +169,28 @@ def forward_map(basis, u):
             valid basis cannot produce for unitary U.
     """
     v, vt = build_V_Vtilde(basis, u.matrix)
-    sigma = np.linalg.svd(v, compute_uv=False)
-    if sigma[-1] <= SINGULARITY_RATIO * sigma[0]:
+    sigma = _singular_values(v)
+    if sigma[1] <= SINGULARITY_RATIO * sigma[0]:
         raise InternalConsistencyError(
             f"V is singular (sigma = {sigma}) for a certified unitary input")
-    utilde = np.linalg.solve(v, vt)
+    utilde = _solve(v, vt)
     ucal = 0.5 * _P @ utilde @ _Q
     return MapPair(basis, u,
                    Unitary2.certify(utilde, OUTPUT_UNITARITY_TOL),
                    Unitary2.certify(ucal, OUTPUT_UNITARITY_TOL),
                    v, vt)
+
+
+def _inverse_system(basis, ucal):
+    """(m, rhs) of the inverse-map system conj(U) m = rhs for a boundary
+    unitary matrix, or for an (n, 2, 2) stack of them."""
+    _require_mode(basis, EVEN_MODE)
+    a_mat, b_mat = basis.mat_A, basis.mat_B
+    a_conj, b_conj = np.conj(a_mat), np.conj(b_mat)
+    utilde = 0.5 * _Q @ ucal @ _P
+    m = (a_mat - 1j * b_mat) @ utilde + (a_mat + 1j * b_mat)
+    rhs = -((a_conj - 1j * b_conj) @ utilde + (a_conj + 1j * b_conj))
+    return m, rhs
 
 
 def inverse_map(basis, ucal):
@@ -138,29 +199,24 @@ def inverse_map(basis, ucal):
     Undoes the endpoint change of basis (Ut = (1/2) Q Ucal P) and solves
     the linear system obtained from V Ut = V~,
 
-        conj(U) [(A - iB) Ut + (A + iB)]
-            = -[(conj(A) - i conj(B)) Ut + (conj(A) + i conj(B))],
+        conj(U) m = rhs,  m = (A - iB) Ut + (A + iB),
+        rhs = -[(conj(A) - i conj(B)) Ut + (conj(A) + i conj(B))],
 
-    materialized by ``homogeneous_system`` as a 4x4 matrix acting on the
-    row-major vectorization of conj(U).  Uniqueness of the solution is
-    exactly invertibility of that system, which is checked and reported.
+    as a 2x2 system.  Uniqueness of the solution is exactly invertibility
+    of m, which is checked and reported; the 4x4 form of the same system
+    (``homogeneous_system``) has the singular values of m, each twice.
     """
-    system = homogeneous_system(basis, ucal)
-    a_conj, b_conj = np.conj(basis.mat_A), np.conj(basis.mat_B)
-    utilde = 0.5 * _Q @ ucal.matrix @ _P
-    rhs = -((a_conj - 1j * b_conj) @ utilde + (a_conj + 1j * b_conj))
-    sigma = np.linalg.svd(system, compute_uv=False)
-    if sigma[-1] <= UNIQUENESS_RATIO * sigma[0]:
+    m, rhs = _inverse_system(basis, ucal.matrix)
+    sigma = _singular_values(m)
+    if sigma[1] <= UNIQUENESS_RATIO * sigma[0]:
         raise UniquenessError(f"inverse-map system near singular (sigma = {sigma})")
-    x = np.linalg.solve(system, rhs.reshape(-1))
-    return Unitary2.certify(np.conj(x.reshape(2, 2)), OUTPUT_UNITARITY_TOL)
+    x = _solve(m.T, rhs.T).T  # x m = rhs
+    return Unitary2.certify(np.conj(x), OUTPUT_UNITARITY_TOL)
 
 
 def homogeneous_system(basis, ucal):
     """The 4x4 matrix of the inverse-map system (for uniqueness margins)."""
-    _require_mode(basis, EVEN_MODE)
-    utilde = 0.5 * _Q @ ucal.matrix @ _P
-    m = (basis.mat_A - 1j * basis.mat_B) @ utilde + (basis.mat_A + 1j * basis.mat_B)
+    m, _ = _inverse_system(basis, ucal.matrix)
     return np.kron(np.eye(2), m.T)  # K @ vec(X) = vec(X @ m), row-major
 
 
@@ -182,11 +238,11 @@ def forward_map_general(basis, u):
     g = table + u.matrix @ np.conj(table)  # rows (G_j'(a), G_j(a), G_j'(-a), G_j(-a))
     z_plus = np.array([g[:, 0] - 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]])
     z_minus = np.array([g[:, 0] + 1j * g[:, 1], g[:, 2] - 1j * g[:, 3]])
-    sigma = np.linalg.svd(z_plus, compute_uv=False)
-    if sigma[-1] <= SINGULARITY_RATIO * sigma[0]:
+    sigma = _singular_values(z_plus)
+    if sigma[1] <= SINGULARITY_RATIO * sigma[0]:
         raise LinearIndependenceError(
             f"endpoint vectors dependent (sigma = {sigma}) for a unitary input")
-    w = np.linalg.solve(z_plus.T, z_minus.T).T  # w = z_minus @ z_plus^-1
+    w = _solve(z_plus.T, z_minus.T).T  # w = z_minus @ z_plus^-1
     return Unitary2.certify(w.conj().T, GENERAL_UNITARITY_TOL)
 
 
@@ -203,43 +259,80 @@ def random_matrix(rng):
     return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
 
 
+def _draws(samples, seed):
+    """The Haar-random unitaries and the random matrices of check_identities
+    as two (samples, 2, 2) stacks: the same numbers that ``samples`` calls
+    of haar_unitary and then of random_matrix take from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((samples, 2, 2, 2))
+    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    haar = q * (d / np.abs(d))[:, None, :]
+    z = rng.standard_normal((samples, 2, 2, 2))
+    return haar, z[:, 0] + 1j * z[:, 1]
+
+
+def _certified_defects(stack, tol):
+    """Unitarity defects of an (n, 2, 2) stack; UnitarityError as in
+    Unitary2.certify when any exceeds tol."""
+    defects = _unitarity_defect(*_entries(stack))
+    worst = np.max(defects, initial=0.0)
+    if not worst <= tol:
+        raise UnitarityError(f"unitarity defect {worst:.3e} exceeds tolerance {tol:.1e}")
+    return defects
+
+
+def _dagger(stack):
+    return np.conj(stack).swapaxes(-1, -2)
+
+
 def check_identities(basis, samples, seed=0):
     """Sampled verification of the structural identities of the map.
 
     Over ``samples`` Haar-random unitaries and as many random non-unitary
     matrices, checks that (i) V V^dag - V~ V~^dag = 2(I - conj(U) conj(U)^dag)
     for every input, (ii) V and V~ stay well away from singular for all
-    unitary inputs, and (iii) the 4x4 inverse-map system keeps a healthy
-    smallest singular value.  Failures are counted, never raised.
+    unitary inputs, and (iii) the inverse-map system keeps a healthy
+    smallest singular value (that of m, which the 4x4 form repeats).
+    Failures are counted, never raised.  All draws are evaluated as one
+    stack, with forward_map's certification of its input and output and
+    its singularity check.
 
     Returns:
         report dict with per-check pass counts, worst margins and thresholds.
     """
     _require_mode(basis, EVEN_MODE)
-    rng = np.random.default_rng(seed)
-    draws = [(haar_unitary(rng), True) for _ in range(samples)]
-    draws += [(random_matrix(rng), False) for _ in range(samples)]
-    seen = {"identity": [], "v_nonsingular": [], "vtilde_nonsingular": [],
-            "homogeneous_system": [], "forward_unitarity": []}
-    for u_mat, unitary in draws:
-        v, vt = build_V_Vtilde(basis, u_mat)
-        uc = np.conj(u_mat)
-        lhs = v @ v.conj().T - vt @ vt.conj().T
-        rhs = 2.0 * (_IDENTITY - uc @ uc.conj().T)
-        seen["identity"].append(float(np.linalg.norm(lhs - rhs)) / max(1.0, np.linalg.norm(rhs)))
-        if unitary:
-            seen["v_nonsingular"].append(float(np.linalg.svd(v, compute_uv=False)[-1]))
-            seen["vtilde_nonsingular"].append(float(np.linalg.svd(vt, compute_uv=False)[-1]))
-            ucal = forward_map(basis, Unitary2.certify(u_mat)).Ucal
-            seen["forward_unitarity"].append(ucal.defect)
-            seen["homogeneous_system"].append(float(np.linalg.svd(
-                homogeneous_system(basis, ucal), compute_uv=False)[-1]))
+    haar, rand = _draws(samples, seed)
+    u_mat = np.concatenate([haar, rand])
+    v, vt = build_V_Vtilde(basis, u_mat)
+    uc = np.conj(u_mat)
+    lhs = v @ _dagger(v) - vt @ _dagger(vt)
+    rhs = 2.0 * (_IDENTITY - uc @ _dagger(uc))
+    identity = (np.linalg.norm(lhs - rhs, axis=(1, 2))
+                / np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2))))
+
+    _certified_defects(haar, INPUT_UNITARITY_TOL)
+    v, vt = v[:samples], vt[:samples]
+    sigma_v = np.linalg.svd(v, compute_uv=False)
+    if np.any(sigma_v[:, 1] <= SINGULARITY_RATIO * sigma_v[:, 0]):
+        raise InternalConsistencyError("V is singular for a certified unitary input")
+    utilde = np.linalg.solve(v, vt)
+    _certified_defects(utilde, OUTPUT_UNITARITY_TOL)
+    ucal = 0.5 * _P @ utilde @ _Q
+    seen = {"identity": identity,
+            "v_nonsingular": sigma_v[:, 1],
+            "vtilde_nonsingular": np.linalg.svd(vt, compute_uv=False)[:, 1],
+            "homogeneous_system": np.linalg.svd(_inverse_system(basis, ucal)[0],
+                                                compute_uv=False)[:, 1],
+            "forward_unitarity": _certified_defects(ucal, OUTPUT_UNITARITY_TOL)}
 
     def check(name, threshold, floor=False):  # singular values fail at or below a floor
         values = seen[name]
-        return {"worst": min(values, default=np.inf) if floor else max(values, default=0.0),
+        return {"worst": float(np.min(values, initial=np.inf) if floor
+                               else np.max(values, initial=0.0)),
                 "threshold": threshold, "count": len(values),
-                "failed": sum((v <= threshold) if floor else (v > threshold) for v in values)}
+                "failed": int(np.count_nonzero((values <= threshold) if floor
+                                               else (values > threshold)))}
 
     checks = {"identity": check("identity", 1e-8),
               "v_nonsingular": check("v_nonsingular", SIGMA_FLOOR, floor=True),

@@ -23,42 +23,51 @@ def matrix_from_json(data):
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def _render(value, out):
+def _mapping(value):
+    return "{" + ",".join([_string(str(key)) + ":" + _render(value[key])
+                           for key in sorted(value)]) + "}"
+
+
+def _sequence(value):
+    return "[" + ",".join([_render(item) for item in value]) + "]"
+
+
+def _float(value):
+    return format(float(value), ".17g")
+
+
+def _by_isinstance(value):
     if isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _render(value[key], out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _render(item, out)
-        out.append("]")
-    elif isinstance(value, (bool, np.bool_)) or value is None:
-        out.append(json.dumps(bool(value) if value is not None else None))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".17g"))
-    elif isinstance(value, (complex, np.complexfloating)):
-        _render([value.real, value.imag], out)
-    elif isinstance(value, np.ndarray):
-        _render(value.tolist(), out)
-    else:
-        out.append(json.dumps(value))
+        return _mapping(value)
+    if isinstance(value, (list, tuple)):
+        return _sequence(value)
+    if isinstance(value, (bool, np.bool_)) or value is None:
+        return json.dumps(bool(value) if value is not None else None)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _float(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return _sequence([value.real, value.imag])
+    if isinstance(value, np.ndarray):
+        return _render(value.tolist())
+    return json.dumps(value)
+
+
+_string = json.encoder.encode_basestring_ascii  # what json.dumps does to a str
+# the types a payload is mostly made of, looked up by exact type before the
+# isinstance chain (a bool is an int, so only exact types may skip the chain)
+_EXACT = {float: _float, np.float64: _float, list: _sequence, tuple: _sequence,
+          dict: _mapping, str: _string}
+
+
+def _render(value):
+    return _EXACT.get(type(value), _by_isinstance)(value)
 
 
 def dumps(value):
     """Canonical JSON: sorted keys, floats at 17 significant digits."""
-    out = []
-    _render(value, out)
-    return "".join(out)
+    return _render(value)
 
 
 def write(path, value):

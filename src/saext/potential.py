@@ -24,7 +24,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PotentialError
 
-_PARITY_GRID = 1001  # fixed sampling grid for the parity check
+# Gauss-Legendre nodes on (-1, 1) for the parity check; on each piece of a
+# polynomial V of degree < 32 the odd part V(x) - V(-x) vanishes at all
+# of them only if it vanishes identically
+_PARITY_NODES = np.polynomial.legendre.leggauss(32)[0]
 
 
 def _numbers(name, value, ndim):
@@ -176,19 +179,21 @@ class Potential:
         return float(self._right_limits(np.array([min(max(x, -self.a), self.a)]))[0])
 
     def is_even(self, tol=1e-12):
-        """True when V(-x) = V(x) within tol on a fixed 1001-point grid.
+        """True when V(-x) = V(x) within tol.
 
         Kinds that are even by construction (zero, finite-well, harmonic,
         cosine) return True at once, as do polynomials with vanishing odd
-        coefficients.  Any other V is compared with right limits on both
-        sides, so an even V whose mirrored jumps fall on grid points reads
-        as odd: right limits at -x0 and x0 lie on opposite sides of the
-        jump.
+        coefficients.  For any other V, [0, a] is split at the breakpoints
+        and their mirror images, and V(x) is compared with V(-x) at
+        interior Gauss nodes of each sub-interval.  Neither x nor -x then
+        sits on a jump, and the breakpoints need not mirror each other.
         """
         if self._even:
             return True
-        grid = np.linspace(-self.a, self.a, _PARITY_GRID)
-        return bool(np.max(np.abs(self._right_limits(grid) - self._right_limits(-grid))) <= tol)
+        edges = np.unique(np.abs([0.0, *self.breakpoints(), self.a]))
+        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        x = (mid[:, None] + half[:, None] * _PARITY_NODES).ravel()
+        return bool(np.max(np.abs(self._right_limits(x) - self._right_limits(-x))) <= tol)
 
     # -- structure used by the integrator --------------------------------------
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, apply_bc, classify,
+from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, FAMILIES, apply_bc, classify,
                               synthesize, synthesize_from)
 from saext.errors import ParameterError
 from saext.extmap import Unitary2, haar_unitary
@@ -199,3 +199,63 @@ def test_report_json_shape():
     assert "singular_values" in data and "matrix" in data
     assert data["parameters"]["theta"] == pytest.approx(np.pi / 2)
     assert isinstance(bc, BoundaryCondition)
+
+
+def reference_case_and_name(u, tol=DEFAULT_TOL):
+    """classify's case and name from LAPACK singular values and solves."""
+    sig_minus = np.linalg.svd(IDENTITY - u, compute_uv=False)
+    sig_plus = np.linalg.svd(IDENTITY + u, compute_uv=False)
+    scale = max(sig_minus[0], sig_plus[0])
+    minus_singular, plus_singular = sig_minus[-1] <= tol * scale, sig_plus[-1] <= tol * scale
+    if not minus_singular:
+        if plus_singular:
+            return "II", "neumann" if sig_plus[0] <= tol * scale else "general-case-II"
+        h = 1j * np.linalg.solve(IDENTITY - u, IDENTITY + u)
+        h = 0.5 * (h + h.conj().T)
+        coupled = abs(h[0, 1]) > tol * max(1.0, np.abs(h).max())
+        return "I", "general-coupled" if coupled else "robin"
+    if not plus_singular:
+        return "III", "dirichlet" if sig_minus[0] <= tol * scale else "general-case-III"
+    n3 = 0.5 * (u[0, 0] - u[1, 1]).real
+    n1, n2 = 0.5 * (u[1, 0] + u[0, 1]).real, 0.5 * (u[1, 0] - u[0, 1]).imag
+    n1, n2, n3 = np.array([n1, n2, n3]) / np.linalg.norm([n1, n2, n3])
+    theta = np.arccos(np.clip(n3, -1.0, 1.0))
+    if np.hypot(n1, n2) <= tol:
+        return "IV", ("dirichlet-at-a-neumann-at-minus-a" if theta < 0.5 * np.pi
+                      else "neumann-at-a-dirichlet-at-minus-a")
+    phi = np.arctan2(n2, n1) % (2.0 * np.pi)
+    if abs(theta - 0.5 * np.pi) <= tol and abs(phi) <= tol:
+        return "IV", "periodic"
+    if abs(theta - 0.5 * np.pi) <= tol and abs(phi - np.pi) <= tol:
+        return "IV", "anti-periodic"
+    return "IV", "automorphic"
+
+
+NAMED = [("robin", {"alpha": 2.0, "gamma": -3.0}),
+         ("general-coupled", {"alpha": 1.0, "beta": 0.5 + 0.5j, "gamma": -2.0}),
+         ("neumann", {}), ("dirichlet", {}), ("periodic", {}), ("anti-periodic", {}),
+         ("automorphic", {"K": 2.0 + 1.0j}), ("dirichlet-at-a-neumann-at-minus-a", {}),
+         ("neumann-at-a-dirichlet-at-minus-a", {}),
+         ("general-case-II", {"alpha": 1.0, "beta": 1.0, "gamma": -1.0}),
+         ("general-case-III", {"alpha": 1.0, "beta": 1.0, "gamma": -1.0})]
+
+
+def test_classify_matches_lapack_reference():
+    # Haar draws, every named family, and each family turned by exp(i eps H) for
+    # random Hermitian H, with eps around the default singularity tolerance 1e-8
+    rng = np.random.default_rng(6)
+    draws = [haar_unitary(rng) for _ in range(1000)]
+    for family, params in NAMED:
+        base = synthesize(family, **params).matrix
+        draws.append(base)
+        for eps in (1e-9, 1e-8, 2e-8, 1e-7):
+            for _ in range(5):
+                g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                w, v = np.linalg.eigh(g + g.conj().T)
+                draws.append(base @ (v * np.exp(1j * eps * w)) @ v.conj().T)
+    names = set()
+    for m in draws:
+        bc = classify(Unitary2.certify(m))
+        assert (bc.case, bc.name) == reference_case_and_name(m), m
+        names.add(bc.name)
+    assert names == set(FAMILIES)

@@ -1,11 +1,14 @@
 """End-to-end command-line runs: artifacts, pipelines, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from saext import cli, jsonio
+from saext.potential import Potential
 
 
 @pytest.fixture()
@@ -174,3 +177,24 @@ def test_config_null_leaves_default(tmp_path, zero_potential_file):
     assert cli.main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
     want = [((n * np.pi) / 2) ** 2 for n in range(1, 5)]  # Dirichlet levels below 40
     assert json.loads(out.read_text())["eigenvalues"] == pytest.approx(want, rel=1e-6)
+
+
+def readme_commands():
+    """The example commands of the README's command-line section, in order."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_pipeline_runs(tmp_path, monkeypatch):
+    # the two inputs the examples start from: a finite well and U = i I
+    monkeypatch.chdir(tmp_path)
+    jsonio.write("well.json", Potential.finite_well(-10.0, 0.5, 1.0).to_json())
+    write_matrix("u.json", 1j * np.eye(2))
+    commands = readme_commands()
+    assert len(commands) == 8
+    for argv in commands:
+        assert argv[0] == "saext"
+        assert cli.main(argv[1:]) == 0, argv
+    mapped = json.loads((tmp_path / "ucal.json").read_text())
+    assert json.loads((tmp_path / "bc.json").read_text())["matrix"] == mapped["output"]

@@ -68,6 +68,34 @@ def test_parity_error_for_odd_potential():
         solve_even_odd(Potential.polynomial([0.0, 1.0], 1.0))
 
 
+def piecewise_even(a):
+    """V = 3 for |x| > a/2, -1 + 4x^2/a^2 inside: even, with jumps at +-a/2."""
+    return Potential.piecewise([((-a, -a / 2), [3.0]), ((-a / 2, a / 2), [-1.0, 0.0, 4.0 / a ** 2]),
+                                ((a / 2, a), [3.0])], a)
+
+
+@pytest.mark.parametrize("a", [1.0, 3.0])
+def test_piecewise_even_builds_even_basis(a):
+    basis = solve_even_odd(piecewise_even(a))
+    assert basis.parity_mode == deficiency.EVEN_MODE
+
+
+def test_parity_error_for_potential_odd_on_one_piece():
+    p = Potential.piecewise([((-1.0, -0.5), [3.0]), ((-0.5, 0.5), [0.0, 1.0]),
+                             ((0.5, 1.0), [3.0])], 1.0)
+    with pytest.raises(ParityError):
+        solve_even_odd(p)
+
+
+@pytest.mark.parametrize("a", [2.0, 3.0, 4.0])
+def test_harmonic_even_basis_at_wide_half_width(a):
+    # g grows steeply towards +-a; plain Simpson missed the norm by 1e-8 to 2e-7
+    # here, past ORTHONORMALITY_TOL
+    basis = solve_even_odd(Potential.harmonic(25.0 / a ** 2, a))
+    for j in range(2):
+        assert abs(wronskian_identity(basis.boundary_table, j) - 1j) < deficiency.WRONSKIAN_TOL
+
+
 @pytest.mark.parametrize("p", [P0, Potential.polynomial([0.0, 1.0], 1.0)])
 def test_orthonormal_pair_endpoint_identities(p):
     basis = solve_orthonormal_pair(p)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from saext import extmap
 from saext.deficiency import (GENERAL_MODE, DeficiencyBasis, change_of_basis, solve_even_odd,
                               solve_orthonormal_pair)
 from saext.errors import ModeError, UnitarityError
-from saext.extmap import (Unitary2, build_V_Vtilde, check_identities, forward_map,
+from saext.extmap import (SIGMA_FLOOR, Unitary2, build_V_Vtilde, check_identities, forward_map,
                           forward_map_general, haar_unitary, homogeneous_system,
                           inverse_map, random_matrix)
 from saext.potential import Potential
@@ -191,3 +192,98 @@ def test_check_identities_passes(basis):
     assert report["checks"]["identity"]["worst"] <= 1e-8
     assert report["checks"]["v_nonsingular"]["worst"] > 1e-6
     assert report["checks"]["homogeneous_system"]["worst"] > 1e-6
+
+
+def helper_inputs():
+    """Haar U, U -+ I, scalars times a unitary (equal singular values), rank-1
+    matrices and the zero matrix."""
+    rng = np.random.default_rng(9)
+    out = []
+    for _ in range(200):
+        u = haar_unitary(rng)
+        out += [u, u - IDENTITY, u + IDENTITY, rng.uniform(0.1, 5.0) * u]
+        x, y = random_matrix(rng)
+        out.append(np.outer(x, y))
+    out += [np.zeros((2, 2), dtype=complex), 3.0 * IDENTITY, np.diag([1.0, 0.0]).astype(complex)]
+    return out
+
+
+def test_closed_form_singular_values_match_lapack():
+    for m in helper_inputs():
+        want = np.linalg.svd(m, compute_uv=False)
+        got = extmap._singular_values(m)
+        assert np.abs(np.array(got) - want).max() <= 1e-14 * max(1.0, want[0]), m
+
+
+def test_closed_form_unitarity_defect_matches_frobenius_norm():
+    for m in helper_inputs():
+        want = np.linalg.norm(m.conj().T @ m - IDENTITY)
+        assert abs(Unitary2.defect_of(m) - want) <= 1e-14 * max(1.0, want), m
+    stack = np.array(helper_inputs())
+    want = np.linalg.norm(np.conj(stack).swapaxes(1, 2) @ stack - IDENTITY, axis=(1, 2))
+    assert np.abs(extmap._unitarity_defect(*extmap._entries(stack)) - want).max() <= 1e-14 * want.max()
+
+
+def test_cramer_solve_matches_lapack():
+    rng = np.random.default_rng(10)
+    for lhs in helper_inputs():
+        a, b, c, d = lhs.ravel()
+        if a * d - b * c == 0.0:  # the zero matrix, diag(1, 0) and some rank-1 products
+            with pytest.raises(ZeroDivisionError):
+                extmap._solve(lhs, IDENTITY)
+            continue
+        if np.linalg.cond(lhs) > 1e8:  # the other rank-1 products
+            continue
+        rhs = random_matrix(rng)
+        want = np.linalg.solve(lhs, rhs)
+        bound = 1e-14 * np.linalg.cond(lhs) * np.abs(want).max()
+        assert np.abs(extmap._solve(lhs, rhs) - want).max() <= bound, lhs
+
+
+def test_check_identities_draws_the_loop_draws():
+    rng = np.random.default_rng(4)
+    haar = [haar_unitary(rng) for _ in range(30)]
+    rand = [random_matrix(rng) for _ in range(30)]
+    got_haar, got_rand = extmap._draws(30, 4)
+    assert np.array_equal(got_haar, haar) and np.array_equal(got_rand, rand)
+
+
+def loop_check_identities(basis, samples, seed):
+    """The per-draw values of check_identities, one matrix at a time."""
+    rng = np.random.default_rng(seed)
+    draws = [(haar_unitary(rng), True) for _ in range(samples)]
+    draws += [(random_matrix(rng), False) for _ in range(samples)]
+    seen = {"identity": [], "v_nonsingular": [], "vtilde_nonsingular": [],
+            "homogeneous_system": [], "forward_unitarity": []}
+    for u_mat, unitary in draws:
+        v, vt = build_V_Vtilde(basis, u_mat)
+        uc = np.conj(u_mat)
+        rhs = 2.0 * (IDENTITY - uc @ uc.conj().T)
+        lhs = v @ v.conj().T - vt @ vt.conj().T
+        seen["identity"].append(np.linalg.norm(lhs - rhs) / max(1.0, np.linalg.norm(rhs)))
+        if unitary:
+            seen["v_nonsingular"].append(np.linalg.svd(v, compute_uv=False)[-1])
+            seen["vtilde_nonsingular"].append(np.linalg.svd(vt, compute_uv=False)[-1])
+            ucal = forward_map(basis, Unitary2.certify(u_mat)).Ucal
+            seen["forward_unitarity"].append(ucal.defect)
+            seen["homogeneous_system"].append(
+                np.linalg.svd(homogeneous_system(basis, ucal), compute_uv=False)[-1])
+    return seen
+
+
+@pytest.mark.parametrize("p", [Potential.zero(1.0), Potential.harmonic(25.0, 1.0),
+                               Potential.zero(3.0)], ids=lambda p: f"{p.kind}-a{p.a:g}")
+def test_check_identities_matches_loop(p):
+    basis = solve_even_odd(p)
+    report = check_identities(basis, samples=60, seed=5)
+    seen = loop_check_identities(basis, 60, 5)
+    floors = {"v_nonsingular", "vtilde_nonsingular", "homogeneous_system"}
+    for name, check in report["checks"].items():
+        values = np.array(seen[name])
+        worst = values.min() if name in floors else values.max()
+        failed = (values <= SIGMA_FLOOR) if name in floors else (values > check["threshold"])
+        assert check["count"] == len(values)
+        assert check["failed"] == int(failed.sum())
+        assert abs(check["worst"] - worst) <= 1e-14 * max(1.0, abs(worst))
+    empty = check_identities(basis, samples=0)
+    assert empty["passed"] and empty["checks"]["v_nonsingular"]["worst"] == np.inf

@@ -105,6 +105,24 @@ def test_l2_inner_conjugate_linear_in_first_argument():
     assert abs(lhs - np.conj(c) * odesolve.l2_inner(u, w)) < 1e-10
 
 
+@pytest.mark.parametrize("p", KINDS, ids=[p.kind for p in KINDS])
+def test_quadrature_exact_for_quintics(p):
+    # one Richardson step on Simpson is Boole's rule, exact up to degree 5
+    sol = odesolve.integrate(p, 1.0, -1.0, 1.0, 1.0, 0.0)
+    values = 1.0 - 2.0 * sol.x + 3.0 * sol.x ** 4 + 1j * sol.x ** 5
+    assert abs(odesolve.quadrature(sol, values) - 3.2) < 1e-13
+    backward = odesolve.integrate(p, 1.0, 1.0, -1.0, 1.0, 0.0)
+    assert abs(odesolve.quadrature(backward, np.ones_like(backward.x)) + 2.0) < 1e-13
+
+
+def test_quadrature_needs_interval_multiple_of_four():
+    sol = odesolve.integrate(P0, 1.0, -1.0, 1.0, 1.0, 0.0)
+    cut = odesolve.OdeSolution(sol.lam, sol.x0, sol.x[-3], sol.f0, sol.df0,
+                               sol.x[:-2], sol.f[:-2], sol.df[:-2], sol.segments)
+    with pytest.raises(GridError):
+        odesolve.quadrature(cut, cut.f)
+
+
 def test_grid_error_on_mismatched_grids():
     u = odesolve.integrate(P0, 1.0, -1.0, 1.0, 1.0, 0.0)
     w = odesolve.integrate(Potential.zero(2.0), 1.0, -2.0, 2.0, 1.0, 0.0)

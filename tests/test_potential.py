@@ -47,11 +47,14 @@ def test_evaluate_rejects_out_of_domain():
     Potential.cosine(1.0, np.pi, 1.0),
     Potential.finite_well(-10.0, 0.5, 1.0),
     Potential.polynomial([1.0, 0.0, 3.0], 1.0),
-    # right limits at x = -1/2 and x = 1/2 lie on opposite sides of the mirrored
-    # jumps, so this even V reads as odd (the parity check's known false negative)
+    # mirrored jumps at x = -1/2 and x = 1/2: the right limits there lie on
+    # opposite sides of the jump, so the check must not sample at them
     pytest.param(Potential.piecewise([((-1.0, -0.5), [3.0]), ((-0.5, 0.5), [-1.0, 0.0, 4.0]),
-                                      ((0.5, 1.0), [3.0])], 1.0),
-                 marks=pytest.mark.xfail(strict=True), id="piecewise-jumps-on-grid"),
+                                      ((0.5, 1.0), [3.0])], 1.0), id="piecewise-jumps-on-grid"),
+    # the same V split once more at 0.2, a breakpoint without a mirror
+    pytest.param(Potential.piecewise([((-1.0, -0.5), [3.0]), ((-0.5, 0.2), [-1.0, 0.0, 4.0]),
+                                      ((0.2, 0.5), [-1.0, 0.0, 4.0]), ((0.5, 1.0), [3.0])], 1.0),
+                 id="piecewise-unmirrored-breakpoint"),
 ])
 def test_even_kinds_pass_parity_check(p):
     assert p.is_even(1e-12)

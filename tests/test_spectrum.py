@@ -259,10 +259,11 @@ def robin_levels(alpha, gamma):
                           (-154.2604536805, 1), (-3.1111296874, 1)],
                  marks=pytest.mark.xfail(strict=True, reason=PHASE_ALIASING)),
     # bisection of oracles.robin_det to 1e-12 relative; collocation agrees to 6.0e-9.
-    # The surface state at -400 is found and dropped at boundary residual 10.4
+    # The eigenfunction at -400 still comes from a cancelling combination (ROADMAP
+    # item 2): it passes for this Ucal's rounding, and is dropped at boundary
+    # residual ~10 for most Ucal within 1e-15 of it
     pytest.param(P0, bc_named("robin", alpha=30.0, gamma=-20.0), 5.0,
-                 lambda: [(-900.0, 1), (-400.0, 1), (2.6862167155, 1)],
-                 marks=pytest.mark.xfail(strict=True, reason=DEEP_STATES)),
+                 lambda: [(-900.0, 1), (-400.0, 1), (2.6862167155, 1)]),
     # collocation references, error estimate 9.7e-9; bisection of oracles.robin_det
     # agrees at -900 and 2.616. The state at -900 is dropped at residual 1.97
     pytest.param(P0, bc_named("robin", alpha=41.0, gamma=-30.0), 5.0,
