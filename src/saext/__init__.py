@@ -5,7 +5,7 @@ unitary parametrizing an extension through its deficiency subspaces and
 the unitary fixing the boundary conditions at the interval endpoints,
 classifies those boundary conditions (Robin, Neumann, Dirichlet,
 periodic, anti-periodic, automorphic, mixed), and computes each
-extension's spectrum by boundary-determinant shooting.
+extension's spectrum by counting its levels below each energy.
 """
 
 from .bcclassify import BoundaryCondition, apply_bc, classify, synthesize

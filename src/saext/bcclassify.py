@@ -88,8 +88,8 @@ def _case_iv_data(u, tol):
     n2 = 0.5 * (m[1, 0] - m[0, 1]).imag
     vec = np.array([n1, n2, n3])
     vec = vec / np.linalg.norm(vec)
-    theta = float(np.arccos(np.clip(vec[2], -1.0, 1.0)))
     sin_theta = float(np.hypot(vec[0], vec[1]))
+    theta = float(np.arctan2(sin_theta, vec[2]))
     phi = float(np.arctan2(vec[1], vec[0])) % (2.0 * np.pi) if sin_theta > tol else 0.0
     return theta, phi, sin_theta
 

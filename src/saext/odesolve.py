@@ -18,12 +18,14 @@ error near machine precision instead of letting it grow with the step count.
 
 Error control is by step halving, piece by piece.  Each grid interval is
 covered with 2**k and 2**(k-1) Magnus steps; the method's error expansion
-is even in h, so the Richardson value T_fine + (T_fine - T_coarse)/15 is
-returned.  Its error estimate |T_fine - T_coarse|/15 must stay below
-rtol*max(1, size) + atol: entrywise maxima, per energy for a piece's
-transfer matrix (size |T - I|) and per sample for a trajectory (size
-|(f, f')|).  Otherwise k grows, up to MAX_HALVINGS, after which
-IntegrationError is raised.  ``propagate`` evaluates many energies at once.
+is even in h, so the Richardson value P_fine + (P_fine - P_coarse)/15 of
+the piece's prefix products P is returned.  For each energy the largest
+estimate |P_fine - P_coarse|/15 must stay below rtol*max(1, max |P - I|)
++ atol, both maxima over the piece: the largest magnitude the product
+passes through sets its rounding, also where it cancels back to a small
+value.  Otherwise k grows, up to MAX_HALVINGS, after which
+IntegrationError is raised.  ``propagate`` evaluates many energies at once
+and counts the zeros of a solution on the way.
 
 Every solution of the same potential over the same span shares the grid,
 which makes pointwise linear combinations and quadrature between
@@ -152,20 +154,23 @@ def _mul(left, right):
             c + g + (c * e + d * g), d + h + (c * f + d * h))
 
 
-def _chain(m):
-    """Ordered product along the last axis, later factors on the left.
-
-    A pairwise tree: each round multiplies neighbours, so a product of n
-    factors takes log2(n) vectorized rounds.
-    """
-    while m[0].shape[-1] > 1:
+def _blocks(m, rounds):
+    """Ordered products of consecutive blocks of 2**rounds factors along the
+    last axis, later factors on the left, by rounds of a pairwise tree that
+    each multiply neighbours; the last block may be shorter."""
+    for _ in range(rounds):
         n = m[0].shape[-1]
         even = n - n % 2
         pairs = _mul([x[..., 1:even:2] for x in m], [x[..., 0:even:2] for x in m])
         if n % 2:
             pairs = [np.concatenate([p, x[..., -1:]], axis=-1) for p, x in zip(pairs, m)]
         m = pairs
-    return tuple(x[..., 0] for x in m)
+    return m
+
+
+def _chain(m):
+    """Ordered product along the last axis in log2(n) vectorized rounds."""
+    return tuple(x[..., 0] for x in _blocks(m, (m[0].shape[-1] - 1).bit_length()))
 
 
 def _prefix(m):
@@ -223,37 +228,30 @@ def _interval_transfers(vfun, lams, grid, levels, samples=None):
     return tuple(np.stack(x) for x in zip(*out))
 
 
-def _extrapolate(fine, coarse, rtol, atol):
-    """Richardson value of a step-halved pair and where its error estimate fails.
+def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol):
+    """Prefix products of one piece at the ends of its blocks of 2**rounds
+    grid intervals, as entries (t00 - 1, t01, t10, t11 - 1) of shape
+    (number of blocks, len(lams)); h is halved per energy until the error
+    estimate passes (see the module docstring)."""
+    def edges(levels, sel):
+        steps = _interval_transfers(vfun, sel, grid, levels, samples)
+        prefix = np.stack(_prefix(_blocks(steps, rounds)), axis=1)
+        return prefix.swapaxes(2, 3).reshape(len(levels), -1, len(sel))
 
-    Entries are compared along axis 0 (the four matrix entries or the two
-    components of y); the returned mask has the shape of the remaining axes.
-    """
-    fine, coarse = np.asarray(fine), np.asarray(coarse)
-    value = fine + (fine - coarse) / 15.0
-    err = np.max(np.abs(fine - coarse), axis=0) / 15.0
-    size = np.max(np.abs(value), axis=0)
-    return value, ~(err <= rtol * np.maximum(1.0, size) + atol)
-
-
-def _refine(compute, rtol, atol, x_start):
-    """Halve h until the Richardson error estimate passes.
-
-    compute(levels, mask) returns the result at each halving count in
-    levels, stacked on axis 0, for the selected entries of the last axis
-    (mask None: all of them).
-    """
-    coarse, fine = compute((0, 1), None)
+    x_start = float(grid[0])
+    coarse, fine = edges((0, 1), lams)
     for halvings in range(2, MAX_HALVINGS + 2):
-        value, bad = _extrapolate(fine, coarse, rtol, atol)
+        value = fine + (fine - coarse) / 15.0
         if not np.all(np.isfinite(value)):
             raise IntegrationError(f"solution overflowed after x = {x_start}", x_fail=x_start)
+        err = np.max(np.abs(fine - coarse), axis=0) / 15.0
+        bad = ~(err <= rtol * np.maximum(1.0, np.max(np.abs(value), axis=0)) + atol)
         if not bad.any():
-            return value
+            return value.reshape(4, -1, len(lams))
         if halvings > MAX_HALVINGS:
             break
-        coarse[..., bad] = fine[..., bad]
-        fine[..., bad] = compute((halvings,), bad)[0]
+        coarse[:, bad] = fine[:, bad]
+        fine[:, bad] = edges((halvings,), lams[bad])[0]
     raise IntegrationError(f"no convergence after {MAX_HALVINGS} step halvings "
                            f"on the piece starting at x = {x_start}", x_fail=x_start)
 
@@ -268,95 +266,102 @@ def _spectral_array(lam):
     return lams.astype(complex if np.iscomplexobj(lams) else float)
 
 
-def integrate(p, lam, x0, x1, f0, df0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Integrate -f'' + V f = lam f from x0 to x1 with dense output.
+def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """The solutions u1, u2 of -f'' + V f = lam f with (f, f')(x0) = (1, 0)
+    and (0, 1), from one pass over the transfer matrices to every sample.
 
     Args:
         p: the Potential (both endpoints must lie in [-a, a]).
         lam: complex spectral parameter.
         x0, x1: distinct endpoints; integration may run in either direction.
-        f0, df0: initial values f(x0), f'(x0).
-        rtol, atol: bound on the estimated error of every sample, relative
-            to max(1, |(f, f')|) and absolute; both positive.
+        rtol, atol: error bound of the piece products (module docstring);
+            both positive.
 
     Returns:
-        OdeSolution with dense samples spaced at most a/512 apart.
+        (u1, u2), OdeSolutions with dense samples spaced at most a/512 apart.
 
     Raises:
         IntegrationError: when the solution overflows or h would be halved
-            more than MAX_HALVINGS times; carries the start of the piece.
-    """
+            more than MAX_HALVINGS times; carries the start of the piece."""
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
-    lam = complex(lam)
     lams = _spectral_array(lam)
-    y = (complex(f0), complex(df0))
+    y = np.eye(2, dtype=complex)  # rows f, f'; column k: u_k at the piece start
 
-    xs, fs, dfs, seg_starts = [], [], [], []
+    xs, ys, seg_starts = [], [], []
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _, _, vfun, grid in _segment_grid(p, x0, x1):
-            def trajectory(levels, bad, vfun=vfun, grid=grid, y=y):
-                t = _prefix(tuple(x[:, 0] for x in _interval_transfers(vfun, lams, grid, levels)))
-                start = np.full((len(levels), 1), y[0]), np.full((len(levels), 1), y[1])
-                f = np.concatenate([start[0], (1.0 + t[0]) * y[0] + t[1] * y[1]], axis=-1)
-                df = np.concatenate([start[1], t[2] * y[0] + (1.0 + t[3]) * y[1]], axis=-1)
-                out = np.stack([f, df], axis=1)
-                return out if bad is None else out[..., bad]
-
-            ys = _refine(trajectory, rtol, atol, float(grid[0]))
+            t00, t01, t10, t11 = _piece_prefix(vfun, grid, lams, 0, {}, rtol, atol)[..., 0, None]
+            piece = np.concatenate([y[None], np.stack([(1.0 + t00) * y[0] + t01 * y[1],
+                                                       t10 * y[0] + (1.0 + t11) * y[1]], axis=1)])
             skip = 1 if count else 0  # junction point already recorded
             seg_starts.append(count - skip)
             xs.append(grid[skip:])
-            fs.append(ys[0, skip:])
-            dfs.append(ys[1, skip:])
+            ys.append(piece[skip:])
             count += len(grid) - skip
-            y = (ys[0, -1], ys[1, -1])
+            y = piece[-1]
 
     x = np.concatenate(xs)
     x.setflags(write=False)
-    f = np.concatenate(fs)
-    f.setflags(write=False)
-    df = np.concatenate(dfs)
-    df.setflags(write=False)
-    return OdeSolution(lam, float(x0), float(x1), complex(f0), complex(df0),
-                       x, f, df, tuple(seg_starts))
+    y = np.concatenate(ys)
+    y.setflags(write=False)
+    return tuple(OdeSolution(complex(lam), float(x0), float(x1), complex(k == 0), complex(k == 1),
+                             x, y[:, 0, k], y[:, 1, k], tuple(seg_starts)) for k in (0, 1))
+
+
+def integrate(p, lam, x0, x1, f0, df0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+    """Integrate -f'' + V f = lam f from x0 to x1 with dense output: the
+    combination of fundamental_solutions for the initial values f0, df0."""
+    return combine(fundamental_solutions(p, lam, x0, x1, rtol, atol), [complex(f0), complex(df0)])
 
 
 def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Transfer matrix T with (f, f')(x1) = T @ (f, f')(x0).
+    """Transfer matrix T with (f, f')(x1) = T @ (f, f')(x0), and the number
+    of zeros strictly between x0 and x1 of u2, the solution with
+    (f, f')(x0) = (0, 1) (of Re u2, so meaningful for real lam).
 
-    lam is a scalar, giving one (2, 2) matrix, or a 1-D array of spectral
-    parameters, giving an (n, 2, 2) stack; the boundary-determinant scan
-    evaluates all its energies in one call.  Energies are processed
-    ENERGY_BLOCK at a time, and each piece's step matrices are reduced by
-    a pairwise tree product; V is sampled once per piece and halving level
-    and shared by all energy blocks.  rtol and atol bound the estimated
-    error of every piece's transfer matrix T, relative to max(1, max |T - I|).
+    lam is a scalar, giving one (2, 2) matrix and an int, or a 1-D array,
+    giving an (n, 2, 2) stack and n counts; the spectral scan evaluates all
+    its energies in one call.  Energies are processed ENERGY_BLOCK at a
+    time.  Each piece's steps are multiplied by a pairwise tree into blocks
+    that hold at most one zero of u2, whose prefix products give u2 at the
+    block edges; V is sampled once per piece and halving level.
 
     Raises:
-        IntegrationError: when the solution overflows or h would be halved
-            more than MAX_HALVINGS times; carries the start of the piece.
+        IntegrationError: when the solution overflows, h would be halved
+            more than MAX_HALVINGS times or a grid interval is too long to
+            count zeros; carries the start of the piece.
     """
     lams = _spectral_array(lam)
     pieces = _segment_grid(p, x0, x1)
     samples = [{} for _ in pieces]
+    v_min = [np.min(vfun(grid)) for _, _, vfun, grid in pieces]
     out = np.empty((len(lams), 2, 2), dtype=complex)
+    zeros = np.zeros(len(lams), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
             t = (0.0, 0.0, 0.0, 0.0)  # deviation from the identity
-            for (_, _, vfun, grid), cache in zip(pieces, samples):
-                def transfer(levels, bad, vfun=vfun, grid=grid, cache=cache):
-                    sel = block if bad is None else block[bad]
-                    steps = _interval_transfers(vfun, sel, grid, levels, cache)
-                    return np.stack(_chain(steps), axis=1)
-                t = _mul(_refine(transfer, rtol, atol, float(grid[0])), t)
+            for (_, _, vfun, grid), cache, low in zip(pieces, samples, v_min):
+                # zeros lie >= pi / sqrt(max(E - V)) apart (Sturm comparison), so a block
+                # with h_block sqrt(E - min V) < pi/2 holds at most one; 2 covers V between samples
+                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block.real) - low))
+                if hk >= 0.5 * np.pi:
+                    raise IntegrationError(f"grid too coarse to count zeros at E = "
+                                           f"{np.max(block.real):g}", x_fail=float(grid[0]))
+                full = (len(grid) - 2).bit_length()
+                rounds = min(full, int(np.ceil(np.log2(0.5 * np.pi / hk))) - 1) if hk else full
+                e00, e01, e10, e11 = _piece_prefix(vfun, grid, block, rounds, cache, rtol, atol)
+                u0, du0 = np.broadcast_to(t[1], block.shape), 1.0 + t[3]  # u2 at the piece start
+                u = np.concatenate([u0[None].real, ((1.0 + e00) * u0 + e01 * du0).real])
+                zeros[start:start + len(block)] += np.sum(u[1:] * u[:-1] < 0, axis=0)
+                t = _mul((e00[-1], e01[-1], e10[-1], e11[-1]), t)
             t = np.broadcast_arrays(1.0 + t[0], t[1], t[2], 1.0 + t[3])
             out[start:start + len(block)] = np.stack(t, axis=-1).reshape(-1, 2, 2)
-    return out[0] if np.ndim(lam) == 0 else out
+    return (out[0], int(zeros[0])) if np.ndim(lam) == 0 else (out, zeros)
 
 
 def _same_grid(u, w):

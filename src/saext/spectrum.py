@@ -1,24 +1,27 @@
-"""Spectra of self-adjoint extensions by counting eigenphase crossings.
+"""Spectra of self-adjoint extensions by counting levels.
 
 The fundamental solutions u1, u2 of -f'' + V f = E f start at x = -a with
 data (1, 0) and (0, 1).  Their boundary vectors (u_k'(a) -+ i u_k(a),
 u_k'(-a) +- i u_k(-a)) are the columns of minus and plus, and the unitary
 S(E) = minus plus^-1 maps the plus data of every solution to its minus
 data.  E is an eigenvalue exactly when an eigenphase of
-W(E) = Ucal^dagger S(E) is 0 mod 2 pi; the number of such eigenphases is
-its multiplicity, and the null vectors of M(E) = minus - Ucal plus give as
-many eigenfunctions.  The eigenphases fall monotonically in E, so with
-C(E) the sum of the eigenphases, each taken in [0, 2 pi), and D the fall
-of arg det W across [E-, E+), the interval holds
-n = (C(E+) - C(E-) + D) / 2 pi crossings of 0.
+W(E) = Ucal^dagger S(E) is 0 mod 2 pi, as often as its multiplicity.
+With C the sum of the eigenphases of a matrix, each in [0, 2 pi), and k_j
+those of Ucal, the number of levels below E is
 
-A uniform scan evaluates W in one batched propagation, and rounds of one
-batched call each bisect every interval across which arg det W falls by
-more than PHASE_STEP, so no eigenphase wraps unseen.  A single crossing is
-the sign change of Re(det(I - W) conj(sqrt(det W))), with the branch of
-the root fixed at the bracket's left end.  A double crossing is solved for
-arg det W = 0: a double level when both eigenphases vanish there, or else
-the split point of two single-crossing brackets.
+    N(E) = N_D(E) + (C(W) - C(S) + sum_j k_j) / 2 pi.
+
+N_D, the number of zeros of u2 in (-a, a) that odesolve.propagate counts
+on the x grid, is the Dirichlet (Ucal = I) count by Sturm oscillation, so
+no level is missed however fast its eigenphase turns in E; the rest counts
+the eigenphase crossings of 0 along exp(i t K), K >= 0, from I to Ucal
+(Bailey, Everitt and Zettl, ACM TOMS 27 (2001) 143; Howard and Sukhtayev,
+JDE 260 (2016) 4499).  A scan counts the levels below every grid energy;
+bisection splits every interval holding three or more.  One holding one
+level is solved for the sign change of (-1)^N prod_j sin(t_j / 2), t_j the
+eigenphases of W; one holding two for the zero of C(W) - 2 pi N, the phase
+sum continued across levels: a double level if N steps by two within the
+root tolerance there, else the point splitting it into two single ones.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .potential import Potential
 
 log = logging.getLogger(__name__)
 
-PHASE_STEP = np.pi / 2     # largest fall of arg det W accepted across one scan interval
 RESIDUAL_LIMIT = 1e-6      # stored eigenfunctions must satisfy the BC this well
 SCAN_RTOL = 1e-7           # coarse tolerance for the scan and its bisection
 
@@ -51,7 +53,8 @@ class SpectrumResult:
     ``degeneracies[i]`` is the number of eigenphases of W that cross 0 at
     ``eigenvalues[i]``, and ``eigenfunctions[i]`` holds as many
     L2-normalized OdeSolution trajectories; ``residuals[i]`` is the worst
-    endpoint-relation residual among them.  ``det_trace`` keeps the
+    residual among them, of the endpoint relation or of the join of a
+    simple level's eigenfunction.  ``det_trace`` keeps the
     (E, |det M|) samples of the uniform scan for plotting and diagnostics.
     """
 
@@ -75,18 +78,26 @@ class SpectrumResult:
 
 
 def _bc_matrix(p, bc, energy, rtol, atol):
-    """M(E) = minus - Ucal plus and W(E) = Ucal^dagger minus plus^-1 for a
-    scalar E or, from one propagation, (n, 2, 2) stacks for a 1-D array.
-    Column k is divided by the largest boundary magnitude of u_k, so nothing
-    overflows for deep wells or large |E|; W does not change."""
-    transfer = odesolve.propagate(p, energy, -p.a, p.a, rtol, atol)
+    """M(E) = minus - Ucal plus, the eigenphases t of W(E) in [0, 2 pi) and
+    the level count N(E), for a scalar E or, from one propagation, stacked
+    over a 1-D array.  Column k of minus and plus is divided by the largest
+    boundary magnitude of u_k, so nothing overflows for deep wells or large
+    |E|; S and W do not change."""
+    transfer, zeros = odesolve.propagate(p, energy, -p.a, p.a, rtol, atol)
     ua, dua = transfer[..., 0, :], transfer[..., 1, :]  # column k: u_k(a), u_k'(a)
     uma, duma = np.eye(2)                               # u_k(-a), u_k'(-a)
     s = np.maximum(np.maximum(np.abs(ua), np.abs(dua)), 1.0)[..., None, :]
     minus = np.stack(np.broadcast_arrays(dua - 1j * ua, duma + 1j * uma), axis=-2) / s
     plus = np.stack(np.broadcast_arrays(dua + 1j * ua, duma - 1j * uma), axis=-2) / s
     ucal = bc.Ucal.matrix
-    return minus - ucal @ plus, ucal.conj().T @ minus @ np.linalg.inv(plus)
+    s_matrix = minus @ np.linalg.inv(plus)
+    t = _eigenphases(ucal.conj().T @ s_matrix)
+    # an eigenphase of Ucal within 1e-12 below 2 pi is a rounded 0: its level
+    # would lie below about -1e24, where no transfer matrix is finite
+    k = _eigenphases(ucal)
+    k_sum = k[k < 2 * np.pi - 1e-12].sum()
+    turns = (t.sum(axis=-1) - _eigenphases(s_matrix).sum(axis=-1) + k_sum) / (2 * np.pi)
+    return minus - ucal @ plus, t, zeros + np.rint(turns).astype(int)
 
 
 def det_function(p, bc, energy, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
@@ -94,29 +105,21 @@ def det_function(p, bc, energy, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return complex(np.linalg.det(_bc_matrix(p, bc, energy, rtol, atol)[0]))
 
 
-def _phase_sum(w):
-    """C: the eigenphases of W, each taken in [0, 2 pi), summed."""
-    return np.sum(np.angle(np.linalg.eigvals(w)) % (2 * np.pi), axis=-1)
+def _eigenphases(w):
+    """The eigenphases of W, each taken in [0, 2 pi)."""
+    return np.angle(np.linalg.eigvals(w)) % (2 * np.pi)
 
 
-def _fall(c_lo, c_hi):
-    """Fall of arg det W between phase sums c_lo and c_hi, in [0, 2 pi)."""
-    return (c_lo - c_hi) % (2 * np.pi)
-
-
-def _solve(p, bc, lo, hi, c_lo, target, rtol, atol):
-    """Roots of target(W, phi) in the brackets [lo, hi], one vectorized call,
-    and the mask of brackets that converged.
-
-    phi is arg det W continued from c_lo, its phase sum at lo.  Ends that
-    share a sign at full tolerance put the crossing at an end, within the
-    accuracy of W: the end with the smaller |target| is taken.
+def _solve(p, bc, lo, hi, below, target, rtol, atol):
+    """Roots of target(eigenphases of W, N(E), N(lo)) in the brackets
+    [lo, hi] in one vectorized call, and the mask of those that converged.
+    Ends that share a sign at full tolerance put the root at an end, within
+    the accuracy of W: the end with the smaller |target| is taken.
     """
-    def f(energy, c_lo):
-        w = _bc_matrix(p, bc, energy, rtol, atol)[1]
-        return target(w, c_lo + (_phase_sum(w) - c_lo + np.pi) % (2 * np.pi) - np.pi)
+    def f(energy, below):
+        return target(*_bc_matrix(p, bc, energy, rtol, atol)[1:], below)
 
-    res = minimize_scalar(f, (lo, hi), args=(c_lo,), tolerances={"xatol": rtol, "xrtol": rtol})
+    res = minimize_scalar(f, (lo, hi), args=(below,), tolerances={"xatol": rtol, "xrtol": rtol})
     invalid = res.status == -1
     ok = invalid | res.success
     for i in np.flatnonzero(~ok):
@@ -132,73 +135,68 @@ def _phase_fixed(sol):
     return sol.scaled(np.conj(peak) / abs(peak)) if abs(peak) > 0 else sol
 
 
-def _eigenfunctions_at(p, bc, energy, cols, count, rtol, atol):
-    """The count null-space eigenfunctions of M(E) = cols, with residuals."""
-    _, _, vh = np.linalg.svd(cols)
-    u1 = odesolve.integrate(p, energy, -p.a, p.a, 1.0, 0.0, rtol, atol)
-    u2 = odesolve.integrate(p, energy, -p.a, p.a, 0.0, 1.0, rtol, atol)
-    # undo the column normalization: M columns were divided by scales s_k
-    s = np.array([max(abs(u1.f1), abs(u1.df1), 1.0), max(abs(u2.f1), abs(u2.df1), 1.0)])
+def _eigenfunctions_at(p, bc, energy, count, rtol, atol):
+    """The count L2-orthonormal eigenfunctions at a root, with residuals.
 
-    funcs = []
-    for vec in np.conj(vh[::-1][:count]):
-        f = odesolve.combine([u1, u2], vec / s)
+    Data (f, f') = B q at a and B' q at -a meet the BC for every q; with Y,
+    Y' the fundamental matrices launched at -a and at a, a null vector q of
+    K(x) = Y(x) B' - Y'(x) B gives an eigenfunction.  A double level takes
+    both null vectors of K(a).  A simple level takes q where the one-sided
+    solutions from K(a) and K(-a) have the largest product, short of a, and
+    joins the parts from -a and from a there, so neither is carried through
+    decay into growth, which amplifies rounding and root error; its residual
+    includes the jump of (f, f') at the join."""
+    ucal, eye = bc.Ucal.matrix, np.eye(2)
+    at_a = np.array([(eye - ucal)[0] / 2j, (eye + ucal)[0] / 2])          # B
+    at_minus_a = np.array([-(eye - ucal)[1] / 2j, (eye + ucal)[1] / 2])  # B'
+    left = odesolve.fundamental_solutions(p, energy, -p.a, p.a, rtol, atol)
+
+    def matrix(sols, i):  # the fundamental matrix at sample i
+        return np.array([[u.f[i] for u in sols], [u.df[i] for u in sols]])
+
+    def null(k, n=1):
+        return np.conj(np.linalg.svd(k)[2][::-1][:n])
+
+    qs = null(matrix(left, -1) @ at_minus_a - at_a, count)
+    parts = [(odesolve.combine(left, at_minus_a @ q), 0.0) for q in qs]
+    if count == 1:
+        right = odesolve.fundamental_solutions(p, energy, p.a, -p.a, rtol, atol)
+        g = odesolve.combine(right, at_a @ null(at_minus_a - matrix(right, -1) @ at_a)[0])
+        j = min(int(np.argmax(np.abs(parts[0][0].f * g.f[::-1]))), len(g.f) - 2)  # the join
+        (q,) = null(matrix(left, j) @ at_minus_a - matrix(right, -1 - j) @ at_a)
+        f, g = odesolve.combine(left, at_minus_a @ q), odesolve.combine(right, at_a @ q)
+        y = np.where(np.arange(len(f.x)) <= j, [f.f, f.df], [g.f[::-1], g.df[::-1]])
+        parts = [(OdeSolution(f.lam, f.x0, f.x1, f.f0, f.df0, f.x, *y, f.segments),
+                  np.linalg.norm([f.f[j] - g.f[-1 - j], f.df[j] - g.df[-1 - j]]))]
+
+    funcs, residuals = [], []
+    for f, jump in parts:
         for prev in funcs:  # L2-orthonormalize a degenerate pair
             f = odesolve.combine([f, prev], [1.0, -odesolve.l2_inner(prev, f)])
-        f = f.scaled(1.0 / odesolve.norm(f))
-        funcs.append(_phase_fixed(f))
-
-    residuals = [apply_bc(bc, f.f1, f.f0, f.df1, f.df0) for f in funcs]
+        scale = 1.0 / odesolve.norm(f)
+        f = _phase_fixed(f.scaled(scale))
+        funcs.append(f)
+        residuals.append(max(apply_bc(bc, f.f1, f.f0, f.df1, f.df0), jump * scale))
     return funcs, residuals
-
-
-def _bisect(p, bc, energies, phase, atol):
-    """Bisect, one batched call per round, every interval across which
-    arg det W falls by more than PHASE_STEP, down to float resolution."""
-    while True:
-        mid = 0.5 * (energies[:-1] + energies[1:])
-        split = np.flatnonzero((_fall(phase[:-1], phase[1:]) > PHASE_STEP)
-                               & (energies[:-1] < mid) & (mid < energies[1:]))
-        if not len(split):
-            return energies, phase
-        new = _phase_sum(_bc_matrix(p, bc, mid[split], SCAN_RTOL, atol)[1])
-        energies = np.insert(energies, split + 1, mid[split])
-        phase = np.insert(phase, split + 1, new)
-
-
-def _levels_below(bc, w, rtol):
-    """Number of levels below E < min V, from w = W(E).
-
-    Below min V each eigenphase of S = Ucal W stays in (-pi, 0) and tends to
-    0 as E -> -inf, so W tends to Ucal^dagger from below and
-    N = (C(E) - C_U + D_S) / 2 pi, with C_U the phase sum of Ucal^dagger and
-    D_S = -sum arg eig S(E) the fall of arg det W from -inf.  An eigenphase
-    of Ucal^dagger at 0 (within rtol: W is known no better) counts as 2 pi.
-    """
-    ucal = bc.Ucal.matrix
-    u_phase = np.angle(np.linalg.eigvals(ucal.conj().T)) % (2 * np.pi)
-    c_u = np.where(u_phase > rtol, u_phase, 2 * np.pi).sum()
-    s_fall = -np.angle(np.linalg.eigvals(ucal @ w)).sum()
-    return int(np.rint((_phase_sum(w) - c_u + s_fall) / (2 * np.pi)))
 
 
 def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL,
                      atol=DEFAULT_ATOL):
     """Locate all eigenvalues of the extension in [e_min, e_max).
 
-    The scan and its bisection run at the coarse SCAN_RTOL and leave a
-    count of eigenphase crossings per interval, which is the multiplicity.
-    Double crossings are solved together for arg det W = 0, then every
-    single-crossing bracket in one more vectorized call, both to
-    rtol (1 + |E|).  M(E) at the roots comes from one batched call; a root
-    whose eigenfunctions miss the boundary relation or the symmetry check
-    by more than RESIDUAL_LIMIT is dropped with a warning.
+    The scan counts the levels below every grid energy at the coarse
+    SCAN_RTOL, and rounds of one batched call each bisect every interval
+    that holds three or more.  The intervals holding two levels are solved
+    in one vectorized call, and those holding one in one more, to
+    rtol (1 + |E|); the count gives each root its multiplicity.  A root
+    whose eigenfunctions miss the boundary relation, the join of their two
+    parts or the symmetry check by more than RESIDUAL_LIMIT is dropped with
+    a warning.
 
     Args:
-        e_min: scan floor.  The default -sup|V| - 1 lies below min V, where
-            the scan's first point gives the number of levels below it;
-            while that is positive the depth below -sup|V| doubles, and
-            the final floor is prepended as one interval to bisect.
+        e_min: scan floor.  The default is -sup|V| - 1; while levels lie
+            below it, the depth below -sup|V| doubles, and the first floor
+            with none below is prepended to the scan.
         grid: number of scan points (>= 16); defaults to a density of
             eight points per (pi/2a)^2, half the bottom level spacing.
 
@@ -217,50 +215,46 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         raise ValueError("grid must be at least 16")
 
     energies = np.linspace(e_min, e_max, grid)
-    cols, w = _bc_matrix(p, bc, energies, SCAN_RTOL, atol)
+    cols, _, count = _bc_matrix(p, bc, energies, SCAN_RTOL, atol)
     det_trace = list(zip(energies.tolist(), np.abs(np.linalg.det(cols)).tolist()))
-    phase = _phase_sum(w)
     if default_floor:
-        depth, low, w_low = 1.0, e_min, w[0]
-        while _levels_below(bc, w_low, rtol) > 0:
-            depth *= 2.0
-            low = e_min + 1.0 - depth  # depth below -sup|V|
-            w_low = _bc_matrix(p, bc, low, SCAN_RTOL, atol)[1]
+        low, below = e_min, count[0]
+        while below > 0:
+            low = 2.0 * low - e_min - 1.0  # doubles the depth below -sup|V| = e_min + 1
+            below = _bc_matrix(p, bc, low, SCAN_RTOL, atol)[2]
         if low < e_min:
-            energies, phase = np.r_[low, energies], np.r_[_phase_sum(w_low), phase]
-    energies, phase = _bisect(p, bc, energies, phase, atol)
+            energies, count = np.r_[low, energies], np.r_[below, count]
+    while True:  # bisect every interval that holds three or more levels
+        mid = 0.5 * (energies[:-1] + energies[1:])
+        split = np.flatnonzero((np.diff(count) > 2) & (energies[:-1] < mid) & (mid < energies[1:]))
+        if not len(split):
+            break
+        energies = np.insert(energies, split + 1, mid[split])
+        count = np.insert(count, split + 1, _bc_matrix(p, bc, mid[split], SCAN_RTOL, atol)[2])
 
-    lo, hi, c_lo, fall = energies[:-1], energies[1:], phase[:-1], _fall(phase[:-1], phase[1:])
-    count = np.rint((phase[1:] - c_lo + fall) / (2 * np.pi)).astype(int)
-    for i in np.flatnonzero((count < 0) | (count > 2)):
-        log.warning("refinement did not converge near E = %g: %d crossings", lo[i], count[i])
+    lo, hi, below, held = energies[:-1], energies[1:], count[:-1], np.diff(count)
     levels = []  # (E, multiplicity)
-    one, two = count == 1, count == 2
-    lo1, hi1, c1 = lo[one], hi[one], c_lo[one]
-    if two.any():
-        lo2, hi2 = lo[two], hi[two]
-        root, ok = _solve(p, bc, lo2, hi2, c_lo[two], lambda w, phi: phi, rtol, atol)
-        w = _bc_matrix(p, bc, root, rtol, atol)[1]
-        # double when both eigenphases vanish to within what the pair sweeps
-        # over one root tolerance, rtol (1 + |E|)
-        sweep = fall[two] * rtol * (1 + np.abs(root)) / (hi2 - lo2)
-        double = ok & (np.abs(np.angle(np.linalg.eigvals(w))).max(axis=-1) <= sweep)
+    lo1, hi1, below1 = lo[held == 1], hi[held == 1], below[held == 1]
+    if (held == 2).any():
+        lo2, hi2, below2 = lo[held == 2], hi[held == 2], below[held == 2]
+        root, ok = _solve(p, bc, lo2, hi2, below2, lambda t, n, below: (
+            t.sum(axis=-1) - 2 * np.pi * (n - below)), rtol, atol)
+        tol = rtol * (1 + np.abs(root))
+        side = _bc_matrix(p, bc, np.r_[root - tol, root + tol], rtol, atol)[2].reshape(2, -1)
+        double = ok & (side[0] == below2) & (side[1] == below2 + 2)
         split = ok & ~double
         levels += [(e, 2) for e in root[double].tolist()]
         lo1, hi1 = np.r_[lo1, lo2[split], root[split]], np.r_[hi1, root[split], hi2[split]]
-        c1 = np.r_[c1, c_lo[two][split], _phase_sum(w[split])]
+        below1 = np.r_[below1, below2[split], below2[split] + 1]
     if len(lo1):
-        # -4 sin(t1/2) sin(t2/2) for eigenphases t1 + t2 = phi, up to a sign
-        # fixed per bracket: it changes sign where one of them crosses 0
-        root, ok = _solve(p, bc, lo1, hi1, c1, lambda w, phi: np.real(
-            np.linalg.det(np.eye(2) - w) * np.exp(-0.5j * phi)), rtol, atol)
+        root, ok = _solve(p, bc, lo1, hi1, below1, lambda t, n, below: (
+            (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1)), rtol, atol)
         levels += [(e, 1) for e in root[ok].tolist()]
 
     levels.sort()
     eigenvalues, degeneracies, eigenfunctions, residuals = [], [], [], []
-    all_cols = _bc_matrix(p, bc, np.array([e for e, _ in levels]), rtol, atol)[0] if levels else []
-    for (root, count), cols in zip(levels, all_cols):
-        funcs, res = _eigenfunctions_at(p, bc, root, cols, count, rtol, atol)
+    for root, count in levels:
+        funcs, res = _eigenfunctions_at(p, bc, root, count, rtol, atol)
         worst = max(res)
         symmetry = max(_symmetry_defect(f) for f in funcs)
         if worst > RESIDUAL_LIMIT or symmetry > RESIDUAL_LIMIT:

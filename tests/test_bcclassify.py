@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, FAMILIES, apply_bc, classify,
                               synthesize, synthesize_from)
@@ -137,6 +138,19 @@ def test_synthesize_classify_round_trips():
     for family, params in cases:
         bc = classify(synthesize(family, **params))
         assert bc.name == family
+
+
+@pytest.mark.parametrize("seed", [13, 15])
+def test_case_iv_near_mixed_endpoint_round_trips(seed):
+    # within 1e-8 of the Dirichlet-at-a/Neumann-at-minus-a point theta is
+    # about 1e-8 and must keep the precision of sin(theta), or it reads 0
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    mixed = synthesize("dirichlet-at-a-neumann-at-minus-a").matrix
+    ucal = Unitary2.certify(mixed @ expm(0.5e-8j * (a + a.conj().T)))
+    bc = classify(ucal)
+    assert bc.case == "IV" and bc.angles[0] > 0.0
+    assert np.abs(synthesize_from(bc).matrix - ucal.matrix).max() < 1e-7
 
 
 def test_partition_and_parameter_round_trip():

@@ -165,7 +165,7 @@ def test_reverse_direction_integration():
 
 def test_propagate_matches_integrate():
     p = Potential.finite_well(-5.0, 0.5, 1.0)
-    t = odesolve.propagate(p, 3.0, -1.0, 1.0)
+    t, _ = odesolve.propagate(p, 3.0, -1.0, 1.0)
     sol = odesolve.integrate(p, 3.0, -1.0, 1.0, 1.0, 0.0)
     assert abs(t[0, 0] - sol.f1) < 1e-9
     assert abs(t[1, 0] - sol.df1) < 1e-9
@@ -198,7 +198,7 @@ def test_invalid_arguments():
 @pytest.mark.parametrize("lam", [-5.0, 40.0, 400.0, 1j])
 def test_magnus_propagate_matches_reference(p, lam):
     for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
-        got = odesolve.propagate(p, lam, x0, x1, MAGNUS_RTOL, 1e-14)
+        got = odesolve.propagate(p, lam, x0, x1, MAGNUS_RTOL, 1e-14)[0]
         assert _relative(got, oracles.reference_propagate(p, lam, x0, x1)) <= MAGNUS_RTOL
 
 
@@ -220,9 +220,9 @@ def test_deep_well_matches_piecewise_closed_form(lam):
     p = Potential.finite_well(-1000.0, 0.5, 1.0)
     outer, inner = _free_transfer(-lam, 0.5), _free_transfer(-1000.0 - lam, 1.0)
     exact = outer @ inner @ outer
-    assert _relative(odesolve.propagate(p, lam, -1.0, 1.0, MAGNUS_RTOL, 1e-14), exact) <= 1e-12
+    assert _relative(odesolve.propagate(p, lam, -1.0, 1.0, MAGNUS_RTOL, 1e-14)[0], exact) <= 1e-12
     outer, inner = _free_transfer(-lam, -0.5), _free_transfer(-1000.0 - lam, -1.0)
-    back = odesolve.propagate(p, lam, 1.0, -1.0, MAGNUS_RTOL, 1e-14)
+    back, _ = odesolve.propagate(p, lam, 1.0, -1.0, MAGNUS_RTOL, 1e-14)
     assert _relative(back, outer @ inner @ outer) <= 1e-12
 
 
@@ -230,22 +230,22 @@ def test_deep_well_matches_piecewise_closed_form(lam):
 def test_zero_potential_matches_closed_form(lam):
     for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
         exact = _free_transfer(-lam, x1 - x0)
-        assert _relative(odesolve.propagate(P0, lam, x0, x1), exact) <= 1e-13
+        assert _relative(odesolve.propagate(P0, lam, x0, x1)[0], exact) <= 1e-13
 
 
 def test_batched_propagate_matches_single_energies():
     p = Potential.harmonic(25.0, 1.0)
     energies = np.linspace(-30.0, 60.0, 2 * odesolve.ENERGY_BLOCK + 3)
-    batched = odesolve.propagate(p, energies, -1.0, 1.0)
+    batched, _ = odesolve.propagate(p, energies, -1.0, 1.0)
     assert batched.shape == (len(energies), 2, 2)
     for e, got in zip(energies, batched):
-        assert _relative(got, odesolve.propagate(p, e, -1.0, 1.0)) <= odesolve.DEFAULT_RTOL
+        assert _relative(got, odesolve.propagate(p, e, -1.0, 1.0)[0]) <= odesolve.DEFAULT_RTOL
 
 
 def test_scalar_lam_returns_one_matrix():
-    assert odesolve.propagate(P0, 1.0, -1.0, 1.0).shape == (2, 2)
-    assert odesolve.propagate(P0, 1j, -1.0, 1.0).shape == (2, 2)
-    assert odesolve.propagate(P0, [1.0], -1.0, 1.0).shape == (1, 2, 2)
+    assert odesolve.propagate(P0, 1.0, -1.0, 1.0)[0].shape == (2, 2)
+    assert odesolve.propagate(P0, 1j, -1.0, 1.0)[0].shape == (2, 2)
+    assert odesolve.propagate(P0, [1.0], -1.0, 1.0)[0].shape == (1, 2, 2)
 
 
 def test_observed_order_is_four():
@@ -269,3 +269,23 @@ def test_unresolved_potential_raises_after_max_halvings():
     with pytest.raises(IntegrationError) as info:
         odesolve.propagate(wild, 3.0, -1.0, 1.0)
     assert info.value.x_fail == -1.0
+
+
+def test_thick_barrier_transfer_meets_tolerance():
+    # near the ground level 1.25 the product over the piece passes through ~1e4
+    # and cancels back to ~5, so its rounding error sits above rtol * max(1, |T|)
+    p = Potential.harmonic(25.0 / 16.0, 4.0)
+    energies = np.linspace(1.25 - 1e-7, 1.25 + 1e-7, 123)
+    transfer, zeros = odesolve.propagate(p, energies, -4.0, 4.0)
+    assert np.abs(np.linalg.det(transfer) - 1.0).max() <= 1e-6
+    # u2 gains its first zero at the Dirichlet ground level (collocation, 6.3e-14)
+    assert np.array_equal(zeros, (energies > 1.2500000253).astype(int))
+
+
+@pytest.mark.parametrize("p", KINDS, ids=lambda p: p.kind)
+def test_propagate_counts_zeros_of_u2(p):
+    energies = np.array([-5.0, 3.0, 40.0, 400.0])
+    _, zeros = odesolve.propagate(p, energies, -1.0, 1.0)
+    for e, count in zip(energies, zeros):
+        u2 = odesolve.integrate(p, e, -1.0, 1.0, 0.0, 1.0).f.real[1:]
+        assert count == np.sum(u2[1:] * u2[:-1] < 0)

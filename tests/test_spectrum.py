@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from saext import odesolve
+from saext import odesolve, spectrum
 from saext.bcclassify import classify, synthesize
 from saext.extmap import Unitary2
 from saext.potential import Potential
@@ -211,17 +211,11 @@ def test_roots_in_edge_scan_intervals(e_min, e_max, levels):
     assert_matches(result, [(e, 1) for e in levels])
 
 
-PHASE_ALIASING = ("ROADMAP item 1: the phase-fall scan misses eigenphases that turn by "
-                  "2 pi inside one scan interval; an exact count N(E) fixes it")
-DEEP_STATES = ("ROADMAP item 2: deep surface states are lost to cancellation in S(E) and "
-               "in the one-sided eigenfunctions; a star-product S(E) fixes it")
-
-
 def robin_levels(alpha, gamma):
     return [(e, 1) for e in oracles.bisect_roots(oracles.robin_det(alpha, gamma), -46.0, 40.0)]
 
 
-@pytest.mark.parametrize("p, bc, e_max, levels", [
+DEFAULT_CASES = [
     # collocation references (perfbench/oracle.collocation_levels), error estimate 3.2e-10
     (Potential.harmonic(25.0, 1.0), bc_named("periodic"), 40.0,
      lambda: [(4.8093443118, 1), (16.2856182085, 1), (21.6785110794, 1)]),
@@ -246,34 +240,48 @@ def robin_levels(alpha, gamma):
      lambda: [(e, 1) for e in oracles.fd_dirichlet_levels(lambda x: 6.25 * x * x, 4, a=2.0)
               if e <= 10.0]),
     # collocation references, error estimate 6.3e-14; an eigenphase turns by 2 pi
-    # inside one scan interval behind the thick barrier, so 1.25 and 3.75 are missed
-    pytest.param(Potential.harmonic(25.0 / 16.0, 4.0), bc_named("dirichlet"), 10.0,
-                 lambda: [(1.2500000253, 1), (3.7500009573, 1), (6.2500170788, 1),
-                          (8.7501904594, 1)],
-                 marks=pytest.mark.xfail(strict=True, reason=PHASE_ALIASING)),
-    # collocation references, error estimate 9.1e-9; 2 of the 11 levels are found
-    pytest.param(Potential.finite_well(-1000.0, 0.5, 1.0), bc_named("dirichlet"), 10.0,
-                 lambda: [(-991.2711478665, 1), (-965.1030622057, 1), (-921.5532690663, 1),
-                          (-860.72532404, 1), (-782.7829213523, 1), (-687.9765764692, 1),
-                          (-576.6960276981, 1), (-449.584215119, 1), (-307.8337360944, 1),
-                          (-154.2604536805, 1), (-3.1111296874, 1)],
-                 marks=pytest.mark.xfail(strict=True, reason=PHASE_ALIASING)),
+    # inside one scan interval behind the thick barrier
+    (Potential.harmonic(25.0 / 16.0, 4.0), bc_named("dirichlet"), 10.0,
+     lambda: [(1.2500000253, 1), (3.7500009573, 1), (6.2500170788, 1), (8.7501904594, 1)]),
+    # collocation references, error estimate 9.1e-9
+    (Potential.finite_well(-1000.0, 0.5, 1.0), bc_named("dirichlet"), 10.0,
+     lambda: [(-991.2711478665, 1), (-965.1030622057, 1), (-921.5532690663, 1),
+              (-860.72532404, 1), (-782.7829213523, 1), (-687.9765764692, 1),
+              (-576.6960276981, 1), (-449.584215119, 1), (-307.8337360944, 1),
+              (-154.2604536805, 1), (-3.1111296874, 1)]),
     # bisection of oracles.robin_det to 1e-12 relative; collocation agrees to 6.0e-9.
-    # The eigenfunction at -400 still comes from a cancelling combination (ROADMAP
-    # item 2): it passes for this Ucal's rounding, and is dropped at boundary
-    # residual ~10 for most Ucal within 1e-15 of it
-    pytest.param(P0, bc_named("robin", alpha=30.0, gamma=-20.0), 5.0,
-                 lambda: [(-900.0, 1), (-400.0, 1), (2.6862167155, 1)]),
+    # S(E) from the transfer matrix still cancels at these depths (ROADMAP item 2):
+    # it comes out right for this Ucal's rounding, while for most Ucal within 1e-15
+    # of it the root near -900 lands up to 6 off and is dropped
+    (P0, bc_named("robin", alpha=30.0, gamma=-20.0), 5.0,
+     lambda: [(-900.0, 1), (-400.0, 1), (2.6862167155, 1)]),
     # collocation references, error estimate 9.7e-9; bisection of oracles.robin_det
-    # agrees at -900 and 2.616. The state at -900 is dropped at residual 1.97
-    pytest.param(P0, bc_named("robin", alpha=41.0, gamma=-30.0), 5.0,
-                 lambda: [(-1681.0, 1), (-900.0, 1), (2.6161196176, 1)],
-                 marks=pytest.mark.xfail(strict=True, reason=DEEP_STATES)),
-], ids=["harmonic-periodic", "well-periodic", "cosine-coupled", "robin(3,-3)", "robin(5,5)",
-        "robin(5,-5)", "robin(1,1)", "harmonic-dirichlet-a2", "harmonic-dirichlet-a4",
-        "deep-well-dirichlet", "robin(30,-20)", "robin(41,-30)"])
+    # agrees at -900 and 2.616. As above, within 1e-15 of this Ucal the levels at
+    # -1681 and -900 are usually lost
+    (P0, bc_named("robin", alpha=41.0, gamma=-30.0), 5.0,
+     lambda: [(-1681.0, 1), (-900.0, 1), (2.6161196176, 1)]),
+]
+DEFAULT_IDS = ["harmonic-periodic", "well-periodic", "cosine-coupled", "robin(3,-3)", "robin(5,5)",
+               "robin(5,-5)", "robin(1,1)", "harmonic-dirichlet-a2", "harmonic-dirichlet-a4",
+               "deep-well-dirichlet", "robin(30,-20)", "robin(41,-30)"]
+
+
+@pytest.mark.parametrize("p, bc, e_max, levels", DEFAULT_CASES, ids=DEFAULT_IDS)
 def test_default_arguments_find_every_level(p, bc, e_max, levels, caplog):
     with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
         result = find_eigenvalues(p, bc, e_max=e_max)
     assert not caplog.records, [r.getMessage() for r in caplog.records]
     assert_matches(result, levels())
+
+
+@pytest.mark.parametrize("p, bc, e_max, levels", DEFAULT_CASES, ids=DEFAULT_IDS)
+def test_level_count_between_reference_levels(p, bc, e_max, levels):
+    # below the first level, between each pair of adjacent levels and above the
+    # last, N(E) is the number of levels below E with multiplicity
+    energies = [e for e, _ in levels()]
+    probes = [energies[0] - 1.0, *((lo + hi) / 2 for lo, hi in zip(energies, energies[1:])),
+              (energies[-1] + e_max) / 2]
+    below = np.cumsum([0] + [m for _, m in levels()])
+    for rtol in (spectrum.SCAN_RTOL, odesolve.DEFAULT_RTOL):
+        count = spectrum._bc_matrix(p, bc, np.array(probes), rtol, odesolve.DEFAULT_ATOL)[2]
+        assert list(count) == list(below)
