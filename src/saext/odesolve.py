@@ -2,10 +2,10 @@
 
 The equation is the first-order system y' = A(x) y for y = (f, f'), with
 A = [[0, 1], [q, 0]] and q = V - lam.  It is stepped with the fourth-order
-Magnus method on a deterministic per-piece uniform grid (spacing <= a/512)
-whose pieces end at the potential breakpoints, so no step straddles a jump
-in V.  One step of length h samples q at the two Gauss points
-x_m -+ (sqrt(3)/6) h and exponentiates
+Magnus method on uniform steps that tile a deterministic per-piece grid
+(spacing <= a/512) whose pieces end at the potential breakpoints, so no
+step straddles a jump in V.  One step of length h samples q at the two
+Gauss points x_m -+ (sqrt(3)/6) h and exponentiates
 
     Omega = [[d, h], [h qbar, -d]],  qbar = (q1 + q2)/2,
     d = sqrt(3) h^2 (q1 - q2)/12,
@@ -16,16 +16,24 @@ and exact on pieces of constant V.  Steps are multiplied as deviations from
 the identity, so a piece of many near-identity steps keeps its rounding
 error near machine precision instead of letting it grow with the step count.
 
-Error control is by step halving, piece by piece.  Each grid interval is
-covered with 2**k and 2**(k-1) Magnus steps; the method's error expansion
-is even in h, so the Richardson value P_fine + (P_fine - P_coarse)/15 of
-the piece's prefix products P is returned.  For each energy the largest
-estimate |P_fine - P_coarse|/15 must stay below rtol*max(1, max |P - I|)
-+ atol, both maxima over the piece: the largest magnitude the product
-passes through sets its rounding, also where it cancels back to a small
-value.  Otherwise k grows, up to MAX_HALVINGS, after which
-IntegrationError is raised.  ``propagate`` evaluates many energies at once
-and counts the zeros of a solution on the way.
+Error control chooses the step, piece by piece.  At level k, 2**k Magnus
+steps cover each grid interval, or for k < 0 one step covers 2**-k of
+them.  The piece is stepped at levels k and k + 1; the method's error
+expansion is even in h, so the Richardson value
+P_fine + (P_fine - P_coarse)/15 of the piece's prefix products P is
+returned.  For each energy the largest estimate |P_fine - P_coarse|/15
+must stay below rtol*max(1, max |P - I|) + atol, both maxima over the
+piece: the largest magnitude the product passes through sets its
+rounding, also where it cancels back to a small value.  Otherwise k grows
+to the level where the estimate, which falls 16-fold as h halves, should
+pass, up to MAX_HALVINGS, after which IntegrationError is raised.
+``fundamental_solutions`` starts at k = 0, since its output lives on the
+grid.  ``propagate`` returns only products over whole blocks of
+intervals, so it starts with steps of up to 2**_MAX_COARSENINGS intervals
+that turn the phase of a solution by less than pi/4, and each later block
+of energies at the level the estimates of the one before point to.  It
+evaluates many energies at once and counts the zeros of a solution on
+the way.
 
 Every solution of the same potential over the same span shares the grid,
 which makes pointwise linear combinations and quadrature between
@@ -46,12 +54,13 @@ from .errors import GridError, IntegrationError
 DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 
-MAX_HALVINGS = 8      # step halvings per grid interval before IntegrationError
-ENERGY_BLOCK = 8      # energies per batch in propagate; bounds the peak memory
+MAX_HALVINGS = 8      # finest step: 2**8 per grid interval; finer raises IntegrationError
+ENERGY_BLOCK = 32     # energies per batch in propagate; bounds the peak memory
 STEP_CHUNK = 4096     # Magnus steps generated per batch and energy
 
 _INTERVALS_PER_HALFWIDTH = 512  # dense spacing target a/512, well under the a/128 contract
 _MIN_SEGMENT_INTERVALS = 8
+_MAX_COARSENINGS = 3  # propagate's first steps span up to 2**3 grid intervals (a/64)
 _INTERVAL_MULTIPLE = 4  # quadrature halves a piece's Simpson panels once
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # two-point Gauss nodes sit at x_m -+ this times h
 
@@ -184,41 +193,43 @@ def _prefix(m):
     return m
 
 
-def _gauss_samples(vfun, grid, sub, h):
-    """Energy-independent parts of every Magnus step with 2**k = sub steps per
-    grid interval: qbar + lam = (V1 + V2)/2 and d, from V at the two Gauss
+def _gauss_samples(vfun, grid, halvings):
+    """Step length h and the energy-independent parts of every Magnus step at
+    level k = halvings, 2**k steps per grid interval (for k < 0, one step per
+    2**-k intervals): qbar + lam = (V1 + V2)/2 and d, from V at the two Gauss
     points, in chunks of at most STEP_CHUNK steps."""
-    n = len(grid) - 1
-    per_chunk = max(1, STEP_CHUNK // sub)
+    n = round((len(grid) - 1) * 2.0 ** halvings)
+    h = (grid[-1] - grid[0]) / n
     chunks = []
-    for j0 in range(0, n, per_chunk):
-        mid = grid[0] + (np.arange(j0 * sub, min(n, j0 + per_chunk) * sub) + 0.5) * h
+    for j0 in range(0, n, STEP_CHUNK):
+        mid = grid[0] + (np.arange(j0, min(n, j0 + STEP_CHUNK)) + 0.5) * h
         v1, v2 = vfun(mid - _GAUSS_OFFSET * h), vfun(mid + _GAUSS_OFFSET * h)
         chunks.append((0.5 * (v1 + v2), (np.sqrt(3.0) / 12.0 * h * h) * (v1 - v2)))
-    return chunks
+    return h, chunks
 
 
 def _interval_transfers(vfun, lams, grid, levels, samples=None):
-    """Transfer matrices of every grid interval, each covered by 2**k Magnus steps.
+    """Transfer matrices of every grid interval, each covered by 2**k Magnus
+    steps, or for k < 0 of every step spanning 2**-k intervals.
 
     lams is a 1-D array of spectral parameters and levels a tuple of
-    halving counts k; returns the entries (t00 - 1, t01, t10, t11 - 1),
-    each of shape (len(levels), len(lams), len(grid) - 1).  Steps are
+    halving levels k; returns the entries (t00 - 1, t01, t10, t11 - 1),
+    each of shape (len(levels), len(lams), len(grid) - 1), where a single
+    level k < 0 gives (len(grid) - 1) * 2**k transfers instead.  Steps are
     generated STEP_CHUNK at a time so memory stays flat as h shrinks.
     samples, a dict keyed by k, keeps the sampled potential between calls
     on the same piece, so V is sampled once per level however many energy
     blocks pass through it.
     """
     samples = {} if samples is None else samples
-    n = len(grid) - 1
     out = []
     for halvings in levels:
-        sub = 1 << halvings
-        h = (grid[-1] - grid[0]) / (n * sub)
         if halvings not in samples:
-            samples[halvings] = _gauss_samples(vfun, grid, sub, h)
+            samples[halvings] = _gauss_samples(vfun, grid, halvings)
+        h, chunks = samples[halvings]
+        sub = 1 << max(halvings, 0)
         parts = []
-        for vbar, d in samples[halvings]:
+        for vbar, d in chunks:
             h_qbar = h * (vbar - lams[:, None])
             cm1, sc = _cosh_sinhc(d * d + h * h_qbar)
             sd = sc * d
@@ -228,30 +239,45 @@ def _interval_transfers(vfun, lams, grid, levels, samples=None):
     return tuple(np.stack(x) for x in zip(*out))
 
 
-def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol):
+def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
     grid intervals, as entries (t00 - 1, t01, t10, t11 - 1) of shape
-    (number of blocks, len(lams)); h is halved per energy until the error
-    estimate passes (see the module docstring)."""
+    (number of blocks, len(lams)), and the level to start the next energies
+    at.  Steps start at level start >= -rounds and shrink per energy until
+    the error estimate passes (see the module docstring)."""
     def edges(levels, sel):
-        steps = _interval_transfers(vfun, sel, grid, levels, samples)
-        prefix = np.stack(_prefix(_blocks(steps, rounds)), axis=1)
+        blocks = [_blocks(_interval_transfers(vfun, sel, grid, (k,), samples), rounds + min(k, 0))
+                  for k in levels]
+        prefix = np.stack(_prefix([np.concatenate(x) for x in zip(*blocks)]), axis=1)
         return prefix.swapaxes(2, 3).reshape(len(levels), -1, len(sel))
 
     x_start = float(grid[0])
-    coarse, fine = edges((0, 1), lams)
-    for halvings in range(2, MAX_HALVINGS + 2):
+    coarse, fine = edges((start, start + 1), lams)
+    level = np.full(len(lams), start)  # of each energy's coarser steps
+    while True:
         value = fine + (fine - coarse) / 15.0
         if not np.all(np.isfinite(value)):
             raise IntegrationError(f"solution overflowed after x = {x_start}", x_fail=x_start)
         err = np.max(np.abs(fine - coarse), axis=0) / 15.0
-        bad = ~(err <= rtol * np.maximum(1.0, np.max(np.abs(value), axis=0)) + atol)
+        bound = rtol * np.maximum(1.0, np.max(np.abs(value), axis=0)) + atol
+        bad = ~(err <= bound)
+        with np.errstate(divide="ignore"):  # the estimate falls 16-fold as h halves
+            need = level + np.ceil(0.25 * np.log2(err / bound))
         if not bad.any():
-            return value.reshape(4, -1, len(lams))
-        if halvings > MAX_HALVINGS:
+            # the next energies start at most one level coarser, and not below a
+            # level that failed here
+            floor = np.where(level > start, start + 1, start - 1)
+            return value.reshape(4, -1, len(lams)), int(np.min(np.maximum(need, floor)))
+        k = level[bad][0]  # shared by every energy still refined
+        if k >= MAX_HALVINGS - 1:
             break
-        coarse[:, bad] = fine[:, bad]
-        fine[:, bad] = edges((halvings,), lams[bad])[0]
+        target = int(min(np.min(need[bad]), MAX_HALVINGS - 1))
+        if target == k + 1:
+            coarse[:, bad] = fine[:, bad]
+            fine[:, bad] = edges((target + 1,), lams[bad])[0]
+        else:
+            coarse[:, bad], fine[:, bad] = edges((target, target + 1), lams[bad])
+        level[bad] = target
     raise IntegrationError(f"no convergence after {MAX_HALVINGS} step halvings "
                            f"on the piece starting at x = {x_start}", x_fail=x_start)
 
@@ -294,7 +320,8 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _, _, vfun, grid in _segment_grid(p, x0, x1):
-            t00, t01, t10, t11 = _piece_prefix(vfun, grid, lams, 0, {}, rtol, atol)[..., 0, None]
+            prefix, _ = _piece_prefix(vfun, grid, lams, 0, {}, rtol, atol)
+            t00, t01, t10, t11 = prefix[..., 0, None]
             piece = np.concatenate([y[None], np.stack([(1.0 + t00) * y[0] + t01 * y[1],
                                                        t10 * y[0] + (1.0 + t11) * y[1]], axis=1)])
             skip = 1 if count else 0  # junction point already recorded
@@ -328,7 +355,12 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     its energies in one call.  Energies are processed ENERGY_BLOCK at a
     time.  Each piece's steps are multiplied by a pairwise tree into blocks
     that hold at most one zero of u2, whose prefix products give u2 at the
-    block edges; V is sampled once per piece and halving level.
+    block edges.  A step may span several grid intervals: the first block
+    of energies starts each piece with steps of up to 2**_MAX_COARSENINGS
+    intervals that turn the phase of u2 by less than pi/4, and each later
+    block at the level the error estimates of the one before point to
+    (module docstring); nothing carries over between calls.  V is sampled
+    once per piece and step level.
 
     Raises:
         IntegrationError: when the solution overflows, h would be halved
@@ -339,13 +371,14 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     pieces = _segment_grid(p, x0, x1)
     samples = [{} for _ in pieces]
     v_min = [np.min(vfun(grid)) for _, _, vfun, grid in pieces]
+    warm = [-_MAX_COARSENINGS] * len(pieces)  # per piece, the level the next block starts at
     out = np.empty((len(lams), 2, 2), dtype=complex)
     zeros = np.zeros(len(lams), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
             t = (0.0, 0.0, 0.0, 0.0)  # deviation from the identity
-            for (_, _, vfun, grid), cache, low in zip(pieces, samples, v_min):
+            for i, ((_, _, vfun, grid), cache, low) in enumerate(zip(pieces, samples, v_min)):
                 # zeros lie >= pi / sqrt(max(E - V)) apart (Sturm comparison), so a block
                 # with h_block sqrt(E - min V) < pi/2 holds at most one; 2 covers V between samples
                 hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block.real) - low))
@@ -354,7 +387,16 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
                                            f"{np.max(block.real):g}", x_fail=float(grid[0]))
                 full = (len(grid) - 2).bit_length()
                 rounds = min(full, int(np.ceil(np.log2(0.5 * np.pi / hk))) - 1) if hk else full
-                e00, e01, e10, e11 = _piece_prefix(vfun, grid, block, rounds, cache, rtol, atol)
+                # the first steps span 2**c intervals that tile the piece in at least
+                # _MIN_SEGMENT_INTERVALS steps and turn u2's phase by less than pi/4,
+                # half a block's pi/2, so no step straddles two blocks
+                n, c = len(grid) - 1, 0
+                while (c < _MAX_COARSENINGS and n % (2 << c) == 0
+                       and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS
+                       and (2 << c) * hk < 0.25 * np.pi):
+                    c += 1
+                (e00, e01, e10, e11), warm[i] = _piece_prefix(
+                    vfun, grid, block, rounds, cache, rtol, atol, max(warm[i], -c))
                 u0, du0 = np.broadcast_to(t[1], block.shape), 1.0 + t[3]  # u2 at the piece start
                 u = np.concatenate([u0[None].real, ((1.0 + e00) * u0 + e01 * du0).real])
                 zeros[start:start + len(block)] += np.sum(u[1:] * u[:-1] < 0, axis=0)

@@ -194,10 +194,19 @@ def test_invalid_arguments():
         odesolve.integrate(P0, 1.0, -1.0, 1.0, 1.0, 0.0, rtol=-1e-10)
 
 
-@pytest.mark.parametrize("p", KINDS, ids=lambda p: p.kind)
-@pytest.mark.parametrize("lam", [-5.0, 40.0, 400.0, 1j])
+# every kind at every energy, and at half-width 8, where V turns over many
+# grid intervals, the wide cosine and harmonic potentials
+MAGNUS_CASES = [(p, lam) for lam in (-5.0, 40.0, 400.0, 1j) for p in KINDS] + [
+    (Potential.cosine(5.0, np.pi, 8.0), 10.0),
+    (Potential.cosine(5.0, np.pi, 8.0), -3.0),
+    (Potential.harmonic(25.0 / 64.0, 8.0), 5.0),
+]
+
+
+@pytest.mark.parametrize("p, lam", MAGNUS_CASES, ids=[
+    f"{lam}-{p.kind}" + ("" if p.a == 1.0 else f"-a{p.a:g}") for p, lam in MAGNUS_CASES])
 def test_magnus_propagate_matches_reference(p, lam):
-    for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
+    for x0, x1 in ((-p.a, p.a), (p.a, -p.a)):
         got = odesolve.propagate(p, lam, x0, x1, MAGNUS_RTOL, 1e-14)[0]
         assert _relative(got, oracles.reference_propagate(p, lam, x0, x1)) <= MAGNUS_RTOL
 
@@ -226,11 +235,18 @@ def test_deep_well_matches_piecewise_closed_form(lam):
     assert _relative(back, outer @ inner @ outer) <= 1e-12
 
 
-@pytest.mark.parametrize("lam", [-990.0, -30.0, -1.0, 0.0, 2.5, 40.0, 400.0, 1j, 3.0 + 2.0j])
+@pytest.mark.parametrize("lam", [-990.0, -30.0, -1.0, 0.0, 2.5, 40.0, 400.0, 1j, 3.0 + 2.0j,
+                                 1e4, 1e5, 4e5])
 def test_zero_potential_matches_closed_form(lam):
     for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
         exact = _free_transfer(-lam, x1 - x0)
-        assert _relative(odesolve.propagate(P0, lam, x0, x1)[0], exact) <= 1e-13
+        got, zeros = odesolve.propagate(P0, lam, x0, x1)
+        assert _relative(got, exact) <= 1e-13
+        if np.isreal(lam):
+            # sin(k |x - x0|) / k has ceil(2k / pi) - 1 zeros inside: 63, 201 and 402 at
+            # the top three energies, where a grid interval turns its phase by up to
+            # 1.23, near the pi/2 that counting allows
+            assert zeros == max(0, math.ceil(2.0 * math.sqrt(max(lam, 0.0)) / math.pi) - 1)
 
 
 def test_batched_propagate_matches_single_energies():
@@ -240,6 +256,20 @@ def test_batched_propagate_matches_single_energies():
     assert batched.shape == (len(energies), 2, 2)
     for e, got in zip(energies, batched):
         assert _relative(got, odesolve.propagate(p, e, -1.0, 1.0)[0]) <= odesolve.DEFAULT_RTOL
+
+
+def test_propagate_keeps_no_state_between_calls():
+    # the step level one energy block ends at seeds only the next block of the
+    # same call: a repeated call returns the same bits, also after a call whose
+    # higher energies end at finer steps than these need
+    p = Potential.harmonic(25.0, 1.0)
+    energies = np.linspace(-30.0, 400.0, 3 * odesolve.ENERGY_BLOCK + 5)
+    first_t, first_zeros = odesolve.propagate(p, energies, -1.0, 1.0)
+    for other in (None, np.linspace(1e3, 1e4, 2 * odesolve.ENERGY_BLOCK)):
+        if other is not None:
+            odesolve.propagate(p, other, -1.0, 1.0)
+        t, zeros = odesolve.propagate(p, energies, -1.0, 1.0)
+        assert np.array_equal(t, first_t) and np.array_equal(zeros, first_zeros)
 
 
 def test_scalar_lam_returns_one_matrix():

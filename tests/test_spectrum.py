@@ -285,3 +285,21 @@ def test_level_count_between_reference_levels(p, bc, e_max, levels):
     for rtol in (spectrum.SCAN_RTOL, odesolve.DEFAULT_RTOL):
         count = spectrum._bc_matrix(p, bc, np.array(probes), rtol, odesolve.DEFAULT_ATOL)[2]
         assert list(count) == list(below)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: at a=8 the solutions from -a grow by about e^37 at E = -6, "
+    "where S(E) reads rounding noise and 20 candidates are dropped; the surface "
+    "state -2.9235 is dropped at boundary residual 1.1e-5"))
+def test_default_arguments_keep_wide_surface_state(caplog):
+    # collocation references on four pieces (perfbench/oracle.collocation_levels),
+    # error estimate 4.2e-11
+    levels = [-2.9235028098, -1.2073184732, -1.100265892, -1.0156791182, -0.8342824188,
+              -0.690341264, -0.4886089657, -0.3667491852, 1.352672687, 4.3258746149,
+              4.8371540101, 5.2181842439, 6.0204820242, 6.6592315395, 7.7683499791,
+              8.6192781143]
+    bc = bc_named("general-coupled", alpha=1.0, beta=0.5 + 0.5j, gamma=-2.0)
+    with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
+        result = find_eigenvalues(Potential.cosine(5.0, np.pi, 8.0), bc, e_max=10.0)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+    assert_matches(result, [(e, 1) for e in levels])
