@@ -184,8 +184,7 @@ def solve_even_odd(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     if not p.is_even():
         raise ParityError(f"potential {p.kind!r} is not even")
 
-    halves = [odesolve.integrate(p, 1j, 0.0, p.a, 1.0, 0.0, rtol, atol),
-              odesolve.integrate(p, 1j, 0.0, p.a, 0.0, 1.0, rtol, atol)]
+    halves = odesolve.fundamental_solutions(p, 1j, 0.0, p.a, rtol, atol)
     fulls = [_mirror(halves[0], even=True), _mirror(halves[1], even=False)]
     scales = [1.0 / odesolve.norm(g) for g in fulls]
     g_plus, g_minus = (g.scaled(s) for g, s in zip(fulls, scales))
@@ -216,8 +215,7 @@ def solve_orthonormal_pair(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     Raises:
         DegeneracyError: when the orthogonalized remainder nearly vanishes.
     """
-    v1 = odesolve.integrate(p, 1j, -p.a, p.a, 1.0, 0.0, rtol, atol)
-    v2 = odesolve.integrate(p, 1j, -p.a, p.a, 0.0, 1.0, rtol, atol)
+    v1, v2 = odesolve.fundamental_solutions(p, 1j, -p.a, p.a, rtol, atol)
 
     n1 = odesolve.norm(v1)
     g1 = v1.scaled(1.0 / n1)

@@ -55,7 +55,7 @@ DEFAULT_RTOL = 1e-10
 DEFAULT_ATOL = 1e-12
 
 MAX_HALVINGS = 8      # finest step: 2**8 per grid interval; finer raises IntegrationError
-ENERGY_BLOCK = 32     # energies per batch in propagate; bounds the peak memory
+ENERGY_BLOCK = 32     # energies per batch of propagate and fundamental_solutions
 STEP_CHUNK = 4096     # Magnus steps generated per batch and energy
 
 _INTERVALS_PER_HALFWIDTH = 512  # dense spacing target a/512, well under the a/128 contract
@@ -296,15 +296,22 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """The solutions u1, u2 of -f'' + V f = lam f with (f, f')(x0) = (1, 0)
     and (0, 1), from one pass over the transfer matrices to every sample.
 
+    lam is a scalar, giving the pair (u1, u2), or a 1-D array, giving a
+    list of one such pair per entry; every solution shares one grid.
+    Energies are processed ENERGY_BLOCK at a time, so the transient memory
+    does not grow with their number, and V is sampled once per piece and
+    step level.  Each block starts at k = 0 (module docstring).
+
     Args:
         p: the Potential (both endpoints must lie in [-a, a]).
-        lam: complex spectral parameter.
+        lam: complex spectral parameter, or a 1-D array of them.
         x0, x1: distinct endpoints; integration may run in either direction.
         rtol, atol: error bound of the piece products (module docstring);
             both positive.
 
     Returns:
-        (u1, u2), OdeSolutions with dense samples spaced at most a/512 apart.
+        (u1, u2), OdeSolutions with dense samples spaced at most a/512
+        apart, or a list of such pairs.
 
     Raises:
         IntegrationError: when the solution overflows or h would be halved
@@ -314,29 +321,34 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
     lams = _spectral_array(lam)
-    y = np.eye(2, dtype=complex)  # rows f, f'; column k: u_k at the piece start
-
-    xs, ys, seg_starts = [], [], []
-    count = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, _, vfun, grid in _segment_grid(p, x0, x1):
-            prefix, _ = _piece_prefix(vfun, grid, lams, 0, {}, rtol, atol)
-            t00, t01, t10, t11 = prefix[..., 0, None]
-            piece = np.concatenate([y[None], np.stack([(1.0 + t00) * y[0] + t01 * y[1],
-                                                       t10 * y[0] + (1.0 + t11) * y[1]], axis=1)])
-            skip = 1 if count else 0  # junction point already recorded
-            seg_starts.append(count - skip)
-            xs.append(grid[skip:])
-            ys.append(piece[skip:])
-            count += len(grid) - skip
-            y = piece[-1]
-
-    x = np.concatenate(xs)
+    pieces = _segment_grid(p, x0, x1)
+    samples = [{} for _ in pieces]
+    skips = [0] + [1] * (len(pieces) - 1)  # junction points already recorded
+    x = np.concatenate([grid[skip:] for (_, _, _, grid), skip in zip(pieces, skips)])
     x.setflags(write=False)
-    y = np.concatenate(ys)
-    y.setflags(write=False)
-    return tuple(OdeSolution(complex(lam), float(x0), float(x1), complex(k == 0), complex(k == 1),
-                             x, y[:, 0, k], y[:, 1, k], tuple(seg_starts)) for k in (0, 1))
+    seg_starts = tuple(np.cumsum([0] + [len(grid) - 1 for _, _, _, grid in pieces[:-1]]).tolist())
+
+    pairs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(lams), ENERGY_BLOCK):
+            block = lams[start:start + ENERGY_BLOCK]
+            # rows f, f'; column k: u_k at the piece start, for every energy
+            y = np.broadcast_to(np.eye(2, dtype=complex), (len(block), 2, 2))
+            ys = []
+            for (_, _, vfun, grid), cache, skip in zip(pieces, samples, skips):
+                prefix, _ = _piece_prefix(vfun, grid, block, 0, cache, rtol, atol)
+                t00, t01, t10, t11 = prefix[..., None]
+                piece = np.concatenate([y[None], np.stack([(1.0 + t00) * y[:, 0] + t01 * y[:, 1],
+                                                           t10 * y[:, 0] + (1.0 + t11) * y[:, 1]],
+                                                          axis=2)])
+                ys.append(piece[skip:])
+                y = piece[-1]
+            y = np.moveaxis(np.concatenate(ys), 0, -1).copy()  # energy, row, k, sample
+            y.setflags(write=False)
+            pairs += [tuple(OdeSolution(complex(e), float(x0), float(x1), complex(k == 0),
+                                        complex(k == 1), x, y[j, 0, k], y[j, 1, k], seg_starts)
+                            for k in (0, 1)) for j, e in enumerate(block.tolist())]
+    return pairs[0] if np.ndim(lam) == 0 else pairs
 
 
 def integrate(p, lam, x0, x1, f0, df0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):

@@ -55,7 +55,8 @@ class SpectrumResult:
     L2-normalized OdeSolution trajectories; ``residuals[i]`` is the worst
     residual among them, of the endpoint relation or of the join of a
     simple level's eigenfunction.  ``det_trace`` keeps the
-    (E, |det M|) samples of the uniform scan for plotting and diagnostics.
+    (E, |det M|) samples of the scan, uniform in sqrt(E - e_min), for
+    plotting and diagnostics.
     """
 
     bc: BoundaryCondition
@@ -113,10 +114,19 @@ def _eigenphases(w):
 def _solve(p, bc, lo, hi, below, target, rtol, atol):
     """Roots of target(eigenphases of W, N(E), N(lo)) in the brackets
     [lo, hi] in one vectorized call, and the mask of those that converged.
+    The ends of all brackets are evaluated in one batched call, whose
+    halves answer find_root's evaluations at exactly lo and at exactly hi.
     Ends that share a sign at full tolerance put the root at an end, within
     the accuracy of W: the end with the smaller |target| is taken.
     """
+    _, t, n = _bc_matrix(p, bc, np.r_[lo, hi], rtol, atol)
+    ends = [(lo, t[:len(lo)], n[:len(lo)]), (hi, t[len(lo):], n[len(lo):])]
+
     def f(energy, below):
+        for i, (end, t_end, n_end) in enumerate(ends):
+            if np.array_equal(energy, end):
+                del ends[i]
+                return target(t_end, n_end, below)
         return target(*_bc_matrix(p, bc, energy, rtol, atol)[1:], below)
 
     res = minimize_scalar(f, (lo, hi), args=(below,), tolerances={"xatol": rtol, "xrtol": rtol})
@@ -135,8 +145,10 @@ def _phase_fixed(sol):
     return sol.scaled(np.conj(peak) / abs(peak)) if abs(peak) > 0 else sol
 
 
-def _eigenfunctions_at(p, bc, energy, count, rtol, atol):
-    """The count L2-orthonormal eigenfunctions at a root, with residuals.
+def _eigenfunctions_at(bc, count, left, right):
+    """The count L2-orthonormal eigenfunctions at a root, with residuals,
+    from the fundamental solutions left launched at -a and, for a simple
+    level, right launched at a.
 
     Data (f, f') = B q at a and B' q at -a meet the BC for every q; with Y,
     Y' the fundamental matrices launched at -a and at a, a null vector q of
@@ -149,7 +161,6 @@ def _eigenfunctions_at(p, bc, energy, count, rtol, atol):
     ucal, eye = bc.Ucal.matrix, np.eye(2)
     at_a = np.array([(eye - ucal)[0] / 2j, (eye + ucal)[0] / 2])          # B
     at_minus_a = np.array([-(eye - ucal)[1] / 2j, (eye + ucal)[1] / 2])  # B'
-    left = odesolve.fundamental_solutions(p, energy, -p.a, p.a, rtol, atol)
 
     def matrix(sols, i):  # the fundamental matrix at sample i
         return np.array([[u.f[i] for u in sols], [u.df[i] for u in sols]])
@@ -160,7 +171,6 @@ def _eigenfunctions_at(p, bc, energy, count, rtol, atol):
     qs = null(matrix(left, -1) @ at_minus_a - at_a, count)
     parts = [(odesolve.combine(left, at_minus_a @ q), 0.0) for q in qs]
     if count == 1:
-        right = odesolve.fundamental_solutions(p, energy, p.a, -p.a, rtol, atol)
         g = odesolve.combine(right, at_a @ null(at_minus_a - matrix(right, -1) @ at_a)[0])
         j = min(int(np.argmax(np.abs(parts[0][0].f * g.f[::-1]))), len(g.f) - 2)  # the join
         (q,) = null(matrix(left, j) @ at_minus_a - matrix(right, -1 - j) @ at_a)
@@ -197,8 +207,11 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         e_min: scan floor.  The default is -sup|V| - 1; while levels lie
             below it, the depth below -sup|V| doubles, and the first floor
             with none below is prepended to the scan.
-        grid: number of scan points (>= 16); defaults to a density of
-            eight points per (pi/2a)^2, half the bottom level spacing.
+        grid: number of scan points (>= 16), spaced uniformly in the
+            wavenumber k = sqrt(E - e_min) from e_min to e_max; defaults to
+            eight points per pi/2a in k, the asymptotic spacing of the
+            Dirichlet levels, so the scan grows like the level count,
+            a sqrt(e_max - e_min), not like a^2 (e_max - e_min).
 
     Returns:
         SpectrumResult (empty eigenvalue list when no roots are found).
@@ -206,15 +219,16 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
     default_floor = e_min is None
     if default_floor:
         e_min = -p.sup_norm() - 1.0
-    if grid is None:
-        spacing = (np.pi / (2.0 * p.a)) ** 2 / 8.0
-        grid = max(16, int(np.ceil((e_max - e_min) / spacing)))
     if e_min >= e_max:
         raise ValueError(f"empty scan range [{e_min}, {e_max}]")
+    k_max = np.sqrt(e_max - e_min)
+    if grid is None:
+        grid = max(16, int(np.ceil(8.0 * k_max / (np.pi / (2.0 * p.a)))))
     if grid < 16:
         raise ValueError("grid must be at least 16")
 
-    energies = np.linspace(e_min, e_max, grid)
+    energies = e_min + np.linspace(0.0, k_max, grid) ** 2
+    energies[-1] = e_max
     cols, _, count = _bc_matrix(p, bc, energies, SCAN_RTOL, atol)
     det_trace = list(zip(energies.tolist(), np.abs(np.linalg.det(cols)).tolist()))
     if default_floor:
@@ -252,9 +266,15 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         levels += [(e, 1) for e in root[ok].tolist()]
 
     levels.sort()
+    # the fundamental solutions of every level from -a in one call, and of
+    # every simple level from a in one more
+    roots = np.array([e for e, _ in levels])
+    lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a, rtol, atol)
+    simple = np.array([e for e, count in levels if count == 1])
+    rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a, rtol, atol))
     eigenvalues, degeneracies, eigenfunctions, residuals = [], [], [], []
-    for root, count in levels:
-        funcs, res = _eigenfunctions_at(p, bc, root, count, rtol, atol)
+    for (root, count), left in zip(levels, lefts):
+        funcs, res = _eigenfunctions_at(bc, count, left, next(rights) if count == 1 else None)
         worst = max(res)
         symmetry = max(_symmetry_defect(f) for f in funcs)
         if worst > RESIDUAL_LIMIT or symmetry > RESIDUAL_LIMIT:

@@ -258,6 +258,25 @@ def test_batched_propagate_matches_single_energies():
         assert _relative(got, odesolve.propagate(p, e, -1.0, 1.0)[0]) <= odesolve.DEFAULT_RTOL
 
 
+def test_batched_fundamental_solutions_match_scalar_calls(monkeypatch):
+    # blocks of 3 energies, so the batch crosses block edges; one complex
+    # entry makes the whole batch complex
+    monkeypatch.setattr(odesolve, "ENERGY_BLOCK", 3)
+    p = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
+    lams = np.array([-4.0, -0.5, 1.0 + 0.5j, 3.0, 12.0, 40.0, 150.0])
+    pairs = odesolve.fundamental_solutions(p, lams, -1.0, 1.0)
+    assert len(pairs) == len(lams)
+    for lam, pair in zip(lams, pairs):
+        single = odesolve.fundamental_solutions(p, lam, -1.0, 1.0)
+        assert isinstance(single, tuple) and len(single) == 2
+        assert (single[0].f0, single[0].df0, single[1].f0, single[1].df0) == (1, 0, 0, 1)
+        for u, w in zip(pair, single):
+            assert odesolve._same_grid(u, w) and u.lam == w.lam == lam
+            assert (u.f0, u.df0) == (w.f0, w.df0)
+            for got, want in ((u.f, w.f), (u.df, w.df)):
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
 def test_propagate_keeps_no_state_between_calls():
     # the step level one energy block ends at seeds only the next block of the
     # same call: a repeated call returns the same bits, also after a call whose

@@ -201,6 +201,67 @@ def test_scan_is_one_batched_propagate(monkeypatch):
     assert calls[1] <= calls[0] + 5
 
 
+def test_default_scan_grows_with_the_level_count():
+    # eight points per pi/2a in the wavenumber sqrt(E - e_min): a few hundred
+    # energies for the 63 levels below 1e4, where eight per (pi/2a)^2 in E
+    # took 32,427
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_max=1e4)
+    assert_matches(result, [((n * np.pi / 2) ** 2, 1) for n in range(1, 64)], rel=1e-9)
+    e_min = -1.0  # the default floor, -sup|V| - 1
+    assert len(result.det_trace) <= np.ceil(8 * np.sqrt(1e4 - e_min) / (np.pi / 2)) + 1
+
+
+def test_double_well_doublets_match_finite_differences():
+    # V = 1600 (x^2 - 1/4)^2: two tunnelling doublets below 120, the lower
+    # split by 0.60
+    p = Potential.polynomial([100.0, 0.0, -800.0, 0.0, 1600.0], 1.0)
+    result = find_eigenvalues(p, bc_named("dirichlet"), e_max=120.0)
+    expected = oracles.fd_dirichlet_levels(lambda x: 1600.0 * (x * x - 0.25) ** 2, 4)
+    assert_matches(result, [(e, 1) for e in expected], rel=1e-8)
+
+
+def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
+    # the solutions from -a of every level come from one call, and those from
+    # a of every simple level from one more
+    sizes = []
+    fundamental = odesolve.fundamental_solutions
+
+    def counting(p, lam, *args):
+        sizes.append(np.size(lam))
+        return fundamental(p, lam, *args)
+
+    monkeypatch.setattr(odesolve, "fundamental_solutions", counting)
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_max=40.0)
+    assert result.degeneracies.count(1) >= 3
+    assert len(sizes) <= 2
+
+
+def test_solve_evaluates_all_bracket_ends_in_one_call(monkeypatch):
+    # the periodic box has a simple level at 0 and double ones at (n pi)^2,
+    # so both the one-level and the two-level solve run
+    solves, calls = [], []
+    solve, propagate = spectrum._solve, odesolve.propagate
+
+    def recording_solve(p, bc, lo, hi, *args):
+        calls.clear()
+        result = solve(p, bc, lo, hi, *args)
+        solves.append((lo, hi, list(calls)))
+        return result
+
+    def recording_propagate(p, lam, *args):
+        calls.append(np.atleast_1d(lam))
+        return propagate(p, lam, *args)
+
+    monkeypatch.setattr(spectrum, "_solve", recording_solve)
+    monkeypatch.setattr(odesolve, "propagate", recording_propagate)
+    result = find_eigenvalues(P0, bc_named("periodic"), e_max=40.0)
+    assert 1 in result.degeneracies and 2 in result.degeneracies
+    assert len(solves) == 2
+    for lo, hi, energies in solves:
+        assert np.array_equal(energies[0], np.r_[lo, hi])
+        assert not any(np.array_equal(e, lo) or np.array_equal(e, hi) for e in energies[1:])
+
+
 @pytest.mark.parametrize("e_min, e_max, levels", [
     (np.pi ** 2 / 4 - 0.05, 10.0, [np.pi ** 2 / 4, np.pi ** 2]),
     (5.0, 9 * np.pi ** 2 / 4 + 0.05, [np.pi ** 2, 9 * np.pi ** 2 / 4]),
