@@ -52,8 +52,8 @@ def map_roundtrip(basis, samples, rng):
         u = extmap.Unitary2.certify(extmap.haar_unitary(rng))
         ucal = extmap.forward_map(basis, u).Ucal
         worst = max(worst, float(np.abs(extmap.inverse_map(basis, ucal).matrix - u.matrix).max()))
-        sigma = np.linalg.svd(extmap.homogeneous_system(basis, ucal), compute_uv=False)
-        sigma_min = min(sigma_min, float(sigma[-1]))
+        m = extmap._inverse_system(basis, ucal.matrix)[0]
+        sigma_min = min(sigma_min, float(np.linalg.svd(m, compute_uv=False)[-1]))
     record = _record(worst, 1e-8, sigma_min=sigma_min, sigma_floor=extmap.SIGMA_FLOOR)
     record["passed"] &= sigma_min > extmap.SIGMA_FLOOR
     return record

@@ -93,6 +93,9 @@ class DeficiencyBasis:
 
     @classmethod
     def from_json(cls, data):
+        """The basis a to_json record describes, with its endpoint identities
+        checked; in even mode mat_A and mat_B must equal the diagonals of the
+        boundary table they copy (InvariantViolation otherwise)."""
         from .jsonio import matrix_from_json
         table = np.array([[complex(re, im) for re, im in row] for row in data["boundary_table"]])
         mat_a = matrix_from_json(data["mat_A"]) if "mat_A" in data else None
@@ -100,6 +103,10 @@ class DeficiencyBasis:
         basis = cls(data["mode"], Potential.from_json(data["potential"]), table,
                     mat_a, mat_b, matrix_from_json(data["normalization"]), None)
         _check_endpoint_identities(basis.parity_mode, table)
+        if basis.parity_mode == EVEN_MODE and not (np.array_equal(mat_a, np.diag(table[:, 1]))
+                                                   and np.array_equal(mat_b, np.diag(table[:, 0]))):
+            raise InvariantViolation("mat_A and mat_B differ from diag(g(a)) and diag(g'(a)) "
+                                     "of the boundary table")
         return basis
 
 

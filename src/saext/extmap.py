@@ -203,8 +203,7 @@ def inverse_map(basis, ucal):
         rhs = -[(conj(A) - i conj(B)) Ut + (conj(A) + i conj(B))],
 
     as a 2x2 system.  Uniqueness of the solution is exactly invertibility
-    of m, which is checked and reported; the 4x4 form of the same system
-    (``homogeneous_system``) has the singular values of m, each twice.
+    of m, which is checked and reported.
     """
     m, rhs = _inverse_system(basis, ucal.matrix)
     sigma = _singular_values(m)
@@ -212,12 +211,6 @@ def inverse_map(basis, ucal):
         raise UniquenessError(f"inverse-map system near singular (sigma = {sigma})")
     x = _solve(m.T, rhs.T).T  # x m = rhs
     return Unitary2.certify(np.conj(x), OUTPUT_UNITARITY_TOL)
-
-
-def homogeneous_system(basis, ucal):
-    """The 4x4 matrix of the inverse-map system (for uniqueness margins)."""
-    m, _ = _inverse_system(basis, ucal.matrix)
-    return np.kron(np.eye(2), m.T)  # K @ vec(X) = vec(X @ m), row-major
 
 
 def forward_map_general(basis, u):

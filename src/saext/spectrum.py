@@ -30,9 +30,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-# Chandrupatla's bracketed root finder, vectorized over brackets, under the
-# name perfbench's tracer wraps as the refinement
-from scipy.optimize.elementwise import find_root as minimize_scalar
 
 from . import odesolve
 from .bcclassify import BoundaryCondition, apply_bc
@@ -111,32 +108,55 @@ def _eigenphases(w):
     return np.angle(np.linalg.eigvals(w)) % (2 * np.pi)
 
 
+def _chandrupatla(g, x1, x2, f1, f2, rtol):
+    """Chandrupatla's bracketed root finder (Adv. Eng. Softw. 28 (1997) 145),
+    vectorized over the brackets [x1, x2] with end values f1, f2.  Each round
+    calls g(x, live) once, live the indices of the brackets still running.  A
+    bracket stops at its end of smaller |g| once |x2 - x1| < rtol (1 + |that
+    end|) or no float lies between its ends, or once they share a sign or
+    one is 0.  The returned mask is False where g is not finite."""
+    root, ok = np.empty(len(x1)), np.ones(len(x1), dtype=bool)
+    live, x3, f3 = np.arange(len(x1)), x2, f2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            xmin = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+            dx, tol = np.abs(x2 - x1), np.abs(xmin) * rtol + rtol
+            finite = np.isfinite(f1) & np.isfinite(f2)
+            stop = (~finite | (np.sign(f1) * np.sign(f2) >= 0) | (dx < tol)
+                    | (dx <= np.spacing(np.abs(xmin))))
+            root[live[stop]], ok[live[stop]] = xmin[stop], finite[stop]
+            live, x1, x2, x3, f1, f2, f3, dx, tol = (
+                v[~stop] for v in (live, x1, x2, x3, f1, f2, f3, dx, tol))
+            if not len(live):
+                return root, ok
+            # inverse quadratic interpolation where the last three points
+            # allow it, else bisection (always in the first round, x3 = x2)
+            xi, phi, alpha = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2), (x3 - x1) / (x2 - x1)
+            t = np.where((1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi)), f1 / (f1 - f2) * f3
+                         / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx  # x stays at least tol / 2 inside the bracket
+            x = x1 + np.clip(t, tl, 1 - tl) * (x2 - x1)
+            f = g(x, live)
+            same = np.sign(f) == np.sign(f1)
+            x1, x2, x3 = x, np.where(same, x2, x1), np.where(same, x1, x2)
+            f1, f2, f3 = f, np.where(same, f2, f1), np.where(same, f1, f2)
+
+
+minimize_scalar = _chandrupatla  # the name perfbench's tracer wraps as the refinement
+
+
 def _solve(p, bc, lo, hi, below, target, rtol, atol):
     """Roots of target(eigenphases of W, N(E), N(lo)) in the brackets
-    [lo, hi] in one vectorized call, and the mask of those that converged.
-    The ends of all brackets are evaluated in one batched call, whose
-    halves answer find_root's evaluations at exactly lo and at exactly hi.
-    Ends that share a sign at full tolerance put the root at an end, within
-    the accuracy of W: the end with the smaller |target| is taken.
-    """
+    [lo, hi], and the mask of those that converged.  All bracket ends are
+    evaluated in one call.  Ends that share a sign at full tolerance put the
+    root at an end, within the accuracy of W."""
     _, t, n = _bc_matrix(p, bc, np.r_[lo, hi], rtol, atol)
-    ends = [(lo, t[:len(lo)], n[:len(lo)]), (hi, t[len(lo):], n[len(lo):])]
-
-    def f(energy, below):
-        for i, (end, t_end, n_end) in enumerate(ends):
-            if np.array_equal(energy, end):
-                del ends[i]
-                return target(t_end, n_end, below)
-        return target(*_bc_matrix(p, bc, energy, rtol, atol)[1:], below)
-
-    res = minimize_scalar(f, (lo, hi), args=(below,), tolerances={"xatol": rtol, "xrtol": rtol})
-    invalid = res.status == -1
-    ok = invalid | res.success
-    for i in np.flatnonzero(~ok):
-        log.warning("refinement did not converge near E = %g: find_root status %d",
-                    lo[i], res.status[i])
-    nearer = np.where(np.abs(res.f_bracket[0]) <= np.abs(res.f_bracket[1]), *res.bracket)
-    return np.where(invalid, nearer, res.x), ok
+    f = target(t, n, np.r_[below, below])
+    root, ok = minimize_scalar(lambda x, live: target(
+        *_bc_matrix(p, bc, x, rtol, atol)[1:], below[live]), lo, hi, f[:len(lo)], f[len(lo):], rtol)
+    for e in lo[~ok]:
+        log.warning("refinement did not converge near E = %g: the target is not finite", e)
+    return root, ok
 
 
 def _phase_fixed(sol):

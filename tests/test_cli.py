@@ -49,6 +49,23 @@ def test_pipeline_basis_feeds_map(tmp_path, zero_potential_file):
     assert np.abs(mapped - np.eye(2)).max() < 1e-8
 
 
+def test_map_rejects_basis_whose_matrices_contradict_its_table(tmp_path):
+    potential = tmp_path / "harmonic.json"
+    jsonio.write(potential, Potential.harmonic(2.0, 1.0).to_json())
+    basis_path = tmp_path / "basis.json"
+    assert cli.main(["deficiency", "--potential", str(potential),
+                     "--out", str(basis_path)]) == 0
+    data = json.loads(basis_path.read_text())
+    for key in ("mat_A", "mat_B"):
+        data[key] = jsonio.matrix_to_json(np.exp(0.7j) * jsonio.matrix_from_json(data[key]))
+    jsonio.write(basis_path, data)
+    out = tmp_path / "mapped.json"
+    assert cli.main(["map", "--potential", str(basis_path),
+                     "--matrix", write_matrix(tmp_path / "u.json", 1j * np.eye(2)),
+                     "--direction", "u-to-bc", "--out", str(out)]) == cli.USAGE_ERROR
+    assert not out.exists()
+
+
 def test_map_inverse_direction(tmp_path, zero_potential_file):
     matrix_path = write_matrix(tmp_path / "ucal.json", np.eye(2))
     out = tmp_path / "u.json"

@@ -6,7 +6,8 @@ import pytest
 from saext import deficiency, odesolve
 from saext.deficiency import (DeficiencyBasis, change_of_basis, endpoint_form,
                               solve_even_odd, solve_orthonormal_pair, wronskian_identity)
-from saext.errors import ParityError
+from saext.errors import InvariantViolation, ParityError
+from saext.jsonio import matrix_from_json, matrix_to_json
 from saext.potential import Potential
 
 P0 = Potential.zero(1.0)
@@ -138,6 +139,16 @@ def test_serialization_round_trip():
     assert np.allclose(back.mat_B, basis.mat_B)
     assert back.potential == basis.potential
     assert back.trajectories is None
+
+
+@pytest.mark.parametrize("keys", [("mat_A", "mat_B"), ("mat_A",), ("mat_B",)])
+def test_from_json_rejects_matrices_that_contradict_the_table(keys):
+    # the map reads mat_A and mat_B, so a rephased copy would give another Ucal
+    data = solve_even_odd(Potential.harmonic(2.0, 1.0)).to_json()
+    for key in keys:
+        data[key] = matrix_to_json(np.exp(0.7j) * matrix_from_json(data[key]))
+    with pytest.raises(InvariantViolation):
+        DeficiencyBasis.from_json(data)
 
 
 def test_general_mode_serialization_round_trip():

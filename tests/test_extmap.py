@@ -8,8 +8,7 @@ from saext.deficiency import (GENERAL_MODE, DeficiencyBasis, change_of_basis, so
                               solve_orthonormal_pair)
 from saext.errors import ModeError, UnitarityError
 from saext.extmap import (SIGMA_FLOOR, Unitary2, build_V_Vtilde, check_identities, forward_map,
-                          forward_map_general, haar_unitary, homogeneous_system,
-                          inverse_map, random_matrix)
+                          forward_map_general, haar_unitary, inverse_map, random_matrix)
 from saext.potential import Potential
 
 IDENTITY = np.eye(2)
@@ -119,12 +118,16 @@ def test_round_trip_both_directions(basis):
         assert np.abs(back.matrix - w.matrix).max() < 1e-8
 
 
+def inverse_system_sigma_min(basis, ucal):
+    """The smallest singular value of m in the inverse-map system conj(U) m = rhs."""
+    return np.linalg.svd(extmap._inverse_system(basis, ucal.matrix)[0], compute_uv=False)[-1]
+
+
 def test_homogeneous_system_well_conditioned(basis):
     rng = np.random.default_rng(5)
     for _ in range(100):
         ucal = forward_map(basis, Unitary2.certify(haar_unitary(rng))).Ucal
-        sigma = np.linalg.svd(homogeneous_system(basis, ucal), compute_uv=False)
-        assert sigma[-1] > 1e-6
+        assert inverse_system_sigma_min(basis, ucal) > 1e-6
 
 
 def test_mode_errors():
@@ -266,8 +269,7 @@ def loop_check_identities(basis, samples, seed):
             seen["vtilde_nonsingular"].append(np.linalg.svd(vt, compute_uv=False)[-1])
             ucal = forward_map(basis, Unitary2.certify(u_mat)).Ucal
             seen["forward_unitarity"].append(ucal.defect)
-            seen["homogeneous_system"].append(
-                np.linalg.svd(homogeneous_system(basis, ucal), compute_uv=False)[-1])
+            seen["homogeneous_system"].append(inverse_system_sigma_min(basis, ucal))
     return seen
 
 

@@ -1,6 +1,10 @@
 """Boundary-determinant spectra against closed-form and discretization oracles."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,83 @@ def test_solve_evaluates_all_bracket_ends_in_one_call(monkeypatch):
     for lo, hi, energies in solves:
         assert np.array_equal(energies[0], np.r_[lo, hi])
         assert not any(np.array_equal(e, lo) or np.array_equal(e, hi) for e in energies[1:])
+
+
+def chandrupatla(g, lo, hi, rtol):
+    """spectrum._chandrupatla on brackets [lo, hi] of the vectorized g(x, live),
+    with the points and brackets of every call it makes (at most 200)."""
+    lo, hi, calls = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), []
+
+    def recording(x, live):
+        assert len(calls) < 200, "the solver does not stop"
+        calls.append((x.copy(), live.copy()))
+        return g(x, live)
+    every = np.arange(len(lo))
+    root, ok = spectrum._chandrupatla(recording, lo, hi, g(lo, every), g(hi, every), rtol)
+    return root, ok, calls
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 1e-6, 0.0])
+def test_chandrupatla_finds_cube_roots(rtol):
+    c = np.array([2.0, 10.0, -5.0, 0.3, 1e4])
+    root, ok, calls = chandrupatla(lambda x, live: x ** 3 - c[live],
+                                   [0.0, 1.0, -3.0, 0.0, 1.0], [2.0, 3.0, 0.0, 1.0, 30.0], rtol)
+    want = np.cbrt(c)
+    assert ok.all()
+    # at rtol 0 the brackets close to adjacent floats
+    assert np.all(np.abs(root - want) <= np.maximum(rtol * (1 + np.abs(want)),
+                                                    2 * np.spacing(np.abs(want))))
+    for (x, live), (_, before) in zip(calls[1:], calls):
+        assert len(x) == len(live) and set(live) <= set(before)
+    assert rtol == 0.0 or len(calls) < 15
+
+
+def test_chandrupatla_ends_of_one_sign_or_zero_stop_at_once():
+    # x^2 + 1 > 0 on [0.5, 3] and x - 5 < 0 on [1, 4]: the end of smaller |g|;
+    # x - 1 is exactly 0 at the lower end of [1, 3] and the upper end of [-2, 1]
+    shift = np.array([1.0, -5.0, -1.0, -1.0])
+    power = np.array([2, 1, 1, 1])
+    root, ok, calls = chandrupatla(lambda x, live: x ** power[live] + shift[live],
+                                   [0.5, 1.0, 1.0, -2.0], [3.0, 4.0, 3.0, 1.0], 1e-10)
+    assert ok.all() and not calls
+    assert root.tolist() == [0.5, 4.0, 1.0, 1.0]
+
+
+def test_chandrupatla_fails_on_a_non_finite_target():
+    # the second bracket's target is NaN inside it, the third's at its upper end
+    def g(x, live):
+        return np.where((live == 1) & (x > 0.0) & (x < 1.0) | (live == 2) & (x == 1.0),
+                        np.nan, x - 0.3)
+    root, ok, calls = chandrupatla(g, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1e-10)
+    assert ok.tolist() == [True, False, False]
+    assert abs(root[0] - 0.3) <= 1e-10 * 1.3
+    assert calls[0][1].tolist() == [0, 1] and calls[1][1].tolist() == [0]
+
+
+def test_solve_warns_when_the_target_is_not_finite(caplog):
+    # the Dirichlet box levels (pi/2)^2 and pi^2, the second with a NaN target
+    def target(t, n, below):
+        return np.where(below == 1, np.nan, (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1))
+    with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
+        root, ok = spectrum._solve(P0, bc_named("dirichlet"), np.array([2.0, 9.0]),
+                                   np.array([3.0, 10.0]), np.array([0, 1]), target,
+                                   odesolve.DEFAULT_RTOL, odesolve.DEFAULT_ATOL)
+    assert ok.tolist() == [True, False]
+    assert abs(root[0] - np.pi ** 2 / 4) <= 1e-9
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1
+    assert messages[0].startswith("refinement did not converge near E = 9")
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, saext, saext.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("e_min, e_max, levels", [
