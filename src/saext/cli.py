@@ -146,7 +146,7 @@ def _load_unitary(config):
         if isinstance(data, dict) and "output" in data:  # a map payload carries its matrix
             data = data["output"]
         m = jsonio.matrix_from_json(data)
-        return Unitary2.certify(m, tol=config.get("tol") or extmap.INPUT_UNITARITY_TOL)
+        return Unitary2.certify(m, tol=config.get("tol", extmap.INPUT_UNITARITY_TOL))
     if config.get("family"):
         b_re, b_im = config.get("beta_re"), config.get("beta_im")
         beta = None if b_re is None and b_im is None else complex(b_re or 0.0, b_im or 0.0)
@@ -206,7 +206,7 @@ def _cmd_map(config):
 
 def _cmd_classify(config):
     u = _load_unitary(config)
-    bc = bcclassify.classify(u, tol=config.get("tol") or bcclassify.DEFAULT_TOL)
+    bc = bcclassify.classify(u, tol=config.get("tol", bcclassify.DEFAULT_TOL))
     _write_out(config, bc.to_json())
     return 0
 
@@ -243,7 +243,9 @@ def _cmd_spectrum(config):
 
 
 def _cmd_verify(config):
-    samples = config.get("samples") or 100
+    samples = config.get("samples", 100)
+    if samples < 1:  # sigma_min over no samples is inf, which JSON cannot hold
+        raise UsageError(f"--samples must be at least 1, got {samples}")
     basis = deficiency.solve_even_odd(Potential.zero(1.0))
     rng = np.random.default_rng(11)  # map_roundtrip draws first, classify_roundtrip after
     report = {"deficiency_wronskian": checks.deficiency_wronskian(),

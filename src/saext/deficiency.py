@@ -19,12 +19,13 @@ every construction along with L2 orthonormality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import odesolve
 from .errors import DegeneracyError, InvariantViolation, ParityError
-from .odesolve import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution
+from .odesolve import OdeSolution
 from .potential import Potential
 
 EVEN_MODE = "even-potential"
@@ -44,8 +45,8 @@ class DeficiencyBasis:
         parity_mode: "even-potential" or "general".
         potential: the potential the basis belongs to.
         boundary_table: 2x4 complex, rows (g_j'(a), g_j(a), g_j'(-a), g_j(-a)).
-        mat_A, mat_B: diag(g+(a), g-(a)) and diag(g+'(a), g-'(a)) in
-            even-potential mode, None in general mode.
+        mat_A, mat_B: properties, diag(g+(a), g-(a)) and diag(g+'(a), g-'(a))
+            read from boundary_table in even-potential mode, None in general mode.
         normalization: 2x2 complex matrix mapping the raw fundamental
             solutions onto the stored basis (diagonal in even mode).
         trajectories: the two normalized dense solutions (None when the
@@ -55,10 +56,22 @@ class DeficiencyBasis:
     parity_mode: str
     potential: Potential
     boundary_table: np.ndarray
-    mat_A: np.ndarray | None
-    mat_B: np.ndarray | None
     normalization: np.ndarray
     trajectories: tuple[OdeSolution, OdeSolution] | None
+
+    @property
+    def mat_A(self):
+        return np.diag(self.boundary_table[:, 1]) if self.parity_mode == EVEN_MODE else None
+
+    @property
+    def mat_B(self):
+        return np.diag(self.boundary_table[:, 0]) if self.parity_mode == EVEN_MODE else None
+
+    @cached_property
+    def _a_pm_ib(self):
+        """(A - iB, A + iB, conj(A) - i conj(B), conj(A) + i conj(B)), derived once per basis."""
+        a, b = self.mat_A, self.mat_B
+        return a - 1j * b, a + 1j * b, np.conj(a) - 1j * np.conj(b), np.conj(a) + 1j * np.conj(b)
 
     @property
     def g_plus_a(self):
@@ -94,17 +107,16 @@ class DeficiencyBasis:
     @classmethod
     def from_json(cls, data):
         """The basis a to_json record describes, with its endpoint identities
-        checked; in even mode mat_A and mat_B must equal the diagonals of the
-        boundary table they copy (InvariantViolation otherwise)."""
+        checked; in even mode the file's mat_A and mat_B must equal the
+        diagonals of its boundary table (InvariantViolation otherwise)."""
         from .jsonio import matrix_from_json
         table = np.array([[complex(re, im) for re, im in row] for row in data["boundary_table"]])
-        mat_a = matrix_from_json(data["mat_A"]) if "mat_A" in data else None
-        mat_b = matrix_from_json(data["mat_B"]) if "mat_B" in data else None
         basis = cls(data["mode"], Potential.from_json(data["potential"]), table,
-                    mat_a, mat_b, matrix_from_json(data["normalization"]), None)
+                    matrix_from_json(data["normalization"]), None)
         _check_endpoint_identities(basis.parity_mode, table)
-        if basis.parity_mode == EVEN_MODE and not (np.array_equal(mat_a, np.diag(table[:, 1]))
-                                                   and np.array_equal(mat_b, np.diag(table[:, 0]))):
+        if basis.parity_mode == EVEN_MODE and not all(
+                key in data and np.array_equal(matrix_from_json(data[key]), getattr(basis, key))
+                for key in ("mat_A", "mat_B")):
             raise InvariantViolation("mat_A and mat_B differ from diag(g(a)) and diag(g'(a)) "
                                      "of the boundary table")
         return basis
@@ -155,8 +167,8 @@ def _check_orthonormality(g1, g2):
         raise InvariantViolation(f"<g1, g2> = {cross}, expected 0")
 
 
-def _check_diagonal_invertible(mat, label):
-    sigma = np.abs(np.diag(mat))
+def _check_diagonal_invertible(diagonal, label):
+    sigma = np.abs(diagonal)
     if sigma.min() <= SINGULARITY_RATIO * sigma.max():
         raise InvariantViolation(f"{label} is numerically singular: |diag| = {sigma}")
 
@@ -178,7 +190,7 @@ def _mirror(sol, even):
     return OdeSolution(sol.lam, -sol.x1, sol.x1, f[0], df[0], x, f, df, segments)
 
 
-def solve_even_odd(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def solve_even_odd(p):
     """Deficiency basis for an even potential via midpoint shooting.
 
     The even candidate starts from (g, g')(0) = (1, 0), the odd one from
@@ -191,7 +203,7 @@ def solve_even_odd(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     if not p.is_even():
         raise ParityError(f"potential {p.kind!r} is not even")
 
-    halves = odesolve.fundamental_solutions(p, 1j, 0.0, p.a, rtol, atol)
+    halves = odesolve.fundamental_solutions(p, 1j, 0.0, p.a)
     fulls = [_mirror(halves[0], even=True), _mirror(halves[1], even=False)]
     scales = [1.0 / odesolve.norm(g) for g in fulls]
     g_plus, g_minus = (g.scaled(s) for g, s in zip(fulls, scales))
@@ -200,19 +212,17 @@ def solve_even_odd(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
         [g_plus.df1, g_plus.f1, -g_plus.df1, g_plus.f1],
         [g_minus.df1, g_minus.f1, g_minus.df1, -g_minus.f1],
     ])
-    mat_a = np.diag(table[:, 1])
-    mat_b = np.diag(table[:, 0])
 
     _check_orthonormality(g_plus, g_minus)
     _check_endpoint_identities(EVEN_MODE, table)
-    _check_diagonal_invertible(mat_a, "mat_A")
-    _check_diagonal_invertible(mat_b, "mat_B")
+    _check_diagonal_invertible(table[:, 1], "mat_A")
+    _check_diagonal_invertible(table[:, 0], "mat_B")
 
-    return DeficiencyBasis(EVEN_MODE, p, table, mat_a, mat_b,
-                           np.diag(scales).astype(complex), (g_plus, g_minus))
+    return DeficiencyBasis(EVEN_MODE, p, table, np.diag(scales).astype(complex),
+                           (g_plus, g_minus))
 
 
-def solve_orthonormal_pair(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def solve_orthonormal_pair(p):
     """Deficiency basis for a general bounded potential (Gram-Schmidt).
 
     Integrates the fundamental pair from x = -a with initial data (1, 0)
@@ -222,7 +232,7 @@ def solve_orthonormal_pair(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     Raises:
         DegeneracyError: when the orthogonalized remainder nearly vanishes.
     """
-    v1, v2 = odesolve.fundamental_solutions(p, 1j, -p.a, p.a, rtol, atol)
+    v1, v2 = odesolve.fundamental_solutions(p, 1j, -p.a, p.a)
 
     n1 = odesolve.norm(v1)
     g1 = v1.scaled(1.0 / n1)
@@ -242,7 +252,7 @@ def solve_orthonormal_pair(p, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     _check_orthonormality(g1, g2)
     _check_endpoint_identities(GENERAL_MODE, table)
 
-    return DeficiencyBasis(GENERAL_MODE, p, table, None, None, mixing, (g1, g2))
+    return DeficiencyBasis(GENERAL_MODE, p, table, mixing, (g1, g2))
 
 
 def change_of_basis(basis_from, basis_to):

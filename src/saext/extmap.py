@@ -146,11 +146,9 @@ def build_V_Vtilde(basis, u_matrix):
     on a unitary exactly when U is one.
     """
     _require_mode(basis, EVEN_MODE)
-    a_mat, b_mat = basis.mat_A, basis.mat_B
+    a_minus, a_plus, ac_minus, ac_plus = basis._a_pm_ib
     uc = np.conj(np.asarray(u_matrix, dtype=complex))
-    v = np.conj(a_mat) - 1j * np.conj(b_mat) + uc @ (a_mat - 1j * b_mat)
-    vt = -(np.conj(a_mat) + 1j * np.conj(b_mat) + uc @ (a_mat + 1j * b_mat))
-    return v, vt
+    return ac_minus + uc @ a_minus, -(ac_plus + uc @ a_plus)
 
 
 def forward_map(basis, u):
@@ -185,12 +183,9 @@ def _inverse_system(basis, ucal):
     """(m, rhs) of the inverse-map system conj(U) m = rhs for a boundary
     unitary matrix, or for an (n, 2, 2) stack of them."""
     _require_mode(basis, EVEN_MODE)
-    a_mat, b_mat = basis.mat_A, basis.mat_B
-    a_conj, b_conj = np.conj(a_mat), np.conj(b_mat)
+    a_minus, a_plus, ac_minus, ac_plus = basis._a_pm_ib
     utilde = 0.5 * _Q @ ucal @ _P
-    m = (a_mat - 1j * b_mat) @ utilde + (a_mat + 1j * b_mat)
-    rhs = -((a_conj - 1j * b_conj) @ utilde + (a_conj + 1j * b_conj))
-    return m, rhs
+    return a_minus @ utilde + a_plus, -(ac_minus @ utilde + ac_plus)
 
 
 def inverse_map(basis, ucal):

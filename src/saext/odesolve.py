@@ -177,11 +177,6 @@ def _blocks(m, rounds):
     return m
 
 
-def _chain(m):
-    """Ordered product along the last axis in log2(n) vectorized rounds."""
-    return tuple(x[..., 0] for x in _blocks(m, (m[0].shape[-1] - 1).bit_length()))
-
-
 def _prefix(m):
     """Inclusive ordered prefix products along the last axis (log2(n) rounds)."""
     n = m[0].shape[-1]
@@ -208,35 +203,30 @@ def _gauss_samples(vfun, grid, halvings):
     return h, chunks
 
 
-def _interval_transfers(vfun, lams, grid, levels, samples=None):
+def _interval_transfers(vfun, lams, grid, halvings, samples):
     """Transfer matrices of every grid interval, each covered by 2**k Magnus
     steps, or for k < 0 of every step spanning 2**-k intervals.
 
-    lams is a 1-D array of spectral parameters and levels a tuple of
-    halving levels k; returns the entries (t00 - 1, t01, t10, t11 - 1),
-    each of shape (len(levels), len(lams), len(grid) - 1), where a single
-    level k < 0 gives (len(grid) - 1) * 2**k transfers instead.  Steps are
-    generated STEP_CHUNK at a time so memory stays flat as h shrinks.
-    samples, a dict keyed by k, keeps the sampled potential between calls
-    on the same piece, so V is sampled once per level however many energy
-    blocks pass through it.
+    lams is a 1-D array of spectral parameters and k = halvings; returns
+    the entries (t00 - 1, t01, t10, t11 - 1), each of shape
+    (len(lams), len(grid) - 1), or (len(lams), (len(grid) - 1) * 2**k) for
+    k < 0.  Steps are generated STEP_CHUNK at a time, a multiple of 2**k
+    for k <= MAX_HALVINGS, so memory stays flat as h shrinks and every
+    chunk holds whole intervals.  samples, a dict keyed by k, keeps the
+    sampled potential between calls on the same piece, so V is sampled
+    once per level however many energy blocks pass through it.
     """
-    samples = {} if samples is None else samples
-    out = []
-    for halvings in levels:
-        if halvings not in samples:
-            samples[halvings] = _gauss_samples(vfun, grid, halvings)
-        h, chunks = samples[halvings]
-        sub = 1 << max(halvings, 0)
-        parts = []
-        for vbar, d in chunks:
-            h_qbar = h * (vbar - lams[:, None])
-            cm1, sc = _cosh_sinhc(d * d + h * h_qbar)
-            sd = sc * d
-            steps = (cm1 + sd, sc * h, sc * h_qbar, cm1 - sd)  # exp(Omega) - I
-            parts.append(_chain([x.reshape(len(lams), -1, sub) for x in steps]))
-        out.append([np.concatenate(p, axis=1) for p in zip(*parts)])
-    return tuple(np.stack(x) for x in zip(*out))
+    if halvings not in samples:
+        samples[halvings] = _gauss_samples(vfun, grid, halvings)
+    h, chunks = samples[halvings]
+    parts = []
+    for vbar, d in chunks:
+        h_qbar = h * (vbar - lams[:, None])
+        cm1, sc = _cosh_sinhc(d * d + h * h_qbar)
+        sd = sc * d
+        steps = (cm1 + sd, sc * h, sc * h_qbar, cm1 - sd)  # exp(Omega) - I
+        parts.append(_blocks(steps, max(halvings, 0)))
+    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
 
 def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0):
@@ -246,9 +236,9 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0):
     at.  Steps start at level start >= -rounds and shrink per energy until
     the error estimate passes (see the module docstring)."""
     def edges(levels, sel):
-        blocks = [_blocks(_interval_transfers(vfun, sel, grid, (k,), samples), rounds + min(k, 0))
+        blocks = [_blocks(_interval_transfers(vfun, sel, grid, k, samples), rounds + min(k, 0))
                   for k in levels]
-        prefix = np.stack(_prefix([np.concatenate(x) for x in zip(*blocks)]), axis=1)
+        prefix = np.stack(_prefix([np.stack(x) for x in zip(*blocks)]), axis=1)
         return prefix.swapaxes(2, 3).reshape(len(levels), -1, len(sel))
 
     x_start = float(grid[0])

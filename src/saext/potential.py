@@ -28,6 +28,7 @@ from .errors import DomainError, PotentialError
 # polynomial V of degree < 32 the odd part V(x) - V(-x) vanishes at all
 # of them only if it vanishes identically
 _PARITY_NODES = np.polynomial.legendre.leggauss(32)[0]
+_PARITY_TOL = 1e-12  # largest |V(x) - V(-x)| at those nodes of an even V
 
 
 def _numbers(name, value, ndim):
@@ -178,8 +179,8 @@ class Potential:
             raise DomainError(f"x = {x} outside [-{self.a}, {self.a}]")
         return float(self._right_limits(np.array([min(max(x, -self.a), self.a)]))[0])
 
-    def is_even(self, tol=1e-12):
-        """True when V(-x) = V(x) within tol.
+    def is_even(self):
+        """True when V(-x) = V(x) within 1e-12.
 
         Kinds that are even by construction (zero, finite-well, harmonic,
         cosine) return True at once, as do polynomials with vanishing odd
@@ -193,7 +194,7 @@ class Potential:
         edges = np.unique(np.abs([0.0, *self.breakpoints(), self.a]))
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         x = (mid[:, None] + half[:, None] * _PARITY_NODES).ravel()
-        return bool(np.max(np.abs(self._right_limits(x) - self._right_limits(-x))) <= tol)
+        return bool(np.max(np.abs(self._right_limits(x) - self._right_limits(-x))) <= _PARITY_TOL)
 
     # -- structure used by the integrator --------------------------------------
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import odesolve
 from .bcclassify import BoundaryCondition, apply_bc
 from .deficiency import endpoint_form
-from .odesolve import DEFAULT_ATOL, DEFAULT_RTOL, OdeSolution
+from .odesolve import DEFAULT_RTOL, OdeSolution
 from .potential import Potential
 
 log = logging.getLogger(__name__)
@@ -75,13 +75,13 @@ class SpectrumResult:
         }
 
 
-def _bc_matrix(p, bc, energy, rtol, atol):
+def _bc_matrix(p, bc, energy, rtol):
     """M(E) = minus - Ucal plus, the eigenphases t of W(E) in [0, 2 pi) and
     the level count N(E), for a scalar E or, from one propagation, stacked
     over a 1-D array.  Column k of minus and plus is divided by the largest
     boundary magnitude of u_k, so nothing overflows for deep wells or large
     |E|; S and W do not change."""
-    transfer, zeros = odesolve.propagate(p, energy, -p.a, p.a, rtol, atol)
+    transfer, zeros = odesolve.propagate(p, energy, -p.a, p.a, rtol)
     ua, dua = transfer[..., 0, :], transfer[..., 1, :]  # column k: u_k(a), u_k'(a)
     uma, duma = np.eye(2)                               # u_k(-a), u_k'(-a)
     s = np.maximum(np.maximum(np.abs(ua), np.abs(dua)), 1.0)[..., None, :]
@@ -98,9 +98,9 @@ def _bc_matrix(p, bc, energy, rtol, atol):
     return minus - ucal @ plus, t, zeros + np.rint(turns).astype(int)
 
 
-def det_function(p, bc, energy, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def det_function(p, bc, energy):
     """det M(E) with overflow-guarded (column-normalized) entries."""
-    return complex(np.linalg.det(_bc_matrix(p, bc, energy, rtol, atol)[0]))
+    return complex(np.linalg.det(_bc_matrix(p, bc, energy, DEFAULT_RTOL)[0]))
 
 
 def _eigenphases(w):
@@ -145,15 +145,16 @@ def _chandrupatla(g, x1, x2, f1, f2, rtol):
 minimize_scalar = _chandrupatla  # the name perfbench's tracer wraps as the refinement
 
 
-def _solve(p, bc, lo, hi, below, target, rtol, atol):
+def _solve(p, bc, lo, hi, below, target):
     """Roots of target(eigenphases of W, N(E), N(lo)) in the brackets
     [lo, hi], and the mask of those that converged.  All bracket ends are
     evaluated in one call.  Ends that share a sign at full tolerance put the
     root at an end, within the accuracy of W."""
-    _, t, n = _bc_matrix(p, bc, np.r_[lo, hi], rtol, atol)
+    _, t, n = _bc_matrix(p, bc, np.r_[lo, hi], DEFAULT_RTOL)
     f = target(t, n, np.r_[below, below])
     root, ok = minimize_scalar(lambda x, live: target(
-        *_bc_matrix(p, bc, x, rtol, atol)[1:], below[live]), lo, hi, f[:len(lo)], f[len(lo):], rtol)
+        *_bc_matrix(p, bc, x, DEFAULT_RTOL)[1:], below[live]), lo, hi, f[:len(lo)], f[len(lo):],
+        DEFAULT_RTOL)
     for e in lo[~ok]:
         log.warning("refinement did not converge near E = %g: the target is not finite", e)
     return root, ok
@@ -210,18 +211,17 @@ def _eigenfunctions_at(bc, count, left, right):
     return funcs, residuals
 
 
-def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL,
-                     atol=DEFAULT_ATOL):
+def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None):
     """Locate all eigenvalues of the extension in [e_min, e_max).
 
     The scan counts the levels below every grid energy at the coarse
     SCAN_RTOL, and rounds of one batched call each bisect every interval
     that holds three or more.  The intervals holding two levels are solved
     in one vectorized call, and those holding one in one more, to
-    rtol (1 + |E|); the count gives each root its multiplicity.  A root
-    whose eigenfunctions miss the boundary relation, the join of their two
-    parts or the symmetry check by more than RESIDUAL_LIMIT is dropped with
-    a warning.
+    DEFAULT_RTOL (1 + |E|); the count gives each root its multiplicity.  A
+    root whose eigenfunctions miss the boundary relation, the join of their
+    two parts or the symmetry check by more than RESIDUAL_LIMIT is dropped
+    with a warning.
 
     Args:
         e_min: scan floor.  The default is -sup|V| - 1; while levels lie
@@ -249,13 +249,13 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
 
     energies = e_min + np.linspace(0.0, k_max, grid) ** 2
     energies[-1] = e_max
-    cols, _, count = _bc_matrix(p, bc, energies, SCAN_RTOL, atol)
+    cols, _, count = _bc_matrix(p, bc, energies, SCAN_RTOL)
     det_trace = list(zip(energies.tolist(), np.abs(np.linalg.det(cols)).tolist()))
     if default_floor:
         low, below = e_min, count[0]
         while below > 0:
             low = 2.0 * low - e_min - 1.0  # doubles the depth below -sup|V| = e_min + 1
-            below = _bc_matrix(p, bc, low, SCAN_RTOL, atol)[2]
+            below = _bc_matrix(p, bc, low, SCAN_RTOL)[2]
         if low < e_min:
             energies, count = np.r_[low, energies], np.r_[below, count]
     while True:  # bisect every interval that holds three or more levels
@@ -264,7 +264,7 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         if not len(split):
             break
         energies = np.insert(energies, split + 1, mid[split])
-        count = np.insert(count, split + 1, _bc_matrix(p, bc, mid[split], SCAN_RTOL, atol)[2])
+        count = np.insert(count, split + 1, _bc_matrix(p, bc, mid[split], SCAN_RTOL)[2])
 
     lo, hi, below, held = energies[:-1], energies[1:], count[:-1], np.diff(count)
     levels = []  # (E, multiplicity)
@@ -272,9 +272,9 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
     if (held == 2).any():
         lo2, hi2, below2 = lo[held == 2], hi[held == 2], below[held == 2]
         root, ok = _solve(p, bc, lo2, hi2, below2, lambda t, n, below: (
-            t.sum(axis=-1) - 2 * np.pi * (n - below)), rtol, atol)
-        tol = rtol * (1 + np.abs(root))
-        side = _bc_matrix(p, bc, np.r_[root - tol, root + tol], rtol, atol)[2].reshape(2, -1)
+            t.sum(axis=-1) - 2 * np.pi * (n - below)))
+        tol = DEFAULT_RTOL * (1 + np.abs(root))
+        side = _bc_matrix(p, bc, np.r_[root - tol, root + tol], DEFAULT_RTOL)[2].reshape(2, -1)
         double = ok & (side[0] == below2) & (side[1] == below2 + 2)
         split = ok & ~double
         levels += [(e, 2) for e in root[double].tolist()]
@@ -282,16 +282,16 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None, rtol=DEFAULT_RTOL
         below1 = np.r_[below1, below2[split], below2[split] + 1]
     if len(lo1):
         root, ok = _solve(p, bc, lo1, hi1, below1, lambda t, n, below: (
-            (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1)), rtol, atol)
+            (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1)))
         levels += [(e, 1) for e in root[ok].tolist()]
 
     levels.sort()
     # the fundamental solutions of every level from -a in one call, and of
     # every simple level from a in one more
     roots = np.array([e for e, _ in levels])
-    lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a, rtol, atol)
+    lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
     simple = np.array([e for e, count in levels if count == 1])
-    rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a, rtol, atol))
+    rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a))
     eigenvalues, degeneracies, eigenfunctions, residuals = [], [], [], []
     for (root, count), left in zip(levels, lefts):
         funcs, res = _eigenfunctions_at(bc, count, left, next(rights) if count == 1 else None)

@@ -154,6 +154,16 @@ def test_verify_passes(tmp_path):
     assert report["checks"]["extension_map"]["passed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "0"],                         # sigma_min of no samples is inf, not JSON
+    ["classify", "--family", "periodic", "--tol", "0"],   # outside classify's (0, 1e-4]
+], ids=["verify-samples-0", "classify-tol-0"])
+def test_zero_is_used_not_replaced_by_the_default(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == cli.USAGE_ERROR
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path, zero_potential_file):
     assert cli.main(["classify"]) == cli.USAGE_ERROR                      # no matrix
     assert cli.main(["map", "--potential", zero_potential_file]) == cli.USAGE_ERROR

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from saext import deficiency, odesolve
+from saext import deficiency, jsonio, odesolve
 from saext.deficiency import (DeficiencyBasis, change_of_basis, endpoint_form,
                               solve_even_odd, solve_orthonormal_pair, wronskian_identity)
 from saext.errors import InvariantViolation, ParityError
@@ -139,11 +139,14 @@ def test_serialization_round_trip():
     assert np.allclose(back.mat_B, basis.mat_B)
     assert back.potential == basis.potential
     assert back.trajectories is None
+    assert jsonio.dumps(back.to_json()) == jsonio.dumps(data)
+    assert np.array_equal(back.mat_A, np.diag(back.boundary_table[:, 1]))
+    assert np.array_equal(back.mat_B, np.diag(back.boundary_table[:, 0]))
 
 
 @pytest.mark.parametrize("keys", [("mat_A", "mat_B"), ("mat_A",), ("mat_B",)])
 def test_from_json_rejects_matrices_that_contradict_the_table(keys):
-    # the map reads mat_A and mat_B, so a rephased copy would give another Ucal
+    # A and B are read from the table, so copies that contradict it mark a corrupt file
     data = solve_even_odd(Potential.harmonic(2.0, 1.0)).to_json()
     for key in keys:
         data[key] = matrix_to_json(np.exp(0.7j) * matrix_from_json(data[key]))
@@ -154,5 +157,6 @@ def test_from_json_rejects_matrices_that_contradict_the_table(keys):
 def test_general_mode_serialization_round_trip():
     basis = solve_orthonormal_pair(Potential.polynomial([0.0, 1.0], 1.0))
     back = deficiency.DeficiencyBasis.from_json(basis.to_json())
-    assert back.mat_A is None
+    assert back.mat_A is None and back.mat_B is None
+    assert jsonio.dumps(back.to_json()) == jsonio.dumps(basis.to_json())
     assert np.allclose(back.boundary_table, basis.boundary_table)

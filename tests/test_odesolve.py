@@ -303,7 +303,8 @@ def test_observed_order_is_four():
     vfun, grid, lams = p.piece_callable(-1.0, 1.0), np.linspace(-1.0, 1.0, 33), np.array([10.0])
 
     def transfer(halvings):
-        return np.array(odesolve._chain(odesolve._interval_transfers(vfun, lams, grid, (halvings,))))
+        steps = odesolve._interval_transfers(vfun, lams, grid, halvings, {})
+        return np.array(odesolve._blocks(steps, 5))  # the product over all 32 intervals
 
     fine, finer = transfer(6), transfer(7)
     exact = finer + (finer - fine) / 15.0

@@ -57,20 +57,20 @@ def test_evaluate_rejects_out_of_domain():
                  id="piecewise-unmirrored-breakpoint"),
 ])
 def test_even_kinds_pass_parity_check(p):
-    assert p.is_even(1e-12)
+    assert p.is_even()
 
 
 def test_zero_is_even_at_tol_zero():
-    assert Potential.zero(2.0).is_even(0.0)
+    assert Potential.zero(2.0).is_even()
 
 
 def test_linear_polynomial_is_not_even():
-    assert not Potential.polynomial([0.0, 1.0], 1.0).is_even(1e-12)
+    assert not Potential.polynomial([0.0, 1.0], 1.0).is_even()
 
 
 def test_piecewise_even_by_sampling():
     p = Potential.piecewise([((-1.0, 0.3), [2.0]), ((0.3, 1.0), [2.0])], 1.0)
-    assert p.is_even(1e-12)  # constant despite the asymmetric breakpoint
+    assert p.is_even()  # constant despite the asymmetric breakpoint
 
 
 def test_piecewise_requires_full_cover():

@@ -323,8 +323,7 @@ def test_solve_warns_when_the_target_is_not_finite(caplog):
         return np.where(below == 1, np.nan, (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1))
     with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
         root, ok = spectrum._solve(P0, bc_named("dirichlet"), np.array([2.0, 9.0]),
-                                   np.array([3.0, 10.0]), np.array([0, 1]), target,
-                                   odesolve.DEFAULT_RTOL, odesolve.DEFAULT_ATOL)
+                                   np.array([3.0, 10.0]), np.array([0, 1]), target)
     assert ok.tolist() == [True, False]
     assert abs(root[0] - np.pi ** 2 / 4) <= 1e-9
     messages = [r.getMessage() for r in caplog.records]
@@ -425,7 +424,7 @@ def test_level_count_between_reference_levels(p, bc, e_max, levels):
               (energies[-1] + e_max) / 2]
     below = np.cumsum([0] + [m for _, m in levels()])
     for rtol in (spectrum.SCAN_RTOL, odesolve.DEFAULT_RTOL):
-        count = spectrum._bc_matrix(p, bc, np.array(probes), rtol, odesolve.DEFAULT_ATOL)[2]
+        count = spectrum._bc_matrix(p, bc, np.array(probes), rtol)[2]
         assert list(count) == list(below)
 
 
