@@ -176,6 +176,8 @@ def _max_error(got, want):
 
 
 def _cmd_map(config):
+    if config.get("tol") is not None and not config.get("matrix"):
+        raise UsageError("map uses --tol only to certify a --matrix")
     basis = _load_basis(config)
     direction = config.get("direction")
     if direction is None:
@@ -204,10 +206,13 @@ def _cmd_map(config):
     return 0
 
 
+def _classify(config):
+    return bcclassify.classify(_load_unitary(config),
+                               tol=config.get("tol", bcclassify.DEFAULT_TOL))
+
+
 def _cmd_classify(config):
-    u = _load_unitary(config)
-    bc = bcclassify.classify(u, tol=config.get("tol", bcclassify.DEFAULT_TOL))
-    _write_out(config, bc.to_json())
+    _write_out(config, _classify(config).to_json())
     return 0
 
 
@@ -220,7 +225,7 @@ def _write_csv(path, header, rows):
 
 def _cmd_spectrum(config):
     p = _load_potential(config)
-    bc = bcclassify.classify(_load_unitary(config))
+    bc = _classify(config)
     result = spectrum.find_eigenvalues(
         p, bc, e_min=config.get("emin"), e_max=config.get("emax", 40.0),
         grid=config.get("grid"))

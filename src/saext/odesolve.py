@@ -33,7 +33,10 @@ intervals, so it starts with steps of up to 2**_MAX_COARSENINGS intervals
 that turn the phase of a solution by less than pi/4, and each later block
 of energies at the level the estimates of the one before point to.  It
 evaluates many energies at once and counts the zeros of a solution on
-the way.
+the way.  For an even V over a span symmetric about 0, where the mirror
+image of a solution solves too, it steps only the half from 0: the even
+and odd solutions there give the whole span's T by reflection, and the
+sum of their zeros is the zero count of the solution launched at an end.
 
 Every solution of the same potential over the same span shares the grid,
 which makes pointwise linear combinations and quadrature between
@@ -229,19 +232,20 @@ def _interval_transfers(vfun, lams, grid, halvings, samples):
     return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
 
-def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0):
+def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0, x_start=None):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
     grid intervals, as entries (t00 - 1, t01, t10, t11 - 1) of shape
     (number of blocks, len(lams)), and the level to start the next energies
     at.  Steps start at level start >= -rounds and shrink per energy until
-    the error estimate passes (see the module docstring)."""
+    the error estimate passes (see the module docstring).  Errors carry
+    x_start, by default the grid's first point."""
     def edges(levels, sel):
         blocks = [_blocks(_interval_transfers(vfun, sel, grid, k, samples), rounds + min(k, 0))
                   for k in levels]
         prefix = np.stack(_prefix([np.stack(x) for x in zip(*blocks)]), axis=1)
         return prefix.swapaxes(2, 3).reshape(len(levels), -1, len(sel))
 
-    x_start = float(grid[0])
+    x_start = float(grid[0]) if x_start is None else x_start
     coarse, fine = edges((start, start + 1), lams)
     level = np.full(len(lams), start)  # of each energy's coarser steps
     while True:
@@ -356,20 +360,55 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     giving an (n, 2, 2) stack and n counts; the spectral scan evaluates all
     its energies in one call.  Energies are processed ENERGY_BLOCK at a
     time.  Each piece's steps are multiplied by a pairwise tree into blocks
-    that hold at most one zero of u2, whose prefix products give u2 at the
-    block edges.  A step may span several grid intervals: the first block
-    of energies starts each piece with steps of up to 2**_MAX_COARSENINGS
-    intervals that turn the phase of u2 by less than pi/4, and each later
-    block at the level the error estimates of the one before point to
-    (module docstring); nothing carries over between calls.  V is sampled
-    once per piece and step level.
+    that hold at most one zero of a solution, whose prefix products give
+    the solution at the block edges.  A step may span several grid
+    intervals: the first block of energies starts each piece with steps of
+    up to 2**_MAX_COARSENINGS intervals that turn the phase of a solution
+    by less than pi/4, and each later block at the level the error
+    estimates of the one before point to (module docstring); nothing
+    carries over between calls.  V is sampled once per piece and step
+    level.
+
+    For an even V on a span symmetric about 0, x1 = -x0 = +-b, only [0, b]
+    is integrated.  The columns of its T+ are the even solution phi_e and
+    the odd solution phi_o, with data (1, 0) and (0, 1) at 0, and the
+    mirror image of a solution solves too, so with P = diag(1, -1)
+
+        T(-b -> b) = T+ P adj(T+) P,   T(b -> -b) = P T(-b -> b) P,
+
+    det T+ = 1 making the adjugate the inverse without a division.  The
+    zeros of u2 in (-b, b) are then those of phi_e and of phi_o in (0, b):
+    for real lam both counts are the number of Dirichlet levels on [-b, b]
+    below lam, the even ones Neumann and the odd ones Dirichlet at 0.
 
     Raises:
         IntegrationError: when the solution overflows, h would be halved
             more than MAX_HALVINGS times or a grid interval is too long to
-            count zeros; carries the start of the piece.
+            count zeros; carries where the pass from x0 enters the piece
+            (for the half pass, the mirror image's far end).
     """
     lams = _spectral_array(lam)
+    if x0 == -x1 and x0 != 0 and p.is_even():
+        half, zeros = _transfer(p, lams, 0.0, abs(x0), rtol, atol, slice(0, 2),
+                                lambda grid: float(np.copysign(grid[-1], x0)))
+        (e, o), (de, do) = np.moveaxis(half, 0, -1)  # phi_e, phi_o and their derivatives at b
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, sign = e * do + o * de, np.sign(x1)
+            out = np.stack([diag, 2.0 * sign * e * o, 2.0 * sign * de * do, diag], axis=-1)
+        if not np.all(np.isfinite(out)):
+            raise IntegrationError("solution overflowed after x = 0.0", x_fail=0.0)
+        out = out.reshape(-1, 2, 2)
+    else:
+        out, zeros = _transfer(p, lams, x0, x1, rtol, atol, slice(1, 2),
+                               lambda grid: float(grid[0]))
+    return (out[0], int(zeros[0])) if np.ndim(lam) == 0 else (out, zeros)
+
+
+def _transfer(p, lams, x0, x1, rtol, atol, counted, entry):
+    """propagate's pass from x0 to x1 over the 1-D array lams: the
+    (n, 2, 2) transfer matrices and, per energy, the zeros in (x0, x1) of
+    the solutions in the counted columns of T.  Errors on a piece carry
+    entry(grid) of its grid."""
     pieces = _segment_grid(p, x0, x1)
     samples = [{} for _ in pieces]
     v_min = [np.min(vfun(grid)) for _, _, vfun, grid in pieces]
@@ -379,33 +418,36 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
-            t = (0.0, 0.0, 0.0, 0.0)  # deviation from the identity
+            t = (np.zeros(len(block)),) * 4  # deviation from the identity
             for i, ((_, _, vfun, grid), cache, low) in enumerate(zip(pieces, samples, v_min)):
                 # zeros lie >= pi / sqrt(max(E - V)) apart (Sturm comparison), so a block
                 # with h_block sqrt(E - min V) < pi/2 holds at most one; 2 covers V between samples
                 hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block.real) - low))
                 if hk >= 0.5 * np.pi:
                     raise IntegrationError(f"grid too coarse to count zeros at E = "
-                                           f"{np.max(block.real):g}", x_fail=float(grid[0]))
+                                           f"{np.max(block.real):g}", x_fail=entry(grid))
                 full = (len(grid) - 2).bit_length()
                 rounds = min(full, int(np.ceil(np.log2(0.5 * np.pi / hk))) - 1) if hk else full
                 # the first steps span 2**c intervals that tile the piece in at least
-                # _MIN_SEGMENT_INTERVALS steps and turn u2's phase by less than pi/4,
-                # half a block's pi/2, so no step straddles two blocks
+                # _MIN_SEGMENT_INTERVALS steps and turn a solution's phase by less than
+                # pi/4, half a block's pi/2, so no step straddles two blocks
                 n, c = len(grid) - 1, 0
                 while (c < _MAX_COARSENINGS and n % (2 << c) == 0
                        and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS
                        and (2 << c) * hk < 0.25 * np.pi):
                     c += 1
                 (e00, e01, e10, e11), warm[i] = _piece_prefix(
-                    vfun, grid, block, rounds, cache, rtol, atol, max(warm[i], -c))
-                u0, du0 = np.broadcast_to(t[1], block.shape), 1.0 + t[3]  # u2 at the piece start
-                u = np.concatenate([u0[None].real, ((1.0 + e00) * u0 + e01 * du0).real])
-                zeros[start:start + len(block)] += np.sum(u[1:] * u[:-1] < 0, axis=0)
+                    vfun, grid, block, rounds, cache, rtol, atol, max(warm[i], -c),
+                    entry(grid))
+                # rows f and f' of the counted columns of T at the piece start
+                u0, du0 = np.array([[1.0 + t[0], t[1]], [t[2], 1.0 + t[3]]])[:, counted]
+                u = np.concatenate([u0[None].real,
+                                    ((1.0 + e00[:, None]) * u0 + e01[:, None] * du0).real])
+                zeros[start:start + len(block)] += np.sum(u[1:] * u[:-1] < 0, axis=(0, 1))
                 t = _mul((e00[-1], e01[-1], e10[-1], e11[-1]), t)
-            t = np.broadcast_arrays(1.0 + t[0], t[1], t[2], 1.0 + t[3])
-            out[start:start + len(block)] = np.stack(t, axis=-1).reshape(-1, 2, 2)
-    return (out[0], int(zeros[0])) if np.ndim(lam) == 0 else (out, zeros)
+            out[start:start + len(block)] = np.stack(
+                (1.0 + t[0], t[1], t[2], 1.0 + t[3]), axis=-1).reshape(-1, 2, 2)
+    return out, zeros
 
 
 def _same_grid(u, w):

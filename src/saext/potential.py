@@ -10,9 +10,10 @@ Each kind is lowered once, on construction, to a tuple of (lo, hi, V)
 pieces that tiles [-a, a], with V vectorized and smooth on its piece.
 One table, ``_KINDS``, gives per kind the required parameters, the
 lowering and whether the shape is even by construction.  Validation,
-evaluation, the breakpoints, the parity check and the integrator's V are
-all read from the pieces.  Evaluation at an interior jump uses the
-right-limit value so results are deterministic.
+evaluation, the breakpoints, the parity check (made once, on
+construction) and the integrator's V are all read from the pieces.
+Evaluation at an interior jump uses the right-limit value so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class Potential:
         if abs(edge - self.a) > tol:
             raise PotentialError("pieces must cover the interval up to x = a")
         object.__setattr__(self, "_pieces", pieces)
-        object.__setattr__(self, "_even", even(*values))
+        object.__setattr__(self, "_even", bool(even(*values)) or self._even_at_nodes())
 
     # -- factories ------------------------------------------------------------
 
@@ -180,18 +181,22 @@ class Potential:
         return float(self._right_limits(np.array([min(max(x, -self.a), self.a)]))[0])
 
     def is_even(self):
-        """True when V(-x) = V(x) within 1e-12.
+        """True when V(-x) = V(x) within 1e-12, decided once, on construction.
 
         Kinds that are even by construction (zero, finite-well, harmonic,
-        cosine) return True at once, as do polynomials with vanishing odd
+        cosine) are even at once, as are polynomials with vanishing odd
         coefficients.  For any other V, [0, a] is split at the breakpoints
         and their mirror images, and V(x) is compared with V(-x) at
         interior Gauss nodes of each sub-interval.  Neither x nor -x then
         sits on a jump, and the breakpoints need not mirror each other.
+        The spectrum asks on every propagation, so the answer is stored.
         """
-        if self._even:
-            return True
-        edges = np.unique(np.abs([0.0, *self.breakpoints(), self.a]))
+        return self._even
+
+    def _even_at_nodes(self):
+        """V(x) = V(-x) at the Gauss nodes of is_even, within _PARITY_TOL."""
+        # a set, not np.unique, whose first call imports numpy.ma: slower than the check
+        edges = np.array(sorted({0.0, self.a, *(abs(b) for b in self.breakpoints())}))
         mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
         x = (mid[:, None] + half[:, None] * _PARITY_NODES).ravel()
         return bool(np.max(np.abs(self._right_limits(x) - self._right_limits(-x))) <= _PARITY_TOL)

@@ -13,8 +13,11 @@ those of Ucal, the number of levels below E is
 
 N_D, the number of zeros of u2 in (-a, a) that odesolve.propagate counts
 on the x grid, is the Dirichlet (Ucal = I) count by Sturm oscillation, so
-no level is missed however fast its eigenphase turns in E; the rest counts
-the eigenphase crossings of 0 along exp(i t K), K >= 0, from I to Ucal
+no level is missed however fast its eigenphase turns in E.  For an even V
+it is the zeros of the even and the odd solution on (0, a), the counts of
+the Neumann-at-0 and Dirichlet-at-0 levels on the half interval, from one
+pass over [0, a] that also gives T over [-a, a] by reflection.  The rest
+counts the eigenphase crossings of 0 along exp(i t K), K >= 0, from I to Ucal
 (Bailey, Everitt and Zettl, ACM TOMS 27 (2001) 143; Howard and Sukhtayev,
 JDE 260 (2016) 4499).  A scan counts the levels below every grid energy;
 bisection splits every interval holding three or more.  One holding one
@@ -287,11 +290,16 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None):
 
     levels.sort()
     # the fundamental solutions of every level from -a in one call, and of
-    # every simple level from a in one more
+    # every simple level from a in one more, or by reflection where V and
+    # its grid are symmetric about 0
     roots = np.array([e for e, _ in levels])
     lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
-    simple = np.array([e for e, count in levels if count == 1])
-    rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a))
+    edges = np.array(p.breakpoints())
+    if p.is_even() and np.array_equal(edges, -edges[::-1]):
+        rights = (_reflected(left) for left, (_, count) in zip(lefts, levels) if count == 1)
+    else:
+        simple = np.array([e for e, count in levels if count == 1])
+        rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a))
     eigenvalues, degeneracies, eigenfunctions, residuals = [], [], [], []
     for (root, count), left in zip(levels, lefts):
         funcs, res = _eigenfunctions_at(bc, count, left, next(rights) if count == 1 else None)
@@ -308,6 +316,17 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None):
 
     return SpectrumResult(bc, p, eigenvalues, degeneracies, eigenfunctions,
                           residuals, det_trace)
+
+
+def _reflected(left):
+    """The fundamental solutions launched at a, from the pair (u1, u2)
+    launched at -a, for an even V on a grid symmetric about 0.  The pair
+    from a is u1(-x), -u2(-x), and its sample i sits at -x_i, so it has the
+    samples of (u1, u2) in the same order, with u1' and u2 negated."""
+    u1, u2 = left
+    x = u1.x[::-1]
+    return (OdeSolution(u1.lam, u1.x1, u1.x0, u1.f0, u1.df0, x, u1.f, -u1.df, u1.segments),
+            OdeSolution(u2.lam, u2.x1, u2.x0, u2.f0, u2.df0, x, -u2.f, u2.df, u2.segments))
 
 
 def _symmetry_defect(f):

@@ -164,6 +164,34 @@ def test_zero_is_used_not_replaced_by_the_default(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # spectrum classifies with --tol, and classify rejects 0
+    ["spectrum", "--family", "dirichlet", "--emax", "5", "--tol", "0"],
+    # map uses --tol only to certify a --matrix, so with --family it is an error
+    ["map", "--family", "periodic", "--direction", "bc-to-u", "--tol", "1e-8"],
+], ids=["spectrum-tol-0", "map-family-tol"])
+def test_tol_is_used_or_rejected(tmp_path, zero_potential_file, argv):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--potential", zero_potential_file,
+                     "--out", str(out)]) == cli.USAGE_ERROR
+    assert not out.exists()
+
+
+def test_spectrum_classifies_with_tol(tmp_path, zero_potential_file):
+    # (1 - 1e-6) I + 1e-6 i sigma_x, within 1e-6 of Dirichlet's I: Dirichlet at
+    # tol 1e-5, but a coupled Case I condition at the default 1e-8
+    theta = 1e-6
+    matrix = write_matrix(tmp_path / "m.json", np.cos(theta) * np.eye(2)
+                          + 1j * np.sin(theta) * np.array([[0, 1], [1, 0]]))
+    names = []
+    for tol in ([], ["--tol", "1e-5"]):
+        out = tmp_path / "spec.json"
+        assert cli.main(["spectrum", "--potential", zero_potential_file, "--matrix", matrix,
+                         "--emax", "5", *tol, "--out", str(out)]) == 0
+        names.append(json.loads(out.read_text())["bc"]["name"])
+    assert names == ["general-coupled", "dirichlet"]
+
+
 def test_usage_errors_exit_2(tmp_path, zero_potential_file):
     assert cli.main(["classify"]) == cli.USAGE_ERROR                      # no matrix
     assert cli.main(["map", "--potential", zero_potential_file]) == cli.USAGE_ERROR

@@ -339,3 +339,76 @@ def test_propagate_counts_zeros_of_u2(p):
     for e, count in zip(energies, zeros):
         u2 = odesolve.integrate(p, e, -1.0, 1.0, 0.0, 1.0).f.real[1:]
         assert count == np.sum(u2[1:] * u2[:-1] < 0)
+
+
+def even_kinds(a):
+    """One potential of every even kind on [-a, a], shaped alike at every a."""
+    return [
+        Potential.zero(a),
+        Potential.harmonic(25.0 / a ** 2, a),
+        Potential.finite_well(-10.0, 0.5 * a, a),
+        Potential.cosine(5.0, np.pi, a),
+        Potential.polynomial([1.0, 0.0, -3.0 / a ** 2, 0.0, 2.0 / a ** 4], a),
+        Potential.piecewise([((-a, -0.5 * a), [3.0]), ((-0.5 * a, 0.5 * a), [-1.0, 0.0, 4.0 / a ** 2]),
+                             ((0.5 * a, a), [3.0])], a),
+    ]
+
+
+PARITY_CASES = [(p, p.a, shift) for a in (1.0, 8.0) for p in even_kinds(a) for shift in (-2.0, 30.0)]
+
+
+@pytest.mark.parametrize("p, a, shift", PARITY_CASES, ids=[
+    f"{p.kind}-a{a:g}-{'below' if shift < 0 else 'above'}" for p, a, shift in PARITY_CASES])
+def test_even_potential_transfer_matches_two_direct_halves(p, a, shift):
+    # the pass over [0, a] and its reflection give what two direct passes do,
+    # below min V, where every solution grows, and above it
+    assert p.is_even()
+    lam = np.min(p.piece_callable(-a, a)(np.linspace(-a, a, 2049))) + shift
+    for x0, x1 in ((-a, a), (a, -a)):
+        got, zeros = odesolve.propagate(p, lam, x0, x1)
+        (inner, _), (outer, _) = (odesolve.propagate(p, lam, x0, 0.0),
+                                  odesolve.propagate(p, lam, 0.0, x1))
+        assert _relative(got, outer @ inner) <= odesolve.DEFAULT_RTOL
+        assert zeros == odesolve.propagate(p, lam, -a, a)[1]
+
+
+@pytest.mark.parametrize("a", [1.0, 8.0])
+def test_even_zero_count_is_the_dirichlet_count_of_the_free_particle(a):
+    # sin k(x + a)/k has a zero inside (-a, a) for each level (n pi / 2a)^2 below E;
+    # the half pass counts the zeros of cos kx and sin kx / k on (0, a)
+    energies = np.linspace(-5.0, 400.0, 1999)
+    for x0, x1 in ((-a, a), (a, -a)):
+        _, zeros = odesolve.propagate(Potential.zero(a), energies, x0, x1)
+        below = np.floor(2.0 * a * np.sqrt(np.maximum(energies, 0.0)) / np.pi)
+        assert np.array_equal(zeros, below)
+
+
+def test_even_zero_count_is_the_dirichlet_count_of_the_harmonic_well():
+    # one probe below the ground level and one between each pair of levels
+    p = Potential.harmonic(25.0, 1.0)
+    levels = oracles.fd_dirichlet_levels(lambda x: 25.0 * x * x, 12)
+    probes = np.r_[levels[0] - 1.0, 0.5 * (levels[1:] + levels[:-1])]
+    for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
+        _, zeros = odesolve.propagate(p, probes, x0, x1)
+        assert zeros.tolist() == list(range(len(probes)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_even_transfer_that_overflows_raises():
+    # the half pass stays finite near e^374, its square does not: the composed
+    # T fails as the direct pass over [-1, 1] would
+    lam = -1.4e5
+    assert np.all(np.isfinite(odesolve.propagate(P0, lam, 0.0, 1.0)[0]))
+    for x0, x1 in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(IntegrationError, match="overflowed") as info:
+            odesolve.propagate(P0, lam, x0, x1)
+        assert info.value.x_fail == 0.0
+
+
+def test_half_pass_failure_carries_where_the_direct_pass_enters():
+    # the wild cosine fails on its one piece, entered at -1 from -1 and at 1 from 1
+    wild = Potential.cosine(1e3, 1e5, 1.0)
+    for x0 in (-1.0, 1.0):
+        with pytest.raises(IntegrationError) as info:
+            odesolve.propagate(wild, 3.0, x0, -x0)
+        assert info.value.x_fail == x0

@@ -226,7 +226,7 @@ def test_double_well_doublets_match_finite_differences():
 
 def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
     # the solutions from -a of every level come from one call, and those from
-    # a of every simple level from one more
+    # a of every simple level from one more, or for an even V by reflection
     sizes = []
     fundamental = odesolve.fundamental_solutions
 
@@ -238,6 +238,59 @@ def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
     result = find_eigenvalues(P0, bc_named("dirichlet"), e_max=40.0)
     assert result.degeneracies.count(1) >= 3
     assert len(sizes) <= 2
+
+
+EVEN_KINDS = [
+    P0,
+    Potential.harmonic(25.0, 1.0),
+    Potential.finite_well(-10.0, 0.5, 1.0),
+    Potential.cosine(5.0, np.pi, 1.0),
+    Potential.polynomial([100.0, 0.0, -800.0, 0.0, 1600.0], 1.0),
+    Potential.piecewise([((-1.0, -0.5), [3.0]), ((-0.5, 0.5), [-1.0, 0.0, 4.0]),
+                         ((0.5, 1.0), [3.0])], 1.0),
+    Potential.cosine(5.0, np.pi, 8.0),
+]
+TILTED = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
+
+
+@pytest.mark.parametrize("p", EVEN_KINDS, ids=lambda p: f"{p.kind}-a{p.a:g}")
+def test_reflected_pair_matches_the_pass_from_a(p):
+    # u1(-x) and -u2(-x) launched at a: the same samples in the same order,
+    # with u1' and u2 negated
+    energies = np.array([-7.0, 2.0, 17.3, 150.0])
+    lefts = odesolve.fundamental_solutions(p, energies, -p.a, p.a)
+    rights = odesolve.fundamental_solutions(p, energies, p.a, -p.a)
+    for left, right in zip(lefts, rights):
+        for got, want in zip(spectrum._reflected(left), right):
+            assert odesolve._same_grid(got, want)
+            assert (got.lam, got.x0, got.x1, got.f0, got.df0) == (
+                want.lam, want.x0, want.x1, want.f0, want.df0)
+            for g, w in ((got.f, want.f), (got.df, want.df)):
+                assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("p, bc, calls", [
+    (Potential.harmonic(25.0, 1.0), bc_named("dirichlet"), 1),
+    (Potential.finite_well(-10.0, 0.5, 1.0), bc_named("periodic"), 1),
+    (TILTED, bc_named("automorphic", K=2.0 + 1.0j), 2),
+    # even, but its grid is not symmetric about 0: sample i from a is not at -x_i
+    (Potential.piecewise([((-1.0, 0.3), [2.0]), ((0.3, 1.0), [2.0])], 1.0),
+     bc_named("dirichlet"), 2),
+], ids=["harmonic-dirichlet", "well-periodic", "tilted-automorphic", "even-asymmetric-grid"])
+def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
+    # an even V takes its eigenfunctions from one fundamental pass, from -a;
+    # the tilted V launches its simple levels from a in a second one
+    starts = []
+    fundamental = odesolve.fundamental_solutions
+
+    def counting(p, lam, x0, *args):
+        starts.append(x0)
+        return fundamental(p, lam, x0, *args)
+
+    monkeypatch.setattr(odesolve, "fundamental_solutions", counting)
+    result = find_eigenvalues(p, bc, e_max=40.0)
+    assert result.degeneracies.count(1) >= 3
+    assert starts == [-p.a, p.a][:calls]
 
 
 def test_solve_evaluates_all_bracket_ends_in_one_call(monkeypatch):
