@@ -75,7 +75,7 @@ def classify_roundtrip(samples, rng):
 def box_spectrum():
     """The two lowest Dirichlet levels of V = 0 on [-1, 1], to 1e-6 relative."""
     box = spectrum.find_eigenvalues(Potential.zero(1.0), bcclassify.classify(
-        bcclassify.synthesize("dirichlet")), e_min=0.1, e_max=12.0, grid=200)
+        bcclassify.synthesize("dirichlet")), e_min=0.1, e_max=12.0)
     expected = [(np.pi / 2) ** 2, np.pi ** 2]
     ok = (len(box.eigenvalues) >= 2
           and all(abs(e - w) <= 1e-6 * w for e, w in zip(box.eigenvalues, expected)))

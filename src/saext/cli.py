@@ -63,7 +63,6 @@ def _build_parser():
         if name == "spectrum":
             own += [cmd.add_argument("--emin", type=float),
                     cmd.add_argument("--emax", type=float),
-                    cmd.add_argument("--grid", type=int),
                     cmd.add_argument("--format", choices=("json", "csv"), dest="fmt"),
                     argparse.Action([], "eigenfunctions_out")]
         if name == "verify":
@@ -113,7 +112,10 @@ def _read_potential(config):
     path = config.get("potential")
     if path is None:
         raise UsageError("--potential is required (a potential descriptor or a basis.json)")
-    return jsonio.read(path)
+    data = jsonio.read(path)
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: a potential descriptor or a basis.json holds one JSON object")
+    return data
 
 
 def _load_potential(config, data=None):
@@ -226,9 +228,7 @@ def _write_csv(path, header, rows):
 def _cmd_spectrum(config):
     p = _load_potential(config)
     bc = _classify(config)
-    result = spectrum.find_eigenvalues(
-        p, bc, e_min=config.get("emin"), e_max=config.get("emax", 40.0),
-        grid=config.get("grid"))
+    result = spectrum.find_eigenvalues(p, bc, config.get("emin"), config.get("emax", 40.0))
     if config.get("fmt") == "csv":
         if config.get("out") is None:
             raise UsageError("csv output needs --out")

@@ -234,30 +234,19 @@ def forward_map_general(basis, u):
     return Unitary2.certify(w.conj().T, GENERAL_UNITARITY_TOL)
 
 
-def haar_unitary(rng):
-    """A Haar-distributed 2x2 unitary (QR of a complex Gaussian, phase-fixed)."""
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+def random_matrix(rng, n=None):
+    """An unconstrained complex Gaussian 2x2 matrix (almost surely non-unitary),
+    or an (n, 2, 2) stack: real parts, then imaginary parts, per matrix."""
+    z = rng.standard_normal((2, 2, 2) if n is None else (n, 2, 2, 2))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def random_matrix(rng):
-    """An unconstrained complex Gaussian 2x2 matrix (almost surely non-unitary)."""
-    return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-
-
-def _draws(samples, seed):
-    """The Haar-random unitaries and the random matrices of check_identities
-    as two (samples, 2, 2) stacks: the same numbers that ``samples`` calls
-    of haar_unitary and then of random_matrix take from default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((samples, 2, 2, 2))
-    q, r = np.linalg.qr((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=1, axis2=2)
-    haar = q * (d / np.abs(d))[:, None, :]
-    z = rng.standard_normal((samples, 2, 2, 2))
-    return haar, z[:, 0] + 1j * z[:, 1]
+def haar_unitary(rng, n=None):
+    """A Haar-distributed 2x2 unitary (QR of a complex Gaussian,
+    phase-fixed), or an (n, 2, 2) stack of them, the same as n calls."""
+    q, r = np.linalg.qr(random_matrix(rng, n) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _certified_defects(stack, tol):
@@ -290,7 +279,8 @@ def check_identities(basis, samples, seed=0):
         report dict with per-check pass counts, worst margins and thresholds.
     """
     _require_mode(basis, EVEN_MODE)
-    haar, rand = _draws(samples, seed)
+    rng = np.random.default_rng(seed)
+    haar, rand = haar_unitary(rng, samples), random_matrix(rng, samples)
     u_mat = np.concatenate([haar, rand])
     v, vt = build_V_Vtilde(basis, u_mat)
     uc = np.conj(u_mat)

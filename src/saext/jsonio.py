@@ -19,8 +19,13 @@ def matrix_to_json(m):
 
 
 def matrix_from_json(data):
+    """The 2x2 complex matrix of {"rows": rows} or of bare rows of [re, im] pairs."""
     rows = data["rows"] if isinstance(data, dict) else data
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+    try:
+        (a, b), (c, d) = [[complex(re, im) for re, im in row] for row in rows]
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("a matrix is 2x2 rows of [re, im] pairs") from None
+    return np.array([[a, b], [c, d]])
 
 
 def _mapping(value):

@@ -214,7 +214,7 @@ def _eigenfunctions_at(bc, count, left, right):
     return funcs, residuals
 
 
-def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None):
+def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     """Locate all eigenvalues of the extension in [e_min, e_max).
 
     The scan counts the levels below every grid energy at the coarse
@@ -226,29 +226,32 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0, grid=None):
     two parts or the symmetry check by more than RESIDUAL_LIMIT is dropped
     with a warning.
 
+    The scan is uniform in the wavenumber k = sqrt(E - e_min), eight
+    points per pi/2a in k (the asymptotic spacing of the Dirichlet levels)
+    and at least 16, so it grows like the level count, a sqrt(e_max - e_min),
+    not like a^2 (e_max - e_min).
+
     Args:
         e_min: scan floor.  The default is -sup|V| - 1; while levels lie
             below it, the depth below -sup|V| doubles, and the first floor
             with none below is prepended to the scan.
-        grid: number of scan points (>= 16), spaced uniformly in the
-            wavenumber k = sqrt(E - e_min) from e_min to e_max; defaults to
-            eight points per pi/2a in k, the asymptotic spacing of the
-            Dirichlet levels, so the scan grows like the level count,
-            a sqrt(e_max - e_min), not like a^2 (e_max - e_min).
 
     Returns:
         SpectrumResult (empty eigenvalue list when no roots are found).
+
+    Raises:
+        ValueError: if e_min or e_max is not finite, or e_min >= e_max.
     """
     default_floor = e_min is None
     if default_floor:
         e_min = -p.sup_norm() - 1.0
+    for name, bound in (("e_min", e_min), ("e_max", e_max)):
+        if not np.isfinite(bound):
+            raise ValueError(f"{name} must be finite, got {bound}")
     if e_min >= e_max:
         raise ValueError(f"empty scan range [{e_min}, {e_max}]")
     k_max = np.sqrt(e_max - e_min)
-    if grid is None:
-        grid = max(16, int(np.ceil(8.0 * k_max / (np.pi / (2.0 * p.a)))))
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
+    grid = max(16, int(np.ceil(8.0 * k_max / (np.pi / (2.0 * p.a)))))
 
     energies = e_min + np.linspace(0.0, k_max, grid) ** 2
     energies[-1] = e_max

@@ -30,12 +30,11 @@ def _report(number, label, ok, elapsed, budget):
 
 @pytest.fixture(scope="module")
 def box_spectra():
-    plans = {"dirichlet": (0.1, 40.0, 800), "neumann": (-0.5, 40.0, 800),
-             "periodic": (-0.5, 40.0, 800), "anti-periodic": (0.0, 40.0, 800)}
+    plans = {"dirichlet": (0.1, 40.0), "neumann": (-0.5, 40.0),
+             "periodic": (-0.5, 40.0), "anti-periodic": (0.0, 40.0)}
     start = time.perf_counter()
-    results = {name: find_eigenvalues(P0, classify(synthesize(name)),
-                                      e_min=lo, e_max=hi, grid=grid)
-               for name, (lo, hi, grid) in plans.items()}
+    results = {name: find_eigenvalues(P0, classify(synthesize(name)), e_min=lo, e_max=hi)
+               for name, (lo, hi) in plans.items()}
     return results, time.perf_counter() - start
 
 
@@ -43,7 +42,7 @@ def box_spectra():
 def robin_spectrum():
     bc = classify(synthesize("robin", alpha=1.0, gamma=1.0))
     start = time.perf_counter()
-    result = find_eigenvalues(P0, bc, e_min=-2.0, e_max=30.0, grid=400)
+    result = find_eigenvalues(P0, bc, e_min=-2.0, e_max=30.0)
     return result, time.perf_counter() - start
 
 
@@ -51,8 +50,7 @@ def robin_spectrum():
 def harmonic_spectrum():
     p = Potential.harmonic(1.0, 1.0)
     start = time.perf_counter()
-    result = find_eigenvalues(p, classify(synthesize("dirichlet")),
-                              e_min=0.0, e_max=45.0, grid=500)
+    result = find_eigenvalues(p, classify(synthesize("dirichlet")), e_min=0.0, e_max=45.0)
     return result, time.perf_counter() - start
 
 

@@ -94,7 +94,7 @@ def test_spectrum_json_and_values(tmp_path, zero_potential_file):
     out = tmp_path / "spec.json"
     assert cli.main(["spectrum", "--potential", zero_potential_file,
                      "--family", "dirichlet", "--emin", "0.1", "--emax", "30",
-                     "--grid", "600", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     want = [(np.pi / 2) ** 2, np.pi ** 2, (3 * np.pi / 2) ** 2]
     assert len(data["eigenvalues"]) == 3
@@ -106,7 +106,7 @@ def test_spectrum_csv_output(tmp_path, zero_potential_file):
     out = tmp_path / "spec.csv"
     assert cli.main(["spectrum", "--potential", zero_potential_file,
                      "--family", "dirichlet", "--emin", "0.1", "--emax", "12",
-                     "--grid", "200", "--format", "csv", "--out", str(out)]) == 0
+                     "--format", "csv", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "eigenvalue,degeneracy,residual"
     assert len(lines) == 3
@@ -115,7 +115,7 @@ def test_spectrum_csv_output(tmp_path, zero_potential_file):
 def test_config_file_with_flag_override(tmp_path, zero_potential_file):
     config = tmp_path / "run.json"
     jsonio.write(config, {"potential": zero_potential_file, "family": "dirichlet",
-                          "emin": 0.1, "emax": 12.0, "grid": 200})
+                          "emin": 0.1, "emax": 12.0})
     out = tmp_path / "spec.json"
     # --emax overrides the config value
     assert cli.main(["spectrum", "--config", str(config), "--emax", "5",
@@ -129,7 +129,7 @@ def test_output_is_deterministic(tmp_path, zero_potential_file):
     for out in (out1, out2):
         assert cli.main(["spectrum", "--potential", zero_potential_file,
                          "--family", "dirichlet", "--emin", "0.1", "--emax", "12",
-                         "--grid", "200", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -137,7 +137,7 @@ def test_eigenfunction_dump_via_config(tmp_path, zero_potential_file):
     config = tmp_path / "run.json"
     prefix = tmp_path / "mode"
     jsonio.write(config, {"potential": zero_potential_file, "family": "dirichlet",
-                          "emin": 1.0, "emax": 4.0, "grid": 64,
+                          "emin": 1.0, "emax": 4.0,
                           "eigenfunctions_out": str(prefix)})
     out = tmp_path / "spec.json"
     assert cli.main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
@@ -199,22 +199,55 @@ def test_usage_errors_exit_2(tmp_path, zero_potential_file):
                      "--family", "dirichlet"]) == cli.USAGE_ERROR         # missing file
     bad = write_matrix(tmp_path / "bad.json", np.diag([2.0, 1.0]))
     assert cli.main(["classify", "--matrix", bad]) == cli.USAGE_ERROR     # not unitary
-    with pytest.raises(SystemExit) as exc:                                # not a classify flag
-        cli.main(["classify", "--emax", "5"])
-    assert exc.value.code == cli.USAGE_ERROR
+    for argv in (["classify", "--emax", "5"],                            # not a classify flag
+                 ["spectrum", "--potential", zero_potential_file,         # no scan-size flag
+                  "--family", "dirichlet", "--grid", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.USAGE_ERROR
     empty = tmp_path / "empty.json"                                       # no coefficients
     jsonio.write(empty, {"kind": "piecewise", "a": 1.0, "params": {"pieces": [
         {"interval": [-1.0, 1.0], "coefficients": []}]}})
     assert cli.main(["deficiency", "--potential", str(empty)]) == cli.USAGE_ERROR
 
 
+@pytest.mark.parametrize("bound", [["--emax", "inf"], ["--emax", "nan"], ["--emin", "nan"]],
+                         ids=["emax-inf", "emax-nan", "emin-nan"])
+def test_non_finite_energy_bounds_exit_2(tmp_path, zero_potential_file, capsys, bound):
+    out = tmp_path / "spec.json"
+    assert cli.main(["spectrum", "--potential", zero_potential_file, "--family", "dirichlet",
+                     *bound, "--out", str(out)]) == cli.USAGE_ERROR
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["deficiency", "--potential", "five.json"],
+    ["map", "--potential", "five.json", "--family", "periodic", "--direction", "bc-to-u"],
+    ["spectrum", "--potential", "five.json", "--family", "dirichlet"],
+    ["classify", "--matrix", "five.json"],
+    ["map", "--potential", "zero.json", "--matrix", "pair.json", "--direction", "u-to-bc"],
+    ["spectrum", "--potential", "zero.json", "--matrix", "pair.json"],
+], ids=["deficiency-potential", "map-potential", "spectrum-potential", "classify-matrix",
+        "map-matrix", "spectrum-matrix"])
+def test_malformed_input_files_exit_2(tmp_path, monkeypatch, argv):
+    # JSON that parses but is not a potential (an object) or a 2x2 matrix
+    monkeypatch.chdir(tmp_path)
+    jsonio.write("zero.json", Potential.zero(1.0).to_json())
+    jsonio.write("five.json", 5)
+    jsonio.write("pair.json", [1, 2])
+    assert cli.main([*argv, "--out", "out.json"]) == cli.USAGE_ERROR
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command, entry", [
-    ("spectrum", {"grid": 20.5}),        # not an int
+    ("verify", {"samples": 2.5}),        # not an int
     ("spectrum", {"emax": "twelve"}),    # not a float
     ("spectrum", {"fmt": "xml"}),        # not one of the --format choices
     ("spectrum", {"e_max": 5}),          # no subcommand has this key
+    ("spectrum", {"grid": 200}),         # the scan is sized by the level count
     ("deficiency", {"mode": "evn"}),     # not one of the basis modes
-], ids=["grid-float", "emax-text", "fmt-xml", "typo-key", "mode-typo"])
+], ids=["samples-float", "emax-text", "fmt-xml", "typo-key", "grid-key", "mode-typo"])
 def test_config_values_checked_like_flags(tmp_path, zero_potential_file, command, entry):
     config = tmp_path / "run.json"
     # deficiency ignores "family", a key of other subcommands
@@ -227,7 +260,7 @@ def test_config_values_checked_like_flags(tmp_path, zero_potential_file, command
 def test_config_null_leaves_default(tmp_path, zero_potential_file):
     config = tmp_path / "run.json"
     jsonio.write(config, {"potential": zero_potential_file, "family": "dirichlet",
-                          "emin": 0.1, "emax": None, "grid": 400})
+                          "emin": 0.1, "emax": None})
     out = tmp_path / "spec.json"
     assert cli.main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
     want = [((n * np.pi) / 2) ** 2 for n in range(1, 5)]  # Dirichlet levels below 40

@@ -246,8 +246,9 @@ def test_check_identities_draws_the_loop_draws():
     rng = np.random.default_rng(4)
     haar = [haar_unitary(rng) for _ in range(30)]
     rand = [random_matrix(rng) for _ in range(30)]
-    got_haar, got_rand = extmap._draws(30, 4)
-    assert np.array_equal(got_haar, haar) and np.array_equal(got_rand, rand)
+    rng = np.random.default_rng(4)  # a stack takes the numbers of as many single draws
+    assert np.array_equal(haar_unitary(rng, 30), haar)
+    assert np.array_equal(random_matrix(rng, 30), rand)
 
 
 def loop_check_identities(basis, samples, seed):

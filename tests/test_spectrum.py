@@ -48,28 +48,28 @@ def test_det_is_continuous_in_energy():
 
 
 def test_dirichlet_box_spectrum():
-    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0, grid=600)
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0)
     assert_matches(result, oracles.box_levels("dirichlet", 30.0))
 
 
 def test_neumann_box_spectrum():
-    result = find_eigenvalues(P0, bc_named("neumann"), e_min=-0.5, e_max=12.0, grid=400)
+    result = find_eigenvalues(P0, bc_named("neumann"), e_min=-0.5, e_max=12.0)
     assert_matches(result, oracles.box_levels("neumann", 12.0))
 
 
 def test_periodic_box_spectrum():
-    result = find_eigenvalues(P0, bc_named("periodic"), e_min=-0.5, e_max=12.0, grid=400)
+    result = find_eigenvalues(P0, bc_named("periodic"), e_min=-0.5, e_max=12.0)
     assert_matches(result, oracles.box_levels("periodic", 12.0))
 
 
 def test_anti_periodic_box_spectrum():
-    result = find_eigenvalues(P0, bc_named("anti-periodic"), e_min=0.0, e_max=12.0, grid=400)
+    result = find_eigenvalues(P0, bc_named("anti-periodic"), e_min=0.0, e_max=12.0)
     assert_matches(result, oracles.box_levels("anti-periodic", 12.0))
 
 
 def test_mixed_endpoint_spectrum():
     result = find_eigenvalues(P0, bc_named("dirichlet-at-a-neumann-at-minus-a"),
-                              e_min=0.0, e_max=35.0, grid=500)
+                              e_min=0.0, e_max=35.0)
     assert_matches(result, oracles.box_levels("dirichlet-at-a-neumann-at-minus-a", 35.0))
 
 
@@ -77,7 +77,7 @@ def test_robin_matches_transcendental_bisection():
     det = oracles.robin_det(1.0, 1.0)
     expected = oracles.bisect_roots(det, -2.0, 12.0)
     result = find_eigenvalues(P0, bc_named("robin", alpha=1.0, gamma=1.0),
-                              e_min=-2.0, e_max=12.0, grid=300)
+                              e_min=-2.0, e_max=12.0)
     assert len(result.eigenvalues) == len(expected)
     for e, want in zip(result.eigenvalues, expected):
         assert abs(e - want) <= 1e-6 * max(abs(want), 1.0)
@@ -86,7 +86,7 @@ def test_robin_matches_transcendental_bisection():
 
 
 def test_stored_eigenfunctions_meet_invariants():
-    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0, grid=400)
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0)
     for funcs, residual in zip(result.eigenfunctions, result.residuals):
         assert residual <= 1e-6
         for f in funcs:
@@ -97,7 +97,7 @@ def test_stored_eigenfunctions_meet_invariants():
 
 
 def test_dirichlet_ground_state_residuals_tight():
-    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=1.0, e_max=4.0, grid=40)
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=1.0, e_max=4.0)
     report = eigenfunction_residuals(result)
     assert report["worst_boundary"] <= 1e-7
     assert report["worst_symmetry"] <= 1e-7
@@ -106,7 +106,7 @@ def test_dirichlet_ground_state_residuals_tight():
 
 def test_robin_endpoint_relation_of_eigenfunctions():
     result = find_eigenvalues(P0, bc_named("robin", alpha=1.0, gamma=1.0),
-                              e_min=-2.0, e_max=12.0, grid=300)
+                              e_min=-2.0, e_max=12.0)
     for funcs in result.eigenfunctions:
         for f in funcs:
             assert abs(f.df1 - 1.0 * f.f1) <= 1e-6 * max(1.0, abs(f.f1))
@@ -114,7 +114,7 @@ def test_robin_endpoint_relation_of_eigenfunctions():
 
 def test_harmonic_dirichlet_matches_finite_differences():
     p = Potential.harmonic(1.0, 1.0)
-    result = find_eigenvalues(p, bc_named("dirichlet"), e_min=0.0, e_max=45.0, grid=500)
+    result = find_eigenvalues(p, bc_named("dirichlet"), e_min=0.0, e_max=45.0)
     expected = oracles.fd_dirichlet_levels(lambda x: x * x, 4)
     assert len(result.eigenvalues) >= 4
     for e, want in zip(result.eigenvalues[:4], expected):
@@ -123,29 +123,30 @@ def test_harmonic_dirichlet_matches_finite_differences():
 
 def test_dirichlet_neumann_interlacing():
     for p in (P0, Potential.harmonic(1.0, 1.0)):
-        dirichlet = find_eigenvalues(p, bc_named("dirichlet"), e_min=-0.5, e_max=30.0,
-                                     grid=400).eigenvalues
-        neumann = find_eigenvalues(p, bc_named("neumann"), e_min=-1.5, e_max=30.0,
-                                   grid=400).eigenvalues
+        dirichlet = find_eigenvalues(p, bc_named("dirichlet"), e_min=-0.5, e_max=30.0).eigenvalues
+        neumann = find_eigenvalues(p, bc_named("neumann"), e_min=-1.5, e_max=30.0).eigenvalues
         for n, (nm, dr) in enumerate(zip(neumann, dirichlet)):
             assert nm <= dr + 1e-8
             if n + 1 < len(neumann):
                 assert dr <= neumann[n + 1] + 1e-8
 
 
-def test_refinement_is_monotone_in_grid():
-    coarse = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0, grid=200)
-    fine = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0, grid=400)
-    tol = (30.0 - 0.1) / (10 * 200)
-    for e in coarse.eigenvalues:
-        assert any(abs(e - f) <= tol for f in fine.eigenvalues)
+def test_levels_do_not_depend_on_the_scan_ceiling():
+    # e_max sets the scan's points; the levels below 12 must not move with them
+    short = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=12.0)
+    tall = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0)
+    assert len(short.det_trace) < len(tall.det_trace)
+    below = [e for e in tall.eigenvalues if e < 12.0]
+    assert len(short.eigenvalues) == len(below) == 2
+    for e, f in zip(short.eigenvalues, below):
+        assert abs(e - f) <= 1e-9 * f
 
 
 def test_parity_of_eigenfunctions_for_scalar_bc():
     # Ucal = i I keeps the boundary conditions mirror symmetric
     p = Potential.harmonic(1.0, 1.0)
     bc = classify(Unitary2.certify(1j * np.eye(2)))
-    result = find_eigenvalues(p, bc, e_min=-2.0, e_max=15.0, grid=300)
+    result = find_eigenvalues(p, bc, e_min=-2.0, e_max=15.0)
     assert result.eigenvalues
     for funcs in result.eigenfunctions:
         for f in funcs:
@@ -156,13 +157,13 @@ def test_parity_of_eigenfunctions_for_scalar_bc():
 
 
 def test_empty_scan_returns_empty_result():
-    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=3.0, e_max=9.0, grid=64)
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=3.0, e_max=9.0)
     assert result.eigenvalues == []
     assert result.det_trace
 
 
 def test_degenerate_pair_is_orthonormal():
-    result = find_eigenvalues(P0, bc_named("periodic"), e_min=5.0, e_max=12.0, grid=200)
+    result = find_eigenvalues(P0, bc_named("periodic"), e_min=5.0, e_max=12.0)
     assert result.degeneracies == [2]
     f1, f2 = result.eigenfunctions[0]
     assert abs(odesolve.l2_inner(f1, f2)) <= 1e-8
@@ -170,16 +171,23 @@ def test_degenerate_pair_is_orthonormal():
 
 
 def test_det_trace_covers_scan():
-    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=10.0, grid=100)
-    assert len(result.det_trace) == 100
-    assert result.det_trace[0][0] == 0.1 and result.det_trace[-1][0] == 10.0
+    # eight points per pi/2a in k = sqrt(E - e_min): ceil(8 sqrt(99.9) / (pi/2)) = 51
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=100.0)
+    energies = np.array([e for e, _ in result.det_trace])
+    assert len(energies) == 51
+    assert energies[0] == 0.1 and energies[-1] == 100.0
+    k = np.sqrt(energies - 0.1)
+    assert np.allclose(np.diff(k), k[-1] / 50, rtol=1e-9)
 
 
 def test_invalid_scan_arguments():
-    with pytest.raises(ValueError):
-        find_eigenvalues(P0, bc_named("dirichlet"), e_min=5.0, e_max=1.0, grid=100)
-    with pytest.raises(ValueError):
-        find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.0, e_max=1.0, grid=4)
+    for e_min, e_max, message in [(5.0, 1.0, "empty scan range"),
+                                  (None, np.inf, "e_max must be finite"),
+                                  (0.0, np.nan, "e_max must be finite"),
+                                  (np.nan, 1.0, "e_min must be finite"),
+                                  (-np.inf, 1.0, "e_min must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            find_eigenvalues(P0, bc_named("dirichlet"), e_min=e_min, e_max=e_max)
 
 
 def test_scan_is_one_batched_propagate(monkeypatch):
@@ -400,9 +408,11 @@ def test_import_loads_no_scipy():
     (5.0, 9 * np.pi ** 2 / 4 + 0.05, [np.pi ** 2, 9 * np.pi ** 2 / 4]),
 ])
 def test_roots_in_edge_scan_intervals(e_min, e_max, levels):
-    # the lowest or highest level lies inside the first or last grid interval
-    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=e_min, e_max=e_max, grid=16)
+    # the lowest or highest level lies inside the first or last scan interval
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=e_min, e_max=e_max)
     assert_matches(result, [(e, 1) for e in levels])
+    scan = [e for e, _ in result.det_trace]
+    assert scan[0] < result.eigenvalues[0] < scan[1] or scan[-2] < result.eigenvalues[-1] < scan[-1]
 
 
 def robin_levels(alpha, gamma):
