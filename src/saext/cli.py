@@ -228,13 +228,14 @@ def _write_csv(path, header, rows):
 def _cmd_spectrum(config):
     p = _load_potential(config)
     bc = _classify(config)
-    result = spectrum.find_eigenvalues(p, bc, config.get("emin"), config.get("emax", 40.0))
+    bounds = {key: config[name] for key, name in (("e_min", "emin"), ("e_max", "emax"))
+              if name in config}
+    result = spectrum.find_eigenvalues(p, bc, **bounds)
     if config.get("fmt") == "csv":
         if config.get("out") is None:
             raise UsageError("csv output needs --out")
         _write_csv(config["out"], ["eigenvalue", "degeneracy", "residual"],
-                   ([format(e, ".17g"), d, format(r, ".17g")] for e, d, r
-                    in zip(result.eigenvalues, result.degeneracies, result.residuals)))
+                   zip(result.eigenvalues, result.degeneracies, result.residuals))
     else:
         _write_out(config, result.to_json())
     prefix = config.get("eigenfunctions_out")
@@ -242,8 +243,7 @@ def _cmd_spectrum(config):
         for i, funcs in enumerate(result.eigenfunctions):
             for j, f in enumerate(funcs):
                 _write_csv(f"{prefix}_{i}_{j}.csv", ["x", "re_f", "im_f"],
-                           ([format(x, ".17g"), format(v.real, ".17g"), format(v.imag, ".17g")]
-                            for x, v in zip(f.x, f.f)))
+                           zip(f.x.tolist(), f.f.real.tolist(), f.f.imag.tolist()))
     return 0
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import odesolve
-from .errors import DegeneracyError, InvariantViolation, ParityError
+from .errors import DegeneracyError, InvariantViolation, ModeError, ParityError
 from .odesolve import OdeSolution
 from .potential import Potential
 
@@ -73,22 +73,6 @@ class DeficiencyBasis:
         a, b = self.mat_A, self.mat_B
         return a - 1j * b, a + 1j * b, np.conj(a) - 1j * np.conj(b), np.conj(a) + 1j * np.conj(b)
 
-    @property
-    def g_plus_a(self):
-        return self.boundary_table[0, 1]
-
-    @property
-    def dg_plus_a(self):
-        return self.boundary_table[0, 0]
-
-    @property
-    def g_minus_a(self):
-        return self.boundary_table[1, 1]
-
-    @property
-    def dg_minus_a(self):
-        return self.boundary_table[1, 0]
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
@@ -108,9 +92,20 @@ class DeficiencyBasis:
     def from_json(cls, data):
         """The basis a to_json record describes, with its endpoint identities
         checked; in even mode the file's mat_A and mat_B must equal the
-        diagonals of its boundary table (InvariantViolation otherwise)."""
+        diagonals of its boundary table (InvariantViolation otherwise).
+        ModeError for an unknown mode, ValueError for a table that is not
+        2 rows of 4 [re, im] pairs."""
         from .jsonio import matrix_from_json
-        table = np.array([[complex(re, im) for re, im in row] for row in data["boundary_table"]])
+        if data["mode"] not in (EVEN_MODE, GENERAL_MODE):
+            raise ModeError(f"basis mode {data['mode']!r} is neither {EVEN_MODE!r} "
+                            f"nor {GENERAL_MODE!r}")
+        try:
+            table = np.array([[complex(re, im) for re, im in row]
+                              for row in data["boundary_table"]])
+        except (TypeError, ValueError, OverflowError):
+            table = None
+        if np.shape(table) != (2, 4):
+            raise ValueError("basis boundary_table is not 2 rows of 4 [re, im] pairs")
         basis = cls(data["mode"], Potential.from_json(data["potential"]), table,
                     matrix_from_json(data["normalization"]), None)
         _check_endpoint_identities(basis.parity_mode, table)
@@ -187,7 +182,7 @@ def _mirror(sol, even):
     segments = tuple(sorted(set(segments)))
     for arr in (x, f, df):
         arr.setflags(write=False)
-    return OdeSolution(sol.lam, -sol.x1, sol.x1, f[0], df[0], x, f, df, segments)
+    return OdeSolution(sol.lam, x, f, df, segments)
 
 
 def solve_even_odd(p):

@@ -1,8 +1,11 @@
 """Deterministic JSON and matrix serialization.
 
 Output files must be byte-identical across runs with the same inputs, so
-floats are always rendered with 17 significant digits and object keys are
-sorted; complex numbers travel as [re, im] pairs and 2x2 matrices as
+every payload goes through one standard-library encoder with sorted keys
+and compact separators.  Floats are written as their shortest round-trip
+text (0.1, not 0.10000000000000001), which reads back bit for bit, and
+non-finite ones as NaN and Infinity, which ``read`` accepts; complex
+numbers travel as [re, im] pairs and 2x2 matrices as
 {"rows": [[[re, im], ...], ...]}.
 """
 
@@ -28,51 +31,16 @@ def matrix_from_json(data):
     return np.array([[a, b], [c, d]])
 
 
-def _mapping(value):
-    return "{" + ",".join([_string(str(key)) + ":" + _render(value[key])
-                           for key in sorted(value)]) + "}"
-
-
-def _sequence(value):
-    return "[" + ",".join([_render(item) for item in value]) + "]"
-
-
-def _float(value):
-    return format(float(value), ".17g")
-
-
-def _by_isinstance(value):
-    if isinstance(value, dict):
-        return _mapping(value)
-    if isinstance(value, (list, tuple)):
-        return _sequence(value)
-    if isinstance(value, (bool, np.bool_)) or value is None:
-        return json.dumps(bool(value) if value is not None else None)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float(value)
+def _default(value):
+    """The JSON-native form of a complex number or a numpy scalar or array."""
     if isinstance(value, (complex, np.complexfloating)):
-        return _sequence([value.real, value.imag])
-    if isinstance(value, np.ndarray):
-        return _render(value.tolist())
-    return json.dumps(value)
+        return [value.real, value.imag]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-_string = json.encoder.encode_basestring_ascii  # what json.dumps does to a str
-# the types a payload is mostly made of, looked up by exact type before the
-# isinstance chain (a bool is an int, so only exact types may skip the chain)
-_EXACT = {float: _float, np.float64: _float, list: _sequence, tuple: _sequence,
-          dict: _mapping, str: _string}
-
-
-def _render(value):
-    return _EXACT.get(type(value), _by_isinstance)(value)
-
-
-def dumps(value):
-    """Canonical JSON: sorted keys, floats at 17 significant digits."""
-    return _render(value)
+dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_default).encode
 
 
 def write(path, value):

@@ -74,23 +74,34 @@ class OdeSolution:
 
     Attributes:
         lam: spectral parameter (i for deficiency solves, real E otherwise).
-        x0, x1: integration endpoints (x strictly monotone from x0 to x1).
-        f0, df0: initial values f(x0), f'(x0).
-        x, f, df: sample abscissae and values; x[0] == x0, x[-1] == x1.
+        x, f, df: sample abscissae, strictly monotone from x0 = x[0] to
+            x1 = x[-1], and values; f0, df0, f1 and df1 are the end values.
         segments: index of the first sample of each smooth piece; quadrature
             and differentiation operate piecewise so jumps in V never sit
             inside a stencil.
     """
 
     lam: complex
-    x0: float
-    x1: float
-    f0: complex
-    df0: complex
     x: np.ndarray
     f: np.ndarray
     df: np.ndarray
     segments: tuple
+
+    @property
+    def x0(self):
+        return self.x[0]
+
+    @property
+    def x1(self):
+        return self.x[-1]
+
+    @property
+    def f0(self):
+        return self.f[0]
+
+    @property
+    def df0(self):
+        return self.df[0]
 
     @property
     def f1(self):
@@ -103,8 +114,7 @@ class OdeSolution:
     def scaled(self, c):
         """The trajectory for initial data c*(f0, df0); exact by linearity."""
         c = complex(c)
-        return OdeSolution(self.lam, self.x0, self.x1, c * self.f0, c * self.df0,
-                           self.x, c * self.f, c * self.df, self.segments)
+        return OdeSolution(self.lam, self.x, c * self.f, c * self.df, self.segments)
 
     def segment_slices(self):
         """Per-piece index slices; junction samples belong to both neighbours."""
@@ -339,8 +349,7 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
                 y = piece[-1]
             y = np.moveaxis(np.concatenate(ys), 0, -1).copy()  # energy, row, k, sample
             y.setflags(write=False)
-            pairs += [tuple(OdeSolution(complex(e), float(x0), float(x1), complex(k == 0),
-                                        complex(k == 1), x, y[j, 0, k], y[j, 1, k], seg_starts)
+            pairs += [tuple(OdeSolution(complex(e), x, y[j, 0, k], y[j, 1, k], seg_starts)
                             for k in (0, 1)) for j, e in enumerate(block.tolist())]
     return pairs[0] if np.ndim(lam) == 0 else pairs
 
@@ -351,7 +360,7 @@ def integrate(p, lam, x0, x1, f0, df0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return combine(fundamental_solutions(p, lam, x0, x1, rtol, atol), [complex(f0), complex(df0)])
 
 
-def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     """Transfer matrix T with (f, f')(x1) = T @ (f, f')(x0), and the number
     of zeros strictly between x0 and x1 of u2, the solution with
     (f, f')(x0) = (0, 1) (of Re u2, so meaningful for real lam).
@@ -389,7 +398,7 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """
     lams = _spectral_array(lam)
     if x0 == -x1 and x0 != 0 and p.is_even():
-        half, zeros = _transfer(p, lams, 0.0, abs(x0), rtol, atol, slice(0, 2),
+        half, zeros = _transfer(p, lams, 0.0, abs(x0), rtol, slice(0, 2),
                                 lambda grid: float(np.copysign(grid[-1], x0)))
         (e, o), (de, do) = np.moveaxis(half, 0, -1)  # phi_e, phi_o and their derivatives at b
         with np.errstate(over="ignore", invalid="ignore"):
@@ -399,12 +408,12 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
             raise IntegrationError("solution overflowed after x = 0.0", x_fail=0.0)
         out = out.reshape(-1, 2, 2)
     else:
-        out, zeros = _transfer(p, lams, x0, x1, rtol, atol, slice(1, 2),
+        out, zeros = _transfer(p, lams, x0, x1, rtol, slice(1, 2),
                                lambda grid: float(grid[0]))
     return (out[0], int(zeros[0])) if np.ndim(lam) == 0 else (out, zeros)
 
 
-def _transfer(p, lams, x0, x1, rtol, atol, counted, entry):
+def _transfer(p, lams, x0, x1, rtol, counted, entry):
     """propagate's pass from x0 to x1 over the 1-D array lams: the
     (n, 2, 2) transfer matrices and, per energy, the zeros in (x0, x1) of
     the solutions in the counted columns of T.  Errors on a piece carry
@@ -437,7 +446,7 @@ def _transfer(p, lams, x0, x1, rtol, atol, counted, entry):
                        and (2 << c) * hk < 0.25 * np.pi):
                     c += 1
                 (e00, e01, e10, e11), warm[i] = _piece_prefix(
-                    vfun, grid, block, rounds, cache, rtol, atol, max(warm[i], -c),
+                    vfun, grid, block, rounds, cache, rtol, DEFAULT_ATOL, max(warm[i], -c),
                     entry(grid))
                 # rows f and f' of the counted columns of T at the piece start
                 u0, du0 = np.array([[1.0 + t[0], t[1]], [t[2], 1.0 + t[3]]])[:, counted]
@@ -506,9 +515,7 @@ def combine(solutions, coeffs):
             raise GridError("cannot combine solutions from different grids or lambdas")
     f = sum(c * s.f for c, s in zip(coeffs, solutions))
     df = sum(c * s.df for c, s in zip(coeffs, solutions))
-    f0 = sum(c * s.f0 for c, s in zip(coeffs, solutions))
-    df0 = sum(c * s.df0 for c, s in zip(coeffs, solutions))
-    return OdeSolution(base.lam, base.x0, base.x1, f0, df0, base.x, f, df, base.segments)
+    return OdeSolution(base.lam, base.x, f, df, base.segments)
 
 
 def wronskian(u, w):

@@ -200,7 +200,7 @@ def _eigenfunctions_at(bc, count, left, right):
         (q,) = null(matrix(left, j) @ at_minus_a - matrix(right, -1 - j) @ at_a)
         f, g = odesolve.combine(left, at_minus_a @ q), odesolve.combine(right, at_a @ q)
         y = np.where(np.arange(len(f.x)) <= j, [f.f, f.df], [g.f[::-1], g.df[::-1]])
-        parts = [(OdeSolution(f.lam, f.x0, f.x1, f.f0, f.df0, f.x, *y, f.segments),
+        parts = [(OdeSolution(f.lam, f.x, *y, f.segments),
                   np.linalg.norm([f.f[j] - g.f[-1 - j], f.df[j] - g.df[-1 - j]]))]
 
     funcs, residuals = [], []
@@ -328,8 +328,8 @@ def _reflected(left):
     samples of (u1, u2) in the same order, with u1' and u2 negated."""
     u1, u2 = left
     x = u1.x[::-1]
-    return (OdeSolution(u1.lam, u1.x1, u1.x0, u1.f0, u1.df0, x, u1.f, -u1.df, u1.segments),
-            OdeSolution(u2.lam, u2.x1, u2.x0, u2.f0, u2.df0, x, -u2.f, u2.df, u2.segments))
+    return (OdeSolution(u1.lam, x, u1.f, -u1.df, u1.segments),
+            OdeSolution(u2.lam, x, -u2.f, u2.df, u2.segments))
 
 
 def _symmetry_defect(f):

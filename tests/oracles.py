@@ -147,8 +147,7 @@ def reference_integrate(p, lam, x0, x1, f0, df0):
         dfs.append(ys[1, skip:])
         count += len(grid) - skip
         y = ys[:, -1].copy()
-    return OdeSolution(lam, float(x0), float(x1), complex(f0), complex(df0),
-                       np.concatenate(xs), np.concatenate(fs), np.concatenate(dfs),
+    return OdeSolution(lam, np.concatenate(xs), np.concatenate(fs), np.concatenate(dfs),
                        tuple(seg_starts))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saext import cli, jsonio
+from saext import cli, deficiency, jsonio
 from saext.potential import Potential
 
 
@@ -228,14 +228,20 @@ def test_non_finite_energy_bounds_exit_2(tmp_path, zero_potential_file, capsys, 
     ["classify", "--matrix", "five.json"],
     ["map", "--potential", "zero.json", "--matrix", "pair.json", "--direction", "u-to-bc"],
     ["spectrum", "--potential", "zero.json", "--matrix", "pair.json"],
+    ["map", "--potential", "table5.json", "--family", "periodic", "--direction", "bc-to-u"],
+    ["map", "--potential", "table1x1.json", "--family", "periodic", "--direction", "bc-to-u"],
 ], ids=["deficiency-potential", "map-potential", "spectrum-potential", "classify-matrix",
-        "map-matrix", "spectrum-matrix"])
+        "map-matrix", "spectrum-matrix", "map-basis-table-int", "map-basis-table-1x1"])
 def test_malformed_input_files_exit_2(tmp_path, monkeypatch, argv):
-    # JSON that parses but is not a potential (an object) or a 2x2 matrix
+    # JSON that parses but is not a potential (an object), a 2x2 matrix or
+    # a basis whose boundary table is 2x4 [re, im] pairs
     monkeypatch.chdir(tmp_path)
     jsonio.write("zero.json", Potential.zero(1.0).to_json())
     jsonio.write("five.json", 5)
     jsonio.write("pair.json", [1, 2])
+    basis = deficiency.solve_even_odd(Potential.zero(1.0)).to_json()
+    jsonio.write("table5.json", dict(basis, boundary_table=5))
+    jsonio.write("table1x1.json", dict(basis, boundary_table=[[[1, 0]]]))
     assert cli.main([*argv, "--out", "out.json"]) == cli.USAGE_ERROR
     assert not (tmp_path / "out.json").exists()
 
@@ -265,6 +271,31 @@ def test_config_null_leaves_default(tmp_path, zero_potential_file):
     assert cli.main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
     want = [((n * np.pi) / 2) ** 2 for n in range(1, 5)]  # Dirichlet levels below 40
     assert json.loads(out.read_text())["eigenvalues"] == pytest.approx(want, rel=1e-6)
+
+
+def test_every_output_file_re_encodes_to_its_own_bytes(tmp_path, monkeypatch):
+    # floats are written as their shortest round-trip text and keys sorted,
+    # so encoding what a file reads back as reproduces the file
+    monkeypatch.chdir(tmp_path)
+    jsonio.write("well.json", Potential.finite_well(-10.0, 0.5, 1.0).to_json())
+    jsonio.write("general-mode.json", {"mode": deficiency.GENERAL_MODE})
+    write_matrix("u.json", 1j * np.eye(2))
+    for argv in (["deficiency", "--potential", "well.json", "--out", "basis.json"],
+                 ["deficiency", "--potential", "well.json", "--config", "general-mode.json",
+                  "--out", "general.json"],
+                 ["map", "--potential", "basis.json", "--matrix", "u.json",
+                  "--direction", "u-to-bc", "--out", "ucal.json"],
+                 ["map", "--potential", "general.json", "--matrix", "u.json",
+                  "--direction", "u-to-bc", "--out", "ucal-general.json"],
+                 ["map", "--potential", "well.json", "--matrix", "ucal.json",
+                  "--direction", "bc-to-u", "--out", "u-back.json"],
+                 ["classify", "--matrix", "ucal.json", "--out", "bc.json"],
+                 ["spectrum", "--potential", "well.json", "--matrix", "ucal.json",
+                  "--emax", "40", "--out", "spec.json"],
+                 ["verify", "--samples", "3", "--out", "report.json"]):
+        assert cli.main(argv) == 0, argv
+        text = Path(argv[-1]).read_text(encoding="ascii")
+        assert jsonio.dumps(jsonio.read(argv[-1])) + "\n" == text, argv
 
 
 def readme_commands():

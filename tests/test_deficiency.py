@@ -6,7 +6,7 @@ import pytest
 from saext import deficiency, jsonio, odesolve
 from saext.deficiency import (DeficiencyBasis, change_of_basis, endpoint_form,
                               solve_even_odd, solve_orthonormal_pair, wronskian_identity)
-from saext.errors import InvariantViolation, ParityError
+from saext.errors import InvariantViolation, ModeError, ParityError
 from saext.jsonio import matrix_from_json, matrix_to_json
 from saext.potential import Potential
 
@@ -32,12 +32,9 @@ def closed_form_zero_basis():
 
 
 def test_zero_potential_matches_closed_form():
-    basis = solve_even_odd(P0)
+    table = solve_even_odd(P0).boundary_table  # rows (g'(a), g(a), g'(-a), g(-a))
     (gp, dgp), (gm, dgm) = closed_form_zero_basis()
-    assert abs(basis.g_plus_a - gp) < 1e-9
-    assert abs(basis.dg_plus_a - dgp) < 1e-9
-    assert abs(basis.g_minus_a - gm) < 1e-9
-    assert abs(basis.dg_minus_a - dgm) < 1e-9
+    assert np.abs(table - [[dgp, gp, -dgp, gp], [dgm, gm, dgm, -gm]]).max() < 1e-9
 
 
 @pytest.mark.parametrize("p", EVEN_POTENTIALS)
@@ -57,8 +54,9 @@ def test_endpoint_wronskian_equals_i(p):
 
 def test_matrices_are_diagonal_boundary_data():
     basis = solve_even_odd(P0)
-    assert np.allclose(np.diag([basis.g_plus_a, basis.g_minus_a]), basis.mat_A)
-    assert np.allclose(np.diag([basis.dg_plus_a, basis.dg_minus_a]), basis.mat_B)
+    (dgp, gp, _, _), (dgm, gm, _, _) = basis.boundary_table
+    assert np.allclose(np.diag([gp, gm]), basis.mat_A)
+    assert np.allclose(np.diag([dgp, dgm]), basis.mat_B)
     for mat in (basis.mat_A, basis.mat_B):
         sigma = np.abs(np.diag(mat))
         assert sigma.min() > 1e-8 * sigma.max()
@@ -151,6 +149,13 @@ def test_from_json_rejects_matrices_that_contradict_the_table(keys):
     for key in keys:
         data[key] = matrix_to_json(np.exp(0.7j) * matrix_from_json(data[key]))
     with pytest.raises(InvariantViolation):
+        DeficiencyBasis.from_json(data)
+
+
+@pytest.mark.parametrize("mode", ["evn", None])
+def test_from_json_rejects_an_unknown_mode(mode):
+    data = dict(solve_even_odd(P0).to_json(), mode=mode)
+    with pytest.raises(ModeError, match="basis mode"):
         DeficiencyBasis.from_json(data)
 
 

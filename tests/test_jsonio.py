@@ -1,57 +1,20 @@
-"""The canonical JSON writer against the isinstance-chain renderer it replaced."""
+"""The canonical JSON writer: exact float text, ASCII output, sorted keys."""
 
 import json
 
 import numpy as np
+import pytest
 
 from saext import jsonio
-
-
-def reference_dumps(value):
-    """One isinstance chain over every value, with a json.dumps call per key."""
-    out = []
-
-    def render(value):
-        if isinstance(value, dict):
-            out.append("{")
-            for i, key in enumerate(sorted(value)):
-                if i:
-                    out.append(",")
-                out.append(json.dumps(str(key)))
-                out.append(":")
-                render(value[key])
-            out.append("}")
-        elif isinstance(value, (list, tuple)):
-            out.append("[")
-            for i, item in enumerate(value):
-                if i:
-                    out.append(",")
-                render(item)
-            out.append("]")
-        elif isinstance(value, (bool, np.bool_)) or value is None:
-            out.append(json.dumps(bool(value) if value is not None else None))
-        elif isinstance(value, (int, np.integer)):
-            out.append(str(int(value)))
-        elif isinstance(value, (float, np.floating)):
-            out.append(format(float(value), ".17g"))
-        elif isinstance(value, (complex, np.complexfloating)):
-            render([value.real, value.imag])
-        elif isinstance(value, np.ndarray):
-            render(value.tolist())
-        else:
-            out.append(json.dumps(value))
-
-    render(value)
-    return "".join(out)
 
 
 class Label(str):
     pass
 
 
-def test_dumps_matches_reference_renderer():
+def payload():
     rng = np.random.default_rng(0)
-    payload = {
+    return {
         "floats": [1.5, -0.0, 1e-300, float("inf"), float("nan"), 0.1 + 0.2,
                    *rng.standard_normal(50) * 10.0 ** rng.integers(-200, 200, 50)],
         "numpy": [np.float64(2.25), np.float32(0.1), np.bool_(True), np.bool_(False),
@@ -62,4 +25,41 @@ def test_dumps_matches_reference_renderer():
         "keys": {"é\n\"q": 1, "b": {"a": [], "c": {}}, Label("z"): 2.0},
         "ü": "ß",
     }
-    assert jsonio.dumps(payload) == reference_dumps(payload)
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_dumps_reads_back_bit_for_bit(tmp_path):
+    value = payload()
+    jsonio.write(tmp_path / "out.json", value)
+    back = jsonio.read(tmp_path / "out.json")  # NaN and Infinity included
+    assert bits(back["floats"]) == bits(value["floats"])
+    # repr tells True from 1, 1.0 from 1 and -0.0 from 0.0
+    assert repr(back["numpy"]) == repr([2.25, float(np.float32(0.1)), True, False, -7, 3,
+                                        [3.0, -4.0]])
+    assert repr(back["python"]) == repr([True, False, None, 0, -12, [1.0, 2.0], "text", "sub"])
+    assert repr(back["ndarray"]) == repr([[[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]],
+                                          [[3.0, 1.0], [4.0, 1.0], [5.0, 1.0]]])
+    assert repr(back["nested"]) == repr([[1, [2.0, ["x", None]]], [[True, False]], {"k": []}])
+    assert back["keys"] == {"é\n\"q": 1, "b": {"a": [], "c": {}}, "z": 2.0}
+    assert back["ü"] == "ß"
+
+
+def test_dumps_is_ascii_with_shortest_float_text():
+    text = jsonio.dumps(payload())
+    assert text.isascii()
+    assert "[1.5,-0.0,1e-300,Infinity,NaN,0.30000000000000004," in text
+    assert '"z":2.0' in text
+
+
+def test_dumps_sorts_keys_at_every_level():
+    text = jsonio.dumps(payload())
+    assert jsonio.dumps(json.loads(text)) == text
+    assert jsonio.dumps({"b": {"d": 1, "c": 2}, "a": 3}) == '{"a":3,"b":{"c":2,"d":1}}'
+
+
+def test_dumps_rejects_values_json_cannot_hold():
+    with pytest.raises(TypeError, match="set"):
+        jsonio.dumps({"s": {1, 2}})
