@@ -22,9 +22,9 @@ them.  The piece is stepped at levels k and k + 1; the method's error
 expansion is even in h, so the Richardson value
 P_fine + (P_fine - P_coarse)/15 of the piece's prefix products P is
 returned.  For each energy the largest estimate |P_fine - P_coarse|/15
-must stay below rtol*max(1, max |P - I|) + atol, both maxima over the
-piece: the largest magnitude the product passes through sets its
-rounding, also where it cancels back to a small value.  Otherwise k grows
+must stay below rtol*max(1, max |P - I|), the maximum over the piece:
+the largest magnitude the product passes through sets its rounding, also
+where it cancels back to a small value.  Otherwise k grows
 to the level where the estimate, which falls 16-fold as h halves, should
 pass, up to MAX_HALVINGS, after which IntegrationError is raised.
 ``fundamental_solutions`` starts at k = 0, since its output lives on the
@@ -52,10 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, IntegrationError
+from .errors import DomainError, GridError, IntegrationError
 
 DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 
 MAX_HALVINGS = 8      # finest step: 2**8 per grid interval; finer raises IntegrationError
 ENERGY_BLOCK = 32     # energies per batch of propagate and fundamental_solutions
@@ -127,8 +126,12 @@ def _segment_grid(p, x0, x1):
 
     Returns a list of (lo, hi, V callable, grid) per piece, in integration
     order.  Grids share their junction points, and each piece's interval
-    count is a multiple of _INTERVAL_MULTIPLE.
+    count is a multiple of _INTERVAL_MULTIPLE.  Raises DomainError when an
+    endpoint lies outside [-a, a], with the slack of Potential.evaluate.
     """
+    edge = p.a + 4e-16 * p.a
+    if not (abs(x0) <= edge and abs(x1) <= edge):
+        raise DomainError(f"endpoints {x0}, {x1} not both in [-{p.a}, {p.a}]")
     lo, hi = (x0, x1) if x1 > x0 else (x1, x0)
     edges = [lo] + [b for b in p.breakpoints() if lo < b < hi] + [hi]
     h_target = p.a / _INTERVALS_PER_HALFWIDTH
@@ -242,7 +245,7 @@ def _interval_transfers(vfun, lams, grid, halvings, samples):
     return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
 
-def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0, x_start=None):
+def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
     grid intervals, as entries (t00 - 1, t01, t10, t11 - 1) of shape
     (number of blocks, len(lams)), and the level to start the next energies
@@ -263,7 +266,7 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0, x_star
         if not np.all(np.isfinite(value)):
             raise IntegrationError(f"solution overflowed after x = {x_start}", x_fail=x_start)
         err = np.max(np.abs(fine - coarse), axis=0) / 15.0
-        bound = rtol * np.maximum(1.0, np.max(np.abs(value), axis=0)) + atol
+        bound = rtol * np.maximum(1.0, np.max(np.abs(value), axis=0))
         bad = ~(err <= bound)
         with np.errstate(divide="ignore"):  # the estimate falls 16-fold as h halves
             need = level + np.ceil(0.25 * np.log2(err / bound))
@@ -286,8 +289,11 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, atol, start=0, x_star
                            f"on the piece starting at x = {x_start}", x_fail=x_start)
 
 
-def _spectral_array(lam):
-    """lam as a 1-D array, real when every entry is real."""
+def _spectral_array(lam, rtol):
+    """lam as a 1-D array, real when every entry is real.  Both passes
+    call this first, so it also checks their shared rtol (NaN fails)."""
+    if not rtol > 0:
+        raise ValueError(f"rtol must be positive, got {rtol}")
     lams = np.atleast_1d(np.asarray(lam))
     if lams.ndim != 1:
         raise ValueError("lam must be a scalar or a 1-D array")
@@ -296,7 +302,7 @@ def _spectral_array(lam):
     return lams.astype(complex if np.iscomplexobj(lams) else float)
 
 
-def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     """The solutions u1, u2 of -f'' + V f = lam f with (f, f')(x0) = (1, 0)
     and (0, 1), from one pass over the transfer matrices to every sample.
 
@@ -310,21 +316,21 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
         p: the Potential (both endpoints must lie in [-a, a]).
         lam: complex spectral parameter, or a 1-D array of them.
         x0, x1: distinct endpoints; integration may run in either direction.
-        rtol, atol: error bound of the piece products (module docstring);
-            both positive.
+        rtol: relative error bound of the piece products (module
+            docstring); positive.
 
     Returns:
         (u1, u2), OdeSolutions with dense samples spaced at most a/512
         apart, or a list of such pairs.
 
     Raises:
+        ValueError: when x0 = x1 or rtol is not positive.
+        DomainError: when an endpoint lies outside [-a, a].
         IntegrationError: when the solution overflows or h would be halved
             more than MAX_HALVINGS times; carries the start of the piece."""
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
-    lams = _spectral_array(lam)
+    lams = _spectral_array(lam, rtol)
     pieces = _segment_grid(p, x0, x1)
     samples = [{} for _ in pieces]
     skips = [0] + [1] * (len(pieces) - 1)  # junction points already recorded
@@ -340,7 +346,7 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
             y = np.broadcast_to(np.eye(2, dtype=complex), (len(block), 2, 2))
             ys = []
             for (_, _, vfun, grid), cache, skip in zip(pieces, samples, skips):
-                prefix, _ = _piece_prefix(vfun, grid, block, 0, cache, rtol, atol)
+                prefix, _ = _piece_prefix(vfun, grid, block, 0, cache, rtol)
                 t00, t01, t10, t11 = prefix[..., None]
                 piece = np.concatenate([y[None], np.stack([(1.0 + t00) * y[:, 0] + t01 * y[:, 1],
                                                            t10 * y[:, 0] + (1.0 + t11) * y[:, 1]],
@@ -354,10 +360,10 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     return pairs[0] if np.ndim(lam) == 0 else pairs
 
 
-def integrate(p, lam, x0, x1, f0, df0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def integrate(p, lam, x0, x1, f0, df0, rtol=DEFAULT_RTOL):
     """Integrate -f'' + V f = lam f from x0 to x1 with dense output: the
     combination of fundamental_solutions for the initial values f0, df0."""
-    return combine(fundamental_solutions(p, lam, x0, x1, rtol, atol), [complex(f0), complex(df0)])
+    return combine(fundamental_solutions(p, lam, x0, x1, rtol), [complex(f0), complex(df0)])
 
 
 def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
@@ -391,12 +397,14 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     below lam, the even ones Neumann and the odd ones Dirichlet at 0.
 
     Raises:
+        ValueError: when rtol is not positive.
+        DomainError: when an endpoint lies outside [-a, a].
         IntegrationError: when the solution overflows, h would be halved
             more than MAX_HALVINGS times or a grid interval is too long to
             count zeros; carries where the pass from x0 enters the piece
             (for the half pass, the mirror image's far end).
     """
-    lams = _spectral_array(lam)
+    lams = _spectral_array(lam, rtol)
     if x0 == -x1 and x0 != 0 and p.is_even():
         half, zeros = _transfer(p, lams, 0.0, abs(x0), rtol, slice(0, 2),
                                 lambda grid: float(np.copysign(grid[-1], x0)))
@@ -446,8 +454,7 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
                        and (2 << c) * hk < 0.25 * np.pi):
                     c += 1
                 (e00, e01, e10, e11), warm[i] = _piece_prefix(
-                    vfun, grid, block, rounds, cache, rtol, DEFAULT_ATOL, max(warm[i], -c),
-                    entry(grid))
+                    vfun, grid, block, rounds, cache, rtol, max(warm[i], -c), entry(grid))
                 # rows f and f' of the counted columns of T at the piece start
                 u0, du0 = np.array([[1.0 + t[0], t[1]], [t[2], 1.0 + t[3]]])[:, counted]
                 u = np.concatenate([u0[None].real,
@@ -516,14 +523,6 @@ def combine(solutions, coeffs):
     f = sum(c * s.f for c, s in zip(coeffs, solutions))
     df = sum(c * s.df for c, s in zip(coeffs, solutions))
     return OdeSolution(base.lam, base.x, f, df, base.segments)
-
-
-def wronskian(u, w):
-    """Samplewise Wronskian u w' - u' w (no conjugation); constant in x
-    for two solutions of the same equation."""
-    if not _same_grid(u, w):
-        raise GridError("solutions sampled on different grids")
-    return u.f * w.df - u.df * w.f
 
 
 def potential_on_grid(p, sol):

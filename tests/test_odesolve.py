@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from saext import checks, odesolve
-from saext.errors import GridError, IntegrationError
+from saext.errors import DomainError, GridError, IntegrationError
 from saext.potential import Potential
 
 P0 = Potential.zero(1.0)
@@ -133,26 +133,25 @@ def test_wronskian_constant_along_x():
     p = Potential.harmonic(1.0, 1.0)
     u = odesolve.integrate(p, 2.0 + 1j, -1.0, 1.0, 1.0, 0.0)
     w = odesolve.integrate(p, 2.0 + 1j, -1.0, 1.0, 0.0, 1.0)
-    values = odesolve.wronskian(u, w)
+    values = u.f * w.df - u.df * w.f
     assert np.max(np.abs(values - values[0])) < 1e-9 * max(1.0, abs(values[0]))
 
 
 def test_linearity_under_scaled_initial_data():
-    # atol kept below the rtol term so step selection is scale invariant
     rng = np.random.default_rng(5)
     p = Potential.cosine(1.0, np.pi, 1.0)
-    base = odesolve.integrate(p, 3.0, -1.0, 1.0, 1.0, -0.4, atol=1e-14)
+    base = odesolve.integrate(p, 3.0, -1.0, 1.0, 1.0, -0.4)
     for _ in range(5):
         c = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        direct = odesolve.integrate(p, 3.0, -1.0, 1.0, c * 1.0, c * -0.4, atol=1e-14)
+        direct = odesolve.integrate(p, 3.0, -1.0, 1.0, c * 1.0, c * -0.4)
         scale = np.max(np.abs(direct.f))
         assert np.max(np.abs(direct.f - c * base.f)) < 1e-10 * scale
 
 
 def test_tolerance_convergence():
     rtol = 1e-8
-    coarse = odesolve.integrate(P0, -1.0, -1.0, 1.0, 1.0, 0.0, rtol=rtol, atol=1e-12)
-    fine = odesolve.integrate(P0, -1.0, -1.0, 1.0, 1.0, 0.0, rtol=rtol / 2, atol=0.5e-12)
+    coarse = odesolve.integrate(P0, -1.0, -1.0, 1.0, 1.0, 0.0, rtol=rtol)
+    fine = odesolve.integrate(P0, -1.0, -1.0, 1.0, 1.0, 0.0, rtol=rtol / 2)
     assert abs(coarse.f1 - fine.f1) < rtol * abs(fine.f1)
 
 
@@ -193,6 +192,44 @@ def test_invalid_arguments():
         odesolve.integrate(P0, 1.0, -1.0, 1.0, 1.0, 0.0, rtol=-1e-10)
 
 
+@pytest.mark.parametrize("rtol", [0.0, -1e-10, np.nan])
+def test_rtol_must_be_positive_in_both_passes(rtol):
+    # NaN passes `rtol <= 0`; both passes must reject it before the step arithmetic
+    with pytest.raises(ValueError, match="rtol"):
+        odesolve.propagate(P0, 1.0, -1.0, 1.0, rtol)
+    with pytest.raises(ValueError, match="rtol"):
+        odesolve.fundamental_solutions(P0, 1.0, -1.0, 1.0, rtol)
+
+
+ODD_PIECEWISE = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
+
+
+def test_fundamental_solutions_rejects_endpoints_outside_domain():
+    # the pieces' polynomials must not be extrapolated past a = 1
+    with pytest.raises(DomainError):
+        odesolve.fundamental_solutions(ODD_PIECEWISE, 1.0, -2.0, 2.0)
+    with pytest.raises(DomainError):
+        odesolve.integrate(ODD_PIECEWISE, 1.0, 0.0, 1.5, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [ODD_PIECEWISE, Potential.harmonic(1.0, 1.0)],
+                         ids=["general", "even-half-pass"])
+def test_propagate_rejects_endpoints_outside_domain(p):
+    with pytest.raises(DomainError):
+        odesolve.propagate(p, 1.0, -3.0, 3.0)
+    with pytest.raises(DomainError):
+        odesolve.propagate(p, 1.0, -1.0, 1.5)
+
+
+def test_endpoints_at_a_within_evaluate_slack():
+    # the slack Potential.evaluate allows at +-a is allowed here too
+    p = Potential.zero(1.0)
+    edge = 1.0 + 4e-16
+    assert p.evaluate(edge) == 0.0
+    t, _ = odesolve.propagate(p, 1.0, -edge, edge)
+    assert abs(t[0, 0] - math.cos(2.0 * edge)) < 1e-12
+
+
 # every kind at every energy, and at half-width 8, where V turns over many
 # grid intervals, the wide cosine and harmonic potentials
 MAGNUS_CASES = [(p, lam) for lam in (-5.0, 40.0, 400.0, 1j) for p in KINDS] + [
@@ -213,7 +250,7 @@ def test_magnus_propagate_matches_reference(p, lam):
 @pytest.mark.parametrize("p", KINDS, ids=lambda p: p.kind)
 def test_magnus_integrate_matches_reference(p):
     for lam, (x0, x1) in ((3.0, (-1.0, 1.0)), (1j, (1.0, -1.0)), (1j, (0.0, 1.0))):
-        got = odesolve.integrate(p, lam, x0, x1, 0.3, -1.1, MAGNUS_RTOL, 1e-14)
+        got = odesolve.integrate(p, lam, x0, x1, 0.3, -1.1, MAGNUS_RTOL)
         want = oracles.reference_integrate(p, lam, x0, x1, 0.3, -1.1)
         assert np.array_equal(got.x, want.x) and got.segments == want.segments
         scale = max(1.0, np.max(np.abs(want.f)), np.max(np.abs(want.df)))
