@@ -18,6 +18,9 @@ whether I - Ucal and I + Ucal are singular:
                             the mixed Dirichlet/Neumann pairs.
 
 H and Ucal are a commuting Cayley pair: Ucal = (H + iI)^-1 (H - iI).
+FAMILIES maps each named family to the parameters synthesize takes for it:
+the entries alpha, gamma and optional beta of H (H' for general-case-III),
+K for automorphic (t in (0, pi)), and nothing for the six fixed families.
 """
 
 from __future__ import annotations
@@ -33,12 +36,26 @@ DEFAULT_TOL = 1e-8
 
 CASE_I, CASE_II, CASE_III, CASE_IV = "I", "II", "III", "IV"
 
-FAMILIES = ("robin", "general-coupled", "neumann", "dirichlet", "periodic",
-            "anti-periodic", "automorphic", "dirichlet-at-a-neumann-at-minus-a",
-            "neumann-at-a-dirichlet-at-minus-a", "general-case-II", "general-case-III")
-
 _IDENTITY = np.eye(2)
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _case_iv_matrix(theta, phi):
+    ct, st = np.cos(theta), np.sin(theta)
+    return np.array([[ct, np.exp(-1j * phi) * st],
+                     [np.exp(1j * phi) * st, -ct]])
+
+
+# negated as complex matrices, so the reports keep their -0.0 imaginary parts
+_FIXED = {"dirichlet": _IDENTITY, "neumann": -_IDENTITY.astype(complex),
+          "periodic": _SWAP, "anti-periodic": -_SWAP.astype(complex),
+          "dirichlet-at-a-neumann-at-minus-a": _case_iv_matrix(0.0, 0.0),
+          "neumann-at-a-dirichlet-at-minus-a": _case_iv_matrix(np.pi, 0.0)}
+
+FAMILIES = {"robin": ("alpha", "gamma"), "automorphic": ("K",),
+            **dict.fromkeys(("general-coupled", "general-case-II", "general-case-III"),
+                            ("alpha", "beta", "gamma")),
+            **dict.fromkeys(_FIXED, ())}
 
 
 @dataclass(frozen=True)
@@ -161,56 +178,36 @@ def _cayley_prime(hp):
     return _solve(1j * _IDENTITY - hp, hp + 1j * _IDENTITY)
 
 
-def _case_iv_matrix(theta, phi):
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.array([[ct, np.exp(-1j * phi) * st],
-                     [np.exp(1j * phi) * st, -ct]])
-
-
-def synthesize(family, alpha=None, beta=None, gamma=None, theta=None, phi=None, K=None):
-    """The boundary unitary of a named family.
-
-    classify(synthesize(...)) reproduces the family and parameters; see
-    the module docstring for the meaning of each parameter set.
+def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
+    """The boundary unitary of a named family from exactly the parameters
+    FAMILIES lists for it; an unset beta is 0.  classify(synthesize(...))
+    reproduces the family and parameters.
 
     Raises:
-        ParameterError: for unknown families or out-of-domain parameters.
+        ParameterError: for an unknown family, a parameter the family does
+            not take, a missing one, or one out of its domain.
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown boundary-condition family {family!r}")
+    takes = FAMILIES[family]
+    for name, value in {"alpha": alpha, "beta": beta, "gamma": gamma, "K": K}.items():
+        if value is not None and name not in takes:
+            raise ParameterError(f"{family} takes {', '.join(takes) or 'no parameters'}, not {name}")
+        if value is None and name in takes and name != "beta":
+            raise ParameterError(f"{family} needs {name}")
 
-    if family == "dirichlet":
-        return Unitary2.certify(_IDENTITY.astype(complex))
-    if family == "neumann":
-        return Unitary2.certify(-_IDENTITY.astype(complex))
-    if family == "periodic":
-        return Unitary2.certify(_SWAP.astype(complex))
-    if family == "anti-periodic":
-        return Unitary2.certify(-_SWAP.astype(complex))
-    if family == "dirichlet-at-a-neumann-at-minus-a":
-        return Unitary2.certify(_case_iv_matrix(0.0, 0.0))
-    if family == "neumann-at-a-dirichlet-at-minus-a":
-        return Unitary2.certify(_case_iv_matrix(np.pi, 0.0))
+    if family in _FIXED:
+        return Unitary2.certify(_FIXED[family])
 
     if family == "automorphic":
-        if K is None:
-            if theta is None:
-                raise ParameterError("automorphic needs K or (theta, phi)")
-            if not 0.0 < theta < np.pi:
-                raise ParameterError(f"automorphic needs theta in (0, pi), got {theta}")
-            return Unitary2.certify(_case_iv_matrix(float(theta), float(phi or 0.0)))
         K = complex(K)
-        if K == 0:
-            raise ParameterError("automorphic constant K must be nonzero")
+        if not 0.0 < abs(K) < np.inf:
+            raise ParameterError(f"automorphic constant K must be nonzero and finite, got {K}")
         theta = 2.0 * np.arctan(1.0 / abs(K))
         phi = float(np.angle(K)) % (2.0 * np.pi)
         return Unitary2.certify(_case_iv_matrix(theta, phi))
 
     if family == "robin":
-        if alpha is None or gamma is None:
-            raise ParameterError("robin needs alpha and gamma")
-        if beta not in (None, 0, 0.0):
-            raise ParameterError("robin is the diagonal family; use general-coupled for beta != 0")
         if alpha == 0.0 or gamma == 0.0:
             raise ParameterError("strict Robin needs alpha != 0 and gamma != 0")
         h = np.diag([float(alpha), -float(gamma)]).astype(complex)
@@ -218,8 +215,6 @@ def synthesize(family, alpha=None, beta=None, gamma=None, theta=None, phi=None, 
 
     # general-coupled (H invertible), general-case-II (H singular) and
     # general-case-III (singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']])
-    if alpha is None or gamma is None:
-        raise ParameterError(f"{family} needs alpha, beta, gamma")
     beta = complex(beta or 0.0) * (-1.0 if family == "general-case-III" else 1.0)
     h = np.array([[float(alpha), beta], [np.conj(beta), -float(gamma)]])
     det = float(alpha) * float(gamma) + abs(beta) ** 2
@@ -242,8 +237,7 @@ def synthesize_from(bc):
     if bc.case == CASE_IV:
         if bc.K is None:  # the mixed Dirichlet/Neumann pairs carry no parameters
             return synthesize(bc.name)
-        theta, phi = bc.angles
-        return synthesize("automorphic", theta=theta, phi=phi)
+        return synthesize("automorphic", K=bc.K)
     if bc.case == CASE_II:
         return Unitary2.certify(_cayley(bc.H), tol=1e-8)
     return Unitary2.certify(_cayley_prime(bc.Hprime), tol=1e-8)

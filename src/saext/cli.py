@@ -30,9 +30,14 @@ def _complex(text):
     return complex(real, imag)
 
 
+# the flag type of each parameter bcclassify.FAMILIES names
+_FAMILY_PARAMETERS = {"alpha": float, "beta": _complex, "gamma": float, "K": _complex}
+
+
 def _build_parser():
     """The parser and, per subcommand, {dest: Action} of its flags and config-only keys."""
-    parser = argparse.ArgumentParser(prog="saext",
+    # no abbreviations: an unknown flag such as --a must not turn into --alpha
+    parser = argparse.ArgumentParser(prog="saext", allow_abbrev=False,
                                      description="self-adjoint extensions of -d2/dx2 + V on [-a, a]")
     sub = parser.add_subparsers(dest="command", required=True)
     actions = {}
@@ -41,20 +46,19 @@ def _build_parser():
                        ("classify", "classify a boundary-condition unitary"),
                        ("spectrum", "compute the spectrum of one extension"),
                        ("verify", "run the numerical property suites")):
-        cmd = sub.add_parser(name, help=text)
+        cmd = sub.add_parser(name, help=text, allow_abbrev=False)
         own = [cmd.add_argument("--config", help="JSON config file; flags override its values"),
                cmd.add_argument("--out", help="output file path")]
         if name in ("deficiency", "map", "spectrum"):
-            own += [cmd.add_argument("--potential",
-                                     help="potential descriptor file (or basis.json for map)"),
-                    cmd.add_argument("--a", type=float, help="half-width override for the potential")]
+            own.append(cmd.add_argument("--potential",
+                                        help="potential descriptor file (or basis.json for map)"))
         if name in ("map", "classify", "spectrum"):
             own += [cmd.add_argument("--matrix",
                                      help="2x2 complex matrix file {\"rows\": ...} or a map output"),
                     cmd.add_argument("--family", help="named BC family instead of a matrix"),
-                    argparse.Action([], "K", type=_complex)]
-            own += [cmd.add_argument(f"--{flag}", type=float)
-                    for flag in ("alpha", "beta-re", "beta-im", "gamma", "theta", "phi", "tol")]
+                    cmd.add_argument("--tol", type=float)]
+            own += [cmd.add_argument(f"--{param}", type=kind)
+                    for param, kind in _FAMILY_PARAMETERS.items()]
         if name == "deficiency":
             own.append(argparse.Action([], "mode", choices=(deficiency.EVEN_MODE,
                                                             deficiency.GENERAL_MODE)))
@@ -119,13 +123,10 @@ def _read_potential(config):
 
 
 def _load_potential(config, data=None):
-    """The potential of the --potential file, --a overriding its half-width."""
+    """The potential of the --potential file."""
     data = _read_potential(config) if data is None else data
-    if "mode" in data:  # a basis.json embeds its potential descriptor
-        data = data["potential"]
-    if config.get("a") is not None:
-        data = dict(data, a=config["a"])
-    return Potential.from_json(data)
+    # a basis.json embeds its potential descriptor
+    return Potential.from_json(data["potential"] if "mode" in data else data)
 
 
 def _solve_basis(p, mode=None):
@@ -143,19 +144,19 @@ def _load_basis(config):
 
 
 def _load_unitary(config):
-    if config.get("matrix"):
+    """The unitary of the --matrix file, or of --family and its parameters."""
+    params = {name: config[name] for name in _FAMILY_PARAMETERS if name in config}
+    if "matrix" in config:
+        if "family" in config or params:
+            raise UsageError("--matrix is the boundary condition: it takes no --family "
+                             "and no family parameter")
         data = jsonio.read(config["matrix"])
         if isinstance(data, dict) and "output" in data:  # a map payload carries its matrix
             data = data["output"]
         m = jsonio.matrix_from_json(data)
         return Unitary2.certify(m, tol=config.get("tol", extmap.INPUT_UNITARITY_TOL))
-    if config.get("family"):
-        b_re, b_im = config.get("beta_re"), config.get("beta_im")
-        beta = None if b_re is None and b_im is None else complex(b_re or 0.0, b_im or 0.0)
-        return bcclassify.synthesize(config["family"], alpha=config.get("alpha"),
-                                     beta=beta, gamma=config.get("gamma"),
-                                     theta=config.get("theta"), phi=config.get("phi"),
-                                     K=config.get("K"))
+    if "family" in config:
+        return bcclassify.synthesize(config["family"], **params)
     raise UsageError("need --matrix or --family")
 
 
@@ -178,7 +179,7 @@ def _max_error(got, want):
 
 
 def _cmd_map(config):
-    if config.get("tol") is not None and not config.get("matrix"):
+    if "tol" in config and "matrix" not in config:
         raise UsageError("map uses --tol only to certify a --matrix")
     basis = _load_basis(config)
     direction = config.get("direction")

@@ -291,9 +291,9 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None
 
 def _spectral_array(lam, rtol):
     """lam as a 1-D array, real when every entry is real.  Both passes
-    call this first, so it also checks their shared rtol (NaN fails)."""
-    if not rtol > 0:
-        raise ValueError(f"rtol must be positive, got {rtol}")
+    call this first, so it also checks their shared rtol (NaN and inf fail)."""
+    if not 0 < rtol < np.inf:
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
     lams = np.atleast_1d(np.asarray(lam))
     if lams.ndim != 1:
         raise ValueError("lam must be a scalar or a 1-D array")
@@ -317,14 +317,14 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL):
         lam: complex spectral parameter, or a 1-D array of them.
         x0, x1: distinct endpoints; integration may run in either direction.
         rtol: relative error bound of the piece products (module
-            docstring); positive.
+            docstring); positive and finite.
 
     Returns:
         (u1, u2), OdeSolutions with dense samples spaced at most a/512
         apart, or a list of such pairs.
 
     Raises:
-        ValueError: when x0 = x1 or rtol is not positive.
+        ValueError: when x0 = x1 or rtol is not positive and finite.
         DomainError: when an endpoint lies outside [-a, a].
         IntegrationError: when the solution overflows or h would be halved
             more than MAX_HALVINGS times; carries the start of the piece."""
@@ -397,7 +397,7 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     below lam, the even ones Neumann and the odd ones Dirichlet at 0.
 
     Raises:
-        ValueError: when rtol is not positive.
+        ValueError: when rtol is not positive and finite.
         DomainError: when an endpoint lies outside [-a, a].
         IntegrationError: when the solution overflows, h would be halved
             more than MAX_HALVINGS times or a grid interval is too long to

@@ -176,7 +176,7 @@ class Potential:
     def evaluate(self, x):
         """Return V(x) for x in [-a, a]; right-limit value at a jump."""
         x = float(x)
-        if x < -self.a - 4e-16 * self.a or x > self.a + 4e-16 * self.a:
+        if not -self.a - 4e-16 * self.a <= x <= self.a + 4e-16 * self.a:
             raise DomainError(f"x = {x} outside [-{self.a}, {self.a}]")
         return float(self._right_limits(np.array([min(max(x, -self.a), self.a)]))[0])
 

@@ -140,6 +140,19 @@ def test_synthesize_classify_round_trips():
         assert bc.name == family
 
 
+@pytest.mark.parametrize("theta", [2e-8, 1e-6, 0.3, np.pi / 2, 2.9, np.pi - 1e-6, np.pi - 2e-8])
+def test_case_iv_rebuilds_from_k(theta):
+    # synthesize_from rebuilds Case IV from K = e^{ip} cot(t/2) alone, near
+    # both mixed pairs too, where |K| is 1e8 or 1e-8
+    worst = 0.0
+    for phi in np.arange(12) * np.pi / 6:
+        ucal = Unitary2.certify(case_iv_matrix(theta, phi))
+        bc = classify(ucal)
+        assert bc.case == "IV" and bc.K is not None
+        worst = max(worst, np.abs(synthesize_from(bc).matrix - ucal.matrix).max())
+    assert worst < 1e-15
+
+
 @pytest.mark.parametrize("seed", [13, 15])
 def test_case_iv_near_mixed_endpoint_round_trips(seed):
     # within 1e-8 of the Dirichlet-at-a/Neumann-at-minus-a point theta is
@@ -170,6 +183,10 @@ def test_parameter_errors():
         synthesize("robin", alpha=0.0, gamma=1.0)
     with pytest.raises(ParameterError):
         synthesize("automorphic", K=0.0)
+    with pytest.raises(ParameterError):
+        synthesize("automorphic", K=np.inf)   # not the mixed pair its limit would give
+    with pytest.raises(ParameterError, match="gamma"):
+        synthesize("robin", alpha=1.0)
     with pytest.raises(ParameterError):
         synthesize("robin", alpha=1.0, beta=1.0, gamma=1.0)
     with pytest.raises(ParameterError):
@@ -273,3 +290,14 @@ def test_classify_matches_lapack_reference():
         assert (bc.case, bc.name) == reference_case_and_name(m), m
         names.add(bc.name)
     assert names == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family, params", NAMED, ids=[family for family, _ in NAMED])
+def test_synthesize_rejects_parameters_its_family_does_not_take(family, params):
+    # NAMED gives each family exactly the parameters it takes; beta = 0 is
+    # the one a diagonal robin could be thought to allow
+    assert set(FAMILIES[family]) == set(params)
+    for name, value in {"alpha": 1.0, "beta": 0.0, "gamma": 1.0, "K": 2.0}.items():
+        if name not in params:
+            with pytest.raises(ParameterError, match=name):
+                synthesize(family, **params, **{name: value})

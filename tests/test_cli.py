@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saext import cli, deficiency, jsonio
+from saext import bcclassify, cli, deficiency, jsonio
 from saext.potential import Potential
 
 
@@ -88,6 +88,44 @@ def test_classify_from_family_flags(tmp_path):
     assert cli.main(["classify", "--family", "robin", "--alpha", "-1", "--gamma", "1",
                      "--out", str(out)]) == 0
     assert json.loads(out.read_text())["name"] == "robin"
+
+
+@pytest.mark.parametrize("family, flags, params", [
+    ("general-coupled", ["--alpha", "1", "--beta", "[0.5, 0.5]", "--gamma", "-2"],
+     {"alpha": 1.0, "beta": 0.5 + 0.5j, "gamma": -2.0}),
+    ("automorphic", ["--K", "[2, 1]"], {"K": 2.0 + 1.0j}),
+], ids=["beta", "K"])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_complex_family_parameters(tmp_path, family, flags, params, source):
+    # --beta and --K read a number or [re, im], as flags and as config keys
+    if source == "config":
+        config = tmp_path / "run.json"
+        jsonio.write(config, {key: [value.real, value.imag] if isinstance(value, complex)
+                              else value for key, value in params.items()})
+        flags = ["--config", str(config)]
+    out = tmp_path / "bc.json"
+    assert cli.main(["classify", "--family", family, *flags, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["name"] == family
+    want = bcclassify.synthesize(family, **params).matrix
+    assert np.array_equal(jsonio.matrix_from_json(report["matrix"]), want)
+
+
+def test_family_flags_are_the_family_parameters():
+    assert set(cli._FAMILY_PARAMETERS) == {
+        name for names in bcclassify.FAMILIES.values() for name in names}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "dirichlet", "--alpha", "1"],             # dirichlet takes no parameter
+    ["--matrix", "m.json", "--family", "periodic"],        # the matrix is the condition
+    ["--matrix", "m.json", "--alpha", "1"],
+], ids=["family-extra-parameter", "matrix-and-family", "matrix-and-parameter"])
+def test_unused_boundary_condition_input_exits_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.json", np.eye(2))
+    assert cli.main(["classify", *argv, "--out", "out.json"]) == cli.USAGE_ERROR
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_spectrum_json_and_values(tmp_path, zero_potential_file):
@@ -201,7 +239,12 @@ def test_usage_errors_exit_2(tmp_path, zero_potential_file):
     assert cli.main(["classify", "--matrix", bad]) == cli.USAGE_ERROR     # not unitary
     for argv in (["classify", "--emax", "5"],                            # not a classify flag
                  ["spectrum", "--potential", zero_potential_file,         # no scan-size flag
-                  "--family", "dirichlet", "--grid", "10"]):
+                  "--family", "dirichlet", "--grid", "10"],
+                 ["classify", "--family", "automorphic", "--theta", "1"],  # automorphic takes --K
+                 ["classify", "--family", "general-coupled", "--alpha", "1", "--gamma", "1",
+                  "--beta-re", "1"],                                      # --beta takes [re, im]
+                 ["map", "--potential", zero_potential_file, "--family", "periodic",
+                  "--direction", "bc-to-u", "--a", "3"]):                 # no half-width override
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == cli.USAGE_ERROR
@@ -253,7 +296,11 @@ def test_malformed_input_files_exit_2(tmp_path, monkeypatch, argv):
     ("spectrum", {"e_max": 5}),          # no subcommand has this key
     ("spectrum", {"grid": 200}),         # the scan is sized by the level count
     ("deficiency", {"mode": "evn"}),     # not one of the basis modes
-], ids=["samples-float", "emax-text", "fmt-xml", "typo-key", "grid-key", "mode-typo"])
+    ("classify", {"theta": 1.0}),        # automorphic takes K, and dirichlet nothing
+    ("classify", {"beta_re": 0.5}),      # beta is one key, a number or [re, im]
+    ("spectrum", {"a": 2.0}),            # the half-width is the potential file's
+], ids=["samples-float", "emax-text", "fmt-xml", "typo-key", "grid-key", "mode-typo",
+        "theta-key", "beta-re-key", "a-key"])
 def test_config_values_checked_like_flags(tmp_path, zero_potential_file, command, entry):
     config = tmp_path / "run.json"
     # deficiency ignores "family", a key of other subcommands
@@ -311,7 +358,7 @@ def test_readme_pipeline_runs(tmp_path, monkeypatch):
     jsonio.write("well.json", Potential.finite_well(-10.0, 0.5, 1.0).to_json())
     write_matrix("u.json", 1j * np.eye(2))
     commands = readme_commands()
-    assert len(commands) == 8
+    assert len(commands) == 9
     for argv in commands:
         assert argv[0] == "saext"
         assert cli.main(argv[1:]) == 0, argv

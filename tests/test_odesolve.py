@@ -192,9 +192,10 @@ def test_invalid_arguments():
         odesolve.integrate(P0, 1.0, -1.0, 1.0, 1.0, 0.0, rtol=-1e-10)
 
 
-@pytest.mark.parametrize("rtol", [0.0, -1e-10, np.nan])
+@pytest.mark.parametrize("rtol", [0.0, -1e-10, np.nan, np.inf])
 def test_rtol_must_be_positive_in_both_passes(rtol):
-    # NaN passes `rtol <= 0`; both passes must reject it before the step arithmetic
+    # NaN passes `rtol <= 0` and inf would turn off error control; both
+    # passes must reject them before the step arithmetic
     with pytest.raises(ValueError, match="rtol"):
         odesolve.propagate(P0, 1.0, -1.0, 1.0, rtol)
     with pytest.raises(ValueError, match="rtol"):

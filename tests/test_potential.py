@@ -37,8 +37,9 @@ def test_evaluate_is_pure():
 
 def test_evaluate_rejects_out_of_domain():
     p = Potential.zero(1.0)
-    with pytest.raises(DomainError):
-        p.evaluate(1.5)
+    for x in (1.5, np.nan):
+        with pytest.raises(DomainError):
+            p.evaluate(x)
 
 
 @pytest.mark.parametrize("p", [
