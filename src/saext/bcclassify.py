@@ -25,6 +25,7 @@ K for automorphic (t in (0, pi)), and nothing for the six fixed families.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,14 +196,16 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
             raise ParameterError(f"{family} takes {', '.join(takes) or 'no parameters'}, not {name}")
         if value is None and name in takes and name != "beta":
             raise ParameterError(f"{family} needs {name}")
+        if value is not None and not cmath.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
     if family in _FIXED:
         return Unitary2.certify(_FIXED[family])
 
     if family == "automorphic":
         K = complex(K)
-        if not 0.0 < abs(K) < np.inf:
-            raise ParameterError(f"automorphic constant K must be nonzero and finite, got {K}")
+        if K == 0.0:
+            raise ParameterError("automorphic constant K must be nonzero")
         theta = 2.0 * np.arctan(1.0 / abs(K))
         phi = float(np.angle(K)) % (2.0 * np.pi)
         return Unitary2.certify(_case_iv_matrix(theta, phi))
@@ -217,8 +220,10 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
     # general-case-III (singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']])
     beta = complex(beta or 0.0) * (-1.0 if family == "general-case-III" else 1.0)
     h = np.array([[float(alpha), beta], [np.conj(beta), -float(gamma)]])
-    det = float(alpha) * float(gamma) + abs(beta) ** 2
-    singular = abs(det) <= 1e-10 * max(1.0, np.abs(h).max() ** 2)
+    # det H against max(1, max |H|)^2, both scaled so that no square overflows
+    scale = max(1.0, np.abs(h).max())
+    det = (float(alpha) / scale) * (float(gamma) / scale) + abs(beta / scale) ** 2
+    singular = abs(det) <= 1e-10
     if singular == (family == "general-coupled"):
         raise ParameterError(f"{family} needs alpha*gamma + |beta|^2 {'!=' if singular else '='} 0")
     return Unitary2.certify(_cayley_prime(h) if family == "general-case-III" else _cayley(h))

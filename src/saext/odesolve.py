@@ -168,15 +168,25 @@ def _cosh_sinhc(z):
 
 def _mul(left, right):
     """Batched 2x2 product (I + L)(I + R) = I + L + R + LR of matrices stored
-    as their deviation from the identity, entries (t00, t01, t10, t11).
+    as their deviation from the identity, in arrays of shape (2, 2, ...).
 
     Keeping I implicit means the many near-identity Magnus steps of a piece
     multiply without rounding their small deviations against 1.
     """
-    a, b, c, d = left
-    e, f, g, h = right
-    return (a + e + (a * e + b * g), b + f + (a * f + b * h),
-            c + g + (c * e + d * g), d + h + (c * f + d * h))
+    lr = left[:, :1] * right[:1]
+    lr += left[:, 1:] * right[1:]
+    out = left + right
+    out += lr
+    return out
+
+
+def _plus_identity(t):
+    """I + t for a deviation t of shape (2, 2, ...).  Only the diagonal gets
+    the 1, so an off-diagonal -0.0 stays -0.0."""
+    out = np.array(t, dtype=np.result_type(t, 1.0))
+    out[0, 0] += 1.0
+    out[1, 1] += 1.0
+    return out
 
 
 def _blocks(m, rounds):
@@ -184,22 +194,19 @@ def _blocks(m, rounds):
     last axis, later factors on the left, by rounds of a pairwise tree that
     each multiply neighbours; the last block may be shorter."""
     for _ in range(rounds):
-        n = m[0].shape[-1]
+        n = m.shape[-1]
         even = n - n % 2
-        pairs = _mul([x[..., 1:even:2] for x in m], [x[..., 0:even:2] for x in m])
-        if n % 2:
-            pairs = [np.concatenate([p, x[..., -1:]], axis=-1) for p, x in zip(pairs, m)]
-        m = pairs
+        pairs = _mul(m[..., 1:even:2], m[..., 0:even:2])
+        m = np.concatenate([pairs, m[..., -1:]], axis=-1) if n % 2 else pairs
     return m
 
 
 def _prefix(m):
     """Inclusive ordered prefix products along the last axis (log2(n) rounds)."""
-    n = m[0].shape[-1]
+    n = m.shape[-1]
     span = 1
     while span < n:
-        prod = _mul([x[..., span:] for x in m], [x[..., :-span] for x in m])
-        m = tuple(np.concatenate([x[..., :span], p], axis=-1) for x, p in zip(m, prod))
+        m = np.concatenate([m[..., :span], _mul(m[..., span:], m[..., :-span])], axis=-1)
         span *= 2
     return m
 
@@ -224,9 +231,9 @@ def _interval_transfers(vfun, lams, grid, halvings, samples):
     steps, or for k < 0 of every step spanning 2**-k intervals.
 
     lams is a 1-D array of spectral parameters and k = halvings; returns
-    the entries (t00 - 1, t01, t10, t11 - 1), each of shape
-    (len(lams), len(grid) - 1), or (len(lams), (len(grid) - 1) * 2**k) for
-    k < 0.  Steps are generated STEP_CHUNK at a time, a multiple of 2**k
+    their deviations T - I from the identity as one array of shape
+    (2, 2, len(lams), len(grid) - 1), or (2, 2, len(lams), (len(grid) - 1) * 2**k)
+    for k < 0.  Steps are generated STEP_CHUNK at a time, a multiple of 2**k
     for k <= MAX_HALVINGS, so memory stays flat as h shrinks and every
     chunk holds whole intervals.  samples, a dict keyed by k, keeps the
     sampled potential between calls on the same piece, so V is sampled
@@ -240,23 +247,27 @@ def _interval_transfers(vfun, lams, grid, halvings, samples):
         h_qbar = h * (vbar - lams[:, None])
         cm1, sc = _cosh_sinhc(d * d + h * h_qbar)
         sd = sc * d
-        steps = (cm1 + sd, sc * h, sc * h_qbar, cm1 - sd)  # exp(Omega) - I
+        steps = np.empty((2, 2) + sc.shape, sc.dtype)  # exp(Omega) - I
+        np.add(cm1, sd, out=steps[0, 0])
+        np.multiply(sc, h, out=steps[0, 1])
+        np.multiply(sc, h_qbar, out=steps[1, 0])
+        np.subtract(cm1, sd, out=steps[1, 1])
         parts.append(_blocks(steps, max(halvings, 0)))
-    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+    return np.concatenate(parts, axis=-1)
 
 
 def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
-    grid intervals, as entries (t00 - 1, t01, t10, t11 - 1) of shape
-    (number of blocks, len(lams)), and the level to start the next energies
-    at.  Steps start at level start >= -rounds and shrink per energy until
+    grid intervals, as deviations T - I from the identity in one array of
+    shape (2, 2, number of blocks, len(lams)), and the level to start the
+    next energies at.  Steps start at level start >= -rounds and shrink per energy until
     the error estimate passes (see the module docstring).  Errors carry
     x_start, by default the grid's first point."""
     def edges(levels, sel):
         blocks = [_blocks(_interval_transfers(vfun, sel, grid, k, samples), rounds + min(k, 0))
                   for k in levels]
-        prefix = np.stack(_prefix([np.stack(x) for x in zip(*blocks)]), axis=1)
-        return prefix.swapaxes(2, 3).reshape(len(levels), -1, len(sel))
+        prefix = _prefix(np.stack(blocks, axis=2))  # (2, 2, level, energy, block)
+        return prefix.transpose(2, 0, 1, 4, 3).reshape(len(levels), -1, len(sel))
 
     x_start = float(grid[0]) if x_start is None else x_start
     coarse, fine = edges((start, start + 1), lams)
@@ -274,7 +285,7 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None
             # the next energies start at most one level coarser, and not below a
             # level that failed here
             floor = np.where(level > start, start + 1, start - 1)
-            return value.reshape(4, -1, len(lams)), int(np.min(np.maximum(need, floor)))
+            return value.reshape(2, 2, -1, len(lams)), int(np.min(np.maximum(need, floor)))
         k = level[bad][0]  # shared by every energy still refined
         if k >= MAX_HALVINGS - 1:
             break
@@ -347,10 +358,9 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL):
             ys = []
             for (_, _, vfun, grid), cache, skip in zip(pieces, samples, skips):
                 prefix, _ = _piece_prefix(vfun, grid, block, 0, cache, rtol)
-                t00, t01, t10, t11 = prefix[..., None]
-                piece = np.concatenate([y[None], np.stack([(1.0 + t00) * y[:, 0] + t01 * y[:, 1],
-                                                           t10 * y[:, 0] + (1.0 + t11) * y[:, 1]],
-                                                          axis=2)])
+                t = _plus_identity(prefix)[..., None]  # T at the piece's grid points
+                piece = np.concatenate([y[None], np.moveaxis(t[:, 0] * y[:, 0] + t[:, 1] * y[:, 1],
+                                                             0, 2)])
                 ys.append(piece[skip:])
                 y = piece[-1]
             y = np.moveaxis(np.concatenate(ys), 0, -1).copy()  # energy, row, k, sample
@@ -435,7 +445,7 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
-            t = (np.zeros(len(block)),) * 4  # deviation from the identity
+            t = np.zeros((2, 2, len(block)))  # deviation from the identity
             for i, ((_, _, vfun, grid), cache, low) in enumerate(zip(pieces, samples, v_min)):
                 # zeros lie >= pi / sqrt(max(E - V)) apart (Sturm comparison), so a block
                 # with h_block sqrt(E - min V) < pi/2 holds at most one; 2 covers V between samples
@@ -453,16 +463,15 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
                        and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS
                        and (2 << c) * hk < 0.25 * np.pi):
                     c += 1
-                (e00, e01, e10, e11), warm[i] = _piece_prefix(
+                prefix, warm[i] = _piece_prefix(
                     vfun, grid, block, rounds, cache, rtol, max(warm[i], -c), entry(grid))
                 # rows f and f' of the counted columns of T at the piece start
-                u0, du0 = np.array([[1.0 + t[0], t[1]], [t[2], 1.0 + t[3]]])[:, counted]
-                u = np.concatenate([u0[None].real,
-                                    ((1.0 + e00[:, None]) * u0 + e01[:, None] * du0).real])
+                u0, du0 = _plus_identity(t)[:, counted]
+                u = np.concatenate([u0[None].real, ((1.0 + prefix[0, 0][:, None]) * u0
+                                                    + prefix[0, 1][:, None] * du0).real])
                 zeros[start:start + len(block)] += np.sum(u[1:] * u[:-1] < 0, axis=(0, 1))
-                t = _mul((e00[-1], e01[-1], e10[-1], e11[-1]), t)
-            out[start:start + len(block)] = np.stack(
-                (1.0 + t[0], t[1], t[2], 1.0 + t[3]), axis=-1).reshape(-1, 2, 2)
+                t = _mul(prefix[..., -1, :], t)
+            out[start:start + len(block)] = np.moveaxis(_plus_identity(t), -1, 0)
     return out, zeros
 
 

@@ -301,3 +301,26 @@ def test_synthesize_rejects_parameters_its_family_does_not_take(family, params):
         if name not in params:
             with pytest.raises(ParameterError, match=name):
                 synthesize(family, **params, **{name: value})
+
+
+@pytest.mark.parametrize("family, params, name", [
+    ("robin", {"alpha": np.inf, "gamma": 1.0}, "alpha"),
+    ("robin", {"alpha": 1.0, "gamma": np.nan}, "gamma"),
+    ("general-coupled", {"alpha": np.nan, "gamma": 1.0}, "alpha"),
+    ("general-coupled", {"alpha": 1.0, "beta": complex(0.5, np.inf), "gamma": -2.0}, "beta"),
+    ("general-case-II", {"alpha": 1.0, "beta": complex(np.nan, 1.0), "gamma": -1.0}, "beta"),
+], ids=["robin-alpha-inf", "robin-gamma-nan", "coupled-alpha-nan", "coupled-beta-inf",
+        "case-ii-beta-nan"])
+def test_synthesize_rejects_non_finite_parameters(family, params, name):
+    # a NaN or inf would otherwise surface only as a NaN unitarity defect
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        synthesize(family, **params)
+
+
+def test_determinant_test_does_not_overflow():
+    # |beta|^2 = 1e400 is no float: alpha*gamma + |beta|^2 is tested relative
+    # to max |H|^2 without squaring either
+    for family in ("general-case-II", "general-case-III"):
+        with pytest.raises(ParameterError, match=r"\|beta\|\^2 = 0"):
+            synthesize(family, alpha=1.0, beta=1e200, gamma=-1.0)
+    assert classify(synthesize("robin", alpha=1e200, gamma=1.0)).case == "III"

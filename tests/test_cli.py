@@ -128,6 +128,31 @@ def test_unused_boundary_condition_input_exits_2(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "automorphic", "--K", "true"],
+    ["--family", "automorphic", "--K", "[2, true]"],
+    ["--family", "general-coupled", "--alpha", "1", "--gamma", "1", "--beta", "[true, 0]"],
+], ids=["K-bool", "K-bool-imag", "beta-bool-real"])
+def test_complex_flags_reject_json_booleans(argv):
+    # complex(True) is 1: a boolean must not pass for a number
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", *argv])
+    assert exc.value.code == cli.USAGE_ERROR
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "robin", "--alpha", "inf", "--gamma", "1"], "alpha must be finite"),
+    (["--family", "general-coupled", "--alpha", "nan", "--gamma", "1"], "alpha must be finite"),
+    (["--family", "general-case-II", "--alpha", "1", "--gamma", "-1", "--beta", "1e200"],
+     "|beta|^2 = 0"),
+], ids=["robin-alpha-inf", "coupled-alpha-nan", "case-ii-huge-beta"])
+def test_out_of_range_family_parameters_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "bc.json"
+    assert cli.main(["classify", *argv, "--out", str(out)]) == cli.USAGE_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_json_and_values(tmp_path, zero_potential_file):
     out = tmp_path / "spec.json"
     assert cli.main(["spectrum", "--potential", zero_potential_file,

@@ -334,6 +334,58 @@ def test_scalar_lam_returns_one_matrix():
     assert odesolve.propagate(P0, [1.0], -1.0, 1.0)[0].shape == (1, 2, 2)
 
 
+def _four_entry_mul(left, right):
+    """(I + L)(I + R) - I entry by entry, summed in _mul's order."""
+    (a, b), (c, d) = left
+    (e, f), (g, h) = right
+    return np.array([[a + e + (a * e + b * g), b + f + (a * f + b * h)],
+                     [c + g + (c * e + d * g), d + h + (c * f + d * h)]])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_mul_matches_four_entry_formula_bitwise(dtype):
+    # half the real and imaginary parts are +-0.0; tobytes tells -0.0 from 0.0
+    rng = np.random.default_rng(3)
+
+    def draw():
+        m = np.zeros((2, 2, 16, 16), dtype)
+        for part in (m.real, m.imag) if dtype is complex else (m,):
+            x = rng.standard_normal(m.shape) * 10.0 ** rng.integers(-12, 3, m.shape)
+            zero = rng.random(m.shape) < 0.5
+            x[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+            part[...] = x
+        return m
+
+    left, right = draw(), draw()
+    got, want = odesolve._mul(left, right), _four_entry_mul(left, right)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert any(np.any(np.signbit(x) & (x == 0.0)) for x in (got.real, got.imag))
+
+
+def test_tree_products_match_matmul():
+    # 37 factors: every round of _blocks and _prefix leaves an odd last block
+    rng = np.random.default_rng(8)
+    steps = 0.2 * (rng.standard_normal((2, 2, 3, 37)) + 1j * rng.standard_normal((2, 2, 3, 37)))
+    factors = np.moveaxis(steps, (0, 1), (-2, -1)) + np.eye(2)  # (energy, factor, 2, 2)
+
+    def matmul_product(lo, hi):  # factors lo..hi-1, applied left to right
+        out = np.broadcast_to(np.eye(2), (3, 2, 2))
+        for j in range(lo, hi):
+            out = factors[:, j] @ out
+        return out
+
+    def as_matrices(t):
+        return np.moveaxis(t, (0, 1), (-2, -1)) + np.eye(2)
+
+    want = np.stack([matmul_product(0, j + 1) for j in range(37)], axis=1)
+    assert _relative(as_matrices(odesolve._prefix(steps)), want) <= 1e-13
+    for rounds in range(7):
+        size = 2 ** rounds
+        want = np.stack([matmul_product(lo, min(lo + size, 37)) for lo in range(0, 37, size)],
+                        axis=1)
+        assert _relative(as_matrices(odesolve._blocks(steps, rounds)), want) <= 1e-13
+
+
 def test_observed_order_is_four():
     # a coarse 32-interval grid keeps both errors far above roundoff
     p = Potential.harmonic(25.0, 1.0)
@@ -341,7 +393,7 @@ def test_observed_order_is_four():
 
     def transfer(halvings):
         steps = odesolve._interval_transfers(vfun, lams, grid, halvings, {})
-        return np.array(odesolve._blocks(steps, 5))  # the product over all 32 intervals
+        return odesolve._blocks(steps, 5)  # the product over all 32 intervals
 
     fine, finer = transfer(6), transfer(7)
     exact = finer + (finer - fine) / 15.0
