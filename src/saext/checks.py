@@ -45,15 +45,13 @@ def extension_map(basis, samples):
 
 
 def map_roundtrip(basis, samples, rng):
-    """Worst |inverse_map(forward_map(U)) - U| over Haar-random U from rng,
-    and the smallest singular value of the inverse-map system on the way."""
-    worst, sigma_min = 0.0, np.inf
-    for _ in range(samples):
-        u = extmap.Unitary2.certify(extmap.haar_unitary(rng))
-        ucal = extmap.forward_map(basis, u).Ucal
-        worst = max(worst, float(np.abs(extmap.inverse_map(basis, ucal).matrix - u.matrix).max()))
-        m = extmap._inverse_system(basis, ucal.matrix)[0]
-        sigma_min = min(sigma_min, float(np.linalg.svd(m, compute_uv=False)[-1]))
+    """Worst |inverse_map(forward_map(U)) - U| over a stack of Haar-random U from
+    rng, and the smallest singular value of the inverse-map system on the way."""
+    u = extmap.Unitary2.certify(extmap.haar_unitary(rng, samples))
+    ucal = extmap.forward_map(basis, u).Ucal
+    worst = float(np.abs(extmap.inverse_map(basis, ucal).matrix - u.matrix).max(initial=0.0))
+    m = extmap._inverse_system(basis, ucal.matrix)[0]
+    sigma_min = float(np.min(extmap._singular_values(m)[1], initial=np.inf))
     record = _record(worst, 1e-8, sigma_min=sigma_min, sigma_floor=extmap.SIGMA_FLOOR)
     record["passed"] &= sigma_min > extmap.SIGMA_FLOOR
     return record

@@ -26,10 +26,7 @@ USAGE_ERROR = 2
 def _complex(text):
     """A complex number from JSON text: a real number or an [re, im] pair."""
     value = json.loads(text)
-    parts = value if isinstance(value, list) else [value, 0.0]
-    if len(parts) != 2 or not all(type(x) in (int, float) for x in parts):
-        raise ValueError(f"not a number or an [re, im] pair of numbers: {text}")
-    return complex(*parts)
+    return jsonio._complex(value if isinstance(value, list) else [value, 0.0])
 
 
 # the flag type of each parameter bcclassify.FAMILIES names

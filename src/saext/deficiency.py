@@ -95,14 +95,13 @@ class DeficiencyBasis:
         diagonals of its boundary table (InvariantViolation otherwise).
         ModeError for an unknown mode, ValueError for a table that is not
         2 rows of 4 [re, im] pairs."""
-        from .jsonio import matrix_from_json
+        from .jsonio import _complex, matrix_from_json
         if data["mode"] not in (EVEN_MODE, GENERAL_MODE):
             raise ModeError(f"basis mode {data['mode']!r} is neither {EVEN_MODE!r} "
                             f"nor {GENERAL_MODE!r}")
         try:
-            table = np.array([[complex(re, im) for re, im in row]
-                              for row in data["boundary_table"]])
-        except (TypeError, ValueError, OverflowError):
+            table = np.array([[_complex(z) for z in row] for row in data["boundary_table"]])
+        except (TypeError, ValueError):
             table = None
         if np.shape(table) != (2, 4):
             raise ValueError("basis boundary_table is not 2 rows of 4 [re, im] pairs")

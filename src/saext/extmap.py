@@ -19,16 +19,16 @@ of a linear system; for a general (non-even) potential the same boundary
 unitary is produced from an orthonormal deficiency pair without any
 parity assumption.
 
-Every map acts on one 2x2 matrix at a time, so the singular values, the
-solves and the unitarity defects are written out in closed form (the
-private helpers below, shared with ``bcclassify``) instead of calling
-LAPACK per matrix; ``check_identities`` evaluates all its draws as one
-stack.
+Every map takes one 2x2 matrix or an (n, 2, 2) stack of them.  The
+singular values, the solves and the unitarity defects are written out in
+closed form (the private helpers below, shared with ``bcclassify``):
+on one matrix they work on Python numbers, on a stack on length-n
+arrays.  ``check_identities`` certifies this same code: it sends all its
+Haar draws through ``forward_map`` as one stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,45 +68,62 @@ def _unitarity_defect(a, b, c, d):
 
 
 def _singular_values(m):
-    """[sigma_max, sigma_min] of a 2x2 matrix.
+    """[sigma_max, sigma_min] of a 2x2 matrix, each a length-n array for
+    an (n, 2, 2) stack.
 
     sigma_max^2 is the larger eigenvalue of the Gram matrix, which keeps
     full relative precision also when both singular values are equal, and
-    sigma_min = |det m| / sigma_max.
+    sigma_min = |det m| / sigma_max.  The absolute value of a complex
+    number serves as the overflow-safe hypot, on Python numbers and on
+    arrays alike.
     """
     a, b, c, d = _entries(m)
     p, q, o = _gram(a, b, c, d)
-    s_max = math.sqrt(0.5 * (p + q) + math.hypot(0.5 * (p - q), abs(o)))
-    return [s_max, abs(a * d - b * c) / s_max if s_max else 0.0]
+    s_max = (0.5 * (p + q) + abs(0.5 * (p - q) + 1j * abs(o))) ** 0.5
+    # the zero matrix has det 0: divide by 1 there, not by sigma_max = 0
+    return [s_max, abs(a * d - b * c) / (s_max + (s_max == 0.0))]
 
 
 def _solve(lhs, rhs):
-    """lhs^-1 rhs for 2x2 matrices by Cramer's rule; ZeroDivisionError if
-    lhs is exactly singular."""
+    """lhs^-1 rhs by Cramer's rule, for two 2x2 matrices or two (n, 2, 2)
+    stacks; ZeroDivisionError if a single lhs is exactly singular."""
     a, b, c, d = _entries(lhs)
     e, f, g, h = _entries(rhs)
     det = a * d - b * c
-    return np.array([[(d * e - b * g) / det, (d * f - b * h) / det],
-                     [(a * g - c * e) / det, (a * h - c * f) / det]])
+    out = np.array([[(d * e - b * g) / det, (d * f - b * h) / det],
+                    [(a * g - c * e) / det, (a * h - c * f) / det]])
+    return out if out.ndim == 2 else out.transpose(2, 0, 1)  # a stack's index first
+
+
+def _any(flags):
+    """Whether a flag is set: a Python bool for one matrix, an array for a stack."""
+    return flags if flags.__class__ is bool else bool(np.any(flags))
+
+
+def _dagger(m):
+    return np.conj(m).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
 class Unitary2:
-    """A certified 2x2 unitary matrix (read-only entries)."""
+    """A certified 2x2 unitary matrix, or an (n, 2, 2) stack of them
+    certified by its worst defect (read-only entries)."""
 
     matrix: np.ndarray
 
     @staticmethod
     def defect_of(m):
-        """Frobenius distance of m^dagger m from the identity."""
+        """Frobenius distance of m^dagger m from the identity, per matrix of a stack."""
         return _unitarity_defect(*_entries(m))
 
     @classmethod
     def certify(cls, matrix, tol=INPUT_UNITARITY_TOL):
         m = np.array(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise UnitarityError(f"expected a 2x2 matrix, got shape {m.shape}")
+        if m.shape != (2, 2) and (m.ndim != 3 or m.shape[1:] != (2, 2)):
+            raise UnitarityError(f"expected a 2x2 matrix or a stack of them, got shape {m.shape}")
         defect = cls.defect_of(m)
+        if m.ndim == 3:
+            defect = np.max(defect, initial=0.0)
         if not defect <= tol:  # a NaN defect fails too
             raise UnitarityError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
         m.setflags(write=False)
@@ -156,11 +173,12 @@ def forward_map(basis, u):
 
     Args:
         basis: even-potential deficiency basis.
-        u: certified Unitary2.
+        u: certified Unitary2, one matrix or a stack.
 
     Returns:
         MapPair carrying U, Ut = V^-1 V~, Ucal = (1/2) P Ut Q and the
-        intermediate matrices; Ucal is certified unitary on return.
+        intermediate matrices, stacked as U is; Ut and Ucal are certified
+        unitary on return.
 
     Raises:
         InternalConsistencyError: if V is numerically singular, which a
@@ -168,7 +186,7 @@ def forward_map(basis, u):
     """
     v, vt = build_V_Vtilde(basis, u.matrix)
     sigma = _singular_values(v)
-    if sigma[1] <= SINGULARITY_RATIO * sigma[0]:
+    if _any(sigma[1] <= SINGULARITY_RATIO * sigma[0]):
         raise InternalConsistencyError(
             f"V is singular (sigma = {sigma}) for a certified unitary input")
     utilde = _solve(v, vt)
@@ -198,14 +216,15 @@ def inverse_map(basis, ucal):
         rhs = -[(conj(A) - i conj(B)) Ut + (conj(A) + i conj(B))],
 
     as a 2x2 system.  Uniqueness of the solution is exactly invertibility
-    of m, which is checked and reported.
+    of m, which is checked and reported.  ucal may be one certified
+    matrix or a stack, and so is the returned U.
     """
     m, rhs = _inverse_system(basis, ucal.matrix)
     sigma = _singular_values(m)
-    if sigma[1] <= UNIQUENESS_RATIO * sigma[0]:
+    if _any(sigma[1] <= UNIQUENESS_RATIO * sigma[0]):
         raise UniquenessError(f"inverse-map system near singular (sigma = {sigma})")
-    x = _solve(m.T, rhs.T).T  # x m = rhs
-    return Unitary2.certify(np.conj(x), OUTPUT_UNITARITY_TOL)
+    xt = _solve(m.swapaxes(-1, -2), rhs.swapaxes(-1, -2))  # x m = rhs, transposed
+    return Unitary2.certify(_dagger(xt), OUTPUT_UNITARITY_TOL)
 
 
 def forward_map_general(basis, u):
@@ -249,20 +268,6 @@ def haar_unitary(rng, n=None):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _certified_defects(stack, tol):
-    """Unitarity defects of an (n, 2, 2) stack; UnitarityError as in
-    Unitary2.certify when any exceeds tol."""
-    defects = _unitarity_defect(*_entries(stack))
-    worst = np.max(defects, initial=0.0)
-    if not worst <= tol:
-        raise UnitarityError(f"unitarity defect {worst:.3e} exceeds tolerance {tol:.1e}")
-    return defects
-
-
-def _dagger(stack):
-    return np.conj(stack).swapaxes(-1, -2)
-
-
 def check_identities(basis, samples, seed=0):
     """Sampled verification of the structural identities of the map.
 
@@ -271,9 +276,10 @@ def check_identities(basis, samples, seed=0):
     for every input, (ii) V and V~ stay well away from singular for all
     unitary inputs, and (iii) the inverse-map system keeps a healthy
     smallest singular value (that of m, which the 4x4 form repeats).
-    Failures are counted, never raised.  All draws are evaluated as one
-    stack, with forward_map's certification of its input and output and
-    its singularity check.
+    Failures are counted, never raised.  The Haar draws go through
+    ``forward_map`` as one stack, so V, V~ and Ucal are the ones users
+    get, with its certification of input and output and its singularity
+    check; those raise, as they would for a single matrix.
 
     Returns:
         report dict with per-check pass counts, worst margins and thresholds.
@@ -288,35 +294,22 @@ def check_identities(basis, samples, seed=0):
     rhs = 2.0 * (_IDENTITY - uc @ _dagger(uc))
     identity = (np.linalg.norm(lhs - rhs, axis=(1, 2))
                 / np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2))))
+    pair = forward_map(basis, Unitary2.certify(haar))
+    m = _inverse_system(basis, pair.Ucal.matrix)[0]
 
-    _certified_defects(haar, INPUT_UNITARITY_TOL)
-    v, vt = v[:samples], vt[:samples]
-    sigma_v = np.linalg.svd(v, compute_uv=False)
-    if np.any(sigma_v[:, 1] <= SINGULARITY_RATIO * sigma_v[:, 0]):
-        raise InternalConsistencyError("V is singular for a certified unitary input")
-    utilde = np.linalg.solve(v, vt)
-    _certified_defects(utilde, OUTPUT_UNITARITY_TOL)
-    ucal = 0.5 * _P @ utilde @ _Q
-    seen = {"identity": identity,
-            "v_nonsingular": sigma_v[:, 1],
-            "vtilde_nonsingular": np.linalg.svd(vt, compute_uv=False)[:, 1],
-            "homogeneous_system": np.linalg.svd(_inverse_system(basis, ucal)[0],
-                                                compute_uv=False)[:, 1],
-            "forward_unitarity": _certified_defects(ucal, OUTPUT_UNITARITY_TOL)}
-
-    def check(name, threshold, floor=False):  # singular values fail at or below a floor
-        values = seen[name]
+    def check(values, threshold, floor):  # singular values fail at or below a floor
         return {"worst": float(np.min(values, initial=np.inf) if floor
                                else np.max(values, initial=0.0)),
                 "threshold": threshold, "count": len(values),
                 "failed": int(np.count_nonzero((values <= threshold) if floor
                                                else (values > threshold)))}
 
-    checks = {"identity": check("identity", 1e-8),
-              "v_nonsingular": check("v_nonsingular", SIGMA_FLOOR, floor=True),
-              "vtilde_nonsingular": check("vtilde_nonsingular", SIGMA_FLOOR, floor=True),
-              "homogeneous_system": check("homogeneous_system", SIGMA_FLOOR, floor=True),
-              "forward_unitarity": check("forward_unitarity", OUTPUT_UNITARITY_TOL)}
+    checks = {name: check(values, threshold, floor) for name, values, threshold, floor in (
+        ("identity", identity, 1e-8, False),
+        ("v_nonsingular", _singular_values(pair.V)[1], SIGMA_FLOOR, True),
+        ("vtilde_nonsingular", _singular_values(pair.Vtilde)[1], SIGMA_FLOOR, True),
+        ("homogeneous_system", _singular_values(m)[1], SIGMA_FLOOR, True),
+        ("forward_unitarity", pair.Ucal.defect, OUTPUT_UNITARITY_TOL, False))}
     return {"samples": samples,
             "passed": all(c["failed"] == 0 for c in checks.values()),
             "checks": checks}

@@ -21,12 +21,30 @@ def matrix_to_json(m):
     return {"rows": [[[z.real, z.imag] for z in row] for row in m]}
 
 
+def _real(value):
+    """The float of a JSON number: ValueError for anything else, booleans
+    (which Python counts as ints) and numeric strings included."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"number out of the float range: {value!r}") from None
+
+
+def _complex(pair):
+    """The complex number of a JSON [re, im] pair of numbers."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"not an [re, im] pair of numbers: {pair!r}")
+    return complex(_real(pair[0]), _real(pair[1]))
+
+
 def matrix_from_json(data):
     """The 2x2 complex matrix of {"rows": rows} or of bare rows of [re, im] pairs."""
     rows = data["rows"] if isinstance(data, dict) else data
     try:
-        (a, b), (c, d) = [[complex(re, im) for re, im in row] for row in rows]
-    except (TypeError, ValueError, OverflowError):
+        (a, b), (c, d) = [[_complex(z) for z in row] for row in rows]
+    except (TypeError, ValueError):
         raise ValueError("a matrix is 2x2 rows of [re, im] pairs") from None
     return np.array([[a, b], [c, d]])
 

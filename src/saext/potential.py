@@ -18,12 +18,14 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError, PotentialError
+from .jsonio import _real
 
 # Gauss-Legendre nodes on (-1, 1) for the parity check; on each piece of a
 # polynomial V of degree < 32 the odd part V(x) - V(-x) vanishes at all
@@ -33,16 +35,17 @@ _PARITY_TOL = 1e-12  # largest |V(x) - V(-x)| at those nodes of an even V
 
 
 def _numbers(name, value, ndim):
-    """value as floats, checked to be a finite scalar (ndim 0) or non-empty list (ndim 1)."""
+    """value as floats, checked to be a finite JSON number (ndim 0) or a
+    non-empty list of them (ndim 1); booleans and strings are not numbers."""
+    if ndim and not (isinstance(value, (list, tuple)) and value):
+        raise PotentialError(f"{name} must be a non-empty list, got {value!r}")
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        out = [_real(x) for x in (value if ndim else [value])]
+    except ValueError as exc:
         raise PotentialError(f"{name} must be numeric, got {value!r}") from exc
-    if arr.ndim != ndim or arr.size == 0:
-        raise PotentialError(f"{name} must be a {('scalar', 'non-empty list')[ndim]}, got {value!r}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, out)):
         raise PotentialError(f"{name} must be finite, got {value!r}")
-    return arr.tolist()
+    return out if ndim else out[0]
 
 
 def _scalar(name, value):
@@ -78,14 +81,20 @@ def _polynomial(coeffs):
     return lambda x: npoly.polyval(np.asarray(x, dtype=float), coeffs)
 
 
+def _finite_well(a, depth, hw):
+    """Depth on [-hw, hw] and 0 outside; one constant piece when hw = a."""
+    if not 0.0 < hw <= a:
+        raise PotentialError(f"half_width must lie in (0, a] = (0, {a}], got {hw}")
+    if hw == a:
+        return [(-a, a, _constant(depth))]
+    return [(-a, -hw, _constant(0.0)), (-hw, hw, _constant(depth)), (hw, a, _constant(0.0))]
+
+
 # kind -> ({parameter: check}, even-by-construction predicate on the checked
 # parameters, lowering of (a, *checked parameters) to pieces from -a to a)
 _KINDS = {
     "zero": ({}, lambda *_: True, lambda a: [(-a, a, _constant(0.0))]),
-    "finite-well": (
-        {"depth": _scalar, "half_width": _scalar}, lambda *_: True,
-        lambda a, depth, hw: [(-a, -hw, _constant(0.0)), (-hw, hw, _constant(depth)),
-                              (hw, a, _constant(0.0))]),
+    "finite-well": ({"depth": _scalar, "half_width": _scalar}, lambda *_: True, _finite_well),
     "harmonic": ({"coefficient": _scalar}, lambda *_: True,
                  lambda a, c: [(-a, a, lambda x: c * np.square(x))]),
     "cosine": ({"amplitude": _scalar, "wavenumber": _scalar}, lambda *_: True,
@@ -119,6 +128,10 @@ class Potential:
         if not (np.isfinite(self.a) and self.a > 0):
             raise PotentialError(f"half-width a must be positive and finite, got {self.a}")
         checks, even, lower = _KINDS[self.kind]
+        for name in self.params:
+            if name not in checks:
+                raise PotentialError(f"{self.kind} takes {', '.join(checks) or 'no parameters'}, "
+                                     f"not {name!r}")
         values = [check(name, self.params.get(name)) for name, check in checks.items()]
         pieces = tuple(lower(self.a, *values))
         tol, edge = 1e-12 * max(1.0, self.a), -self.a
@@ -233,7 +246,7 @@ class Potential:
     @classmethod
     def from_json(cls, data):
         try:
-            kind, a, params = data["kind"], float(data["a"]), dict(data.get("params", {}))
+            kind, a, params = data["kind"], _real(data["a"]), dict(data.get("params", {}))
         except KeyError as exc:
             raise PotentialError(f"potential descriptor missing field {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from saext import bcclassify, extmap
 from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, FAMILIES, apply_bc, classify,
                               synthesize, synthesize_from)
 from saext.errors import ParameterError
@@ -324,3 +325,29 @@ def test_determinant_test_does_not_overflow():
         with pytest.raises(ParameterError, match=r"\|beta\|\^2 = 0"):
             synthesize(family, alpha=1.0, beta=1e200, gamma=-1.0)
     assert classify(synthesize("robin", alpha=1e200, gamma=1.0)).case == "III"
+
+
+def test_cayley_scaling_changes_no_bit_of_a_finite_result():
+    # above 2^500 (3.3e150) H -/+ iI is divided by a power of two, which is exact, so
+    # up to where unscaled Cramer squares overflow (1.3e154) the results are unchanged
+    rng = np.random.default_rng(14)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(151.0, 153.0)
+        alpha, gamma = scale * rng.standard_normal(2)
+        beta = scale * complex(*rng.standard_normal(2))
+        h = np.array([[alpha, beta], [np.conj(beta), gamma]])
+        assert np.array_equal(bcclassify._cayley(h),
+                              extmap._solve(h + 1j * IDENTITY, h - 1j * IDENTITY))
+        assert np.array_equal(bcclassify._cayley_prime(h),
+                              extmap._solve(1j * IDENTITY - h, h + 1j * IDENTITY))
+
+
+@pytest.mark.parametrize("family, params", [
+    ("general-coupled", {"alpha": 1e300, "beta": 1e300j, "gamma": 1e300}),
+    ("general-case-III", {"alpha": 1e200, "beta": 0.0, "gamma": 0.0}),
+], ids=["coupled-1e300", "case-III-1e200"])
+def test_synthesize_huge_hermitian_matrices(family, params):
+    # Cramer's rule on the unscaled H +/- iI squares such entries to inf
+    u = synthesize(family, **params)
+    assert u.defect <= 1e-10
+    assert classify(u).case in ("III", "IV")

@@ -298,11 +298,20 @@ def test_non_finite_energy_bounds_exit_2(tmp_path, zero_potential_file, capsys, 
     ["spectrum", "--potential", "zero.json", "--matrix", "pair.json"],
     ["map", "--potential", "table5.json", "--family", "periodic", "--direction", "bc-to-u"],
     ["map", "--potential", "table1x1.json", "--family", "periodic", "--direction", "bc-to-u"],
+    ["deficiency", "--potential", "a-bool.json"],
+    ["deficiency", "--potential", "params-strings.json"],
+    ["deficiency", "--potential", "unknown-param.json"],
+    ["deficiency", "--potential", "wide-well.json"],
+    ["classify", "--matrix", "matrix-bool.json"],
+    ["map", "--potential", "table-bool.json", "--family", "periodic", "--direction", "bc-to-u"],
 ], ids=["deficiency-potential", "map-potential", "spectrum-potential", "classify-matrix",
-        "map-matrix", "spectrum-matrix", "map-basis-table-int", "map-basis-table-1x1"])
+        "map-matrix", "spectrum-matrix", "map-basis-table-int", "map-basis-table-1x1",
+        "potential-a-bool", "potential-params-strings", "potential-unknown-param",
+        "potential-well-wider-than-a", "matrix-bool", "map-basis-table-bool"])
 def test_malformed_input_files_exit_2(tmp_path, monkeypatch, argv):
     # JSON that parses but is not a potential (an object), a 2x2 matrix or
-    # a basis whose boundary table is 2x4 [re, im] pairs
+    # a basis whose boundary table is 2x4 [re, im] pairs; true is not 1,
+    # "2" is not 2, and a parameter its kind does not take is no parameter
     monkeypatch.chdir(tmp_path)
     jsonio.write("zero.json", Potential.zero(1.0).to_json())
     jsonio.write("five.json", 5)
@@ -310,8 +319,27 @@ def test_malformed_input_files_exit_2(tmp_path, monkeypatch, argv):
     basis = deficiency.solve_even_odd(Potential.zero(1.0)).to_json()
     jsonio.write("table5.json", dict(basis, boundary_table=5))
     jsonio.write("table1x1.json", dict(basis, boundary_table=[[[1, 0]]]))
+    jsonio.write("a-bool.json", {"kind": "zero", "a": True})
+    jsonio.write("params-strings.json", {"kind": "finite-well", "a": 2.0,
+                                         "params": {"depth": "-10", "half_width": "0.5"}})
+    jsonio.write("unknown-param.json", {"kind": "zero", "a": 1.0, "params": {"bogus": 3.0}})
+    jsonio.write("wide-well.json", {"kind": "finite-well", "a": 1.0,
+                                    "params": {"depth": -10.0, "half_width": 1.5}})
+    matrix = jsonio.matrix_to_json(np.eye(2))
+    matrix["rows"][0][0] = [True, 0.0]
+    jsonio.write("matrix-bool.json", matrix)
+    basis["boundary_table"][1][1] = [True, 0.0]
+    jsonio.write("table-bool.json", basis)
     assert cli.main([*argv, "--out", "out.json"]) == cli.USAGE_ERROR
     assert not (tmp_path / "out.json").exists()
+
+
+def test_huge_coupled_parameters_classify_as_dirichlet(tmp_path):
+    out = tmp_path / "bc.json"
+    assert cli.main(["classify", "--family", "general-coupled", "--alpha", "1e200",
+                     "--gamma", "1", "--beta", "1e200", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["case"], report["name"]) == ("III", "dirichlet")
 
 
 @pytest.mark.parametrize("command, entry", [

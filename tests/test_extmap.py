@@ -36,6 +36,16 @@ def test_unitary2_certification():
         Unitary2.certify(np.eye(3))
 
 
+def test_unitary2_certifies_a_stack_by_its_worst_defect():
+    stack = haar_unitary(np.random.default_rng(12), 50)
+    assert Unitary2.certify(stack).defect.shape == (50,)
+    stack[17] = np.diag([1.0, 1.0 + 1e-6])
+    with pytest.raises(UnitarityError, match="defect 2.000e-06"):
+        Unitary2.certify(stack)
+    with pytest.raises(UnitarityError, match=r"shape \(2, 2, 2, 2\)"):
+        Unitary2.certify(np.broadcast_to(IDENTITY, (2, 2, 2, 2)))
+
+
 def test_build_with_zero_parameter(basis):
     v, _ = build_V_Vtilde(basis, np.zeros((2, 2)))
     assert np.allclose(v, np.conj(basis.mat_A) - 1j * np.conj(basis.mat_B))
@@ -116,6 +126,26 @@ def test_round_trip_both_directions(basis):
         w = Unitary2.certify(haar_unitary(rng))
         back = forward_map(basis, inverse_map(basis, w)).Ucal
         assert np.abs(back.matrix - w.matrix).max() < 1e-8
+
+
+# numpy rounds a complex product apart from Python, and Cramer's rule passes
+# that on, amplified by the condition of V and m: up to about 100 for harmonic(25)
+@pytest.mark.parametrize("p, tol", [(Potential.zero(1.0), 1e-15), (Potential.zero(3.0), 1e-15),
+                                    (Potential.harmonic(25.0, 1.0), 1e-14)],
+                         ids=["zero-a1", "zero-a3", "harmonic-a1"])
+def test_maps_of_a_stack_are_the_maps_of_its_matrices(p, tol):
+    basis = solve_even_odd(p)
+    stack = Unitary2.certify(haar_unitary(np.random.default_rng(13), 200))
+    pair = forward_map(basis, stack)
+    back = inverse_map(basis, pair.Ucal)
+    for k, u in enumerate(stack.matrix):
+        one = forward_map(basis, Unitary2.certify(u))
+        ucal = Unitary2.certify(pair.Ucal.matrix[k])  # the inverse map of the same input
+        for got, want in ((pair.V[k], one.V), (pair.Vtilde[k], one.Vtilde),
+                          (pair.Utilde.matrix[k], one.Utilde.matrix),
+                          (pair.Ucal.matrix[k], one.Ucal.matrix),
+                          (back.matrix[k], inverse_map(basis, ucal).matrix)):
+            assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
 def inverse_system_sigma_min(basis, ucal):
@@ -215,6 +245,10 @@ def test_closed_form_singular_values_match_lapack():
         want = np.linalg.svd(m, compute_uv=False)
         got = extmap._singular_values(m)
         assert np.abs(np.array(got) - want).max() <= 1e-14 * max(1.0, want[0]), m
+    stack = np.array(helper_inputs())
+    want = np.linalg.svd(stack, compute_uv=False)
+    got = np.array(extmap._singular_values(stack)).T
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want[:, :1]))
 
 
 def test_closed_form_unitarity_defect_matches_frobenius_norm():
@@ -240,6 +274,12 @@ def test_cramer_solve_matches_lapack():
         want = np.linalg.solve(lhs, rhs)
         bound = 1e-14 * np.linalg.cond(lhs) * np.abs(want).max()
         assert np.abs(extmap._solve(lhs, rhs) - want).max() <= bound, lhs
+    # the same nonsingular inputs as one stack
+    lhs = np.array([m for m in helper_inputs() if np.linalg.cond(m) <= 1e8])
+    rhs = random_matrix(rng, len(lhs))
+    want = np.linalg.solve(lhs, rhs)
+    bound = 1e-14 * np.linalg.cond(lhs) * np.abs(want).max(axis=(1, 2))
+    assert np.all(np.abs(extmap._solve(lhs, rhs) - want).max(axis=(1, 2)) <= bound)
 
 
 def test_check_identities_draws_the_loop_draws():
@@ -249,6 +289,19 @@ def test_check_identities_draws_the_loop_draws():
     rng = np.random.default_rng(4)  # a stack takes the numbers of as many single draws
     assert np.array_equal(haar_unitary(rng, 30), haar)
     assert np.array_equal(random_matrix(rng, 30), rand)
+
+
+def test_check_identities_certifies_the_forward_map(basis, monkeypatch):
+    # wrapped by name, as the benchmark's tracer wraps it
+    calls, forward = [], extmap.forward_map
+
+    def recording(b, u):
+        calls.append(u.matrix)
+        return forward(b, u)
+    monkeypatch.setattr(extmap, "forward_map", recording)
+    check_identities(basis, samples=40, seed=3)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], haar_unitary(np.random.default_rng(3), 40))
 
 
 def loop_check_identities(basis, samples, seed):

@@ -63,3 +63,15 @@ def test_dumps_sorts_keys_at_every_level():
 def test_dumps_rejects_values_json_cannot_hold():
     with pytest.raises(TypeError, match="set"):
         jsonio.dumps({"s": {1, 2}})
+
+
+@pytest.mark.parametrize("entry", [True, "1", None, [1.0], [True, 0.0], [1.0, False], ["1", 0.0],
+                                   [10 ** 400, 0.0]],
+                         ids=["bool", "string", "null", "short", "bool-real", "bool-imag",
+                              "string-real", "huge-int"])
+def test_matrix_entries_are_pairs_of_json_numbers(entry):
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    assert np.array_equal(jsonio.matrix_from_json({"rows": rows}), np.eye(2))
+    rows[0][1] = entry
+    with pytest.raises(ValueError, match="2x2 rows"):
+        jsonio.matrix_from_json({"rows": rows})

@@ -111,9 +111,37 @@ def test_rejects_nonfinite_values():
         {"kind": "zero", "a": None},
         {"kind": "zero", "a": 1.0, "params": None},
         [1.0, 2.0],
+        # a number is a JSON number: not a boolean, not a numeric string
+        {"kind": "zero", "a": True},
+        {"kind": "finite-well", "a": "2", "params": {"depth": -10.0, "half_width": 0.5}},
+        {"kind": "finite-well", "a": 2.0, "params": {"depth": "-10", "half_width": "0.5"}},
+        {"kind": "harmonic", "a": 1.0, "params": {"coefficient": True}},
+        {"kind": "polynomial", "a": 1.0, "params": {"coefficients": [1.0, False]}},
+        piecewise_descriptor({"interval": [-1.0, True], "coefficients": [1.0]}),
     ):
         with pytest.raises(PotentialError):
             Potential.from_json(descriptor)
+
+
+@pytest.mark.parametrize("descriptor, key", [
+    ({"kind": "zero", "a": 1.0, "params": {"bogus": 3.0}}, "bogus"),
+    ({"kind": "harmonic", "a": 1.0, "params": {"coefficient": 1.0, "depth": 2.0}}, "depth"),
+])
+def test_rejects_parameters_the_kind_does_not_take(descriptor, key):
+    with pytest.raises(PotentialError, match=repr(key)):
+        Potential.from_json(descriptor)
+
+
+def test_finite_well_as_wide_as_the_interval_is_one_constant_piece():
+    p = Potential.finite_well(-10.0, 1.0, 1.0)
+    assert p.breakpoints() == () and p.is_even()
+    assert [p.evaluate(x) for x in (-1.0, 0.0, 1.0)] == [-10.0] * 3
+
+
+@pytest.mark.parametrize("half_width", [1.5, 0.0, -0.5])
+def test_finite_well_half_width_outside_zero_to_a_is_rejected(half_width):
+    with pytest.raises(PotentialError, match="half_width"):
+        Potential.finite_well(-10.0, half_width, 1.0)
 
 
 # one potential per kind: (V, its breakpoints, (left, right) limits at each)
