@@ -26,7 +26,6 @@ K for automorphic (t in (0, pi)), and nothing for the six fixed families.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,27 +167,16 @@ def classify(ucal, tol=DEFAULT_TOL):
                              sigma=sigma)
 
 
-def _cayley_solve(lhs, rhs):
-    """lhs^-1 rhs for the factors H -/+ iI of a Cayley transform.  Where Cramer's
-    rule would square entries of H past the float range, both are first divided
-    by the largest power of two at most max |lhs|, which is exact."""
-    big = max(map(abs, lhs.ravel().tolist()))
-    if big > 2.0 ** 500:
-        scale = 2.0 ** (math.frexp(big)[1] - 1)
-        lhs, rhs = lhs / scale, rhs / scale
-    return _solve(lhs, rhs)
-
-
 def _cayley(h):
     """Ucal = (H + iI)^-1 (H - iI); unitary for Hermitian H, never has
     eigenvalue 1, and inverts H = i(I - Ucal)^-1 (I + Ucal)."""
-    return _cayley_solve(h + 1j * _IDENTITY, h - 1j * _IDENTITY)
+    return _solve(h + 1j * _IDENTITY, h - 1j * _IDENTITY)
 
 
 def _cayley_prime(hp):
     """Ucal = (iI - H')^-1 (H' + iI), the inverse of
     H' = -i(I + Ucal)^-1 (I - Ucal)."""
-    return _cayley_solve(1j * _IDENTITY - hp, hp + 1j * _IDENTITY)
+    return _solve(1j * _IDENTITY - hp, hp + 1j * _IDENTITY)
 
 
 def synthesize(family, alpha=None, beta=None, gamma=None, K=None):

@@ -47,8 +47,6 @@ class DeficiencyBasis:
         boundary_table: 2x4 complex, rows (g_j'(a), g_j(a), g_j'(-a), g_j(-a)).
         mat_A, mat_B: properties, diag(g+(a), g-(a)) and diag(g+'(a), g-'(a))
             read from boundary_table in even-potential mode, None in general mode.
-        normalization: 2x2 complex matrix mapping the raw fundamental
-            solutions onto the stored basis (diagonal in even mode).
         trajectories: the two normalized dense solutions (None when the
             basis was deserialized from boundary data alone).
     """
@@ -56,7 +54,6 @@ class DeficiencyBasis:
     parity_mode: str
     potential: Potential
     boundary_table: np.ndarray
-    normalization: np.ndarray
     trajectories: tuple[OdeSolution, OdeSolution] | None
 
     @property
@@ -81,7 +78,6 @@ class DeficiencyBasis:
             "mode": self.parity_mode,
             "potential": self.potential.to_json(),
             "boundary_table": [[[z.real, z.imag] for z in row] for row in self.boundary_table],
-            "normalization": matrix_to_json(self.normalization),
         }
         if self.mat_A is not None:
             data["mat_A"] = matrix_to_json(self.mat_A)
@@ -94,7 +90,8 @@ class DeficiencyBasis:
         checked; in even mode the file's mat_A and mat_B must equal the
         diagonals of its boundary table (InvariantViolation otherwise).
         ModeError for an unknown mode, ValueError for a table that is not
-        2 rows of 4 [re, im] pairs."""
+        2 rows of 4 [re, im] pairs.  Older files also carry the matrix
+        that scaled the raw solutions onto the basis; it is ignored."""
         from .jsonio import _complex, matrix_from_json
         if data["mode"] not in (EVEN_MODE, GENERAL_MODE):
             raise ModeError(f"basis mode {data['mode']!r} is neither {EVEN_MODE!r} "
@@ -105,8 +102,7 @@ class DeficiencyBasis:
             table = None
         if np.shape(table) != (2, 4):
             raise ValueError("basis boundary_table is not 2 rows of 4 [re, im] pairs")
-        basis = cls(data["mode"], Potential.from_json(data["potential"]), table,
-                    matrix_from_json(data["normalization"]), None)
+        basis = cls(data["mode"], Potential.from_json(data["potential"]), table, None)
         _check_endpoint_identities(basis.parity_mode, table)
         if basis.parity_mode == EVEN_MODE and not all(
                 key in data and np.array_equal(matrix_from_json(data[key]), getattr(basis, key))
@@ -199,8 +195,7 @@ def solve_even_odd(p):
 
     halves = odesolve.fundamental_solutions(p, 1j, 0.0, p.a)
     fulls = [_mirror(halves[0], even=True), _mirror(halves[1], even=False)]
-    scales = [1.0 / odesolve.norm(g) for g in fulls]
-    g_plus, g_minus = (g.scaled(s) for g, s in zip(fulls, scales))
+    g_plus, g_minus = (g.scaled(1.0 / odesolve.norm(g)) for g in fulls)
 
     table = np.array([
         [g_plus.df1, g_plus.f1, -g_plus.df1, g_plus.f1],
@@ -212,8 +207,7 @@ def solve_even_odd(p):
     _check_diagonal_invertible(table[:, 1], "mat_A")
     _check_diagonal_invertible(table[:, 0], "mat_B")
 
-    return DeficiencyBasis(EVEN_MODE, p, table, np.diag(scales).astype(complex),
-                           (g_plus, g_minus))
+    return DeficiencyBasis(EVEN_MODE, p, table, (g_plus, g_minus))
 
 
 def solve_orthonormal_pair(p):
@@ -241,12 +235,11 @@ def solve_orthonormal_pair(p):
         [g1.df1, g1.f1, g1.df0, g1.f0],
         [g2.df1, g2.f1, g2.df0, g2.f0],
     ])
-    mixing = np.array([[1.0 / n1, 0.0], [-overlap / (n1 * n2), 1.0 / n2]], dtype=complex)
 
     _check_orthonormality(g1, g2)
     _check_endpoint_identities(GENERAL_MODE, table)
 
-    return DeficiencyBasis(GENERAL_MODE, p, table, mixing, (g1, g2))
+    return DeficiencyBasis(GENERAL_MODE, p, table, (g1, g2))
 
 
 def change_of_basis(basis_from, basis_to):

@@ -35,7 +35,7 @@ class ParityError(SaextError, ValueError):
 
 
 class DegeneracyError(SaextError, RuntimeError):
-    """Near linear dependence detected during orthonormalization."""
+    """Near linear dependence detected during Gram-Schmidt."""
 
 
 class ModeError(SaextError, ValueError):

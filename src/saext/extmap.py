@@ -67,6 +67,15 @@ def _unitarity_defect(a, b, c, d):
     return ((p - 1.0) ** 2 + (q - 1.0) ** 2 + 2.0 * abs(o) ** 2) ** 0.5
 
 
+def _balanced(m):
+    """(entries of m / s, s), per matrix of a stack: s is the largest power
+    of two at most max |m_ij| where that lies outside [2**-500, 2**500],
+    else 1, and at least 2**-1022 (numpy divides by the reciprocal)."""
+    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1] - 1  # 0, inf and NaN give -1
+    s = np.ldexp(1.0, np.where(np.abs(e) <= 500, 0, np.maximum(e, -1022)))
+    return _entries(m / s[..., None, None]), s
+
+
 def _singular_values(m):
     """[sigma_max, sigma_min] of a 2x2 matrix, each a length-n array for
     an (n, 2, 2) stack.
@@ -75,21 +84,33 @@ def _singular_values(m):
     full relative precision also when both singular values are equal, and
     sigma_min = |det m| / sigma_max.  The absolute value of a complex
     number serves as the overflow-safe hypot, on Python numbers and on
-    arrays alike.
+    arrays alike.  A stack, and one matrix whose squares leave the float
+    range, are computed from m / s (_balanced) and multiplied by s.
     """
-    a, b, c, d = _entries(m)
-    p, q, o = _gram(a, b, c, d)
+    (a, b, c, d), s = _balanced(m) if m.ndim == 3 else (_entries(m), 1.0)
+    try:
+        p, q, o = _gram(a, b, c, d)
+    except OverflowError:  # Python floats raise it where numpy gives inf
+        p = q = np.inf
+    if m.ndim == 2 and not 2.0 ** -1000 <= p + q <= 2.0 ** 1000:
+        (a, b, c, d), s = _balanced(m)
+        p, q, o = _gram(a, b, c, d)
     s_max = (0.5 * (p + q) + abs(0.5 * (p - q) + 1j * abs(o))) ** 0.5
     # the zero matrix has det 0: divide by 1 there, not by sigma_max = 0
-    return [s_max, abs(a * d - b * c) / (s_max + (s_max == 0.0))]
+    return [s * s_max, s * (abs(a * d - b * c) / (s_max + (s_max == 0.0)))]
 
 
 def _solve(lhs, rhs):
     """lhs^-1 rhs by Cramer's rule, for two 2x2 matrices or two (n, 2, 2)
-    stacks; ZeroDivisionError if a single lhs is exactly singular."""
-    a, b, c, d = _entries(lhs)
+    stacks; a stack, and one lhs whose det leaves the float range, as
+    adj(lhs / s) rhs / (s det(lhs / s)) (_balanced).  ZeroDivisionError if
+    a single lhs is exactly singular."""
+    (a, b, c, d), s = _balanced(lhs) if lhs.ndim == 3 else (_entries(lhs), 1.0)
+    det = (a * d - b * c) * s
+    if lhs.ndim == 2 and not 2.0 ** -1000 <= abs(det) <= 2.0 ** 1000:
+        (a, b, c, d), s = _balanced(lhs)
+        det = (a * d - b * c) * s
     e, f, g, h = _entries(rhs)
-    det = a * d - b * c
     out = np.array([[(d * e - b * g) / det, (d * f - b * h) / det],
                     [(a * g - c * e) / det, (a * h - c * f) / det]])
     return out if out.ndim == 2 else out.transpose(2, 0, 1)  # a stack's index first

@@ -27,16 +27,17 @@ the largest magnitude the product passes through sets its rounding, also
 where it cancels back to a small value.  Otherwise k grows
 to the level where the estimate, which falls 16-fold as h halves, should
 pass, up to MAX_HALVINGS, after which IntegrationError is raised.
-``fundamental_solutions`` starts at k = 0, since its output lives on the
-grid.  ``propagate`` returns only products over whole blocks of
-intervals, so it starts with steps of up to 2**_MAX_COARSENINGS intervals
-that turn the phase of a solution by less than pi/4, and each later block
-of energies at the level the estimates of the one before point to.  It
-evaluates many energies at once and counts the zeros of a solution on
-the way.  For an even V over a span symmetric about 0, where the mirror
-image of a solution solves too, it steps only the half from 0: the even
-and odd solutions there give the whole span's T by reflection, and the
-sum of their zeros is the zero count of the solution launched at an end.
+``fundamental_solutions`` runs at DEFAULT_RTOL from k = 0, since its
+output lives on the grid.  ``propagate``, the one pass that takes rtol,
+returns only products over whole blocks of intervals, so it starts with
+steps of up to 2**_MAX_COARSENINGS intervals that turn the phase of a
+solution by less than pi/4, and each later block of energies at the
+level the estimates of the one before point to.  It evaluates many
+energies at once and counts the zeros of a solution on the way.  For an
+even V over a span symmetric about 0, where the mirror image of a
+solution solves too, it steps only the half from 0: the even and odd
+solutions there give the whole span's T by reflection, and the sum of
+their zeros is the zero count of the solution launched at an end.
 
 Every solution of the same potential over the same span shares the grid,
 which makes pointwise linear combinations and quadrature between
@@ -300,11 +301,8 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None
                            f"on the piece starting at x = {x_start}", x_fail=x_start)
 
 
-def _spectral_array(lam, rtol):
-    """lam as a 1-D array, real when every entry is real.  Both passes
-    call this first, so it also checks their shared rtol (NaN and inf fail)."""
-    if not 0 < rtol < np.inf:
-        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+def _spectral_array(lam):
+    """lam as a 1-D array, real when every entry is real."""
     lams = np.atleast_1d(np.asarray(lam))
     if lams.ndim != 1:
         raise ValueError("lam must be a scalar or a 1-D array")
@@ -313,7 +311,7 @@ def _spectral_array(lam, rtol):
     return lams.astype(complex if np.iscomplexobj(lams) else float)
 
 
-def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL):
+def fundamental_solutions(p, lam, x0, x1):
     """The solutions u1, u2 of -f'' + V f = lam f with (f, f')(x0) = (1, 0)
     and (0, 1), from one pass over the transfer matrices to every sample.
 
@@ -321,27 +319,25 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     list of one such pair per entry; every solution shares one grid.
     Energies are processed ENERGY_BLOCK at a time, so the transient memory
     does not grow with their number, and V is sampled once per piece and
-    step level.  Each block starts at k = 0 (module docstring).
+    step level.  Each block runs at DEFAULT_RTOL from k = 0 (module docstring).
 
     Args:
         p: the Potential (both endpoints must lie in [-a, a]).
         lam: complex spectral parameter, or a 1-D array of them.
         x0, x1: distinct endpoints; integration may run in either direction.
-        rtol: relative error bound of the piece products (module
-            docstring); positive and finite.
 
     Returns:
         (u1, u2), OdeSolutions with dense samples spaced at most a/512
         apart, or a list of such pairs.
 
     Raises:
-        ValueError: when x0 = x1 or rtol is not positive and finite.
+        ValueError: when x0 = x1.
         DomainError: when an endpoint lies outside [-a, a].
         IntegrationError: when the solution overflows or h would be halved
             more than MAX_HALVINGS times; carries the start of the piece."""
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
-    lams = _spectral_array(lam, rtol)
+    lams = _spectral_array(lam)
     pieces = _segment_grid(p, x0, x1)
     samples = [{} for _ in pieces]
     skips = [0] + [1] * (len(pieces) - 1)  # junction points already recorded
@@ -357,7 +353,7 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL):
             y = np.broadcast_to(np.eye(2, dtype=complex), (len(block), 2, 2))
             ys = []
             for (_, _, vfun, grid), cache, skip in zip(pieces, samples, skips):
-                prefix, _ = _piece_prefix(vfun, grid, block, 0, cache, rtol)
+                prefix, _ = _piece_prefix(vfun, grid, block, 0, cache, DEFAULT_RTOL)
                 t = _plus_identity(prefix)[..., None]  # T at the piece's grid points
                 piece = np.concatenate([y[None], np.moveaxis(t[:, 0] * y[:, 0] + t[:, 1] * y[:, 1],
                                                              0, 2)])
@@ -370,10 +366,10 @@ def fundamental_solutions(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     return pairs[0] if np.ndim(lam) == 0 else pairs
 
 
-def integrate(p, lam, x0, x1, f0, df0, rtol=DEFAULT_RTOL):
+def integrate(p, lam, x0, x1, f0, df0):
     """Integrate -f'' + V f = lam f from x0 to x1 with dense output: the
     combination of fundamental_solutions for the initial values f0, df0."""
-    return combine(fundamental_solutions(p, lam, x0, x1, rtol), [complex(f0), complex(df0)])
+    return combine(fundamental_solutions(p, lam, x0, x1), [complex(f0), complex(df0)])
 
 
 def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
@@ -407,14 +403,17 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     below lam, the even ones Neumann and the odd ones Dirichlet at 0.
 
     Raises:
-        ValueError: when rtol is not positive and finite.
+        ValueError: when rtol, the error bound of the piece products
+            (module docstring), is not positive and finite.
         DomainError: when an endpoint lies outside [-a, a].
         IntegrationError: when the solution overflows, h would be halved
             more than MAX_HALVINGS times or a grid interval is too long to
             count zeros; carries where the pass from x0 enters the piece
             (for the half pass, the mirror image's far end).
     """
-    lams = _spectral_array(lam, rtol)
+    if not 0 < rtol < np.inf:  # NaN fails too, and inf would turn off error control
+        raise ValueError(f"rtol must be positive and finite, got {rtol}")
+    lams = _spectral_array(lam)
     if x0 == -x1 and x0 != 0 and p.is_even():
         half, zeros = _transfer(p, lams, 0.0, abs(x0), rtol, slice(0, 2),
                                 lambda grid: float(np.copysign(grid[-1], x0)))

@@ -8,10 +8,10 @@ expressed.
 
 Each kind is lowered once, on construction, to a tuple of (lo, hi, V)
 pieces that tiles [-a, a], with V vectorized and smooth on its piece.
-One table, ``_KINDS``, gives per kind the required parameters, the
-lowering and whether the shape is even by construction.  Validation,
-evaluation, the breakpoints, the parity check (made once, on
-construction) and the integrator's V are all read from the pieces.
+One table, ``_KINDS``, gives per kind the required parameters and the
+lowering.  Validation, evaluation, the breakpoints, the parity check (one
+node test for every kind, made once, on construction) and the
+integrator's V are all read from the pieces.
 Evaluation at an interior jump uses the right-limit value so results are
 deterministic.
 """
@@ -90,19 +90,16 @@ def _finite_well(a, depth, hw):
     return [(-a, -hw, _constant(0.0)), (-hw, hw, _constant(depth)), (hw, a, _constant(0.0))]
 
 
-# kind -> ({parameter: check}, even-by-construction predicate on the checked
-# parameters, lowering of (a, *checked parameters) to pieces from -a to a)
+# kind -> ({parameter: check}, lowering of (a, *checked parameters) to
+# pieces from -a to a)
 _KINDS = {
-    "zero": ({}, lambda *_: True, lambda a: [(-a, a, _constant(0.0))]),
-    "finite-well": ({"depth": _scalar, "half_width": _scalar}, lambda *_: True, _finite_well),
-    "harmonic": ({"coefficient": _scalar}, lambda *_: True,
-                 lambda a, c: [(-a, a, lambda x: c * np.square(x))]),
-    "cosine": ({"amplitude": _scalar, "wavenumber": _scalar}, lambda *_: True,
+    "zero": ({}, lambda a: [(-a, a, _constant(0.0))]),
+    "finite-well": ({"depth": _scalar, "half_width": _scalar}, _finite_well),
+    "harmonic": ({"coefficient": _scalar}, lambda a, c: [(-a, a, lambda x: c * np.square(x))]),
+    "cosine": ({"amplitude": _scalar, "wavenumber": _scalar},
                lambda a, amp, wn: [(-a, a, lambda x: amp * np.cos(wn * np.asarray(x)))]),
-    "polynomial": ({"coefficients": _coefficients},
-                   lambda cs: all(c == 0.0 for c in cs[1::2]),
-                   lambda a, cs: [(-a, a, _polynomial(cs))]),
-    "piecewise": ({"pieces": _piece_list}, lambda _: False,
+    "polynomial": ({"coefficients": _coefficients}, lambda a, cs: [(-a, a, _polynomial(cs))]),
+    "piecewise": ({"pieces": _piece_list},
                   lambda a, pieces: [(lo, hi, _polynomial(cs)) for (lo, hi), cs in pieces]),
 }
 
@@ -127,7 +124,7 @@ class Potential:
             raise PotentialError(f"unknown potential kind {self.kind!r}")
         if not (np.isfinite(self.a) and self.a > 0):
             raise PotentialError(f"half-width a must be positive and finite, got {self.a}")
-        checks, even, lower = _KINDS[self.kind]
+        checks, lower = _KINDS[self.kind]
         for name in self.params:
             if name not in checks:
                 raise PotentialError(f"{self.kind} takes {', '.join(checks) or 'no parameters'}, "
@@ -144,7 +141,7 @@ class Potential:
         if abs(edge - self.a) > tol:
             raise PotentialError("pieces must cover the interval up to x = a")
         object.__setattr__(self, "_pieces", pieces)
-        object.__setattr__(self, "_even", bool(even(*values)) or self._even_at_nodes())
+        object.__setattr__(self, "_even", self._even_at_nodes())
 
     # -- factories ------------------------------------------------------------
 
@@ -196,13 +193,14 @@ class Potential:
     def is_even(self):
         """True when V(-x) = V(x) within 1e-12, decided once, on construction.
 
-        Kinds that are even by construction (zero, finite-well, harmonic,
-        cosine) are even at once, as are polynomials with vanishing odd
-        coefficients.  For any other V, [0, a] is split at the breakpoints
-        and their mirror images, and V(x) is compared with V(-x) at
-        interior Gauss nodes of each sub-interval.  Neither x nor -x then
-        sits on a jump, and the breakpoints need not mirror each other.
-        The spectrum asks on every propagation, so the answer is stored.
+        One node test serves every kind: [0, a] is split at the
+        breakpoints and their mirror images, and V(x) is compared with
+        V(-x) at interior Gauss nodes of each sub-interval.  Neither x nor
+        -x then sits on a jump, and the breakpoints need not mirror each
+        other.  Shapes even by construction (zero, finite-well, harmonic,
+        cosine, polynomials without odd terms) pass it exactly: their V
+        gives the same float at x and -x.  The spectrum asks on every
+        propagation, so the answer is stored.
         """
         return self._even
 
@@ -246,9 +244,9 @@ class Potential:
     @classmethod
     def from_json(cls, data):
         try:
-            kind, a, params = data["kind"], _real(data["a"]), dict(data.get("params", {}))
+            kind, a, params = data["kind"], data["a"], dict(data.get("params", {}))
         except KeyError as exc:
             raise PotentialError(f"potential descriptor missing field {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise PotentialError(f"malformed potential descriptor {data!r}") from exc
-        return cls(kind, a, params)
+        return cls(kind, _scalar("a", a), params)

@@ -339,10 +339,8 @@ def _symmetry_defect(f):
 
 
 def _derivative_uniform(y, h):
-    """Fourth-order first derivative of samples on a uniform grid."""
-    n = len(y)
-    if n < 5:
-        return np.gradient(y, h)
+    """Fourth-order first derivative of samples on a uniform grid of at
+    least 5 points (every piece of an odesolve grid has 9 or more)."""
     d = np.empty_like(y)
     d[2:-2] = (y[:-4] - 8 * y[1:-3] + 8 * y[3:-1] - y[4:]) / (12 * h)
     d[0] = (-25 * y[0] + 48 * y[1] - 36 * y[2] + 16 * y[3] - 3 * y[4]) / (12 * h)

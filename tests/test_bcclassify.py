@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from saext import bcclassify, extmap
+from saext import bcclassify
 from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, FAMILIES, apply_bc, classify,
                               synthesize, synthesize_from)
 from saext.errors import ParameterError
@@ -327,6 +327,15 @@ def test_determinant_test_does_not_overflow():
     assert classify(synthesize("robin", alpha=1e200, gamma=1.0)).case == "III"
 
 
+def cramer(lhs, rhs):
+    """lhs^-1 rhs by Cramer's rule on the unscaled entries, as Python numbers."""
+    (a, b), (c, d) = lhs.tolist()
+    (e, f), (g, h) = rhs.tolist()
+    det = a * d - b * c
+    return np.array([[(d * e - b * g) / det, (d * f - b * h) / det],
+                     [(a * g - c * e) / det, (a * h - c * f) / det]])
+
+
 def test_cayley_scaling_changes_no_bit_of_a_finite_result():
     # above 2^500 (3.3e150) H -/+ iI is divided by a power of two, which is exact, so
     # up to where unscaled Cramer squares overflow (1.3e154) the results are unchanged
@@ -337,9 +346,9 @@ def test_cayley_scaling_changes_no_bit_of_a_finite_result():
         beta = scale * complex(*rng.standard_normal(2))
         h = np.array([[alpha, beta], [np.conj(beta), gamma]])
         assert np.array_equal(bcclassify._cayley(h),
-                              extmap._solve(h + 1j * IDENTITY, h - 1j * IDENTITY))
+                              cramer(h + 1j * IDENTITY, h - 1j * IDENTITY))
         assert np.array_equal(bcclassify._cayley_prime(h),
-                              extmap._solve(1j * IDENTITY - h, h + 1j * IDENTITY))
+                              cramer(1j * IDENTITY - h, h + 1j * IDENTITY))
 
 
 @pytest.mark.parametrize("family, params", [
@@ -351,3 +360,13 @@ def test_synthesize_huge_hermitian_matrices(family, params):
     u = synthesize(family, **params)
     assert u.defect <= 1e-10
     assert classify(u).case in ("III", "IV")
+
+
+@pytest.mark.parametrize("family, params", NAMED, ids=[family for family, _ in NAMED])
+def test_synthesize_from_rebuilds_every_family(family, params):
+    # robin, the mixed Dirichlet/Neumann pairs and Cases II and III each
+    # take a branch of synthesize_from that no Haar draw reaches
+    ucal = synthesize(family, **params)
+    bc = classify(ucal)
+    assert bc.name == family
+    assert np.abs(synthesize_from(bc).matrix - ucal.matrix).max() <= 1e-12

@@ -342,6 +342,39 @@ def test_huge_coupled_parameters_classify_as_dirichlet(tmp_path):
     assert (report["case"], report["name"]) == ("III", "dirichlet")
 
 
+def test_huge_coupled_parameters_report_the_singular_values_of_i_minus_u(tmp_path):
+    # I - Ucal has entries of 2e-200, whose squares underflow unless the
+    # matrix is scaled first; LAPACK on it scaled by 1e200 is the reference
+    out = tmp_path / "bc.json"
+    assert cli.main(["classify", "--family", "general-coupled", "--alpha", "1e200",
+                     "--gamma", "1", "--beta", "1e200", "--out", str(out)]) == 0
+    ucal = bcclassify.synthesize("general-coupled", alpha=1e200, beta=1e200, gamma=1.0)
+    want = np.linalg.svd(1e200 * (np.eye(2) - ucal.matrix), compute_uv=False) / 1e200
+    got = json.loads(out.read_text())["singular_values"]["I_minus_U"]
+    assert want[1] > 1e-200
+    assert np.abs(np.array(got) - want).max() <= 1e-14 * want[0]
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["spectrum", "--config", "list.json"], {"list.json": "list"},
+     "a config file holds one JSON object"),
+    (["spectrum", "--family", "dirichlet"], {}, "--potential is required"),
+    (["map", "--potential", "general.json", "--family", "periodic", "--direction", "bc-to-u"],
+     {"general.json": "general"}, "bc-to-u is defined for even-potential bases only"),
+    (["spectrum", "--potential", "zero.json", "--family", "dirichlet", "--emax", "5",
+      "--format", "csv"], {"zero.json": "zero"}, "csv output needs --out"),
+], ids=["config-list", "spectrum-no-potential", "bc-to-u-general", "csv-no-out"])
+def test_usage_errors_name_the_missing_or_wrong_input(tmp_path, monkeypatch, capsys,
+                                                      argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    contents = {"list": [1, 2], "zero": Potential.zero(1.0).to_json(),
+                "general": deficiency.solve_orthonormal_pair(Potential.zero(1.0)).to_json()}
+    for name, value in files.items():
+        jsonio.write(name, contents[value])
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, entry", [
     ("verify", {"samples": 2.5}),        # not an int
     ("spectrum", {"emax": "twelve"}),    # not a float

@@ -165,3 +165,37 @@ def test_general_mode_serialization_round_trip():
     assert back.mat_A is None and back.mat_B is None
     assert jsonio.dumps(back.to_json()) == jsonio.dumps(basis.to_json())
     assert np.allclose(back.boundary_table, basis.boundary_table)
+
+
+@pytest.mark.parametrize("mode", [deficiency.EVEN_MODE, deficiency.GENERAL_MODE])
+def test_basis_json_has_no_scaling_matrix_and_older_files_load(mode):
+    # the table is all the maps read; a file that still carries the matrix
+    # that scaled the raw solutions loads, and the key is dropped
+    basis = solve_even_odd(P0) if mode == deficiency.EVEN_MODE else solve_orthonormal_pair(P0)
+    data = basis.to_json()
+    assert "normalization" not in data
+    older = dict(data, normalization=matrix_to_json(np.eye(2)))
+    assert jsonio.dumps(DeficiencyBasis.from_json(older).to_json()) == jsonio.dumps(data)
+
+
+def _with_table(edit):
+    data = solve_even_odd(P0).to_json()
+    table = np.array([[complex(*z) for z in row] for row in data["boundary_table"]])
+    return dict(data, boundary_table=[[[z.real, z.imag] for z in row] for row in edit(table)])
+
+
+@pytest.mark.parametrize("data, message", [
+    (lambda: _with_table(lambda t: np.array([2.0 * t[0], t[1]])), r"endpoint identity \(0,0\)"),
+    # g- turned towards conj(g+): both norms and the conjugated cross form
+    # stay, the bilinear cross form does not vanish
+    (lambda: _with_table(lambda t: np.array([t[0], np.cosh(1.0) * t[1]
+                                             + np.sinh(1.0) * np.conj(t[0])])),
+     r"conjugation-free identity \(0,1\)"),
+    # the orthonormal pair meets both endpoint identities, but its rows do
+    # not have the even basis's Wronskian i at x = a
+    (lambda: dict(solve_orthonormal_pair(P0).to_json(), mode=deficiency.EVEN_MODE),
+     "endpoint Wronskian of row 0"),
+], ids=["doubled-row", "conjugation-free", "general-table-labelled-even"])
+def test_from_json_rejects_a_table_that_breaks_an_endpoint_identity(data, message):
+    with pytest.raises(InvariantViolation, match=message):
+        DeficiencyBasis.from_json(data())

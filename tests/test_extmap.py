@@ -210,7 +210,7 @@ def test_general_map_agrees_with_even_map(p):
 def test_general_map_on_even_table_is_forward_map(p):
     # the paper's even-mode formula and the general construction agree on one table
     even = solve_even_odd(p)
-    general = DeficiencyBasis(GENERAL_MODE, p, even.boundary_table, even.normalization, None)
+    general = DeficiencyBasis(GENERAL_MODE, p, even.boundary_table, None)
     rng = np.random.default_rng(8)
     for _ in range(200):
         u = Unitary2.certify(haar_unitary(rng))
@@ -342,3 +342,27 @@ def test_check_identities_matches_loop(p):
         assert abs(check["worst"] - worst) <= 1e-14 * max(1.0, abs(worst))
     empty = check_identities(basis, samples=0)
     assert empty["passed"] and empty["checks"]["v_nonsingular"]["worst"] == np.inf
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_singular_values_of_tiny_and_huge_matrices_match_lapack(scale):
+    # the Gram matrix squares the entries: unscaled, 1e-200 underflows to 0
+    # and 1e200 overflows to inf
+    m = scale * random_matrix(np.random.default_rng(12))
+    want = np.linalg.svd(m / scale, compute_uv=False) * scale
+    assert np.abs(np.array(extmap._singular_values(m)) - want).max() <= 1e-14 * want[0]
+    stack = np.array([m, m / scale])
+    got = np.array(extmap._singular_values(stack)).T
+    assert np.abs(got[0] - want).max() <= 1e-14 * want[0]
+    assert np.abs(got[1] - want / scale).max() <= 1e-14 * want[0] / scale  # the in-range one
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_cramer_solve_of_tiny_and_huge_matrices_matches_lapack(scale):
+    rng = np.random.default_rng(13)
+    lhs, rhs = scale * random_matrix(rng), random_matrix(rng)
+    want = np.linalg.solve(lhs / scale, rhs) / scale
+    bound = 1e-14 * np.linalg.cond(lhs) * np.abs(want).max()
+    assert np.abs(extmap._solve(lhs, rhs) - want).max() <= bound
+    got = extmap._solve(np.array([lhs, lhs]), np.array([rhs, rhs]))
+    assert np.abs(got - want).max() <= bound

@@ -150,9 +150,9 @@ def test_linearity_under_scaled_initial_data():
 
 def test_tolerance_convergence():
     rtol = 1e-8
-    coarse = odesolve.integrate(P0, -1.0, -1.0, 1.0, 1.0, 0.0, rtol=rtol)
-    fine = odesolve.integrate(P0, -1.0, -1.0, 1.0, 1.0, 0.0, rtol=rtol / 2)
-    assert abs(coarse.f1 - fine.f1) < rtol * abs(fine.f1)
+    coarse = odesolve.propagate(P0, -1.0, -1.0, 1.0, rtol)[0]
+    fine = odesolve.propagate(P0, -1.0, -1.0, 1.0, rtol / 2)[0]
+    assert abs(coarse[0, 0] - fine[0, 0]) < rtol * abs(fine[0, 0])
 
 
 def test_reverse_direction_integration():
@@ -188,18 +188,17 @@ def test_integration_failure_carries_abscissa():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         odesolve.integrate(P0, 1.0, 0.5, 0.5, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        odesolve.integrate(P0, 1.0, -1.0, 1.0, 1.0, 0.0, rtol=-1e-10)
 
 
 @pytest.mark.parametrize("rtol", [0.0, -1e-10, np.nan, np.inf])
 def test_rtol_must_be_positive_in_both_passes(rtol):
-    # NaN passes `rtol <= 0` and inf would turn off error control; both
-    # passes must reject them before the step arithmetic
+    # NaN passes `rtol <= 0` and inf would turn off error control; propagate
+    # must reject them before the step arithmetic, both in the half pass of
+    # an even V over a symmetric span and in the full pass
     with pytest.raises(ValueError, match="rtol"):
         odesolve.propagate(P0, 1.0, -1.0, 1.0, rtol)
     with pytest.raises(ValueError, match="rtol"):
-        odesolve.fundamental_solutions(P0, 1.0, -1.0, 1.0, rtol)
+        odesolve.propagate(P0, 1.0, -1.0, 0.5, rtol)
 
 
 ODD_PIECEWISE = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
@@ -251,7 +250,7 @@ def test_magnus_propagate_matches_reference(p, lam):
 @pytest.mark.parametrize("p", KINDS, ids=lambda p: p.kind)
 def test_magnus_integrate_matches_reference(p):
     for lam, (x0, x1) in ((3.0, (-1.0, 1.0)), (1j, (1.0, -1.0)), (1j, (0.0, 1.0))):
-        got = odesolve.integrate(p, lam, x0, x1, 0.3, -1.1, MAGNUS_RTOL)
+        got = odesolve.integrate(p, lam, x0, x1, 0.3, -1.1)
         want = oracles.reference_integrate(p, lam, x0, x1, 0.3, -1.1)
         assert np.array_equal(got.x, want.x) and got.segments == want.segments
         scale = max(1.0, np.max(np.abs(want.f)), np.max(np.abs(want.df)))
@@ -501,3 +500,10 @@ def test_half_pass_failure_carries_where_the_direct_pass_enters():
         with pytest.raises(IntegrationError) as info:
             odesolve.propagate(wild, 3.0, x0, -x0)
         assert info.value.x_fail == x0
+
+
+def test_propagate_rejects_a_grid_too_coarse_to_count_zeros():
+    # at E = 7e5 a solution turns by h sqrt(E) = 1.6 rad over one grid
+    # interval (a/512), more than the pi/2 a counted block may hold
+    with pytest.raises(IntegrationError, match="grid too coarse to count zeros"):
+        odesolve.propagate(P0, 7e5, -1.0, 1.0)

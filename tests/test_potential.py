@@ -191,3 +191,18 @@ def test_json_round_trip():
 def test_from_json_missing_field():
     with pytest.raises(PotentialError):
         Potential.from_json({"kind": "zero"})
+
+
+@pytest.mark.parametrize("pieces, message", [
+    ([((-1.0, -0.5), [0.0]), ((0.0, 1.0), [1.0])], "pieces must tile"),
+    ([((-1.0, -1.0), [0.0]), ((-1.0, 1.0), [1.0])], "empty piece interval"),
+], ids=["gap", "empty-interval"])
+def test_piecewise_rejects_pieces_that_do_not_tile(pieces, message):
+    with pytest.raises(PotentialError, match=message):
+        Potential.piecewise(pieces, 1.0)
+
+
+@pytest.mark.parametrize("a", [True, "2", None])
+def test_from_json_names_a_half_width_that_is_not_a_number(a):
+    with pytest.raises(PotentialError, match=r"^a must be numeric"):
+        Potential.from_json({"kind": "zero", "a": a})

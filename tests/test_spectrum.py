@@ -507,3 +507,20 @@ def test_default_arguments_keep_wide_surface_state(caplog):
         result = find_eigenvalues(Potential.cosine(5.0, np.pi, 8.0), bc, e_max=10.0)
     assert not caplog.records, [r.getMessage() for r in caplog.records]
     assert_matches(result, [(e, 1) for e in levels])
+
+
+def test_bisection_rounds_split_an_interval_of_many_levels(monkeypatch):
+    # from e_min = -1e5 the last scan interval spans about 120 in E and holds
+    # all four Dirichlet levels below 40, so rounds of bisection must split it
+    scans = []
+    bc_matrix = spectrum._bc_matrix
+
+    def counting(p, bc, energy, rtol):
+        if rtol == spectrum.SCAN_RTOL:
+            scans.append(np.size(energy))
+        return bc_matrix(p, bc, energy, rtol)
+
+    monkeypatch.setattr(spectrum, "_bc_matrix", counting)
+    result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=-1e5, e_max=40.0)
+    assert len(scans) >= 2  # the scan, then at least one round
+    assert_matches(result, [((n * np.pi / 2) ** 2, 1) for n in range(1, 5)], rel=1e-9)
