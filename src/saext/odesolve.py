@@ -39,6 +39,16 @@ solution solves too, it steps only the half from 0: the even and odd
 solutions there give the whole span's T by reflection, and the sum of
 their zeros is the zero count of the solution launched at an end.
 
+The spectrum's boundary-data pass (_edge_transfers) steps the same way at
+DEFAULT_RTOL, and returns T at block edges at most a/32 apart together
+with each block's own transfer S and dS/dlam.  The derivative of one step
+is closed form: with dz/dlam = -h^2 for z = s^2, d(cosh s)/dz = sinhc/2,
+d(sinhc)/dz = (s cosh s - sinh s)/2s^3 and dOmega/dlam = [[0, 0], [-h, 0]],
+and the pairwise products within a block carry (AB, A'B + AB'); S and
+dS/dlam take the Richardson step at the levels the error control of the
+piece's prefix products picks.  For an even V it too steps only [0, b]
+and mirrors the blocks.
+
 Every solution of the same potential over the same span shares the grid,
 which makes pointwise linear combinations and quadrature between
 solutions well defined.  Each piece has a multiple of 4 grid intervals, so
@@ -49,6 +59,7 @@ in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +75,7 @@ STEP_CHUNK = 4096     # Magnus steps generated per batch and energy
 _INTERVALS_PER_HALFWIDTH = 512  # dense spacing target a/512, well under the a/128 contract
 _MIN_SEGMENT_INTERVALS = 8
 _MAX_COARSENINGS = 3  # propagate's first steps span up to 2**3 grid intervals (a/64)
+_EDGE_ROUNDS = 4  # _edge_transfers reports T every 2**4 grid intervals (a/32)
 _INTERVAL_MULTIPLE = 4  # quadrature halves a piece's Simpson panels once
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # two-point Gauss nodes sit at x_m -+ this times h
 
@@ -167,6 +179,24 @@ def _cosh_sinhc(z):
     return 2.0 * sign * sh * sh, sinhc
 
 
+# Taylor coefficients n / (2n + 1)! of d sinhc/dz, highest first (n = 8 .. 1)
+_SINHC_SLOPE = tuple(n / math.factorial(2 * n + 1) for n in range(8, 0, -1))
+
+
+def _sinhc_slope(z, cm1, sinhc):
+    """d sinhc/dz = (s cosh s - sinh s) / 2 s^3 = (1 + cm1 - sinhc) / 2z for
+    z = s^2, from _cosh_sinhc(z) = cm1, sinhc; its Taylor series where
+    |z| < 1/2, where that difference cancels."""
+    out = np.full_like(sinhc, _SINHC_SLOPE[0])
+    for c in _SINHC_SLOPE[1:]:
+        out *= z
+        out += c
+    far = np.abs(z) >= 0.5
+    if far.any():
+        out[far] = (1.0 + cm1[far] - sinhc[far]) / (2.0 * z[far])
+    return out
+
+
 def _mul(left, right):
     """Batched 2x2 product (I + L)(I + R) = I + L + R + LR of matrices stored
     as their deviation from the identity, in arrays of shape (2, 2, ...).
@@ -181,6 +211,22 @@ def _mul(left, right):
     return out
 
 
+def _mul_dual(left, right):
+    """_mul for pairs (T - I, dT/dE) stacked on a leading axis, shape (2, 2, 2, ...):
+    the product and its derivative L'(I + R) + (I + L)R' = L' + R' + L'R + LR'."""
+    (l, dl), (r, dr) = left, right
+    out = np.empty(np.broadcast_shapes(left.shape, right.shape), np.result_type(left, right))
+    out[0] = _mul(l, r)
+    der = out[1]
+    np.multiply(dl[:, :1], r[:1], out=der)
+    der += dl[:, 1:] * r[1:]
+    der += l[:, :1] * dr[:1]
+    der += l[:, 1:] * dr[1:]
+    der += dl
+    der += dr
+    return out
+
+
 def _plus_identity(t):
     """I + t for a deviation t of shape (2, 2, ...).  Only the diagonal gets
     the 1, so an off-diagonal -0.0 stays -0.0."""
@@ -190,14 +236,14 @@ def _plus_identity(t):
     return out
 
 
-def _blocks(m, rounds):
+def _blocks(m, rounds, mul=_mul):
     """Ordered products of consecutive blocks of 2**rounds factors along the
     last axis, later factors on the left, by rounds of a pairwise tree that
     each multiply neighbours; the last block may be shorter."""
     for _ in range(rounds):
         n = m.shape[-1]
         even = n - n % 2
-        pairs = _mul(m[..., 1:even:2], m[..., 0:even:2])
+        pairs = mul(m[..., 1:even:2], m[..., 0:even:2])
         m = np.concatenate([pairs, m[..., -1:]], axis=-1) if n % 2 else pairs
     return m
 
@@ -227,18 +273,19 @@ def _gauss_samples(vfun, grid, halvings):
     return h, chunks
 
 
-def _interval_transfers(vfun, lams, grid, halvings, samples):
+def _interval_transfers(vfun, lams, grid, halvings, samples, dual=False):
     """Transfer matrices of every grid interval, each covered by 2**k Magnus
     steps, or for k < 0 of every step spanning 2**-k intervals.
 
     lams is a 1-D array of spectral parameters and k = halvings; returns
     their deviations T - I from the identity as one array of shape
     (2, 2, len(lams), len(grid) - 1), or (2, 2, len(lams), (len(grid) - 1) * 2**k)
-    for k < 0.  Steps are generated STEP_CHUNK at a time, a multiple of 2**k
-    for k <= MAX_HALVINGS, so memory stays flat as h shrinks and every
-    chunk holds whole intervals.  samples, a dict keyed by k, keeps the
-    sampled potential between calls on the same piece, so V is sampled
-    once per level however many energy blocks pass through it.
+    for k < 0.  With dual, the array gains a leading axis of size 2 that
+    holds T - I and dT/dlam.  Steps are generated STEP_CHUNK at a time, a
+    multiple of 2**k for k <= MAX_HALVINGS, so memory stays flat as h
+    shrinks and every chunk holds whole intervals.  samples, a dict keyed
+    by k, keeps the sampled potential between calls on the same piece, so V
+    is sampled once per level however many energy blocks pass through it.
     """
     if halvings not in samples:
         samples[halvings] = _gauss_samples(vfun, grid, halvings)
@@ -246,39 +293,57 @@ def _interval_transfers(vfun, lams, grid, halvings, samples):
     parts = []
     for vbar, d in chunks:
         h_qbar = h * (vbar - lams[:, None])
-        cm1, sc = _cosh_sinhc(d * d + h * h_qbar)
+        z = d * d + h * h_qbar
+        cm1, sc = _cosh_sinhc(z)
         sd = sc * d
         steps = np.empty((2, 2) + sc.shape, sc.dtype)  # exp(Omega) - I
         np.add(cm1, sd, out=steps[0, 0])
         np.multiply(sc, h, out=steps[0, 1])
         np.multiply(sc, h_qbar, out=steps[1, 0])
         np.subtract(cm1, sd, out=steps[1, 1])
-        parts.append(_blocks(steps, max(halvings, 0)))
+        if dual:
+            # dz/dlam = -h^2 and dOmega/dlam = [[0, 0], [-h, 0]]
+            dcm1, dsc = -0.5 * h * h * sc, -h * h * _sinhc_slope(z, cm1, sc)
+            dsd = dsc * d
+            dsteps = np.empty_like(steps)
+            np.add(dcm1, dsd, out=dsteps[0, 0])
+            np.multiply(dsc, h, out=dsteps[0, 1])
+            dsteps[1, 0] = dsc * h_qbar - sc * h
+            np.subtract(dcm1, dsd, out=dsteps[1, 1])
+            steps = np.stack([steps, dsteps])
+        parts.append(_blocks(steps, max(halvings, 0), _mul_dual if dual else _mul))
     return np.concatenate(parts, axis=-1)
 
 
-def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None):
+def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None, dual=False):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
     grid intervals, as deviations T - I from the identity in one array of
     shape (2, 2, number of blocks, len(lams)), and the level to start the
     next energies at.  Steps start at level start >= -rounds and shrink per energy until
-    the error estimate passes (see the module docstring).  Errors carry
+    the error estimate passes (see the module docstring).  With dual, each
+    block's own transfer S - I and dS/dlam take the place of the prefix
+    products, on a leading axis of size 2; they take the prefix products'
+    Richardson step at the levels their error estimate picks.  Errors carry
     x_start, by default the grid's first point."""
     def edges(levels, sel):
-        blocks = [_blocks(_interval_transfers(vfun, sel, grid, k, samples), rounds + min(k, 0))
-                  for k in levels]
-        prefix = _prefix(np.stack(blocks, axis=2))  # (2, 2, level, energy, block)
-        return prefix.transpose(2, 0, 1, 4, 3).reshape(len(levels), -1, len(sel))
+        blocks = np.stack([_blocks(_interval_transfers(vfun, sel, grid, k, samples, dual),
+                                   rounds + min(k, 0), _mul_dual if dual else _mul)
+                           for k in levels], axis=-3)  # ([2,] 2, 2, level, energy, block)
+        prefix = np.concatenate([_prefix(blocks[0])[None], blocks]) if dual else _prefix(blocks)
+        n = prefix.ndim  # to (level, [3,] 2, 2, block, energy)
+        prefix = prefix.transpose(n - 3, *range(n - 3), n - 1, n - 2)
+        return prefix.reshape(len(levels), -1, len(sel))
 
     x_start = float(grid[0]) if x_start is None else x_start
     coarse, fine = edges((start, start + 1), lams)
+    t_rows = len(fine) // 3 if dual else len(fine)  # the rows of the prefix products
     level = np.full(len(lams), start)  # of each energy's coarser steps
     while True:
         value = fine + (fine - coarse) / 15.0
         if not np.all(np.isfinite(value)):
             raise IntegrationError(f"solution overflowed after x = {x_start}", x_fail=x_start)
-        err = np.max(np.abs(fine - coarse), axis=0) / 15.0
-        bound = rtol * np.maximum(1.0, np.max(np.abs(value), axis=0))
+        err = np.max(np.abs(fine[:t_rows] - coarse[:t_rows]), axis=0) / 15.0
+        bound = rtol * np.maximum(1.0, np.max(np.abs(value[:t_rows]), axis=0))
         bad = ~(err <= bound)
         with np.errstate(divide="ignore"):  # the estimate falls 16-fold as h halves
             need = level + np.ceil(0.25 * np.log2(err / bound))
@@ -286,7 +351,9 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None
             # the next energies start at most one level coarser, and not below a
             # level that failed here
             floor = np.where(level > start, start + 1, start - 1)
-            return value.reshape(2, 2, -1, len(lams)), int(np.min(np.maximum(need, floor)))
+            out = value[t_rows:].reshape(2, 2, 2, -1, len(lams)) if dual else value.reshape(
+                2, 2, -1, len(lams))
+            return out, int(np.min(np.maximum(need, floor)))
         k = level[bad][0]  # shared by every energy still refined
         if k >= MAX_HALVINGS - 1:
             break
@@ -430,6 +497,19 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     return (out[0], int(zeros[0])) if np.ndim(lam) == 0 else (out, zeros)
 
 
+def _first_level(grid, hk):
+    """The coarsest level -c to start a piece at: its steps span 2**c grid
+    intervals, tile the piece in at least _MIN_SEGMENT_INTERVALS steps and turn
+    a solution's phase by less than pi/4, where hk is the phase turned per
+    interval."""
+    n, c = len(grid) - 1, 0
+    while (c < _MAX_COARSENINGS and n % (2 << c) == 0
+           and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS
+           and (2 << c) * hk < 0.25 * np.pi):
+        c += 1
+    return -c
+
+
 def _transfer(p, lams, x0, x1, rtol, counted, entry):
     """propagate's pass from x0 to x1 over the 1-D array lams: the
     (n, 2, 2) transfer matrices and, per energy, the zeros in (x0, x1) of
@@ -454,16 +534,10 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
                                            f"{np.max(block.real):g}", x_fail=entry(grid))
                 full = (len(grid) - 2).bit_length()
                 rounds = min(full, int(np.ceil(np.log2(0.5 * np.pi / hk))) - 1) if hk else full
-                # the first steps span 2**c intervals that tile the piece in at least
-                # _MIN_SEGMENT_INTERVALS steps and turn a solution's phase by less than
-                # pi/4, half a block's pi/2, so no step straddles two blocks
-                n, c = len(grid) - 1, 0
-                while (c < _MAX_COARSENINGS and n % (2 << c) == 0
-                       and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS
-                       and (2 << c) * hk < 0.25 * np.pi):
-                    c += 1
-                prefix, warm[i] = _piece_prefix(
-                    vfun, grid, block, rounds, cache, rtol, max(warm[i], -c), entry(grid))
+                # a first step turns the phase by less than pi/4, half a block's pi/2,
+                # so no step straddles two blocks
+                prefix, warm[i] = _piece_prefix(vfun, grid, block, rounds, cache, rtol,
+                                                max(warm[i], _first_level(grid, hk)), entry(grid))
                 # rows f and f' of the counted columns of T at the piece start
                 u0, du0 = _plus_identity(t)[:, counted]
                 u = np.concatenate([u0[None].real, ((1.0 + prefix[0, 0][:, None]) * u0
@@ -472,6 +546,68 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
                 t = _mul(prefix[..., -1, :], t)
             out[start:start + len(block)] = np.moveaxis(_plus_identity(t), -1, 0)
     return out, zeros
+
+
+def _edge_transfers(p, lams, x0, x1):
+    """Transfer matrices of one pass from x0 to x1 at the edges of its
+    blocks, for the spectrum's boundary data away from the ends.
+
+    lams is a 1-D array of real energies.  Returns x, the block edges from x0
+    to x1; T(x0 -> x) at every edge, of shape (len(lams), len(x), 2, 2); and
+    each block's own transfer S = T(x_i -> x_i+1) and dS/dlam, of shape
+    (len(lams), len(x) - 1, 2, 2).  T is the running product of the S.  A
+    block holds 2**_EDGE_ROUNDS grid intervals, fewer on a piece whose
+    interval count is not a multiple of that, so edges lie at most a/32
+    apart and the passes from x0 and from x1 share them.
+
+    As in propagate, an even V over a span symmetric about 0 is stepped on
+    [0, b] only: a block of [-b, 0] is the mirror image of one of [0, b], run
+    the other way, so with P = diag(1, -1) it is P S^-1 P = P adj(S) P, and
+    its derivative is P adj(dS/dlam) P.
+    """
+    if x0 == -x1 and x0 != 0 and p.is_even():
+        y, steps, dsteps = _edge_steps(p, lams, 0.0, abs(x0))
+        x = np.r_[-y[:0:-1], y]
+        # P adj(S) P swaps the diagonal, also of the deviation S - I
+        steps, dsteps = (np.concatenate([m[::-1, ::-1, :, ::-1].swapaxes(0, 1), m], axis=-1)
+                         for m in (steps, dsteps))
+        if x0 > 0:  # the mirror image of the pass from -b: P S P flips the off-diagonal
+            flip = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None, None]
+            x, steps, dsteps = -x, steps * flip, dsteps * flip
+    else:
+        x, steps, dsteps = _edge_steps(p, lams, x0, x1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.concatenate([np.zeros((2, 2, len(lams), 1)), _prefix(steps)], axis=-1)
+    t = _plus_identity(t)
+    # (2, 2, energy, edge or block) -> (energy, edge or block, 2, 2)
+    return (x, *(np.moveaxis(m, (0, 1), (2, 3)) for m in (t, _plus_identity(steps), dsteps)))
+
+
+def _edge_steps(p, lams, x0, x1):
+    """_edge_transfers' pass from x0 to x1: the block edges, and each block's
+    S - I and dS/dlam as arrays of shape (2, 2, len(lams), number of blocks).
+    Each piece starts at the coarsest level propagate's first block would,
+    and the steps shrink until the prefix products pass at DEFAULT_RTOL."""
+    pieces = _segment_grid(p, x0, x1)
+    rounds = []
+    for _, _, _, grid in pieces:  # blocks of the largest power of two that divides n
+        n = len(grid) - 1
+        rounds.append(min(_EDGE_ROUNDS, (n & -n).bit_length() - 1))
+    x = np.concatenate([[x0]] + [grid[1 << r::1 << r]
+                                 for (_, _, _, grid), r in zip(pieces, rounds)])
+    samples = [{} for _ in pieces]
+    v_min = [np.min(vfun(grid)) for _, _, vfun, grid in pieces]
+    out = np.empty((2, 2, 2, len(lams), len(x) - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(lams), ENERGY_BLOCK):
+            block = lams[start:start + ENERGY_BLOCK]
+            steps = []
+            for (_, _, vfun, grid), cache, low, r in zip(pieces, samples, v_min, rounds):
+                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block) - low))
+                steps.append(_piece_prefix(vfun, grid, block, r, cache, DEFAULT_RTOL,
+                                           _first_level(grid, hk), dual=True)[0])
+            out[..., start:start + len(block), :] = np.concatenate(steps, axis=-2).swapaxes(-1, -2)
+    return x, out[0], out[1]
 
 
 def _same_grid(u, w):

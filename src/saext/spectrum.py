@@ -24,13 +24,28 @@ bisection splits every interval holding three or more.  One holding one
 level is solved for the sign change of (-1)^N prod_j sin(t_j / 2), t_j the
 eigenphases of W; one holding two for the zero of C(W) - 2 pi N, the phase
 sum continued across levels: a double level if N steps by two within the
-root tolerance there, else the point splitting it into two single ones.
+root tolerance there, else the point splitting it into two single ones
+when N there is one more than below.  Failing both, the interval is bisected
+by the count until each part holds one level or two within the root
+tolerance.
+
+Each located level is accepted or dropped from boundary data alone: the
+transfer matrices of one pass from -a and one from a at block edges, and
+each block's own transfer S with dS/dE (odesolve._edge_transfers).  The
+eigenfunction's parts join at a block edge, and its L2 norm is a sum of
+Wronskians: over a block, the integral of u_j u_k for solutions with
+E-independent data at its start is u_j' du_k/dE - u_j du_k'/dE at its end
+(Titchmarsh, Eigenfunction Expansions I, 1962; Pryce, Numerical Solution
+of Sturm-Liouville Problems, 1993).  The dense
+eigenfunctions are built only when SpectrumResult.eigenfunctions is first
+read.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +67,26 @@ class SpectrumResult:
 
     ``degeneracies[i]`` is the number of eigenphases of W that cross 0 at
     ``eigenvalues[i]``, and ``eigenfunctions[i]`` holds as many
-    L2-normalized OdeSolution trajectories; ``residuals[i]`` is the worst
-    residual among them, of the endpoint relation or of the join of a
-    simple level's eigenfunction.  ``det_trace`` keeps the
-    (E, |det M|) samples of the scan, uniform in sqrt(E - e_min), for
-    plotting and diagnostics.
+    L2-normalized OdeSolution trajectories.  They are built by a dense pass
+    on first access and then kept; two threads may both build them, with
+    equal results.  ``residuals[i]`` is the worst residual among the
+    level's eigenfunctions, taken from their boundary data: of the endpoint
+    relation, or of the join of a simple level's eigenfunction at a block
+    edge.  ``det_trace`` keeps the (E, |det M|) samples of the scan,
+    uniform in sqrt(E - e_min), for plotting and diagnostics.
     """
 
     bc: BoundaryCondition
     potential: Potential
     eigenvalues: list
     degeneracies: list
-    eigenfunctions: list
     residuals: list
     det_trace: list = field(default_factory=list)
+
+    @cached_property
+    def eigenfunctions(self):
+        return _eigenfunctions(self.potential, self.bc,
+                               list(zip(self.eigenvalues, self.degeneracies)))
 
     def to_json(self):
         return {
@@ -169,49 +190,157 @@ def _phase_fixed(sol):
     return sol.scaled(np.conj(peak) / abs(peak)) if abs(peak) > 0 else sol
 
 
-def _eigenfunctions_at(bc, count, left, right):
-    """The count L2-orthonormal eigenfunctions at a root, with residuals,
-    from the fundamental solutions left launched at -a and, for a simple
-    level, right launched at a.
-
-    Data (f, f') = B q at a and B' q at -a meet the BC for every q; with Y,
-    Y' the fundamental matrices launched at -a and at a, a null vector q of
-    K(x) = Y(x) B' - Y'(x) B gives an eigenfunction.  A double level takes
-    both null vectors of K(a).  A simple level takes q where the one-sided
-    solutions from K(a) and K(-a) have the largest product, short of a, and
-    joins the parts from -a and from a there, so neither is carried through
-    decay into growth, which amplifies rounding and root error; its residual
-    includes the jump of (f, f') at the join."""
+def _endpoint_maps(bc):
+    """B and B': data (f, f') = B q at a and B' q at -a meet the BC for every q."""
     ucal, eye = bc.Ucal.matrix, np.eye(2)
-    at_a = np.array([(eye - ucal)[0] / 2j, (eye + ucal)[0] / 2])          # B
-    at_minus_a = np.array([-(eye - ucal)[1] / 2j, (eye + ucal)[1] / 2])  # B'
+    return (np.array([(eye - ucal)[0] / 2j, (eye + ucal)[0] / 2]),
+            np.array([-(eye - ucal)[1] / 2j, (eye + ucal)[1] / 2]))
+
+
+def _null(k, n=1):
+    """The n right singular vectors of k (or of each of a stack) with the
+    smallest singular values, as rows."""
+    return np.conj(np.linalg.svd(k)[2][..., ::-1, :][..., :n, :])
+
+
+def _join(f, g):
+    """Where a simple level joins its part from -a to its part from a: the
+    sample of largest |f g|, short of a, for f and g sampled from -a on."""
+    return min(int(np.argmax(np.abs(f * g))), len(f) - 2)
+
+
+def _eigenfunctions_at(bc, count, left, right):
+    """The count L2-orthonormal eigenfunctions at a root, from the
+    fundamental solutions left launched at -a and, for a simple level, right
+    launched at a.
+
+    With Y, Y' the fundamental matrices launched at -a and at a, a null
+    vector q of K(x) = Y(x) B' - Y'(x) B (_endpoint_maps) gives an
+    eigenfunction.  A double level takes both null vectors of K(a).  A
+    simple level takes q at the join of the one-sided solutions from K(a)
+    and K(-a) (_join), and joins the parts from -a and from a there, so
+    neither is carried through decay into growth, which amplifies rounding
+    and root error."""
+    at_a, at_minus_a = _endpoint_maps(bc)
 
     def matrix(sols, i):  # the fundamental matrix at sample i
         return np.array([[u.f[i] for u in sols], [u.df[i] for u in sols]])
 
-    def null(k, n=1):
-        return np.conj(np.linalg.svd(k)[2][::-1][:n])
-
-    qs = null(matrix(left, -1) @ at_minus_a - at_a, count)
-    parts = [(odesolve.combine(left, at_minus_a @ q), 0.0) for q in qs]
+    funcs = [odesolve.combine(left, at_minus_a @ q)
+             for q in _null(matrix(left, -1) @ at_minus_a - at_a, count)]
     if count == 1:
-        g = odesolve.combine(right, at_a @ null(at_minus_a - matrix(right, -1) @ at_a)[0])
-        j = min(int(np.argmax(np.abs(parts[0][0].f * g.f[::-1]))), len(g.f) - 2)  # the join
-        (q,) = null(matrix(left, j) @ at_minus_a - matrix(right, -1 - j) @ at_a)
+        g = odesolve.combine(right, at_a @ _null(at_minus_a - matrix(right, -1) @ at_a)[0])
+        j = _join(funcs[0].f, g.f[::-1])
+        (q,) = _null(matrix(left, j) @ at_minus_a - matrix(right, -1 - j) @ at_a)
         f, g = odesolve.combine(left, at_minus_a @ q), odesolve.combine(right, at_a @ q)
         y = np.where(np.arange(len(f.x)) <= j, [f.f, f.df], [g.f[::-1], g.df[::-1]])
-        parts = [(OdeSolution(f.lam, f.x, *y, f.segments),
-                  np.linalg.norm([f.f[j] - g.f[-1 - j], f.df[j] - g.df[-1 - j]]))]
-
-    funcs, residuals = [], []
-    for f, jump in parts:
-        for prev in funcs:  # L2-orthonormalize a degenerate pair
+        funcs = [OdeSolution(f.lam, f.x, *y, f.segments)]
+    out = []
+    for f in funcs:
+        for prev in out:  # L2-orthonormalize a degenerate pair
             f = odesolve.combine([f, prev], [1.0, -odesolve.l2_inner(prev, f)])
-        scale = 1.0 / odesolve.norm(f)
-        f = _phase_fixed(f.scaled(scale))
-        funcs.append(f)
-        residuals.append(max(apply_bc(bc, f.f1, f.f0, f.df1, f.df0), jump * scale))
-    return funcs, residuals
+        out.append(_phase_fixed(f.scaled(1.0 / odesolve.norm(f))))
+    return tuple(out)
+
+
+def _eigenfunctions(p, bc, levels):
+    """The eigenfunctions of every (E, multiplicity) in levels: the
+    fundamental solutions from -a of every level come from one call, and
+    those from a of every simple level from one more, or by reflection where
+    V and its grid are symmetric about 0."""
+    roots = np.array([e for e, _ in levels])
+    lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
+    edges = np.array(p.breakpoints())
+    if p.is_even() and np.array_equal(edges, -edges[::-1]):
+        rights = (_reflected(left) for left, (_, count) in zip(lefts, levels) if count == 1)
+    else:
+        simple = np.array([e for e, count in levels if count == 1])
+        rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a))
+    return [_eigenfunctions_at(bc, count, left, next(rights) if count == 1 else None)
+            for (_, count), left in zip(levels, lefts)]
+
+
+def _block_gram(step, dstep, y):
+    """Per block of a pass, the integrals of conj(f_j) f_k over it, for the
+    solutions f_k with data y[..., :, k] at its start, from its transfer S
+    and dS/dE.
+
+    The solutions u_k with data e_k at a block start are real, and with
+    W(f, g) = f g' - f' g, d/dx W(u_j, du_k/dE) = -u_j u_k, so their
+    integrals are S^T J dS/dE with J = [[0, -1], [1, 0]]; a block run
+    towards -x gives the negative.  Taken
+    block by block, each integral is as accurate as the data y, also where
+    a solution decays along the pass."""
+    z, dz = step @ y, dstep @ y  # conj(z)^T J dz:
+    return (np.conj(z[..., 1, :, None]) * dz[..., 0, None, :]
+            - np.conj(z[..., 0, :, None]) * dz[..., 1, None, :])
+
+
+def _boundary_residuals(p, bc, levels):
+    """Per (E, multiplicity) in levels, the worst residual and symmetry
+    defect of its L2-normalized eigenfunctions, from their boundary data.
+
+    These are the eigenfunctions of _eigenfunctions_at, with the transfer
+    matrices at the block edges of one pass from -a at every level, and of
+    one from a at every simple level (for an even V its mirror image), in
+    place of the dense fundamental solutions.  A simple level joins at the
+    block edge _join picks, where its jump is sigma_min of K plus the
+    rounding of the two sides there; the norms come from _block_gram, and
+    one that is not positive gives NaN."""
+    roots = np.array([e for e, _ in levels])
+    simple = np.array([count == 1 for _, count in levels], dtype=bool)
+    _, left, lstep, dlstep = odesolve._edge_transfers(p, roots, -p.a, p.a)
+    if p.is_even():  # T(a -> x) = P T(-a -> -x) P with P = diag(1, -1), on mirrored edges
+        flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        right, rstep, drstep = (m[simple, ::-1] * flip for m in (left, lstep, dlstep))
+    else:
+        _, right, rstep, drstep = odesolve._edge_transfers(p, roots[simple], p.a, -p.a)
+        right, rstep, drstep = right[:, ::-1], rstep[:, ::-1], drstep[:, ::-1]
+    # from here on every array runs from -a, and block i of the pass from a
+    # runs from x_i+1 to x_i.  minus[l, k] and plus[l, k] are the data
+    # (f, f') of eigenfunction k of level l at -a and at a
+    at_a, at_minus_a = _endpoint_maps(bc)
+    minus, plus = np.zeros((2, len(levels), 2, 2), complex)
+    jumps = np.zeros((len(levels), 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tl, sl, dsl = left[simple], lstep[simple], dlstep[simple]
+        f = tl[..., 0, :] @ (_null(tl[:, -1] @ at_minus_a - at_a)[:, 0] @ at_minus_a.T)[..., None]
+        g = right[..., 0, :] @ (_null(at_minus_a - right[:, 0] @ at_a)[:, 0] @ at_a.T)[..., None]
+        j = np.array([_join(*fg) for fg in zip(f[..., 0], g[..., 0])], dtype=int)
+        tl_j, tr_j = tl[np.arange(len(j)), j], right[np.arange(len(j)), j]
+        _, sigma, vh = np.linalg.svd(tl_j @ at_minus_a - tr_j @ at_a)
+        c_minus, c_plus = np.conj(vh[:, -1]) @ at_minus_a.T, np.conj(vh[:, -1]) @ at_a.T
+        on_left = np.arange(lstep.shape[1]) < j[:, None]  # the blocks left of the join
+        inner = (_block_gram(sl, dsl, tl[:, :-1] @ c_minus[:, None, :, None])[..., 0, 0] * on_left
+                 - _block_gram(rstep, drstep, right[:, 1:] @ c_plus[:, None, :, None])[..., 0, 0]
+                 * ~on_left)
+        scale = 1.0 / np.sqrt(inner.sum(axis=1).real)
+        minus[simple, 0], plus[simple, 0] = scale[:, None] * c_minus, scale[:, None] * c_plus
+        # each side of the join carries a rounding of eps |T| |c|, which bounds
+        # how small a jump it can show
+        floor = np.finfo(float).eps * np.linalg.norm(
+            np.abs(tl_j) @ np.abs(c_minus)[..., None] + np.abs(tr_j) @ np.abs(c_plus)[..., None],
+            axis=(1, 2))
+        jumps[simple, 0] = scale * (sigma[:, -1] + floor)
+
+        # a double level: Gram-Schmidt in the Gram matrix of the null vectors of K(a)
+        tl, sl, dsl = left[~simple], lstep[~simple], dlstep[~simple]
+        c = at_minus_a @ _null(tl[:, -1] @ at_minus_a - at_a, 2).swapaxes(-1, -2)
+        gram = _block_gram(sl, dsl, tl[:, :-1] @ c[:, None]).sum(axis=1)
+        g00, g01, g11 = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
+        first = c[..., 0] / np.sqrt(g00)[:, None]
+        second = ((c[..., 1] - (g01 / g00)[:, None] * c[..., 0])
+                  / np.sqrt(g11 - abs(g01) ** 2 / g00)[:, None])
+        minus[~simple] = np.stack([first, second], axis=1)
+        plus[~simple] = (tl[:, -1, None] @ minus[~simple, ..., None])[..., 0]
+
+    out = []
+    for (_, count), ends_minus, ends_plus, jump in zip(levels, minus, plus, jumps):
+        data = [(fa, fma, dfa, dfma)
+                for (fa, dfa), (fma, dfma) in zip(ends_plus[:count], ends_minus[:count])]
+        out.append((float(np.max([apply_bc(bc, *d) for d in data] + list(jump[:count]))),
+                    float(np.max([_symmetry_defect(*d) for d in data]))))
+    return out
 
 
 def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
@@ -223,8 +352,10 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     in one vectorized call, and those holding one in one more, to
     DEFAULT_RTOL (1 + |E|); the count gives each root its multiplicity.  A
     root whose eigenfunctions miss the boundary relation, the join of their
-    two parts or the symmetry check by more than RESIDUAL_LIMIT is dropped
-    with a warning.
+    two parts or the symmetry check by more than RESIDUAL_LIMIT (or by NaN)
+    is dropped with a warning.  These residuals come from the boundary data
+    of one more pass at the roots (module docstring); no dense eigenfunction
+    is built until the result's ``eigenfunctions`` is read.
 
     The scan is uniform in the wavenumber k = sqrt(E - e_min), eight
     points per pi/2a in k (the asymptotic spacing of the Dirichlet levels)
@@ -275,50 +406,51 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     lo, hi, below, held = energies[:-1], energies[1:], count[:-1], np.diff(count)
     levels = []  # (E, multiplicity)
     lo1, hi1, below1 = lo[held == 1], hi[held == 1], below[held == 1]
-    if (held == 2).any():
-        lo2, hi2, below2 = lo[held == 2], hi[held == 2], below[held == 2]
+    lo2, hi2, below2 = lo[held == 2], hi[held == 2], below[held == 2]
+    if len(lo2):
         root, ok = _solve(p, bc, lo2, hi2, below2, lambda t, n, below: (
             t.sum(axis=-1) - 2 * np.pi * (n - below)))
         tol = DEFAULT_RTOL * (1 + np.abs(root))
         side = _bc_matrix(p, bc, np.r_[root - tol, root + tol], DEFAULT_RTOL)[2].reshape(2, -1)
         double = ok & (side[0] == below2) & (side[1] == below2 + 2)
-        split = ok & ~double
+        split = ok & (side[0] == below2 + 1) & (side[1] == below2 + 1)  # one level on each side
         levels += [(e, 2) for e in root[double].tolist()]
         lo1, hi1 = np.r_[lo1, lo2[split], root[split]], np.r_[hi1, root[split], hi2[split]]
         below1 = np.r_[below1, below2[split], below2[split] + 1]
+        # where the root splits nothing, bisect by count until each part holds
+        # one level or two within the root tolerance, a double
+        rest = ok & ~double & ~split
+        lo2, hi2, below2 = lo2[rest], hi2[rest], below2[rest]
+        while len(lo2):
+            mid = 0.5 * (lo2 + hi2)
+            tight = hi2 - lo2 <= 2 * DEFAULT_RTOL * (1 + np.abs(mid))
+            levels += [(e, 2) for e in mid[tight].tolist()]
+            lo2, hi2, below2, mid = (v[~tight] for v in (lo2, hi2, below2, mid))
+            if not len(mid):
+                break
+            n = _bc_matrix(p, bc, mid, DEFAULT_RTOL)[2]
+            parts = np.r_[lo2, mid], np.r_[mid, hi2], np.r_[below2, n]
+            parts_held = np.r_[n - below2, below2 + 2 - n]
+            lo1, hi1, below1 = (np.r_[v, part[parts_held == 1]]
+                                for v, part in zip((lo1, hi1, below1), parts))
+            lo2, hi2, below2 = (part[parts_held == 2] for part in parts)
     if len(lo1):
         root, ok = _solve(p, bc, lo1, hi1, below1, lambda t, n, below: (
             (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1)))
         levels += [(e, 1) for e in root[ok].tolist()]
 
     levels.sort()
-    # the fundamental solutions of every level from -a in one call, and of
-    # every simple level from a in one more, or by reflection where V and
-    # its grid are symmetric about 0
-    roots = np.array([e for e, _ in levels])
-    lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
-    edges = np.array(p.breakpoints())
-    if p.is_even() and np.array_equal(edges, -edges[::-1]):
-        rights = (_reflected(left) for left, (_, count) in zip(lefts, levels) if count == 1)
-    else:
-        simple = np.array([e for e, count in levels if count == 1])
-        rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a))
-    eigenvalues, degeneracies, eigenfunctions, residuals = [], [], [], []
-    for (root, count), left in zip(levels, lefts):
-        funcs, res = _eigenfunctions_at(bc, count, left, next(rights) if count == 1 else None)
-        worst = max(res)
-        symmetry = max(_symmetry_defect(f) for f in funcs)
-        if worst > RESIDUAL_LIMIT or symmetry > RESIDUAL_LIMIT:
+    eigenvalues, degeneracies, residuals = [], [], []
+    for (root, count), (worst, symmetry) in zip(levels, _boundary_residuals(p, bc, levels)):
+        if not (worst <= RESIDUAL_LIMIT and symmetry <= RESIDUAL_LIMIT):  # NaN fails too
             log.warning("dropping candidate E = %g (boundary residual %.2e, "
                         "symmetry defect %.2e)", root, worst, symmetry)
             continue
         eigenvalues.append(root)
         degeneracies.append(count)
-        eigenfunctions.append(tuple(funcs))
         residuals.append(worst)
 
-    return SpectrumResult(bc, p, eigenvalues, degeneracies, eigenfunctions,
-                          residuals, det_trace)
+    return SpectrumResult(bc, p, eigenvalues, degeneracies, residuals, det_trace)
 
 
 def _reflected(left):
@@ -332,10 +464,10 @@ def _reflected(left):
             OdeSolution(u2.lam, x, -u2.f, u2.df, u2.segments))
 
 
-def _symmetry_defect(f):
-    """|<f, Af> - <Af, f>| evaluated through the endpoint Wronskian form."""
-    table = np.array([[f.df1, f.f1, f.df0, f.f0]])
-    return abs(endpoint_form(table, 0, 0))
+def _symmetry_defect(fa, fma, dfa, dfma):
+    """|<f, Af> - <Af, f>| evaluated through the endpoint Wronskian form, for
+    the boundary data in apply_bc's order."""
+    return abs(endpoint_form(np.array([[dfa, fa, dfma, fma]]), 0, 0))
 
 
 def _derivative_uniform(y, h):
@@ -383,7 +515,7 @@ def eigenfunction_residuals(result):
             entries.append({
                 "eigenvalue": energy,
                 "boundary": apply_bc(result.bc, f.f1, f.f0, f.df1, f.df0),
-                "symmetry": _symmetry_defect(f),
+                "symmetry": _symmetry_defect(f.f1, f.f0, f.df1, f.df0),
                 "eigen_equation": _eigen_equation_defect(result.potential, f, energy),
             })
     def worst(key):

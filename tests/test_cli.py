@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saext import bcclassify, cli, deficiency, jsonio
+from saext import bcclassify, cli, deficiency, jsonio, odesolve, spectrum
 from saext.potential import Potential
 
 
@@ -207,6 +207,38 @@ def test_eigenfunction_dump_via_config(tmp_path, zero_potential_file):
     dump = (tmp_path / "mode_0_0.csv").read_text().splitlines()
     assert dump[0] == "x,re_f,im_f"
     assert len(dump) > 500
+
+
+def test_spectrum_runs_a_dense_pass_only_for_the_dump(tmp_path, zero_potential_file,
+                                                     monkeypatch):
+    # without eigenfunctions_out no eigenfunction is built; with it, each CSV
+    # holds the samples of result.eigenfunctions, sample for sample
+    starts = []
+    fundamental = odesolve.fundamental_solutions
+
+    def counting(p, lam, x0, *args):
+        starts.append(x0)
+        return fundamental(p, lam, x0, *args)
+
+    monkeypatch.setattr(odesolve, "fundamental_solutions", counting)
+    argv = ["spectrum", "--potential", zero_potential_file, "--family", "periodic",
+            "--emin", "-1", "--emax", "40"]
+    assert cli.main([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+    assert starts == []
+    config = tmp_path / "run.json"
+    jsonio.write(config, {"eigenfunctions_out": str(tmp_path / "mode")})
+    assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "dump.json")]) == 0
+    assert starts == [-1.0]
+    result = spectrum.find_eigenvalues(Potential.zero(1.0),
+                                       bcclassify.classify(bcclassify.synthesize("periodic")),
+                                       e_min=-1.0, e_max=40.0)
+    assert result.degeneracies == [1, 2, 2]
+    for i, funcs in enumerate(result.eigenfunctions):
+        for j, f in enumerate(funcs):
+            rows = (tmp_path / f"mode_{i}_{j}.csv").read_text().splitlines()
+            assert rows[0] == "x,re_f,im_f"
+            got = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
+            assert np.array_equal(got, np.column_stack([f.x, f.f.real, f.f.imag]))
 
 
 def test_verify_passes(tmp_path):

@@ -149,10 +149,16 @@ def test_linearity_under_scaled_initial_data():
 
 
 def test_tolerance_convergence():
-    rtol = 1e-8
-    coarse = odesolve.propagate(P0, -1.0, -1.0, 1.0, rtol)[0]
-    fine = odesolve.propagate(P0, -1.0, -1.0, 1.0, rtol / 2)[0]
-    assert abs(coarse[0, 0] - fine[0, 0]) < rtol * abs(fine[0, 0])
+    # harmonic(25) at E = 17.3: rtol 1e-8 and 5e-9 settle on different step
+    # levels, so each meets its bound and the tighter one lands closer
+    p = Potential.harmonic(25.0, 1.0)
+    reference = oracles.reference_propagate(p, 17.3, -1.0, 1.0)
+    errors = []
+    for rtol in (1e-8, 5e-9):
+        t = odesolve.propagate(p, 17.3, -1.0, 1.0, rtol)[0]
+        errors.append(np.max(np.abs(t - reference)))
+        assert errors[-1] <= rtol * max(1.0, np.max(np.abs(t)))
+    assert errors[1] < errors[0]
 
 
 def test_reverse_direction_integration():
@@ -507,3 +513,29 @@ def test_propagate_rejects_a_grid_too_coarse_to_count_zeros():
     # interval (a/512), more than the pi/2 a counted block may hold
     with pytest.raises(IntegrationError, match="grid too coarse to count zeros"):
         odesolve.propagate(P0, 7e5, -1.0, 1.0)
+
+
+TILTED = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
+
+
+@pytest.mark.parametrize("p", [Potential.harmonic(25.0, 1.0), TILTED],
+                         ids=["even-half-pass", "tilted"])
+@pytest.mark.parametrize("x0", [-1.0, 1.0])
+def test_edge_transfers_carry_the_energy_slope(p, x0):
+    # each block's dS/dE against a Richardson central difference of S; the
+    # even V steps [0, 1] only and mirrors its blocks onto [-1, 0]
+    energies = np.array([-7.0, 2.0, 17.3, 150.0])
+    x, t, s, ds = odesolve._edge_transfers(p, energies, x0, -x0)
+    assert x[0] == x0 and x[-1] == -x0 and np.all(np.abs(np.diff(x)) <= 1.0 / 32 + 1e-15)
+
+    def slope(h):
+        return (odesolve._edge_transfers(p, energies + h, x0, -x0)[2]
+                - odesolve._edge_transfers(p, energies - h, x0, -x0)[2]) / (2.0 * h)
+    want = (4.0 * slope(0.05) - slope(0.1)) / 3.0
+    scale = np.max(np.abs(ds), axis=(1, 2, 3))
+    assert np.all(np.max(np.abs(ds - want), axis=(1, 2, 3)) <= 1e-8 * scale)
+    # T is the running product of the blocks and ends at propagate's T
+    assert np.max(np.abs(s @ t[:, :-1] - t[:, 1:])) <= 1e-12 * np.max(np.abs(t))
+    whole = odesolve.propagate(p, energies, x0, -x0)[0]
+    assert np.all(np.max(np.abs(t[:, -1] - whole), axis=(1, 2))
+                  <= 1e-12 * np.max(np.abs(whole), axis=(1, 2)))

@@ -12,6 +12,7 @@ import pytest
 import oracles
 from saext import odesolve, spectrum
 from saext.bcclassify import classify, synthesize
+from saext.errors import IntegrationError
 from saext.extmap import Unitary2
 from saext.potential import Potential
 from saext.spectrum import det_function, eigenfunction_residuals, find_eigenvalues
@@ -232,9 +233,33 @@ def test_double_well_doublets_match_finite_differences():
     assert_matches(result, [(e, 1) for e in expected], rel=1e-8)
 
 
+def test_doublet_below_a_split_point_that_splits_nothing():
+    # V = 6400 (x^2 - 1/4)^2: the two-level solve over the lowest doublet
+    # (split by 0.0024) lands on its upper level, where N = 2, so that point
+    # splits nothing; bisection by count must separate the two levels
+    p = Potential.polynomial([400.0, 0.0, -3200.0, 0.0, 6400.0], 1.0)
+    result = find_eigenvalues(p, bc_named("dirichlet"), e_max=400.0)
+    expected = oracles.fd_dirichlet_levels(lambda x: 6400.0 * (x * x - 0.25) ** 2, 6)
+    assert_matches(result, [(e, 1) for e in expected], rel=1e-8)
+
+
+def test_deeper_double_well_returns_its_levels_or_raises():
+    # V = 12800 (x^2 - 1/4)^2: doublets split by 1.7e-5 and 3.0e-3.  propagate's
+    # error control may fail near them; the spectrum must then raise, and never
+    # return a level twice or one that is not there
+    p = Potential.polynomial([800.0, 0.0, -6400.0, 0.0, 12800.0], 1.0)
+    try:
+        result = find_eigenvalues(p, bc_named("dirichlet"), e_max=400.0)
+    except IntegrationError:
+        return
+    expected = oracles.fd_dirichlet_levels(lambda x: 12800.0 * (x * x - 0.25) ** 2, 4)
+    assert_matches(result, [(e, 1) for e in expected], rel=1e-8)
+
+
 def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
-    # the solutions from -a of every level come from one call, and those from
-    # a of every simple level from one more, or for an even V by reflection
+    # find_eigenvalues makes no dense pass; on first access the solutions from
+    # -a of every level come from one call, and those from a of every simple
+    # level from one more, or for an even V by reflection
     sizes = []
     fundamental = odesolve.fundamental_solutions
 
@@ -245,7 +270,12 @@ def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
     monkeypatch.setattr(odesolve, "fundamental_solutions", counting)
     result = find_eigenvalues(P0, bc_named("dirichlet"), e_max=40.0)
     assert result.degeneracies.count(1) >= 3
-    assert len(sizes) <= 2
+    assert sizes == []
+    funcs = result.eigenfunctions
+    assert len(funcs) == len(result.eigenvalues)
+    calls = len(sizes)
+    assert 1 <= calls <= 2
+    assert result.eigenfunctions is funcs and len(sizes) == calls  # built once
 
 
 EVEN_KINDS = [
@@ -277,6 +307,31 @@ def test_reflected_pair_matches_the_pass_from_a(p):
                 assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
 
 
+@pytest.mark.parametrize("p", [p for p in EVEN_KINDS if p.a <= 2] + [TILTED],
+                         ids=lambda p: f"{p.kind}-a{p.a:g}")
+def test_boundary_data_norms_match_the_dense_eigenfunctions(p):
+    # each eigenfunction's norm from its boundary data, the block transfers of
+    # genuine passes from -a and from a and spectrum._block_gram, against
+    # Boole's rule on its dense samples; a simple level joins where
+    # find_eigenvalues would
+    def edge_pass(energy, x0):  # one energy's pass from x0, its arrays ordered from -a
+        _, t, s, ds = odesolve._edge_transfers(p, np.array([energy]), x0, -x0)
+        order = slice(None, None, 1 if x0 < 0 else -1)
+        return t[0, order], s[0, order], ds[0, order]
+
+    result = find_eigenvalues(p, bc_named("periodic"), e_max=40.0)
+    assert result.eigenvalues
+    for energy, funcs in zip(result.eigenvalues, result.eigenfunctions):
+        (left, ls, dls), (right, rs, drs) = edge_pass(energy, -p.a), edge_pass(energy, p.a)
+        for f in funcs:
+            minus, plus = np.array([[f.f0], [f.df0]]), np.array([[f.f1], [f.df1]])
+            j = len(ls) if len(funcs) == 2 else spectrum._join((left @ minus)[:, 0, 0],
+                                                              (right @ plus)[:, 0, 0])
+            inner = (spectrum._block_gram(ls[:j], dls[:j], left[:j] @ minus).sum()
+                     - spectrum._block_gram(rs[j:], drs[j:], right[j + 1:] @ plus).sum())
+            assert abs(np.sqrt(inner.real) - odesolve.norm(f)) <= 1e-9 * odesolve.norm(f)
+
+
 @pytest.mark.parametrize("p, bc, calls", [
     (Potential.harmonic(25.0, 1.0), bc_named("dirichlet"), 1),
     (Potential.finite_well(-10.0, 0.5, 1.0), bc_named("periodic"), 1),
@@ -286,8 +341,8 @@ def test_reflected_pair_matches_the_pass_from_a(p):
      bc_named("dirichlet"), 2),
 ], ids=["harmonic-dirichlet", "well-periodic", "tilted-automorphic", "even-asymmetric-grid"])
 def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
-    # an even V takes its eigenfunctions from one fundamental pass, from -a;
-    # the tilted V launches its simple levels from a in a second one
+    # on first access, an even V takes its eigenfunctions from one fundamental
+    # pass, from -a; the tilted V launches its simple levels from a in a second one
     starts = []
     fundamental = odesolve.fundamental_solutions
 
@@ -298,6 +353,8 @@ def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
     monkeypatch.setattr(odesolve, "fundamental_solutions", counting)
     result = find_eigenvalues(p, bc, e_max=40.0)
     assert result.degeneracies.count(1) >= 3
+    assert starts == []
+    result.eigenfunctions
     assert starts == [-p.a, p.a][:calls]
 
 
