@@ -1,10 +1,17 @@
 """Deficiency bases: normalized solutions of -g'' + V g = i g.
 
-For an even potential the basis is the even/odd pair (g+, g-) integrated
-from the midpoint and reflected; for a general bounded potential it is an
-L2-orthonormal pair obtained by Gram-Schmidt on the two fundamental
-solutions launched from x = -a.  Both constructions fix a deterministic
-phase, so every downstream unitary parametrization is reproducible.
+Both constructions read a raw pair of solutions at x = +-a off one
+odesolve.propagate call and orthonormalize it from boundary data alone.
+At lam = i, Green's identity gives every inner product the basis needs,
+
+    2i <f, g> = [conj(f') g - conj(f) g']_{-a}^{a}     (endpoint_form),
+
+so no dense pass and no quadrature is involved (Titchmarsh, Eigenfunction
+Expansions I, 1962).  For an even potential the pair is the even/odd pair
+launched from the midpoint; for a general bounded potential it is the
+solution launched with (g, g') = (1, 0) from x = -a and the one launched
+with (1, 0) from x = +a.  Both constructions fix a deterministic phase,
+so every downstream unitary parametrization is reproducible.
 
 Boundary data is stored row-wise as (g'(a), g(a), g'(-a), g(-a)); the two
 defining endpoint identities,
@@ -12,8 +19,8 @@ defining endpoint identities,
     conj(g_j'(a)) g_k(a) - conj(g_j(a)) g_k'(a)
         - conj(g_j'(-a)) g_k(-a) + conj(g_j(-a)) g_k'(-a) = 2i delta_jk
 
-and its conjugation-free counterpart equal to zero, are asserted after
-every construction along with L2 orthonormality.
+and its conjugation-free counterpart equal to zero, hold by construction
+up to rounding and are checked when a basis is read from JSON.
 """
 
 from __future__ import annotations
@@ -24,8 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from . import odesolve
-from .errors import DegeneracyError, InvariantViolation, ModeError, ParityError
-from .odesolve import OdeSolution
+from .errors import InvariantViolation, ModeError, ParityError
 from .potential import Potential
 
 EVEN_MODE = "even-potential"
@@ -33,13 +39,11 @@ GENERAL_MODE = "general"
 
 ORTHONORMALITY_TOL = 1e-8
 WRONSKIAN_TOL = 1e-8
-SINGULARITY_RATIO = 1e-8
-GS_DEPENDENCE_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
 class DeficiencyBasis:
-    """Boundary data and trajectories of a normalized deficiency pair.
+    """Boundary data of an L2-orthonormal deficiency pair.
 
     Attributes:
         parity_mode: "even-potential" or "general".
@@ -47,14 +51,11 @@ class DeficiencyBasis:
         boundary_table: 2x4 complex, rows (g_j'(a), g_j(a), g_j'(-a), g_j(-a)).
         mat_A, mat_B: properties, diag(g+(a), g-(a)) and diag(g+'(a), g-'(a))
             read from boundary_table in even-potential mode, None in general mode.
-        trajectories: the two normalized dense solutions (None when the
-            basis was deserialized from boundary data alone).
     """
 
     parity_mode: str
     potential: Potential
     boundary_table: np.ndarray
-    trajectories: tuple[OdeSolution, OdeSolution] | None
 
     @property
     def mat_A(self):
@@ -102,7 +103,7 @@ class DeficiencyBasis:
             table = None
         if np.shape(table) != (2, 4):
             raise ValueError("basis boundary_table is not 2 rows of 4 [re, im] pairs")
-        basis = cls(data["mode"], Potential.from_json(data["potential"]), table, None)
+        basis = cls(data["mode"], Potential.from_json(data["potential"]), table)
         _check_endpoint_identities(basis.parity_mode, table)
         if basis.parity_mode == EVEN_MODE and not all(
                 key in data and np.array_equal(matrix_from_json(data[key]), getattr(basis, key))
@@ -134,7 +135,7 @@ def _check_endpoint_identities(mode, table):
         for k in range(2):
             want = 2j if j == k else 0.0
             got = endpoint_form(table, j, k)
-            if abs(got - want) > ORTHONORMALITY_TOL:
+            if not abs(got - want) <= ORTHONORMALITY_TOL:  # NaN fails too, in any row
                 raise InvariantViolation(
                     f"endpoint identity ({j},{k}) = {got}, expected {want}")
             got2 = endpoint_form(table, j, k, conjugate_first=False)
@@ -147,99 +148,56 @@ def _check_endpoint_identities(mode, table):
                 raise InvariantViolation(f"endpoint Wronskian of row {j} = {w}, expected i")
 
 
-def _check_orthonormality(g1, g2):
-    for j, gj in enumerate((g1, g2)):
-        nrm = odesolve.l2_inner(gj, gj).real
-        if abs(nrm - 1.0) > ORTHONORMALITY_TOL:
-            raise InvariantViolation(f"basis function {j} has norm^2 = {nrm}")
-    cross = odesolve.l2_inner(g1, g2)
-    if abs(cross) > ORTHONORMALITY_TOL:
-        raise InvariantViolation(f"<g1, g2> = {cross}, expected 0")
+def _orthonormalized(raw):
+    """The rows of raw, boundary data of two solutions, orthonormalized in order.
 
-
-def _check_diagonal_invertible(diagonal, label):
-    sigma = np.abs(diagonal)
-    if sigma.min() <= SINGULARITY_RATIO * sigma.max():
-        raise InvariantViolation(f"{label} is numerically singular: |diag| = {sigma}")
-
-
-def _mirror(sol, even):
-    """Extend a trajectory on [0, a] to [-a, a] by parity."""
-    sign = 1.0 if even else -1.0
-    x = np.concatenate([-sol.x[::-1], sol.x[1:]])
-    f = np.concatenate([sign * sol.f[::-1], sol.f[1:]])
-    df = np.concatenate([-sign * sol.df[::-1], sol.df[1:]])
-    n_left = len(sol.x) - 1
-    # mirrored piece boundaries, then the original ones shifted right
-    seg = tuple(n_left - s for s in reversed(sol.segments[1:])) if len(sol.segments) > 1 else ()
-    segments = (0, *seg, *(s + n_left for s in sol.segments[1:]))
-    # drop a duplicate boundary at x = 0 when 0 is itself a piece edge
-    segments = tuple(sorted(set(segments)))
-    for arr in (x, f, df):
-        arr.setflags(write=False)
-    return OdeSolution(sol.lam, x, f, df, segments)
+    Green's identity gives their Gram matrix G from boundary data alone,
+    G_jk = endpoint_form(raw, j, k) / 2i; with G = L L^dagger (Cholesky),
+    the rows of L^-1 raw are orthonormal.  The first keeps the phase of
+    raw's first row, and the second adds to a positive multiple of raw's
+    second row a multiple of the first.
+    """
+    # each row scaled exactly, by a power of two, so that G stays in the float range
+    raw = raw * np.ldexp(1.0, -np.frexp(np.abs(raw).max(axis=1, keepdims=True))[1])
+    gram = np.array([[endpoint_form(raw, j, k) for k in range(2)] for j in range(2)]) / 2j
+    return np.linalg.solve(np.linalg.cholesky(gram), raw)
 
 
 def solve_even_odd(p):
     """Deficiency basis for an even potential via midpoint shooting.
 
-    The even candidate starts from (g, g')(0) = (1, 0), the odd one from
-    (0, 1); each is reflected to [-a, a] and scaled to unit L2 norm.  The
-    initial data fixes the phase: g+(0) > 0 and g-'(0) > 0.
+    The even solution starts from (g, g')(0) = (1, 0), the odd one from
+    (0, 1); one propagate call over [0, a] gives both at a, and parity
+    gives them at -a.  Their cross form cancels exactly, so each is only
+    scaled to unit L2 norm on [-a, a].  The initial data fixes the phase:
+    g+(0) > 0 and g-'(0) > 0.
 
     Raises:
         ParityError: when the potential is not even.
     """
     if not p.is_even():
         raise ParityError(f"potential {p.kind!r} is not even")
-
-    halves = odesolve.fundamental_solutions(p, 1j, 0.0, p.a)
-    fulls = [_mirror(halves[0], even=True), _mirror(halves[1], even=False)]
-    g_plus, g_minus = (g.scaled(1.0 / odesolve.norm(g)) for g in fulls)
-
-    table = np.array([
-        [g_plus.df1, g_plus.f1, -g_plus.df1, g_plus.f1],
-        [g_minus.df1, g_minus.f1, g_minus.df1, -g_minus.f1],
-    ])
-
-    _check_orthonormality(g_plus, g_minus)
-    _check_endpoint_identities(EVEN_MODE, table)
-    _check_diagonal_invertible(table[:, 1], "mat_A")
-    _check_diagonal_invertible(table[:, 0], "mat_B")
-
-    return DeficiencyBasis(EVEN_MODE, p, table, (g_plus, g_minus))
+    (e, o), (de, do) = odesolve.propagate(p, 1j, 0.0, p.a)[0]
+    return DeficiencyBasis(EVEN_MODE, p, _orthonormalized(np.array([[de, e, -de, e],
+                                                                    [do, o, do, -o]])))
 
 
 def solve_orthonormal_pair(p):
-    """Deficiency basis for a general bounded potential (Gram-Schmidt).
+    """Deficiency basis for a general bounded potential.
 
-    Integrates the fundamental pair from x = -a with initial data (1, 0)
-    and (0, 1), orthogonalizes the second solution against the first in
-    the L2 inner product, and normalizes both.
-
-    Raises:
-        DegeneracyError: when the orthogonalized remainder nearly vanishes.
+    Orthonormalizes, in order, the solution with (g, g') = (1, 0) at x = -a
+    and the one with (1, 0) at x = +a; one propagate call from -a to a,
+    with transfer matrix T, gives both, since det T = 1 makes the data of
+    the second at -a adj(T) (1, 0) = (T11, -T10).  The pair is independent
+    for every potential: a dependent pair would be a Neumann eigenfunction
+    on [-a, a] with the non-real eigenvalue i.  The phase is fixed by
+    g1(-a) > 0 and g2'(-a) > 0; g2'(-a) = 0 would make g2 a multiple of g1.
     """
-    v1, v2 = odesolve.fundamental_solutions(p, 1j, -p.a, p.a)
-
-    n1 = odesolve.norm(v1)
-    g1 = v1.scaled(1.0 / n1)
-    overlap = odesolve.l2_inner(g1, v2)
-    w = odesolve.combine([v2, g1], [1.0, -overlap])
-    n2 = odesolve.norm(w)
-    if n2 < GS_DEPENDENCE_RATIO * odesolve.norm(v2):
-        raise DegeneracyError("fundamental solutions nearly dependent after Gram-Schmidt")
-    g2 = w.scaled(1.0 / n2)
-
-    table = np.array([
-        [g1.df1, g1.f1, g1.df0, g1.f0],
-        [g2.df1, g2.f1, g2.df0, g2.f0],
-    ])
-
-    _check_orthonormality(g1, g2)
-    _check_endpoint_identities(GENERAL_MODE, table)
-
-    return DeficiencyBasis(GENERAL_MODE, p, table, (g1, g2))
+    t = odesolve.propagate(p, 1j, -p.a, p.a)[0]
+    table = _orthonormalized(np.array([[t[1, 0], t[0, 0], 0.0, 1.0],
+                                       [0.0, 1.0, -t[1, 0], t[1, 1]]]))
+    table[1] *= abs(table[1, 2]) / table[1, 2]
+    return DeficiencyBasis(GENERAL_MODE, p, table)
 
 
 def change_of_basis(basis_from, basis_to):

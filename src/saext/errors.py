@@ -34,10 +34,6 @@ class ParityError(SaextError, ValueError):
     """An even potential was required but not provided."""
 
 
-class DegeneracyError(SaextError, RuntimeError):
-    """Near linear dependence detected during Gram-Schmidt."""
-
-
 class ModeError(SaextError, ValueError):
     """A deficiency basis of the wrong parity mode was supplied."""
 

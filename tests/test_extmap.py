@@ -210,7 +210,7 @@ def test_general_map_agrees_with_even_map(p):
 def test_general_map_on_even_table_is_forward_map(p):
     # the paper's even-mode formula and the general construction agree on one table
     even = solve_even_odd(p)
-    general = DeficiencyBasis(GENERAL_MODE, p, even.boundary_table, None)
+    general = DeficiencyBasis(GENERAL_MODE, p, even.boundary_table)
     rng = np.random.default_rng(8)
     for _ in range(200):
         u = Unitary2.certify(haar_unitary(rng))

@@ -81,8 +81,10 @@ def test_l2_inner_constant():
 
 def test_l2_inner_parity_orthogonality():
     # exactly parity-symmetric samples: even x odd integrand cancels pairwise
-    from saext.deficiency import solve_even_odd
-    even, odd = solve_even_odd(P0).trajectories
+    u = odesolve.integrate(P0, 1j, -1.0, 1.0, 1.0, 0.5)
+    even, odd = (odesolve.OdeSolution(u.lam, u.x, u.f + s * u.f[::-1], u.df - s * u.df[::-1],
+                                      u.segments) for s in (1.0, -1.0))
+    assert abs(odesolve.l2_inner(even, even)) > 1.0
     assert abs(odesolve.l2_inner(even, odd)) < 1e-12
     # direct independent integrations agree to integrator accuracy
     cos_x = odesolve.integrate(P0, 1.0, -1.0, 1.0, math.cos(1.0), math.sin(1.0))
