@@ -46,8 +46,8 @@ is closed form: with dz/dlam = -h^2 for z = s^2, d(cosh s)/dz = sinhc/2,
 d(sinhc)/dz = (s cosh s - sinh s)/2s^3 and dOmega/dlam = [[0, 0], [-h, 0]],
 and the pairwise products within a block carry (AB, A'B + AB'); S and
 dS/dlam take the Richardson step at the levels the error control of the
-piece's prefix products picks.  For an even V it too steps only [0, b]
-and mirrors the blocks.
+piece's prefix products picks.  For an even V its pass from -b too steps
+only [0, b] and mirrors the blocks.
 
 Every solution of the same potential over the same span shares the grid,
 which makes pointwise linear combinations and quadrature between
@@ -560,20 +560,17 @@ def _edge_transfers(p, lams, x0, x1):
     interval count is not a multiple of that, so edges lie at most a/32
     apart and the passes from x0 and from x1 share them.
 
-    As in propagate, an even V over a span symmetric about 0 is stepped on
-    [0, b] only: a block of [-b, 0] is the mirror image of one of [0, b], run
-    the other way, so with P = diag(1, -1) it is P S^-1 P = P adj(S) P, and
-    its derivative is P adj(dS/dlam) P.
+    For an even V, the pass from -b to b is stepped on [0, b] only: a block
+    of [-b, 0] is the mirror image of one of [0, b], run the other way, so
+    with P = diag(1, -1) it is P S^-1 P = P adj(S) P, and its derivative is
+    P adj(dS/dlam) P.  The pass from b to -b is a full pass.
     """
-    if x0 == -x1 and x0 != 0 and p.is_even():
-        y, steps, dsteps = _edge_steps(p, lams, 0.0, abs(x0))
+    if x0 == -x1 < 0 and p.is_even():
+        y, steps, dsteps = _edge_steps(p, lams, 0.0, x1)
         x = np.r_[-y[:0:-1], y]
         # P adj(S) P swaps the diagonal, also of the deviation S - I
         steps, dsteps = (np.concatenate([m[::-1, ::-1, :, ::-1].swapaxes(0, 1), m], axis=-1)
                          for m in (steps, dsteps))
-        if x0 > 0:  # the mirror image of the pass from -b: P S P flips the off-diagonal
-            flip = np.array([[1.0, -1.0], [-1.0, 1.0]])[..., None, None]
-            x, steps, dsteps = -x, steps * flip, dsteps * flip
     else:
         x, steps, dsteps = _edge_steps(p, lams, x0, x1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -651,11 +648,6 @@ def l2_inner(u, w):
     if not _same_grid(u, w):
         raise GridError("solutions sampled on different grids")
     return complex(quadrature(u, np.conj(u.f) * w.f))
-
-
-def norm(u):
-    """L2 norm of the trajectory."""
-    return float(np.sqrt(max(l2_inner(u, u).real, 0.0)))
 
 
 def combine(solutions, coeffs):

@@ -36,9 +36,9 @@ eigenfunction's parts join at a block edge, and its L2 norm is a sum of
 Wronskians: over a block, the integral of u_j u_k for solutions with
 E-independent data at its start is u_j' du_k/dE - u_j du_k'/dE at its end
 (Titchmarsh, Eigenfunction Expansions I, 1962; Pryce, Numerical Solution
-of Sturm-Liouville Problems, 1993).  The dense
-eigenfunctions are built only when SpectrumResult.eigenfunctions is first
-read.
+of Sturm-Liouville Problems, 1993).  The dense eigenfunctions, built when
+SpectrumResult.eigenfunctions is first read, integrate the end data this
+pass chose.
 """
 
 from __future__ import annotations
@@ -67,13 +67,15 @@ class SpectrumResult:
 
     ``degeneracies[i]`` is the number of eigenphases of W that cross 0 at
     ``eigenvalues[i]``, and ``eigenfunctions[i]`` holds as many
-    L2-normalized OdeSolution trajectories.  They are built by a dense pass
-    on first access and then kept; two threads may both build them, with
-    equal results.  ``residuals[i]`` is the worst residual among the
-    level's eigenfunctions, taken from their boundary data: of the endpoint
-    relation, or of the join of a simple level's eigenfunction at a block
-    edge.  ``det_trace`` keeps the (E, |det M|) samples of the scan,
-    uniform in sqrt(E - e_min), for plotting and diagnostics.
+    L2-normalized OdeSolution trajectories.  On first access they integrate
+    the end data that the boundary-data pass chose, kept in ``end_data``
+    (which neither to_json nor equality reads), and are then kept; two
+    threads may both build them, with equal results.  ``residuals[i]`` is
+    the worst residual among the level's eigenfunctions, taken from their
+    boundary data: of the endpoint relation, or of the join of a simple
+    level's eigenfunction at a block edge.  ``det_trace`` keeps the
+    (E, |det M|) samples of the scan, uniform in sqrt(E - e_min), for
+    plotting and diagnostics.
     """
 
     bc: BoundaryCondition
@@ -82,11 +84,11 @@ class SpectrumResult:
     degeneracies: list
     residuals: list
     det_trace: list = field(default_factory=list)
+    end_data: list = field(default_factory=list, compare=False, repr=False)
 
     @cached_property
     def eigenfunctions(self):
-        return _eigenfunctions(self.potential, self.bc,
-                               list(zip(self.eigenvalues, self.degeneracies)))
+        return _eigenfunctions(self.potential, self.eigenvalues, self.end_data)
 
     def to_json(self):
         return {
@@ -209,55 +211,32 @@ def _join(f, g):
     return min(int(np.argmax(np.abs(f * g))), len(f) - 2)
 
 
-def _eigenfunctions_at(bc, count, left, right):
-    """The count L2-orthonormal eigenfunctions at a root, from the
-    fundamental solutions left launched at -a and, for a simple level, right
-    launched at a.
-
-    With Y, Y' the fundamental matrices launched at -a and at a, a null
-    vector q of K(x) = Y(x) B' - Y'(x) B (_endpoint_maps) gives an
-    eigenfunction.  A double level takes both null vectors of K(a).  A
-    simple level takes q at the join of the one-sided solutions from K(a)
-    and K(-a) (_join), and joins the parts from -a and from a there, so
-    neither is carried through decay into growth, which amplifies rounding
-    and root error."""
-    at_a, at_minus_a = _endpoint_maps(bc)
-
-    def matrix(sols, i):  # the fundamental matrix at sample i
-        return np.array([[u.f[i] for u in sols], [u.df[i] for u in sols]])
-
-    funcs = [odesolve.combine(left, at_minus_a @ q)
-             for q in _null(matrix(left, -1) @ at_minus_a - at_a, count)]
-    if count == 1:
-        g = odesolve.combine(right, at_a @ _null(at_minus_a - matrix(right, -1) @ at_a)[0])
-        j = _join(funcs[0].f, g.f[::-1])
-        (q,) = _null(matrix(left, j) @ at_minus_a - matrix(right, -1 - j) @ at_a)
-        f, g = odesolve.combine(left, at_minus_a @ q), odesolve.combine(right, at_a @ q)
-        y = np.where(np.arange(len(f.x)) <= j, [f.f, f.df], [g.f[::-1], g.df[::-1]])
-        funcs = [OdeSolution(f.lam, f.x, *y, f.segments)]
-    out = []
-    for f in funcs:
-        for prev in out:  # L2-orthonormalize a degenerate pair
-            f = odesolve.combine([f, prev], [1.0, -odesolve.l2_inner(prev, f)])
-        out.append(_phase_fixed(f.scaled(1.0 / odesolve.norm(f))))
-    return tuple(out)
-
-
-def _eigenfunctions(p, bc, levels):
-    """The eigenfunctions of every (E, multiplicity) in levels: the
-    fundamental solutions from -a of every level come from one call, and
-    those from a of every simple level from one more, or by reflection where
-    V and its grid are symmetric about 0."""
-    roots = np.array([e for e, _ in levels])
+def _eigenfunctions(p, roots, end_data):
+    """The eigenfunctions of every level, integrated from the end data
+    (minus, plus, join) that _boundary_data chose: one for each row of
+    minus from -a, and for a simple level its part from a, from plus[0],
+    on the samples past the one nearest join.  The fundamental solutions
+    from -a of every level come from one call, and those from a of every
+    simple level from one more, or by reflection where V and its grid are
+    symmetric about 0."""
+    roots = np.array(roots)
     lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
     edges = np.array(p.breakpoints())
+    simple = np.array([join is not None for _, _, join in end_data], dtype=bool)
     if p.is_even() and np.array_equal(edges, -edges[::-1]):
-        rights = (_reflected(left) for left, (_, count) in zip(lefts, levels) if count == 1)
+        rights = (_reflected(left) for left, one in zip(lefts, simple) if one)
     else:
-        simple = np.array([e for e, count in levels if count == 1])
-        rights = iter(odesolve.fundamental_solutions(p, simple, p.a, -p.a))
-    return [_eigenfunctions_at(bc, count, left, next(rights) if count == 1 else None)
-            for (_, count), left in zip(levels, lefts)]
+        rights = iter(odesolve.fundamental_solutions(p, roots[simple], p.a, -p.a))
+    out = []
+    for left, (minus, plus, join) in zip(lefts, end_data):
+        funcs = [odesolve.combine(left, c) for c in minus]
+        if join is not None:
+            (f,), g = funcs, odesolve.combine(next(rights), plus[0])
+            j = int(np.argmin(np.abs(f.x - join)))
+            y = np.where(np.arange(len(f.x)) <= j, [f.f, f.df], [g.f[::-1], g.df[::-1]])
+            funcs = [OdeSolution(f.lam, f.x, *y, f.segments)]
+        out.append(tuple(_phase_fixed(f) for f in funcs))
+    return out
 
 
 def _block_gram(step, dstep, y):
@@ -276,20 +255,25 @@ def _block_gram(step, dstep, y):
             - np.conj(z[..., 0, :, None]) * dz[..., 1, None, :])
 
 
-def _boundary_residuals(p, bc, levels):
+def _boundary_data(p, bc, levels):
     """Per (E, multiplicity) in levels, the worst residual and symmetry
-    defect of its L2-normalized eigenfunctions, from their boundary data.
+    defect of its L2-normalized eigenfunctions, and their end data
+    (minus, plus, join): the rows of minus and plus are their data (f, f')
+    at -a and at a, and join is the block edge where a simple level's parts
+    meet, None for a double level.
 
-    These are the eigenfunctions of _eigenfunctions_at, with the transfer
-    matrices at the block edges of one pass from -a at every level, and of
-    one from a at every simple level (for an even V its mirror image), in
-    place of the dense fundamental solutions.  A simple level joins at the
-    block edge _join picks, where its jump is sigma_min of K plus the
-    rounding of the two sides there; the norms come from _block_gram, and
-    one that is not positive gives NaN."""
+    With Y, Y' the transfer matrices from -a and from a, at the block edges
+    of one pass from -a at every level and of one from a at every simple
+    level (for an even V the mirror image of the first), a null vector q of
+    K(x) = Y(x) B' - Y'(x) B (_endpoint_maps) gives an eigenfunction.  A
+    double level takes both null vectors of K(a).  A simple level takes q at
+    the block edge _join picks, so neither part is carried through decay
+    into growth, which amplifies rounding and root error; its jump there is
+    sigma_min of K plus the rounding of the two sides.  The norms come from
+    _block_gram, and one that is not positive gives NaN."""
     roots = np.array([e for e, _ in levels])
     simple = np.array([count == 1 for _, count in levels], dtype=bool)
-    _, left, lstep, dlstep = odesolve._edge_transfers(p, roots, -p.a, p.a)
+    x, left, lstep, dlstep = odesolve._edge_transfers(p, roots, -p.a, p.a)
     if p.is_even():  # T(a -> x) = P T(-a -> -x) P with P = diag(1, -1), on mirrored edges
         flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
         right, rstep, drstep = (m[simple, ::-1] * flip for m in (left, lstep, dlstep))
@@ -334,12 +318,14 @@ def _boundary_residuals(p, bc, levels):
         minus[~simple] = np.stack([first, second], axis=1)
         plus[~simple] = (tl[:, -1, None] @ minus[~simple, ..., None])[..., 0]
 
+    joins = iter(x[j].tolist())
     out = []
     for (_, count), ends_minus, ends_plus, jump in zip(levels, minus, plus, jumps):
         data = [(fa, fma, dfa, dfma)
                 for (fa, dfa), (fma, dfma) in zip(ends_plus[:count], ends_minus[:count])]
         out.append((float(np.max([apply_bc(bc, *d) for d in data] + list(jump[:count]))),
-                    float(np.max([_symmetry_defect(*d) for d in data]))))
+                    float(np.max([_symmetry_defect(*d) for d in data])),
+                    (ends_minus[:count], ends_plus[:count], next(joins) if count == 1 else None)))
     return out
 
 
@@ -440,8 +426,8 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
         levels += [(e, 1) for e in root[ok].tolist()]
 
     levels.sort()
-    eigenvalues, degeneracies, residuals = [], [], []
-    for (root, count), (worst, symmetry) in zip(levels, _boundary_residuals(p, bc, levels)):
+    eigenvalues, degeneracies, residuals, end_data = [], [], [], []
+    for (root, count), (worst, symmetry, ends) in zip(levels, _boundary_data(p, bc, levels)):
         if not (worst <= RESIDUAL_LIMIT and symmetry <= RESIDUAL_LIMIT):  # NaN fails too
             log.warning("dropping candidate E = %g (boundary residual %.2e, "
                         "symmetry defect %.2e)", root, worst, symmetry)
@@ -449,8 +435,9 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
         eigenvalues.append(root)
         degeneracies.append(count)
         residuals.append(worst)
+        end_data.append(ends)
 
-    return SpectrumResult(bc, p, eigenvalues, degeneracies, residuals, det_trace)
+    return SpectrumResult(bc, p, eigenvalues, degeneracies, residuals, det_trace, end_data)
 
 
 def _reflected(left):

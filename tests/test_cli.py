@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, pipelines, determinism."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -463,11 +464,27 @@ def test_every_output_file_re_encodes_to_its_own_bytes(tmp_path, monkeypatch):
         assert jsonio.dumps(jsonio.read(argv[-1])) + "\n" == text, argv
 
 
+def readme_block(heading):
+    """The first code block of the README section under heading."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split("```", 2)[1]
+
+
 def readme_commands():
     """The example commands of the README's command-line section, in order."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    block = readme_block("## Command line")
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the sketch runs as printed, and its classification comment names the
+    # case and family classify returns
+    code = readme_block("## Library sketch").split("\n", 1)[1]  # past the language tag
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out
+    (case, name), = re.findall(r"# -> Case (\w+), ([\w-]+)", code)
+    assert (namespace["bc"].case, namespace["bc"].name) == (case, name)
 
 
 def test_readme_pipeline_runs(tmp_path, monkeypatch):

@@ -524,8 +524,9 @@ TILTED = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 
                          ids=["even-half-pass", "tilted"])
 @pytest.mark.parametrize("x0", [-1.0, 1.0])
 def test_edge_transfers_carry_the_energy_slope(p, x0):
-    # each block's dS/dE against a Richardson central difference of S; the
-    # even V steps [0, 1] only and mirrors its blocks onto [-1, 0]
+    # each block's dS/dE against a Richardson central difference of S; from
+    # -1 the even V steps [0, 1] only and mirrors its blocks onto [-1, 0],
+    # and from 1 it makes a full pass
     energies = np.array([-7.0, 2.0, 17.3, 150.0])
     x, t, s, ds = odesolve._edge_transfers(p, energies, x0, -x0)
     assert x[0] == x0 and x[-1] == -x0 and np.all(np.abs(np.diff(x)) <= 1.0 / 32 + 1e-15)

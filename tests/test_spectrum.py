@@ -271,8 +271,13 @@ def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
     result = find_eigenvalues(P0, bc_named("dirichlet"), e_max=40.0)
     assert result.degeneracies.count(1) >= 3
     assert sizes == []
+    # first access integrates the end data find_eigenvalues kept, and repeats
+    # no boundary-data pass
+    edge_passes = []
+    monkeypatch.setattr(odesolve, "_edge_transfers", lambda *args: edge_passes.append(args))
     funcs = result.eigenfunctions
     assert len(funcs) == len(result.eigenvalues)
+    assert edge_passes == []
     calls = len(sizes)
     assert 1 <= calls <= 2
     assert result.eigenfunctions is funcs and len(sizes) == calls  # built once
@@ -311,8 +316,9 @@ def test_reflected_pair_matches_the_pass_from_a(p):
                          ids=lambda p: f"{p.kind}-a{p.a:g}")
 def test_boundary_data_norms_match_the_dense_eigenfunctions(p):
     # each eigenfunction's norm from its boundary data, the block transfers of
-    # genuine passes from -a and from a and spectrum._block_gram, against
-    # Boole's rule on its dense samples; a simple level joins where
+    # full passes from -a and from a (for an even V, the pass from a is not
+    # the mirror image find_eigenvalues takes) and spectrum._block_gram,
+    # against Boole's rule on its dense samples; a simple level joins where
     # find_eigenvalues would
     def edge_pass(energy, x0):  # one energy's pass from x0, its arrays ordered from -a
         _, t, s, ds = odesolve._edge_transfers(p, np.array([energy]), x0, -x0)
@@ -321,15 +327,27 @@ def test_boundary_data_norms_match_the_dense_eigenfunctions(p):
 
     result = find_eigenvalues(p, bc_named("periodic"), e_max=40.0)
     assert result.eigenvalues
-    for energy, funcs in zip(result.eigenvalues, result.eigenfunctions):
+    for energy, funcs, (ends_minus, ends_plus, _) in zip(
+            result.eigenvalues, result.eigenfunctions, result.end_data):
         (left, ls, dls), (right, rs, drs) = edge_pass(energy, -p.a), edge_pass(energy, p.a)
-        for f in funcs:
+        for f, end_minus, end_plus in zip(funcs, ends_minus, ends_plus):
+            # the dense eigenfunction starts from the end data the boundary-data
+            # pass chose, times one unit phase; a double level's data at a is
+            # carried there by the dense pass, so it agrees to that pass's rounding
+            k = int(np.argmax(np.abs(end_minus)))
+            phase = [f.f0, f.df0][k] / end_minus[k]
+            scale = np.max(np.abs(np.r_[end_minus, end_plus]))
+            assert abs(abs(phase) - 1.0) <= 1e-14
+            assert np.max(np.abs([f.f0, f.df0] - phase * end_minus)) <= 1e-14 * scale
+            assert np.max(np.abs([f.f1, f.df1] - phase * end_plus)) <= (
+                1e-14 if len(funcs) == 1 else 1e-12) * scale
             minus, plus = np.array([[f.f0], [f.df0]]), np.array([[f.f1], [f.df1]])
             j = len(ls) if len(funcs) == 2 else spectrum._join((left @ minus)[:, 0, 0],
                                                               (right @ plus)[:, 0, 0])
             inner = (spectrum._block_gram(ls[:j], dls[:j], left[:j] @ minus).sum()
                      - spectrum._block_gram(rs[j:], drs[j:], right[j + 1:] @ plus).sum())
-            assert abs(np.sqrt(inner.real) - odesolve.norm(f)) <= 1e-9 * odesolve.norm(f)
+            norm = np.sqrt(odesolve.l2_inner(f, f).real)
+            assert abs(np.sqrt(inner.real) - norm) <= 1e-9 * norm
 
 
 @pytest.mark.parametrize("p, bc, calls", [
@@ -546,6 +564,16 @@ def test_level_count_between_reference_levels(p, bc, e_max, levels):
     for rtol in (spectrum.SCAN_RTOL, odesolve.DEFAULT_RTOL):
         count = spectrum._bc_matrix(p, bc, np.array(probes), rtol)[2]
         assert list(count) == list(below)
+
+
+def test_eigenphase_rounded_below_two_pi_counts_as_zero():
+    # diag(exp(-1e-14 i), -1) is diag(1, -1) up to rounding: its first
+    # eigenphase, 2 pi - 1e-14, is a 0, whose level would lie below -1e24.
+    # Counted as 2 pi, it puts a level below every floor the default e_min
+    # tries, and the floor's descent overflows
+    bc = classify(Unitary2.certify(np.diag([np.exp(-1e-14j), -1.0])))
+    result = find_eigenvalues(P0, bc, e_max=20.0)
+    assert_matches(result, [(((2 * n + 1) * np.pi / 4) ** 2, 1) for n in range(3)], rel=1e-8)
 
 
 @pytest.mark.xfail(strict=True, reason=(
