@@ -21,13 +21,19 @@ counts the eigenphase crossings of 0 along exp(i t K), K >= 0, from I to Ucal
 (Bailey, Everitt and Zettl, ACM TOMS 27 (2001) 143; Howard and Sukhtayev,
 JDE 260 (2016) 4499).  A scan counts the levels below every grid energy;
 bisection splits every interval holding three or more.  One holding one
-level is solved for the sign change of (-1)^N prod_j sin(t_j / 2), t_j the
-eigenphases of W; one holding two for the zero of C(W) - 2 pi N, the phase
-sum continued across levels: a double level if N steps by two within the
-root tolerance there, else the point splitting it into two single ones
-when N there is one more than below.  Failing both, the interval is bisected
-by the count until each part holds one level or two within the root
-tolerance.
+level is solved for the sign change of the characteristic function
+(-1)^N |det M|, M = minus - Ucal plus = (S - Ucal) plus, which is real
+analytic in E.  It is 4 prod_j sin(t_j / 2) |det plus|, t_j the eigenphases
+of W.  Without the factor |det plus|, the product is a step smoothed over a
+width of about |f(+-a)|^2 for a level whose normalized eigenfunction f is
+small at both ends, and a root finder can only bisect it there; the
+miss-distance function should be smooth (Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993).  One holding two levels is solved for the
+zero of C(W) - 2 pi N, the phase sum continued across levels: a double
+level if N steps by two within the root tolerance there, else the point
+splitting it into two single ones when N there is one more than below.
+Failing both, the interval is bisected by the count until each part holds
+one level or two within the root tolerance.
 
 Each located level is accepted or dropped from boundary data alone: the
 transfer matrices of one pass from -a and one from a at block edges, and
@@ -35,10 +41,9 @@ each block's own transfer S with dS/dE (odesolve._edge_transfers).  The
 eigenfunction's parts join at a block edge, and its L2 norm is a sum of
 Wronskians: over a block, the integral of u_j u_k for solutions with
 E-independent data at its start is u_j' du_k/dE - u_j du_k'/dE at its end
-(Titchmarsh, Eigenfunction Expansions I, 1962; Pryce, Numerical Solution
-of Sturm-Liouville Problems, 1993).  The dense eigenfunctions, built when
-SpectrumResult.eigenfunctions is first read, integrate the end data this
-pass chose.
+(Titchmarsh, Eigenfunction Expansions I, 1962; Pryce 1993).  The dense
+eigenfunctions, built when SpectrumResult.eigenfunctions is first read,
+integrate the end data this pass chose.
 """
 
 from __future__ import annotations
@@ -102,11 +107,13 @@ class SpectrumResult:
 
 
 def _bc_matrix(p, bc, energy, rtol):
-    """M(E) = minus - Ucal plus, the eigenphases t of W(E) in [0, 2 pi) and
-    the level count N(E), for a scalar E or, from one propagation, stacked
-    over a 1-D array.  Column k of minus and plus is divided by the largest
-    boundary magnitude of u_k, so nothing overflows for deep wells or large
-    |E|; S and W do not change."""
+    """M(E) = minus - Ucal plus, the eigenphases t of W(E) in [0, 2 pi), the
+    level count N(E) and log_s, for a scalar E or, from one propagation,
+    stacked over a 1-D array.  Column k of minus and plus is divided by s_k,
+    the largest boundary magnitude of u_k and at least 1, so nothing
+    overflows for deep wells or large |E|; S and W do not change, and the
+    unscaled |det M| is |det| of the returned M times exp(log_s), with
+    log_s = sum_k log s_k."""
     transfer, zeros = odesolve.propagate(p, energy, -p.a, p.a, rtol)
     ua, dua = transfer[..., 0, :], transfer[..., 1, :]  # column k: u_k(a), u_k'(a)
     uma, duma = np.eye(2)                               # u_k(-a), u_k'(-a)
@@ -121,7 +128,8 @@ def _bc_matrix(p, bc, energy, rtol):
     k = _eigenphases(ucal)
     k_sum = k[k < 2 * np.pi - 1e-12].sum()
     turns = (t.sum(axis=-1) - _eigenphases(s_matrix).sum(axis=-1) + k_sum) / (2 * np.pi)
-    return minus - ucal @ plus, t, zeros + np.rint(turns).astype(int)
+    return (minus - ucal @ plus, t, zeros + np.rint(turns).astype(int),
+            np.log(s).sum(axis=-1)[..., 0])
 
 
 def det_function(p, bc, energy):
@@ -172,23 +180,39 @@ minimize_scalar = _chandrupatla  # the name perfbench's tracer wraps as the refi
 
 
 def _solve(p, bc, lo, hi, below, target):
-    """Roots of target(eigenphases of W, N(E), N(lo)) in the brackets
-    [lo, hi], and the mask of those that converged.  All bracket ends are
+    """Roots in the brackets [lo, hi] of value exp(log_scale), where
+    (value, log_scale) = target(M, t, N(E), log_s, N(lo)) of _bc_matrix's
+    outputs at E, and the mask of those that converged.  find_eigenvalues
+    solves one level for the unscaled (-1)^N |det M|, whose log_scale is
+    log_s: the (-1)^N prod_j sin(t_j / 2) that it replaces lacks the factor
+    |det plus|, which leaves a smoothed step near a level whose
+    eigenfunction is small at both ends, and root finders bisect a step.  It
+    solves two levels for the phase sum, with log_scale 0.  Each bracket
+    solves value exp(log_scale - c), c the larger log_scale at its ends: a
+    positive factor, which Chandrupatla's steps do not see, that keeps the
+    values in range and an exact zero at an end 0.  All bracket ends are
     evaluated in one call.  Ends that share a sign at full tolerance put the
     root at an end, within the accuracy of W."""
-    _, t, n = _bc_matrix(p, bc, np.r_[lo, hi], DEFAULT_RTOL)
-    f = target(t, n, np.r_[below, below])
-    root, ok = minimize_scalar(lambda x, live: target(
-        *_bc_matrix(p, bc, x, DEFAULT_RTOL)[1:], below[live]), lo, hi, f[:len(lo)], f[len(lo):],
-        DEFAULT_RTOL)
+    value, log_scale = target(*_bc_matrix(p, bc, np.r_[lo, hi], DEFAULT_RTOL),
+                              np.r_[below, below])
+    c = np.maximum(log_scale[:len(lo)], log_scale[len(lo):])
+    f = value * np.exp(log_scale - np.r_[c, c])
+
+    def g(x, live):
+        value, log_scale = target(*_bc_matrix(p, bc, x, DEFAULT_RTOL), below[live])
+        return value * np.exp(log_scale - c[live])
+    root, ok = minimize_scalar(g, lo, hi, f[:len(lo)], f[len(lo):], DEFAULT_RTOL)
     for e in lo[~ok]:
         log.warning("refinement did not converge near E = %g: the target is not finite", e)
     return root, ok
 
 
 def _phase_fixed(sol):
-    idx = int(np.argmax(np.abs(sol.f)))
-    peak = sol.f[idx]
+    """sol made real positive at its leftmost sample within 1e-8 relative of
+    the largest |f|, so that the mirror-image peaks of a state even or odd
+    about 0 do not pick the sign by rounding."""
+    size = np.abs(sol.f)
+    peak = sol.f[int(np.argmax(size >= (1.0 - 1e-8) * size.max()))]
     return sol.scaled(np.conj(peak) / abs(peak)) if abs(peak) > 0 else sol
 
 
@@ -286,7 +310,7 @@ def _boundary_data(p, bc, levels):
     at_a, at_minus_a = _endpoint_maps(bc)
     minus, plus = np.zeros((2, len(levels), 2, 2), complex)
     jumps = np.zeros((len(levels), 2))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         tl, sl, dsl = left[simple], lstep[simple], dlstep[simple]
         f = tl[..., 0, :] @ (_null(tl[:, -1] @ at_minus_a - at_a)[:, 0] @ at_minus_a.T)[..., None]
         g = right[..., 0, :] @ (_null(at_minus_a - right[:, 0] @ at_a)[:, 0] @ at_a.T)[..., None]
@@ -329,6 +353,17 @@ def _boundary_data(p, bc, levels):
     return out
 
 
+def _scan_grid(low, high, a, at_least):
+    """Energies from low to high, uniform in the wavenumber sqrt(E - low):
+    eight points per pi/2a (the asymptotic spacing of the Dirichlet levels),
+    and at_least points or more."""
+    k = np.sqrt(high - low)
+    points = max(at_least, int(np.ceil(8.0 * k / (np.pi / (2.0 * a)))))
+    energies = low + np.linspace(0.0, k, points) ** 2
+    energies[-1] = high
+    return energies
+
+
 def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     """Locate all eigenvalues of the extension in [e_min, e_max).
 
@@ -350,8 +385,11 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
 
     Args:
         e_min: scan floor.  The default is -sup|V| - 1; while levels lie
-            below it, the depth below -sup|V| doubles, and the first floor
-            with none below is prepended to the scan.
+            below it, the depth below -sup|V| doubles, and each step's new
+            range joins the scan, counted in one call on a grid uniform in
+            sqrt(E - new floor) at the scan's density (at least its two
+            ends).  N(E) never falls with E, so a step whose counts fall
+            reads S(E)'s rounding noise at depth and keeps only its floor.
 
     Returns:
         SpectrumResult (empty eigenvalue list when no roots are found).
@@ -367,20 +405,16 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
             raise ValueError(f"{name} must be finite, got {bound}")
     if e_min >= e_max:
         raise ValueError(f"empty scan range [{e_min}, {e_max}]")
-    k_max = np.sqrt(e_max - e_min)
-    grid = max(16, int(np.ceil(8.0 * k_max / (np.pi / (2.0 * p.a)))))
-
-    energies = e_min + np.linspace(0.0, k_max, grid) ** 2
-    energies[-1] = e_max
-    cols, _, count = _bc_matrix(p, bc, energies, SCAN_RTOL)
+    energies = _scan_grid(e_min, e_max, p.a, 16)
+    cols, _, count, _ = _bc_matrix(p, bc, energies, SCAN_RTOL)
     det_trace = list(zip(energies.tolist(), np.abs(np.linalg.det(cols)).tolist()))
-    if default_floor:
-        low, below = e_min, count[0]
-        while below > 0:
-            low = 2.0 * low - e_min - 1.0  # doubles the depth below -sup|V| = e_min + 1
-            below = _bc_matrix(p, bc, low, SCAN_RTOL)[2]
-        if low < e_min:
-            energies, count = np.r_[low, energies], np.r_[below, count]
+    while default_floor and count[0] > 0:  # double the depth below -sup|V| = e_min + 1
+        step = _scan_grid(2.0 * energies[0] - e_min - 1.0, energies[0], p.a, 2)[:-1]
+        below = _bc_matrix(p, bc, step, SCAN_RTOL)[2]
+        # N(E) never falls, so counts that fall read the rounding noise of
+        # S(E) at depth: such a step keeps only its floor
+        keep = len(step) if np.all(np.diff(np.r_[below, count[0]]) >= 0) else 1
+        energies, count = np.r_[step[:keep], energies], np.r_[below[:keep], count]
     while True:  # bisect every interval that holds three or more levels
         mid = 0.5 * (energies[:-1] + energies[1:])
         split = np.flatnonzero((np.diff(count) > 2) & (energies[:-1] < mid) & (mid < energies[1:]))
@@ -394,8 +428,8 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     lo1, hi1, below1 = lo[held == 1], hi[held == 1], below[held == 1]
     lo2, hi2, below2 = lo[held == 2], hi[held == 2], below[held == 2]
     if len(lo2):
-        root, ok = _solve(p, bc, lo2, hi2, below2, lambda t, n, below: (
-            t.sum(axis=-1) - 2 * np.pi * (n - below)))
+        root, ok = _solve(p, bc, lo2, hi2, below2, lambda m, t, n, log_s, below: (
+            t.sum(axis=-1) - 2 * np.pi * (n - below), 0.0 * log_s))
         tol = DEFAULT_RTOL * (1 + np.abs(root))
         side = _bc_matrix(p, bc, np.r_[root - tol, root + tol], DEFAULT_RTOL)[2].reshape(2, -1)
         double = ok & (side[0] == below2) & (side[1] == below2 + 2)
@@ -421,8 +455,8 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
                                 for v, part in zip((lo1, hi1, below1), parts))
             lo2, hi2, below2 = (part[parts_held == 2] for part in parts)
     if len(lo1):
-        root, ok = _solve(p, bc, lo1, hi1, below1, lambda t, n, below: (
-            (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1)))
+        root, ok = _solve(p, bc, lo1, hi1, below1, lambda m, t, n, log_s, below: (
+            (-1.0) ** n * np.abs(np.linalg.det(m)), log_s))
         levels += [(e, 1) for e in root[ok].tolist()]
 
     levels.sort()

@@ -48,6 +48,34 @@ def test_det_is_continuous_in_energy():
     assert abs(d2 - 0.5 * d1) < 0.05 * d1  # first-order in the step
 
 
+@pytest.mark.parametrize("bc", [
+    bc_named("dirichlet"), bc_named("general-coupled", alpha=1.0, beta=0.5 + 0.5j, gamma=-2.0),
+    bc_named("automorphic", K=2.0 + 1.0j)], ids=["dirichlet", "general-coupled", "automorphic"])
+def test_one_level_target_is_the_characteristic_determinant(bc):
+    # with the unscaled M = minus - Ucal plus = (S - Ucal) plus,
+    # |det M| = |det (W - I)| |det plus| = 4 prod_j sin(t_j / 2) |det plus|, and
+    # det M / sqrt(det Ucal) is real with the sign (-1)^N up to one constant:
+    # (-1)^N |det M| is the real-analytic characteristic function the one-level
+    # solve refines.  _bc_matrix's log_s undoes its column scaling
+    p = Potential.harmonic(25.0, 1.0)
+    energies = np.linspace(-30.0, 60.0, 57)
+    transfer, _ = odesolve.propagate(p, energies, -p.a, p.a, odesolve.DEFAULT_RTOL)
+    ua, dua = transfer[:, 0, :], transfer[:, 1, :]
+    minus = np.stack([dua - 1j * ua, np.broadcast_to([1j, 1.0], ua.shape)], axis=1)
+    plus = np.stack([dua + 1j * ua, np.broadcast_to([-1j, 1.0], ua.shape)], axis=1)
+    det_m = np.linalg.det(minus - bc.Ucal.matrix @ plus)
+    m, t, n, log_s = spectrum._bc_matrix(p, bc, energies, odesolve.DEFAULT_RTOL)
+    assert n[-1] - n[0] >= 4
+    delta = (-1.0) ** n * np.abs(det_m)
+    product = 4.0 * np.prod(np.sin(0.5 * t), axis=-1) * np.abs(np.linalg.det(plus))
+    assert np.max(np.abs(np.abs(delta) - product) / np.abs(delta)) <= 1e-10
+    assert np.max(np.abs(np.abs(np.linalg.det(m)) * np.exp(log_s) - np.abs(det_m))
+                  / np.abs(det_m)) <= 1e-10
+    real = det_m / np.sqrt(np.linalg.det(bc.Ucal.matrix))
+    assert np.max(np.abs(real.imag) / np.abs(real)) <= 1e-10
+    assert len(set(np.sign(real.real) * np.sign(delta))) == 1
+
+
 def test_dirichlet_box_spectrum():
     result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=30.0)
     assert_matches(result, oracles.box_levels("dirichlet", 30.0))
@@ -155,6 +183,21 @@ def test_parity_of_eigenfunctions_for_scalar_bc():
             even = np.max(np.abs(f.f - mirrored))
             odd = np.max(np.abs(f.f + mirrored))
             assert min(even, odd) <= 1e-6 * np.max(np.abs(f.f))
+
+
+@pytest.mark.parametrize("bc", [bc_named("dirichlet"), bc_named("neumann"),
+                                bc_named("robin", alpha=3.0, gamma=-3.0)],
+                         ids=["dirichlet", "neumann", "robin(3,-3)"])
+def test_simple_eigenfunctions_are_positive_at_their_leftmost_peak(bc):
+    # a V = 0 state has equal peaks up to rounding, so the phase is taken at
+    # the leftmost sample within 1e-8 of the largest |f|, not at argmax |f|
+    result = find_eigenvalues(P0, bc, e_max=40.0)
+    assert result.degeneracies.count(1) >= 4
+    for funcs in result.eigenfunctions:
+        if len(funcs) == 1:
+            size = np.abs(funcs[0].f)
+            peak = funcs[0].f[np.argmax(size >= (1.0 - 1e-8) * size.max())]
+            assert peak.real > 0.0 and abs(peak.imag) <= 1e-12 * abs(peak)
 
 
 def test_empty_scan_returns_empty_result():
@@ -453,10 +496,35 @@ def test_chandrupatla_fails_on_a_non_finite_target():
     assert calls[0][1].tolist() == [0, 1] and calls[1][1].tolist() == [0]
 
 
+@pytest.mark.parametrize("p, bc, e_max, rounds", [
+    (Potential.harmonic(25.0 / 4.0, 2.0), bc_named("dirichlet"), 10.0, 8),
+    (Potential.harmonic(25.0, 1.0), bc_named("periodic"), 40.0, 7),
+], ids=["harmonic-dirichlet-a2", "harmonic-periodic"])
+def test_one_level_refinement_rounds(monkeypatch, p, bc, e_max, rounds):
+    # prod_j sin(t_j / 2), the characteristic determinant over |det plus|, is a
+    # smoothed step where an eigenfunction is small at both ends, and took 15
+    # and 11 rounds; (-1)^N |det M| is smooth, so interpolation converges fast
+    counts = []
+    chandrupatla = spectrum._chandrupatla
+
+    def counting(g, *args):
+        counts.append(0)
+
+        def counted(x, live):
+            counts[-1] += 1
+            return g(x, live)
+        return chandrupatla(counted, *args)
+
+    monkeypatch.setattr(spectrum, "minimize_scalar", counting)
+    result = find_eigenvalues(p, bc, e_max=e_max)
+    assert result.degeneracies and set(result.degeneracies) == {1}
+    assert len(counts) == 1 and counts[0] <= rounds
+
+
 def test_solve_warns_when_the_target_is_not_finite(caplog):
     # the Dirichlet box levels (pi/2)^2 and pi^2, the second with a NaN target
-    def target(t, n, below):
-        return np.where(below == 1, np.nan, (-1.0) ** n * np.prod(np.sin(0.5 * t), axis=-1))
+    def target(m, t, n, log_s, below):
+        return np.where(below == 1, np.nan, (-1.0) ** n * np.abs(np.linalg.det(m))), log_s
     with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
         root, ok = spectrum._solve(P0, bc_named("dirichlet"), np.array([2.0, 9.0]),
                                    np.array([3.0, 10.0]), np.array([0, 1]), target)
@@ -576,6 +644,17 @@ def test_eigenphase_rounded_below_two_pi_counts_as_zero():
     assert_matches(result, [(((2 * n + 1) * np.pi / 4) ** 2, 1) for n in range(3)], rel=1e-8)
 
 
+def test_deep_robin_state_at_wide_half_width_is_dropped_with_a_warning(caplog):
+    # at a = 8 the boundary data of the Robin surface state near -895 overflow
+    # (ROADMAP item 2): it is dropped with a warning and no RuntimeWarning
+    with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
+        result = find_eigenvalues(Potential.cosine(5.0, np.pi, 8.0),
+                                  bc_named("robin", alpha=30.0, gamma=-20.0), e_max=10.0)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 1 and messages[0].startswith("dropping candidate E = -895")
+    assert result.eigenvalues and max(result.residuals) <= spectrum.RESIDUAL_LIMIT
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: at a=8 the solutions from -a grow by about e^37 at E = -6, "
     "where S(E) reads rounding noise and 20 candidates are dropped; the surface "
@@ -609,3 +688,46 @@ def test_bisection_rounds_split_an_interval_of_many_levels(monkeypatch):
     result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=-1e5, e_max=40.0)
     assert len(scans) >= 2  # the scan, then at least one round
     assert_matches(result, [((n * np.pi / 2) ** 2, 1) for n in range(1, 5)], rel=1e-9)
+
+
+def test_floor_descent_is_scanned_at_the_scan_density(monkeypatch):
+    # the surface states of zero x robin(3, -3) lie near -9, below the default
+    # floor -1.  Each step of the floor's descent counts on its own grid, so no
+    # refinement bracket spans more than two grid steps pi/16a of the
+    # wavenumber sqrt(E - floor), where the one bracket [-16, -1] did
+    scans, brackets = [], []
+    bc_matrix, solve = spectrum._bc_matrix, spectrum._solve
+
+    def scanning(p, bc, energy, rtol):
+        if rtol == spectrum.SCAN_RTOL:
+            scans.append(np.atleast_1d(energy))
+        return bc_matrix(p, bc, energy, rtol)
+
+    def recording(p, bc, lo, hi, *args):
+        brackets.append((lo, hi))
+        return solve(p, bc, lo, hi, *args)
+
+    monkeypatch.setattr(spectrum, "_bc_matrix", scanning)
+    monkeypatch.setattr(spectrum, "_solve", recording)
+    result = find_eigenvalues(P0, bc_named("robin", alpha=3.0, gamma=-3.0), e_max=40.0)
+    assert_matches(result, robin_levels(3.0, -3.0))
+    assert len(scans) == 5  # the scan and four steps, to -16
+    floor = np.min(np.concatenate(scans))
+    assert floor < result.eigenvalues[0]
+    for lo, hi in brackets:
+        assert np.all(np.sqrt(hi - floor) - np.sqrt(lo - floor) <= 2 * np.pi / (16 * P0.a))
+
+
+def test_floor_descent_step_whose_counts_fall_keeps_its_floor(caplog):
+    # V = 0 with a Haar-random Ucal (ROADMAP item 2's draw 107): below about
+    # -250, S(E) reads rounding noise and N(E) flickers between 0 and 1 on the
+    # last step's grid, to -512.  N never falls, so that step keeps only its
+    # floor, and the noise is refined once instead of at every rise
+    from scipy.stats import unitary_group
+
+    bc = classify(Unitary2.certify(unitary_group.rvs(2, random_state=107)))
+    with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
+        result = find_eigenvalues(P0, bc, e_max=40.0)
+    drops = [r for r in caplog.records if r.getMessage().startswith("dropping candidate")]
+    assert len(drops) <= 1
+    assert len(result.eigenvalues) == 4 and min(result.eigenvalues) > 0.0
