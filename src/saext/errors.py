@@ -42,18 +42,6 @@ class UnitarityError(SaextError, ValueError):
     """A matrix failed unitarity certification."""
 
 
-class InternalConsistencyError(SaextError, RuntimeError):
-    """A property that holds for every valid input was violated (corrupt basis)."""
-
-
-class UniquenessError(SaextError, RuntimeError):
-    """The inverse-map linear system lost uniqueness (near-singular)."""
-
-
-class LinearIndependenceError(SaextError, RuntimeError):
-    """Boundary-data vectors expected to be independent were not."""
-
-
 class ParameterError(SaextError, ValueError):
     """Out-of-domain parameters for a named boundary-condition family."""
 

@@ -80,7 +80,8 @@ class SpectrumResult:
     boundary data: of the endpoint relation, or of the join of a simple
     level's eigenfunction at a block edge.  ``det_trace`` keeps the
     (E, |det M|) samples of the scan, uniform in sqrt(E - e_min), for
-    plotting and diagnostics.
+    plotting and diagnostics, with M's columns scaled as in _bc_matrix;
+    the characteristic function (-1)^N |det M| is unscaled.
     """
 
     bc: BoundaryCondition
@@ -133,7 +134,8 @@ def _bc_matrix(p, bc, energy, rtol):
 
 
 def det_function(p, bc, energy):
-    """det M(E) with overflow-guarded (column-normalized) entries."""
+    """det M(E) of _bc_matrix's column-scaled M, finite where the unscaled
+    det M of the characteristic function (-1)^N |det M| overflows."""
     return complex(np.linalg.det(_bc_matrix(p, bc, energy, DEFAULT_RTOL)[0]))
 
 
@@ -280,11 +282,11 @@ def _block_gram(step, dstep, y):
 
 
 def _boundary_data(p, bc, levels):
-    """Per (E, multiplicity) in levels, the worst residual and symmetry
-    defect of its L2-normalized eigenfunctions, and their end data
-    (minus, plus, join): the rows of minus and plus are their data (f, f')
-    at -a and at a, and join is the block edge where a simple level's parts
-    meet, None for a double level.
+    """Per (E, multiplicity) in levels, the worst residual of its
+    L2-normalized eigenfunctions and their end data (minus, plus, join):
+    the rows of minus and plus are their data (f, f') at -a and at a, and
+    join is the block edge where a simple level's parts meet, None for a
+    double level.
 
     With Y, Y' the transfer matrices from -a and from a, at the block edges
     of one pass from -a at every level and of one from a at every simple
@@ -294,7 +296,11 @@ def _boundary_data(p, bc, levels):
     the block edge _join picks, so neither part is carried through decay
     into growth, which amplifies rounding and root error; its jump there is
     sigma_min of K plus the rounding of the two sides.  The norms come from
-    _block_gram, and one that is not positive gives NaN."""
+    _block_gram, and one that is not positive gives NaN.
+
+    The end data need no symmetry check: a simple level's, (B q, B' q), lie
+    on Ucal's Lagrangian subspace, and a double level's are the ends of one
+    solution, whose conj(f') f - conj(f) f' is constant in x for real V, E."""
     roots = np.array([e for e, _ in levels])
     simple = np.array([count == 1 for _, count in levels], dtype=bool)
     x, left, lstep, dlstep = odesolve._edge_transfers(p, roots, -p.a, p.a)
@@ -348,7 +354,6 @@ def _boundary_data(p, bc, levels):
         data = [(fa, fma, dfa, dfma)
                 for (fa, dfa), (fma, dfma) in zip(ends_plus[:count], ends_minus[:count])]
         out.append((float(np.max([apply_bc(bc, *d) for d in data] + list(jump[:count]))),
-                    float(np.max([_symmetry_defect(*d) for d in data])),
                     (ends_minus[:count], ends_plus[:count], next(joins) if count == 1 else None)))
     return out
 
@@ -372,9 +377,9 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     that holds three or more.  The intervals holding two levels are solved
     in one vectorized call, and those holding one in one more, to
     DEFAULT_RTOL (1 + |E|); the count gives each root its multiplicity.  A
-    root whose eigenfunctions miss the boundary relation, the join of their
-    two parts or the symmetry check by more than RESIDUAL_LIMIT (or by NaN)
-    is dropped with a warning.  These residuals come from the boundary data
+    root whose eigenfunctions miss the boundary relation or the join of
+    their two parts by more than RESIDUAL_LIMIT (or by NaN) is dropped with
+    a warning.  These residuals come from the boundary data
     of one more pass at the roots (module docstring); no dense eigenfunction
     is built until the result's ``eigenfunctions`` is read.
 
@@ -461,10 +466,9 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
 
     levels.sort()
     eigenvalues, degeneracies, residuals, end_data = [], [], [], []
-    for (root, count), (worst, symmetry, ends) in zip(levels, _boundary_data(p, bc, levels)):
-        if not (worst <= RESIDUAL_LIMIT and symmetry <= RESIDUAL_LIMIT):  # NaN fails too
-            log.warning("dropping candidate E = %g (boundary residual %.2e, "
-                        "symmetry defect %.2e)", root, worst, symmetry)
+    for (root, count), (worst, ends) in zip(levels, _boundary_data(p, bc, levels)):
+        if not worst <= RESIDUAL_LIMIT:  # NaN fails too
+            log.warning("dropping candidate E = %g (boundary residual %.2e)", root, worst)
             continue
         eigenvalues.append(root)
         degeneracies.append(count)

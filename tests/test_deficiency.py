@@ -177,6 +177,12 @@ def test_serialization_round_trip():
     assert np.array_equal(back.mat_B, np.diag(back.boundary_table[:, 0]))
 
 
+def test_change_of_basis_rejects_bases_of_different_potentials():
+    # the coefficients solved at a miss the data at -a by 21
+    with pytest.raises(InvariantViolation, match="inconsistent at x = -a"):
+        change_of_basis(solve_even_odd(P0), solve_orthonormal_pair(Potential.harmonic(25.0, 1.0)))
+
+
 @pytest.mark.parametrize("keys", [("mat_A", "mat_B"), ("mat_A",), ("mat_B",)])
 def test_from_json_rejects_matrices_that_contradict_the_table(keys):
     # A and B are read from the table, so copies that contradict it mark a corrupt file

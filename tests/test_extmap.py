@@ -148,9 +148,13 @@ def test_maps_of_a_stack_are_the_maps_of_its_matrices(p, tol):
             assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
+def sigma_min(m):
+    return np.linalg.svd(m, compute_uv=False)[..., -1]
+
+
 def inverse_system_sigma_min(basis, ucal):
     """The smallest singular value of m in the inverse-map system conj(U) m = rhs."""
-    return np.linalg.svd(extmap._inverse_system(basis, ucal.matrix)[0], compute_uv=False)[-1]
+    return sigma_min(extmap._inverse_system(basis, ucal.matrix)[0])
 
 
 def test_homogeneous_system_well_conditioned(basis):
@@ -158,6 +162,56 @@ def test_homogeneous_system_well_conditioned(basis):
     for _ in range(100):
         ucal = forward_map(basis, Unitary2.certify(haar_unitary(rng))).Ucal
         assert inverse_system_sigma_min(basis, ucal) > 1e-6
+
+
+# harmonic(25 / a^2) is harmonic(25) at a = 1
+BOUND_POTENTIALS = [Potential.harmonic(1e4, 1.0)] + [p for a in (1.0, 3.0, 8.0) for p in (
+    Potential.zero(a), Potential.harmonic(25.0, a), Potential.cosine(5.0, np.pi, a),
+    Potential.finite_well(-10.0, a / 2, a))] + [
+    Potential.harmonic(25.0 / a**2, a) for a in (3.0, 8.0)]
+
+
+def bound_id(p):
+    coefficient = f"{p.params['coefficient']:g}" if p.kind == "harmonic" else ""
+    return f"{p.kind}{coefficient}-a{p.a:g}"
+
+
+def even_bound(basis):
+    """2 / (max_j |e_j| + max_j |d_j|), e_j = g_j(a) + i g_j'(a) and
+    d_j = g_j(a) - i g_j'(a), with |e_j|^2 - |d_j|^2 = 2 (extmap docstring)."""
+    dg, g = basis.boundary_table[:, 0], basis.boundary_table[:, 1]
+    e, d = np.abs(g + 1j * dg), np.abs(g - 1j * dg)
+    np.testing.assert_allclose(e**2 - d**2, 2.0, rtol=1e-9)
+    return 2.0 / (e.max() + d.max())
+
+
+@pytest.mark.parametrize("p", BOUND_POTENTIALS, ids=bound_id)
+def test_v_and_vtilde_are_bounded_away_from_singular(p):
+    # the bound that lets forward_map solve V Ut = V~ without a singularity check
+    basis = solve_even_odd(p)
+    v, vt = build_V_Vtilde(basis, haar_unitary(np.random.default_rng(40), 500))
+    bound = even_bound(basis)
+    assert sigma_min(v).min() / bound >= 1.0 - 1e-6
+    assert sigma_min(vt).min() / bound >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("p", BOUND_POTENTIALS, ids=bound_id)
+def test_inverse_system_is_bounded_away_from_singular(p):
+    # the bound that makes inverse_map's solution unique for every unitary Ucal
+    basis = solve_even_odd(p)
+    ucal = Unitary2.certify(haar_unitary(np.random.default_rng(41), 500))
+    assert inverse_system_sigma_min(basis, ucal).min() / even_bound(basis) >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("p", BOUND_POTENTIALS, ids=bound_id)
+def test_general_endpoint_vectors_are_independent(p):
+    # the rows of [table; conj(table)] have boundary-form Gram diag(2i, 2i, -2i, -2i),
+    # so the endpoint vectors z_j(+) of forward_map_general obey sigma_min >= 2 / ||table||_2
+    table = solve_orthonormal_pair(p).boundary_table
+    g = table + haar_unitary(np.random.default_rng(42), 500) @ np.conj(table)
+    z_plus = np.stack([g[..., 0] - 1j * g[..., 1], g[..., 2] + 1j * g[..., 3]], axis=-2)
+    bound = 2.0 / np.linalg.norm(table, 2)
+    assert sigma_min(z_plus).min() / bound >= 1.0 - 1e-6
 
 
 def test_mode_errors():

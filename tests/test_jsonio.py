@@ -65,6 +65,12 @@ def test_dumps_rejects_values_json_cannot_hold():
         jsonio.dumps({"s": {1, 2}})
 
 
+def test_real_rejects_an_int_beyond_the_float_range():
+    assert jsonio._real(10 ** 300) == 1e300
+    with pytest.raises(ValueError, match="out of the float range"):
+        jsonio._real(10 ** 400)
+
+
 @pytest.mark.parametrize("entry", [True, "1", None, [1.0], [True, 0.0], [1.0, False], ["1", 0.0],
                                    [10 ** 400, 0.0]],
                          ids=["bool", "string", "null", "short", "bool-real", "bool-imag",

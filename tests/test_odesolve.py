@@ -129,6 +129,14 @@ def test_grid_error_on_mismatched_grids():
     w = odesolve.integrate(Potential.zero(2.0), 1.0, -2.0, 2.0, 1.0, 0.0)
     with pytest.raises(GridError):
         odesolve.l2_inner(u, w)
+    at_two = odesolve.integrate(P0, 2.0, -1.0, 1.0, 0.0, 1.0)  # u's grid, another lambda
+    with pytest.raises(GridError, match="lambdas"):
+        odesolve.combine([u, at_two], [1.0, 1.0])
+
+
+def test_propagate_rejects_a_two_dimensional_energy_array():
+    with pytest.raises(ValueError, match="scalar or a 1-D array"):
+        odesolve.propagate(P0, np.ones((2, 2)), -1.0, 1.0)
 
 
 def test_wronskian_constant_along_x():

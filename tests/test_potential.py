@@ -82,6 +82,8 @@ def test_piecewise_requires_full_cover():
 def test_rejects_nonpositive_half_width():
     with pytest.raises(PotentialError):
         Potential.zero(-1.0)
+    with pytest.raises(PotentialError, match="positive and finite"):
+        Potential.zero(np.inf)
 
 
 def piecewise_descriptor(*pieces):
@@ -107,6 +109,7 @@ def test_rejects_nonfinite_values():
         piecewise_descriptor({"interval": [-1.0, 1.0]}),
         piecewise_descriptor([-1.0, 1.0]),
         {"kind": "piecewise", "a": 1.0, "params": {"pieces": []}},
+        {"kind": "piecewise", "a": 1.0, "params": {"pieces": None}},  # not a TypeError
         {"kind": ["zero"], "a": 1.0},
         {"kind": "zero", "a": None},
         {"kind": "zero", "a": 1.0, "params": None},

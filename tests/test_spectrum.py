@@ -286,6 +286,18 @@ def test_doublet_below_a_split_point_that_splits_nothing():
     assert_matches(result, [(e, 1) for e in expected], rel=1e-8)
 
 
+def test_two_level_solve_probes_both_sides_of_its_root():
+    # automorphic K = exp(i phi), phi = 1e-7, splits the periodic double level
+    # pi^2 into (pi -+ phi / 2)^2, 3.1e-7 on either side of it.  The two-level
+    # solve lands between them, and only probes at the root tolerance see one
+    # level on each side: probes 1000 times wider see both on one side and
+    # report one double level
+    phi = 1e-7
+    result = find_eigenvalues(P0, bc_named("automorphic", K=np.exp(1j * phi)), e_max=12.0)
+    assert_matches(result, [((phi / 2) ** 2, 1), ((np.pi - phi / 2) ** 2, 1),
+                            ((np.pi + phi / 2) ** 2, 1)], rel=1e-10)
+
+
 def test_deeper_double_well_returns_its_levels_or_raises():
     # V = 12800 (x^2 - 1/4)^2: doublets split by 1.7e-5 and 3.0e-3.  propagate's
     # error control may fail near them; the spectrum must then raise, and never
@@ -632,6 +644,20 @@ def test_level_count_between_reference_levels(p, bc, e_max, levels):
     for rtol in (spectrum.SCAN_RTOL, odesolve.DEFAULT_RTOL):
         count = spectrum._bc_matrix(p, bc, np.array(probes), rtol)[2]
         assert list(count) == list(below)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: both surface states near -100 are located, at -100.0000027 "
+    "(1.9e-6 off) and -99.9999992, then dropped at boundary residuals 1.04e-6 and "
+    "2.55e-6"))
+def test_default_arguments_keep_close_robin_surface_states(caplog):
+    # V = 0, Robin(10, -10): E = -k^2 with k tanh k = 10 and k coth k = 10,
+    # 1.65e-6 apart (brentq to 1e-15), and one level below e_max
+    with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
+        result = find_eigenvalues(P0, bc_named("robin", alpha=10.0, gamma=-10.0), e_max=5.0)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+    assert_matches(result, [(-100.0000008244614, 1), (-99.99999917553848, 1)]
+                   + [(e, m) for e, m in robin_levels(10.0, -10.0) if e < 5.0], rel=1e-9)
 
 
 def test_eigenphase_rounded_below_two_pi_counts_as_zero():
