@@ -49,6 +49,16 @@ dS/dlam take the Richardson step at the levels the error control of the
 piece's prefix products picks.  For an even V its pass from -b too steps
 only [0, b] and mirrors the blocks.
 
+The energy-independent part of this work is done once per potential and
+span.  The span's step plan, kept on the Potential, holds the pieces and
+grids of _segment_grid, min V on each piece's grid, and per step level
+the Gauss samples of every step: h, qbar + lam and d, made on the
+level's first use.  Its arrays are read-only, and it holds nothing that
+depends on energy or on earlier calls: propagate, _edge_transfers and
+fundamental_solutions choose their step levels afresh in every call, so
+a result has the same bits whatever ran before it.  Both levels of a
+Richardson pair come from one step evaluation (_interval_transfers).
+
 Every solution of the same potential over the same span shares the grid,
 which makes pointwise linear combinations and quadrature between
 solutions well defined.  Each piece has a multiple of 4 grid intervals, so
@@ -70,12 +80,14 @@ DEFAULT_RTOL = 1e-10
 
 MAX_HALVINGS = 8      # finest step: 2**8 per grid interval; finer raises IntegrationError
 ENERGY_BLOCK = 32     # energies per batch of propagate and fundamental_solutions
-STEP_CHUNK = 4096     # Magnus steps generated per batch and energy
+STEP_CHUNK = 4096     # Magnus steps of the finest level evaluated per batch and energy
 
 _INTERVALS_PER_HALFWIDTH = 512  # dense spacing target a/512, well under the a/128 contract
 _MIN_SEGMENT_INTERVALS = 8
 _MAX_COARSENINGS = 3  # propagate's first steps span up to 2**3 grid intervals (a/64)
 _EDGE_ROUNDS = 4  # _edge_transfers reports T every 2**4 grid intervals (a/32)
+_MUL_SPLIT_BYTES = 1 << 16  # _mul forms larger products one entry at a time
+_MAX_PLANS = 8  # spans whose step plan a Potential keeps; more start the store afresh
 _INTERVAL_MULTIPLE = 4  # quadrature halves a piece's Simpson panels once
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # two-point Gauss nodes sit at x_m -+ this times h
 
@@ -159,6 +171,41 @@ def _segment_grid(p, x0, x1):
     return pieces
 
 
+class _Piece:
+    """One piece of a step plan: its vectorized V, its grid, min V on the
+    grid and, per step level, the Gauss samples of _gauss_samples, made on
+    first use.  Every array is read-only, and nothing depends on energy."""
+
+    def __init__(self, vfun, grid):
+        self.vfun, self.grid = vfun, np.array(grid, dtype=float)
+        self.grid.setflags(write=False)
+        self.v_min = float(np.min(vfun(self.grid)))
+        self._levels = {}
+
+    def samples(self, level):
+        """(h, qbar + lam, d) of every step at this level (_gauss_samples)."""
+        out = self._levels.get(level)
+        if out is None:
+            out = self._levels[level] = _gauss_samples(self.vfun, self.grid, level)
+        return out
+
+
+def _step_plan(p, x0, x1):
+    """The step plan of the span from x0 to x1: a _Piece per piece of
+    _segment_grid, in integration order.  It is made on the first call for
+    the span and kept on p, which holds the plans of at most _MAX_PLANS
+    spans; -0.0 and 0.0 are different ends, as their grids differ."""
+    key = (float(x0).hex(), float(x1).hex())
+    plans = p._plans
+    plan = plans.get(key)
+    if plan is None:
+        plan = tuple(_Piece(vfun, grid) for _, _, vfun, grid in _segment_grid(p, x0, x1))
+        if len(plans) >= _MAX_PLANS:
+            plans.clear()
+        plans[key] = plan
+    return plan
+
+
 def _cosh_sinhc(z):
     """cosh(sqrt z) - 1 and sinh(sqrt z)/sqrt z, entire in z and real for real z.
 
@@ -168,11 +215,16 @@ def _cosh_sinhc(z):
     if np.iscomplexobj(z):
         s = np.sqrt(z)
         sh, ch, sign = np.sinh(0.5 * s), np.cosh(0.5 * s), 1.0
-    else:  # real sqrt: sinh and cosh where z > 0, sin and cos elsewhere
+    else:  # real sqrt: sinh and cosh only where z > 0, sin and cos only elsewhere
         grows = z > 0
+        shrinks = ~grows
         s = np.sqrt(np.abs(z))
-        sh = np.where(grows, np.sinh(0.5 * s), np.sin(0.5 * s))
-        ch = np.where(grows, np.cosh(0.5 * s), np.cos(0.5 * s))
+        half = 0.5 * s
+        sh, ch = np.empty_like(s), np.empty_like(s)
+        np.sinh(half, out=sh, where=grows)
+        np.cosh(half, out=ch, where=grows)
+        np.sin(half, out=sh, where=shrinks)
+        np.cos(half, out=ch, where=shrinks)
         sign = np.where(grows, 1.0, -1.0)
     nonzero = s != 0
     sinhc = np.where(nonzero, 2.0 * sh * ch / np.where(nonzero, s, 1.0), 1.0)
@@ -202,13 +254,23 @@ def _mul(left, right):
     as their deviation from the identity, in arrays of shape (2, 2, ...).
 
     Keeping I implicit means the many near-identity Magnus steps of a piece
-    multiply without rounding their small deviations against 1.
+    multiply without rounding their small deviations against 1.  The sum
+    is (L0 R0 + L1 R1) + (L + R), L0 R0 the products with column 0 of L.
+    Where one entry of the product takes _MUL_SPLIT_BYTES or more, it is
+    formed one entry at a time, so that no temporary holds more than one
+    entry: full-size temporaries of that size made a complex block of
+    energies over a piece three times slower than four separate entries.
     """
-    lr = left[:, :1] * right[:1]
-    lr += left[:, 1:] * right[1:]
-    out = left + right
-    out += lr
+    out = np.multiply(left[:, :1], right[:1])
+    for i, j in _ENTRIES if out[0, 0].nbytes >= _MUL_SPLIT_BYTES else _WHOLE:
+        part = out[i, j]
+        part += left[i, 1:] * right[1:, j]
+        part += left[i, j] + right[i, j]
     return out
+
+
+_WHOLE = ((slice(None), slice(None)),)
+_ENTRIES = tuple((slice(i, i + 1), slice(j, j + 1)) for i in (0, 1) for j in (0, 1))
 
 
 def _mul_dual(left, right):
@@ -262,36 +324,46 @@ def _gauss_samples(vfun, grid, halvings):
     """Step length h and the energy-independent parts of every Magnus step at
     level k = halvings, 2**k steps per grid interval (for k < 0, one step per
     2**-k intervals): qbar + lam = (V1 + V2)/2 and d, from V at the two Gauss
-    points, in chunks of at most STEP_CHUNK steps."""
+    points, sampled in one call, as read-only arrays."""
     n = round((len(grid) - 1) * 2.0 ** halvings)
     h = (grid[-1] - grid[0]) / n
-    chunks = []
-    for j0 in range(0, n, STEP_CHUNK):
-        mid = grid[0] + (np.arange(j0, min(n, j0 + STEP_CHUNK)) + 0.5) * h
-        v1, v2 = vfun(mid - _GAUSS_OFFSET * h), vfun(mid + _GAUSS_OFFSET * h)
-        chunks.append((0.5 * (v1 + v2), (np.sqrt(3.0) / 12.0 * h * h) * (v1 - v2)))
-    return h, chunks
+    mid = grid[0] + (np.arange(n) + 0.5) * h
+    v1, v2 = vfun(mid + np.array([[-_GAUSS_OFFSET], [_GAUSS_OFFSET]]) * h)
+    out = 0.5 * (v1 + v2), (np.sqrt(3.0) / 12.0 * h * h) * (v1 - v2)
+    for m in out:
+        m.setflags(write=False)
+    return (h, *out)
 
 
-def _interval_transfers(vfun, lams, grid, halvings, samples, dual=False):
-    """Transfer matrices of every grid interval, each covered by 2**k Magnus
-    steps, or for k < 0 of every step spanning 2**-k intervals.
+def _interval_transfers(piece, lams, levels, dual=False):
+    """Transfer matrices over one piece at consecutive step levels, levels =
+    (k,) or the Richardson pair (k, k + 1), from one step evaluation.
 
-    lams is a 1-D array of spectral parameters and k = halvings; returns
-    their deviations T - I from the identity as one array of shape
-    (2, 2, len(lams), len(grid) - 1), or (2, 2, len(lams), (len(grid) - 1) * 2**k)
-    for k < 0.  With dual, the array gains a leading axis of size 2 that
-    holds T - I and dT/dlam.  Steps are generated STEP_CHUNK at a time, a
-    multiple of 2**k for k <= MAX_HALVINGS, so memory stays flat as h
-    shrinks and every chunk holds whole intervals.  samples, a dict keyed
-    by k, keeps the sampled potential between calls on the same piece, so V
-    is sampled once per level however many energy blocks pass through it.
+    lams is a 1-D array of spectral parameters.  Returns the deviations
+    T - I from the identity as one array of shape
+    (2, 2, len(levels), len(lams), m), with the levels stacked: at level k
+    the transfers of every grid interval, each covered by 2**k Magnus steps,
+    or for k < 0 of every step, each spanning 2**-k intervals.  The steps of
+    every level are evaluated together, in one _cosh_sinhc pass; one
+    pairwise round of its own steps brings level k + 1 to level k's m, and
+    one _blocks tree then multiplies both.  With dual, the array gains a
+    leading axis of size 2 that holds T - I and dT/dlam.  The Gauss samples
+    come from the piece's step plan (_Piece.samples).  Steps are evaluated
+    STEP_CHUNK of the finest level at a time, with the coarser level's over
+    the same intervals, so transient memory stays flat as h shrinks and
+    every chunk holds whole intervals.
     """
-    if halvings not in samples:
-        samples[halvings] = _gauss_samples(vfun, grid, halvings)
-    h, chunks = samples[halvings]
+    top, mul = levels[-1], _mul_dual if dual else _mul
+    samples = [piece.samples(k) for k in levels]
+    size = len(samples[-1][1])  # steps of the finest level
     parts = []
-    for vbar, d in chunks:
+    for j0 in range(0, size, STEP_CHUNK):
+        # the steps of every level over the grid intervals of this chunk
+        cuts = [slice(j0 >> (top - k), min(size, j0 + STEP_CHUNK) >> (top - k)) for k in levels]
+        counts = [cut.stop - cut.start for cut in cuts]
+        vbar = np.concatenate([v[cut] for (_, v, _), cut in zip(samples, cuts)])
+        d = np.concatenate([dk[cut] for (_, _, dk), cut in zip(samples, cuts)])
+        h = np.repeat([hk for hk, _, _ in samples], counts)
         h_qbar = h * (vbar - lams[:, None])
         z = d * d + h * h_qbar
         cm1, sc = _cosh_sinhc(z)
@@ -311,11 +383,14 @@ def _interval_transfers(vfun, lams, grid, halvings, samples, dual=False):
             dsteps[1, 0] = dsc * h_qbar - sc * h
             np.subtract(dcm1, dsd, out=dsteps[1, 1])
             steps = np.stack([steps, dsteps])
-        parts.append(_blocks(steps, max(halvings, 0), _mul_dual if dual else _mul))
+        ends = np.cumsum(counts).tolist()
+        stacked = np.stack([_blocks(steps[..., end - count:end], i, mul)
+                            for i, (count, end) in enumerate(zip(counts, ends))], axis=-3)
+        parts.append(_blocks(stacked, max(levels[0], 0), mul))
     return np.concatenate(parts, axis=-1)
 
 
-def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None, dual=False):
+def _piece_prefix(piece, lams, rounds, rtol, start=0, x_start=None, dual=False):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
     grid intervals, as deviations T - I from the identity in one array of
     shape (2, 2, number of blocks, len(lams)), and the level to start the
@@ -326,15 +401,14 @@ def _piece_prefix(vfun, grid, lams, rounds, samples, rtol, start=0, x_start=None
     Richardson step at the levels their error estimate picks.  Errors carry
     x_start, by default the grid's first point."""
     def edges(levels, sel):
-        blocks = np.stack([_blocks(_interval_transfers(vfun, sel, grid, k, samples, dual),
-                                   rounds + min(k, 0), _mul_dual if dual else _mul)
-                           for k in levels], axis=-3)  # ([2,] 2, 2, level, energy, block)
+        blocks = _blocks(_interval_transfers(piece, sel, levels, dual), rounds + min(levels[0], 0),
+                         _mul_dual if dual else _mul)  # ([2,] 2, 2, level, energy, block)
         prefix = np.concatenate([_prefix(blocks[0])[None], blocks]) if dual else _prefix(blocks)
         n = prefix.ndim  # to (level, [3,] 2, 2, block, energy)
         prefix = prefix.transpose(n - 3, *range(n - 3), n - 1, n - 2)
         return prefix.reshape(len(levels), -1, len(sel))
 
-    x_start = float(grid[0]) if x_start is None else x_start
+    x_start = float(piece.grid[0]) if x_start is None else x_start
     coarse, fine = edges((start, start + 1), lams)
     t_rows = len(fine) // 3 if dual else len(fine)  # the rows of the prefix products
     level = np.full(len(lams), start)  # of each energy's coarser steps
@@ -385,8 +459,9 @@ def fundamental_solutions(p, lam, x0, x1):
     lam is a scalar, giving the pair (u1, u2), or a 1-D array, giving a
     list of one such pair per entry; every solution shares one grid.
     Energies are processed ENERGY_BLOCK at a time, so the transient memory
-    does not grow with their number, and V is sampled once per piece and
-    step level.  Each block runs at DEFAULT_RTOL from k = 0 (module docstring).
+    does not grow with their number.  Each block runs at DEFAULT_RTOL from
+    k = 0 (module docstring), on the span's step plan, which samples V once
+    per piece and step level over all calls.
 
     Args:
         p: the Potential (both endpoints must lie in [-a, a]).
@@ -405,12 +480,11 @@ def fundamental_solutions(p, lam, x0, x1):
     if x0 == x1:
         raise ValueError("x0 and x1 must differ")
     lams = _spectral_array(lam)
-    pieces = _segment_grid(p, x0, x1)
-    samples = [{} for _ in pieces]
-    skips = [0] + [1] * (len(pieces) - 1)  # junction points already recorded
-    x = np.concatenate([grid[skip:] for (_, _, _, grid), skip in zip(pieces, skips)])
+    plan = _step_plan(p, x0, x1)
+    skips = [0] + [1] * (len(plan) - 1)  # junction points already recorded
+    x = np.concatenate([piece.grid[skip:] for piece, skip in zip(plan, skips)])
     x.setflags(write=False)
-    seg_starts = tuple(np.cumsum([0] + [len(grid) - 1 for _, _, _, grid in pieces[:-1]]).tolist())
+    seg_starts = tuple(np.cumsum([0] + [len(piece.grid) - 1 for piece in plan[:-1]]).tolist())
 
     pairs = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,13 +493,13 @@ def fundamental_solutions(p, lam, x0, x1):
             # rows f, f'; column k: u_k at the piece start, for every energy
             y = np.broadcast_to(np.eye(2, dtype=complex), (len(block), 2, 2))
             ys = []
-            for (_, _, vfun, grid), cache, skip in zip(pieces, samples, skips):
-                prefix, _ = _piece_prefix(vfun, grid, block, 0, cache, DEFAULT_RTOL)
+            for piece, skip in zip(plan, skips):
+                prefix, _ = _piece_prefix(piece, block, 0, DEFAULT_RTOL)
                 t = _plus_identity(prefix)[..., None]  # T at the piece's grid points
-                piece = np.concatenate([y[None], np.moveaxis(t[:, 0] * y[:, 0] + t[:, 1] * y[:, 1],
-                                                             0, 2)])
-                ys.append(piece[skip:])
-                y = piece[-1]
+                path = np.concatenate([y[None], np.moveaxis(t[:, 0] * y[:, 0] + t[:, 1] * y[:, 1],
+                                                            0, 2)])
+                ys.append(path[skip:])
+                y = path[-1]
             y = np.moveaxis(np.concatenate(ys), 0, -1).copy()  # energy, row, k, sample
             y.setflags(write=False)
             pairs += [tuple(OdeSolution(complex(e), x, y[j, 0, k], y[j, 1, k], seg_starts)
@@ -453,9 +527,13 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     intervals: the first block of energies starts each piece with steps of
     up to 2**_MAX_COARSENINGS intervals that turn the phase of a solution
     by less than pi/4, and each later block at the level the error
-    estimates of the one before point to (module docstring); nothing
-    carries over between calls.  V is sampled once per piece and step
-    level.
+    estimates of the one before point to (module docstring).  The step
+    level carries over between blocks of one call, never between calls:
+    each call chooses it afresh.  What does carry over is the span's step
+    plan, kept on p: its grids, min V per piece and the Gauss samples of
+    each level used so far, so V is sampled once per piece and step level
+    over all calls, and a later call pays only for the energy-dependent
+    work.
 
     For an even V on a span symmetric about 0, x1 = -x0 = +-b, only [0, b]
     is integrated.  The columns of its T+ are the even solution phi_e and
@@ -515,20 +593,19 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
     (n, 2, 2) transfer matrices and, per energy, the zeros in (x0, x1) of
     the solutions in the counted columns of T.  Errors on a piece carry
     entry(grid) of its grid."""
-    pieces = _segment_grid(p, x0, x1)
-    samples = [{} for _ in pieces]
-    v_min = [np.min(vfun(grid)) for _, _, vfun, grid in pieces]
-    warm = [-_MAX_COARSENINGS] * len(pieces)  # per piece, the level the next block starts at
+    plan = _step_plan(p, x0, x1)
+    warm = [-_MAX_COARSENINGS] * len(plan)  # per piece, the level the next block starts at
     out = np.empty((len(lams), 2, 2), dtype=complex)
     zeros = np.zeros(len(lams), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
             t = np.zeros((2, 2, len(block)))  # deviation from the identity
-            for i, ((_, _, vfun, grid), cache, low) in enumerate(zip(pieces, samples, v_min)):
+            for i, piece in enumerate(plan):
+                grid = piece.grid
                 # zeros lie >= pi / sqrt(max(E - V)) apart (Sturm comparison), so a block
                 # with h_block sqrt(E - min V) < pi/2 holds at most one; 2 covers V between samples
-                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block.real) - low))
+                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block.real) - piece.v_min))
                 if hk >= 0.5 * np.pi:
                     raise IntegrationError(f"grid too coarse to count zeros at E = "
                                            f"{np.max(block.real):g}", x_fail=entry(grid))
@@ -536,7 +613,7 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
                 rounds = min(full, int(np.ceil(np.log2(0.5 * np.pi / hk))) - 1) if hk else full
                 # a first step turns the phase by less than pi/4, half a block's pi/2,
                 # so no step straddles two blocks
-                prefix, warm[i] = _piece_prefix(vfun, grid, block, rounds, cache, rtol,
+                prefix, warm[i] = _piece_prefix(piece, block, rounds, rtol,
                                                 max(warm[i], _first_level(grid, hk)), entry(grid))
                 # rows f and f' of the counted columns of T at the piece start
                 u0, du0 = _plus_identity(t)[:, counted]
@@ -585,23 +662,21 @@ def _edge_steps(p, lams, x0, x1):
     S - I and dS/dlam as arrays of shape (2, 2, len(lams), number of blocks).
     Each piece starts at the coarsest level propagate's first block would,
     and the steps shrink until the prefix products pass at DEFAULT_RTOL."""
-    pieces = _segment_grid(p, x0, x1)
+    plan = _step_plan(p, x0, x1)
     rounds = []
-    for _, _, _, grid in pieces:  # blocks of the largest power of two that divides n
-        n = len(grid) - 1
+    for piece in plan:  # blocks of the largest power of two that divides n
+        n = len(piece.grid) - 1
         rounds.append(min(_EDGE_ROUNDS, (n & -n).bit_length() - 1))
-    x = np.concatenate([[x0]] + [grid[1 << r::1 << r]
-                                 for (_, _, _, grid), r in zip(pieces, rounds)])
-    samples = [{} for _ in pieces]
-    v_min = [np.min(vfun(grid)) for _, _, vfun, grid in pieces]
+    x = np.concatenate([[x0]] + [piece.grid[1 << r::1 << r] for piece, r in zip(plan, rounds)])
     out = np.empty((2, 2, 2, len(lams), len(x) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
             steps = []
-            for (_, _, vfun, grid), cache, low, r in zip(pieces, samples, v_min, rounds):
-                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block) - low))
-                steps.append(_piece_prefix(vfun, grid, block, r, cache, DEFAULT_RTOL,
+            for piece, r in zip(plan, rounds):
+                grid = piece.grid
+                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block) - piece.v_min))
+                steps.append(_piece_prefix(piece, block, r, DEFAULT_RTOL,
                                            _first_level(grid, hk), dual=True)[0])
             out[..., start:start + len(block), :] = np.concatenate(steps, axis=-2).swapaxes(-1, -2)
     return x, out[0], out[1]

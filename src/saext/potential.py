@@ -111,6 +111,9 @@ class Potential:
     Construct through the factory classmethods (``Potential.zero`` etc.)
     or ``from_json``; instances are immutable and safe to share.
     Construction raises ``PotentialError`` for a malformed descriptor.
+    Each instance also keeps the integrator's step plans, one per span
+    (``odesolve._step_plan``): a cache of energy-independent arrays that
+    equality, repr and to_json do not read and that changes no result.
     """
 
     kind: str
@@ -118,6 +121,7 @@ class Potential:
     params: dict = field(default_factory=dict)
     _pieces: tuple = field(init=False, repr=False, compare=False)
     _even: bool = field(init=False, repr=False, compare=False)
+    _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
@@ -142,6 +146,7 @@ class Potential:
             raise PotentialError("pieces must cover the interval up to x = a")
         object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_even", self._even_at_nodes())
+        object.__setattr__(self, "_plans", {})
 
     # -- factories ------------------------------------------------------------
 

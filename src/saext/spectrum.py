@@ -114,7 +114,8 @@ def _bc_matrix(p, bc, energy, rtol):
     the largest boundary magnitude of u_k and at least 1, so nothing
     overflows for deep wells or large |E|; S and W do not change, and the
     unscaled |det M| is |det| of the returned M times exp(log_s), with
-    log_s = sum_k log s_k."""
+    log_s = sum_k log s_k.  The eigenphases of W, S and Ucal come from one
+    eigvals call over the three stacked."""
     transfer, zeros = odesolve.propagate(p, energy, -p.a, p.a, rtol)
     ua, dua = transfer[..., 0, :], transfer[..., 1, :]  # column k: u_k(a), u_k'(a)
     uma, duma = np.eye(2)                               # u_k(-a), u_k'(-a)
@@ -123,12 +124,15 @@ def _bc_matrix(p, bc, energy, rtol):
     plus = np.stack(np.broadcast_arrays(dua + 1j * ua, duma - 1j * uma), axis=-2) / s
     ucal = bc.Ucal.matrix
     s_matrix = minus @ np.linalg.inv(plus)
-    t = _eigenphases(ucal.conj().T @ s_matrix)
+    w = ucal.conj().T @ s_matrix
+    phases = _eigenphases(np.concatenate([w.reshape(-1, 2, 2), s_matrix.reshape(-1, 2, 2),
+                                          ucal[None]]))
+    t, s_phases = phases[:-1].reshape(2, *w.shape[:-1])  # those of W and of S
     # an eigenphase of Ucal within 1e-12 below 2 pi is a rounded 0: its level
     # would lie below about -1e24, where no transfer matrix is finite
-    k = _eigenphases(ucal)
+    k = phases[-1]
     k_sum = k[k < 2 * np.pi - 1e-12].sum()
-    turns = (t.sum(axis=-1) - _eigenphases(s_matrix).sum(axis=-1) + k_sum) / (2 * np.pi)
+    turns = (t.sum(axis=-1) - s_phases.sum(axis=-1) + k_sum) / (2 * np.pi)
     return (minus - ucal @ plus, t, zeros + np.rint(turns).astype(int),
             np.log(s).sum(axis=-1)[..., 0])
 

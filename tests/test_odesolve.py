@@ -3,6 +3,8 @@ Magnus stepper against the solve_ivp reference."""
 
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -343,6 +345,97 @@ def test_propagate_keeps_no_state_between_calls():
         assert np.array_equal(t, first_t) and np.array_equal(zeros, first_zeros)
 
 
+def _tilted():
+    return Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", [lambda: Potential.harmonic(25.0, 1.0), _tilted],
+                         ids=["even", "tilted"])
+def test_step_plan_keeps_no_call_history(make):
+    # the step plan a Potential keeps holds nothing that depends on energy or
+    # on earlier calls: after other energies, both rtols, both directions, the
+    # dual pass and the dense pass, every result has the bits of a fresh, equal
+    # potential's
+    used = make()
+    before = (repr(used), used.to_json())
+    for lams in (np.linspace(-30.0, 400.0, 40), np.array([1e3, 5e3]), np.array([1j, 2.0 + 3.0j])):
+        for rtol in (1e-7, odesolve.DEFAULT_RTOL):
+            for x0 in (-1.0, 1.0):
+                odesolve.propagate(used, lams, x0, -x0, rtol)
+    for x0 in (-1.0, 1.0):
+        odesolve._edge_transfers(used, np.array([-7.0, 150.0]), x0, -x0)
+        odesolve.fundamental_solutions(used, np.array([2.0, 1j]), x0, -x0)
+    odesolve.fundamental_solutions(used, 2.0, -1.0, -0.0)  # its grid ends at -0.0
+
+    energies = np.array([-7.0, 2.0, 17.3, 150.0])
+    for x0 in (-1.0, 1.0):
+        for rtol in (1e-7, odesolve.DEFAULT_RTOL):
+            got, want = (odesolve.propagate(q, energies, x0, -x0, rtol) for q in (used, make()))
+            assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        got, want = (odesolve._edge_transfers(q, energies, x0, -x0) for q in (used, make()))
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    got, want = (odesolve.fundamental_solutions(q, 2.0, -1.0, 0.0)[0] for q in (used, make()))
+    assert _same_bits(got.x, want.x) and _same_bits(got.f, want.f)
+
+    pieces = [piece for plan in used._plans.values() for piece in plan]
+    assert pieces and all(not piece.grid.flags.writeable for piece in pieces)
+    samples = [m for piece in pieces for _, *arrays in piece._levels.values() for m in arrays]
+    assert len(samples) >= 8 and not any(m.flags.writeable for m in samples)
+    assert used == make() and (repr(used), used.to_json()) == before
+
+
+def test_step_plan_shared_between_threads(monkeypatch):
+    # threads that share a potential may build one span's plan or level at
+    # once, and with room for only 2 plans, spans push each other out; each
+    # build is equal, so every result keeps the bits of a fresh potential's
+    monkeypatch.setattr(odesolve, "_MAX_PLANS", 2)
+    jobs = [(lams, x0, x1) for lams in (np.array([2.0, 40.0]), np.array([-7.0, 150.0]), 1j)
+            for x0, x1 in ((-1.0, 1.0), (1.0, -1.0), (0.0, 1.0))]
+    want = [odesolve.propagate(_tilted(), *job) for job in jobs]
+    shared, got = _tilted(), [[] for _ in jobs]
+
+    def work(i):
+        for _ in range(20):
+            got[i].append(odesolve.propagate(shared, *jobs[i]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    for results, (want_t, want_zeros) in zip(got, want):
+        assert len(results) == 20
+        for t, zeros in results:
+            assert _same_bits(np.asarray(t), np.asarray(want_t))
+            assert np.array_equal(zeros, want_zeros)
+
+
+@pytest.mark.parametrize("k", [-3, 0, odesolve.MAX_HALVINGS - 1])
+@pytest.mark.parametrize("lams", [np.array([-20.0, 3.0, 150.0]), np.array([1j, 2.0 - 1.0j])],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+def test_two_level_step_evaluation_matches_one_level_calls(k, lams, dual):
+    # at k = MAX_HALVINGS - 1 both levels run over many STEP_CHUNKs of steps
+    piece = odesolve._step_plan(Potential.harmonic(25.0, 1.0), -1.0, 1.0)[0]
+    pair = odesolve._interval_transfers(piece, lams, (k, k + 1), dual)
+    coarse, fine = (odesolve._interval_transfers(piece, lams, (j,), dual) for j in (k, k + 1))
+    if k < 0:  # steps of level k + 1, paired into steps of level k
+        fine = odesolve._blocks(fine, 1, odesolve._mul_dual if dual else odesolve._mul)
+    if k == odesolve.MAX_HALVINGS - 1:
+        assert (len(piece.grid) - 1) << (k + 1) >= 8 * odesolve.STEP_CHUNK
+    assert _same_bits(pair[..., :1, :, :], coarse) and _same_bits(pair[..., 1:, :, :], fine)
+
+
 def test_scalar_lam_returns_one_matrix():
     assert odesolve.propagate(P0, 1.0, -1.0, 1.0)[0].shape == (2, 2)
     assert odesolve.propagate(P0, 1j, -1.0, 1.0)[0].shape == (2, 2)
@@ -359,11 +452,13 @@ def _four_entry_mul(left, right):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_stacked_mul_matches_four_entry_formula_bitwise(dtype):
-    # half the real and imaginary parts are +-0.0; tobytes tells -0.0 from 0.0
+    # half the real and imaginary parts are +-0.0; tobytes tells -0.0 from 0.0.
+    # A product entry of 32 x 512 floats is past _MUL_SPLIT_BYTES, so that
+    # product is formed one entry at a time
     rng = np.random.default_rng(3)
 
-    def draw():
-        m = np.zeros((2, 2, 16, 16), dtype)
+    def draw(shape):
+        m = np.zeros((2, 2, *shape), dtype)
         for part in (m.real, m.imag) if dtype is complex else (m,):
             x = rng.standard_normal(m.shape) * 10.0 ** rng.integers(-12, 3, m.shape)
             zero = rng.random(m.shape) < 0.5
@@ -371,10 +466,12 @@ def test_stacked_mul_matches_four_entry_formula_bitwise(dtype):
             part[...] = x
         return m
 
-    left, right = draw(), draw()
-    got, want = odesolve._mul(left, right), _four_entry_mul(left, right)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert any(np.any(np.signbit(x) & (x == 0.0)) for x in (got.real, got.imag))
+    for shape in ((16, 16), (32, 512)):
+        assert (np.prod(shape) * 8 >= odesolve._MUL_SPLIT_BYTES) == (shape == (32, 512))
+        left, right = draw(shape), draw(shape)
+        got, want = odesolve._mul(left, right), _four_entry_mul(left, right)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert any(np.any(np.signbit(x) & (x == 0.0)) for x in (got.real, got.imag))
 
 
 def test_tree_products_match_matmul():
@@ -404,10 +501,11 @@ def test_tree_products_match_matmul():
 def test_observed_order_is_four():
     # a coarse 32-interval grid keeps both errors far above roundoff
     p = Potential.harmonic(25.0, 1.0)
-    vfun, grid, lams = p.piece_callable(-1.0, 1.0), np.linspace(-1.0, 1.0, 33), np.array([10.0])
+    piece = odesolve._Piece(p.piece_callable(-1.0, 1.0), np.linspace(-1.0, 1.0, 33))
+    lams = np.array([10.0])
 
     def transfer(halvings):
-        steps = odesolve._interval_transfers(vfun, lams, grid, halvings, {})
+        steps = odesolve._interval_transfers(piece, lams, (halvings,))[:, :, 0]
         return odesolve._blocks(steps, 5)  # the product over all 32 intervals
 
     fine, finer = transfer(6), transfer(7)

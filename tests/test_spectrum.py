@@ -1,5 +1,6 @@
 """Boundary-determinant spectra against closed-form and discretization oracles."""
 
+import collections
 import logging
 import os
 import subprocess
@@ -429,6 +430,75 @@ def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
     assert starts == []
     result.eigenfunctions
     assert starts == [-p.a, p.a][:calls]
+
+
+@pytest.mark.parametrize("p, bc", [
+    (TILTED, bc_named("general-coupled", alpha=1.0, beta=0.5 + 0.5j, gamma=-2.0)),
+    (Potential.harmonic(25.0, 1.0), bc_named("periodic")),
+], ids=["tilted-general-coupled", "even-half-pass"])
+def test_find_eigenvalues_samples_every_point_of_v_once(monkeypatch, p, bc):
+    # V is sampled once per piece, span and step level: each propagate call
+    # after the first reads the step plan the potential keeps, so no array of
+    # points reaches the same piece's V twice.  e_min is given, since the
+    # default floor's sup_norm samples 513 points per piece, which on a
+    # piece as long as a are that piece's grid
+    seen = collections.Counter()
+    piece_callable = Potential.piece_callable
+
+    def counted(self, lo, hi):
+        vfun = piece_callable(self, lo, hi)
+
+        def sampled(x):
+            seen[id(vfun), np.asarray(x).tobytes()] += 1
+            return vfun(x)
+        return sampled
+
+    monkeypatch.setattr(Potential, "piece_callable", counted)
+    fresh = Potential.from_json(p.to_json())
+    result = find_eigenvalues(fresh, bc, e_min=-20.0, e_max=40.0)
+    assert len(result.eigenvalues) >= 3 and len(seen) >= 4
+    assert max(seen.values()) == 1
+
+
+def _phases_and_count_by_three_solves(p, bc, energy, rtol):
+    """t and N(E) with one eigvals call each for W, S and Ucal, the way
+    _bc_matrix found them before its one stacked solve."""
+    transfer, zeros = odesolve.propagate(p, energy, -p.a, p.a, rtol)
+    ua, dua = transfer[..., 0, :], transfer[..., 1, :]
+    uma, duma = np.eye(2)
+    s = np.maximum(np.maximum(np.abs(ua), np.abs(dua)), 1.0)[..., None, :]
+    minus = np.stack(np.broadcast_arrays(dua - 1j * ua, duma + 1j * uma), axis=-2) / s
+    plus = np.stack(np.broadcast_arrays(dua + 1j * ua, duma - 1j * uma), axis=-2) / s
+    ucal = bc.Ucal.matrix
+    s_matrix = minus @ np.linalg.inv(plus)
+
+    def phases(w):
+        return np.angle(np.linalg.eigvals(w)) % (2 * np.pi)
+    t, k = phases(ucal.conj().T @ s_matrix), phases(ucal)
+    turns = (t.sum(axis=-1) - phases(s_matrix).sum(axis=-1)
+             + k[k < 2 * np.pi - 1e-12].sum()) / (2 * np.pi)
+    return t, zeros + np.rint(turns).astype(int)
+
+
+@pytest.mark.parametrize("bc", [
+    bc_named("periodic"),
+    # its first eigenphase rounds to 2 pi - 8.9e-16, a 0 that k_sum leaves out
+    classify(Unitary2.certify(np.diag([np.exp(-1e-15j), np.exp(2j)]))),
+], ids=["periodic", "phase-below-two-pi"])
+def test_stacked_eigen_solve_matches_three_solves(bc):
+    # the stack runs through the double levels pi^2 and 4 pi^2 of the
+    # periodic box, where two eigenphases of W cross 0 at once
+    energies = np.r_[np.linspace(-5.0, 45.0, 41), np.pi ** 2, 4 * np.pi ** 2]
+    for energy, rtol in ((energies, spectrum.SCAN_RTOL), (energies, odesolve.DEFAULT_RTOL),
+                         (np.pi ** 2, odesolve.DEFAULT_RTOL)):
+        _, t, count, _ = spectrum._bc_matrix(P0, bc, energy, rtol)
+        want_t, want_count = _phases_and_count_by_three_solves(P0, bc, energy, rtol)
+        assert t.tobytes() == want_t.tobytes() and t.shape == want_t.shape
+        assert np.array_equal(count, want_count)
+    if bc.name == "periodic":
+        assert 2 in np.diff(spectrum._bc_matrix(P0, bc, energies[:41], spectrum.SCAN_RTOL)[2])
+    else:
+        assert np.angle(bc.Ucal.matrix[0, 0]) % (2 * np.pi) > 2 * np.pi - 1e-12
 
 
 def test_solve_evaluates_all_bracket_ends_in_one_call(monkeypatch):
