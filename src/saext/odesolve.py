@@ -51,12 +51,15 @@ only [0, b] and mirrors the blocks.
 
 The energy-independent part of this work is done once per potential and
 span.  The span's step plan, kept on the Potential, holds the pieces and
-grids of _segment_grid, min V on each piece's grid, and per step level
-the Gauss samples of every step: h, qbar + lam and d, made on the
-level's first use.  Its arrays are read-only, and it holds nothing that
-depends on energy or on earlier calls: propagate, _edge_transfers and
-fundamental_solutions choose their step levels afresh in every call, so
-a result has the same bits whatever ran before it.  Both levels of a
+grids of _segment_grid, min V on each piece's grid, and per step level up
+to _PLAN_TOP_LEVEL = 1 the Gauss samples of every step: h, qbar + lam and
+d, made on the level's first use.  Those levels take the first
+Richardson pair of every call; a finer level's samples would outweigh the
+rest of the plan, so the rare pass that refines that far samples V for it
+afresh, chunk by chunk.  The plan's arrays are read-only, and it holds nothing
+that depends on energy or on earlier calls: propagate, _edge_transfers
+and fundamental_solutions choose their step levels afresh in every call,
+so a result has the same bits whatever ran before it.  Both levels of a
 Richardson pair come from one step evaluation (_interval_transfers).
 
 Every solution of the same potential over the same span shares the grid,
@@ -86,8 +89,8 @@ _INTERVALS_PER_HALFWIDTH = 512  # dense spacing target a/512, well under the a/1
 _MIN_SEGMENT_INTERVALS = 8
 _MAX_COARSENINGS = 3  # propagate's first steps span up to 2**3 grid intervals (a/64)
 _EDGE_ROUNDS = 4  # _edge_transfers reports T every 2**4 grid intervals (a/32)
-_MUL_SPLIT_BYTES = 1 << 16  # _mul forms larger products one entry at a time
 _MAX_PLANS = 8  # spans whose step plan a Potential keeps; more start the store afresh
+_PLAN_TOP_LEVEL = 1  # the plan keeps Gauss samples up to 2 steps per interval
 _INTERVAL_MULTIPLE = 4  # quadrature halves a piece's Simpson panels once
 _GAUSS_OFFSET = np.sqrt(3.0) / 6.0  # two-point Gauss nodes sit at x_m -+ this times h
 
@@ -173,8 +176,9 @@ def _segment_grid(p, x0, x1):
 
 class _Piece:
     """One piece of a step plan: its vectorized V, its grid, min V on the
-    grid and, per step level, the Gauss samples of _gauss_samples, made on
-    first use.  Every array is read-only, and nothing depends on energy."""
+    grid and, per step level up to _PLAN_TOP_LEVEL, the Gauss samples of
+    _gauss_samples, made on first use.  Every array is read-only, and
+    nothing depends on energy."""
 
     def __init__(self, vfun, grid):
         self.vfun, self.grid = vfun, np.array(grid, dtype=float)
@@ -182,12 +186,18 @@ class _Piece:
         self.v_min = float(np.min(vfun(self.grid)))
         self._levels = {}
 
-    def samples(self, level):
-        """(h, qbar + lam, d) of every step at this level (_gauss_samples)."""
+    def samples(self, level, cut):
+        """(h, qbar + lam, d) of the steps in the slice cut at this level
+        (_gauss_samples).  A finer level than _PLAN_TOP_LEVEL is sampled
+        afresh, only over cut: its samples would outweigh the rest of the
+        plan, and error control rarely reaches it."""
+        if level > _PLAN_TOP_LEVEL:
+            return _gauss_samples(self.vfun, self.grid, level, cut)
         out = self._levels.get(level)
         if out is None:
             out = self._levels[level] = _gauss_samples(self.vfun, self.grid, level)
-        return out
+        h, vbar, d = out
+        return h, vbar[cut], d[cut]
 
 
 def _step_plan(p, x0, x1):
@@ -256,21 +266,11 @@ def _mul(left, right):
     Keeping I implicit means the many near-identity Magnus steps of a piece
     multiply without rounding their small deviations against 1.  The sum
     is (L0 R0 + L1 R1) + (L + R), L0 R0 the products with column 0 of L.
-    Where one entry of the product takes _MUL_SPLIT_BYTES or more, it is
-    formed one entry at a time, so that no temporary holds more than one
-    entry: full-size temporaries of that size made a complex block of
-    energies over a piece three times slower than four separate entries.
     """
     out = np.multiply(left[:, :1], right[:1])
-    for i, j in _ENTRIES if out[0, 0].nbytes >= _MUL_SPLIT_BYTES else _WHOLE:
-        part = out[i, j]
-        part += left[i, 1:] * right[1:, j]
-        part += left[i, j] + right[i, j]
+    out += left[:, 1:] * right[1:]
+    out += left + right
     return out
-
-
-_WHOLE = ((slice(None), slice(None)),)
-_ENTRIES = tuple((slice(i, i + 1), slice(j, j + 1)) for i in (0, 1) for j in (0, 1))
 
 
 def _mul_dual(left, right):
@@ -320,14 +320,19 @@ def _prefix(m):
     return m
 
 
-def _gauss_samples(vfun, grid, halvings):
-    """Step length h and the energy-independent parts of every Magnus step at
-    level k = halvings, 2**k steps per grid interval (for k < 0, one step per
-    2**-k intervals): qbar + lam = (V1 + V2)/2 and d, from V at the two Gauss
-    points, sampled in one call, as read-only arrays."""
-    n = round((len(grid) - 1) * 2.0 ** halvings)
+def _step_count(grid, halvings):
+    """Magnus steps over the grid at level k = halvings: 2**k per interval."""
+    return round((len(grid) - 1) * 2.0 ** halvings)
+
+
+def _gauss_samples(vfun, grid, halvings, cut=slice(None)):
+    """Step length h and the energy-independent parts of the Magnus steps in
+    the slice cut at level k = halvings, 2**k steps per grid interval (for
+    k < 0, one step per 2**-k intervals): qbar + lam = (V1 + V2)/2 and d,
+    from V at the two Gauss points, sampled in one call, as read-only arrays."""
+    n = _step_count(grid, halvings)
     h = (grid[-1] - grid[0]) / n
-    mid = grid[0] + (np.arange(n) + 0.5) * h
+    mid = grid[0] + (np.arange(*cut.indices(n)) + 0.5) * h
     v1, v2 = vfun(mid + np.array([[-_GAUSS_OFFSET], [_GAUSS_OFFSET]]) * h)
     out = 0.5 * (v1 + v2), (np.sqrt(3.0) / 12.0 * h * h) * (v1 - v2)
     for m in out:
@@ -348,21 +353,22 @@ def _interval_transfers(piece, lams, levels, dual=False):
     pairwise round of its own steps brings level k + 1 to level k's m, and
     one _blocks tree then multiplies both.  With dual, the array gains a
     leading axis of size 2 that holds T - I and dT/dlam.  The Gauss samples
-    come from the piece's step plan (_Piece.samples).  Steps are evaluated
-    STEP_CHUNK of the finest level at a time, with the coarser level's over
-    the same intervals, so transient memory stays flat as h shrinks and
-    every chunk holds whole intervals.
+    come from the piece's step plan, or at levels finer than it keeps from
+    V over the chunk (_Piece.samples).  Steps are evaluated STEP_CHUNK of
+    the finest level at a time, with the coarser level's over the same
+    intervals, so transient memory stays flat as h shrinks and every chunk
+    holds whole intervals.
     """
     top, mul = levels[-1], _mul_dual if dual else _mul
-    samples = [piece.samples(k) for k in levels]
-    size = len(samples[-1][1])  # steps of the finest level
+    size = _step_count(piece.grid, top)  # steps of the finest level
     parts = []
     for j0 in range(0, size, STEP_CHUNK):
         # the steps of every level over the grid intervals of this chunk
-        cuts = [slice(j0 >> (top - k), min(size, j0 + STEP_CHUNK) >> (top - k)) for k in levels]
-        counts = [cut.stop - cut.start for cut in cuts]
-        vbar = np.concatenate([v[cut] for (_, v, _), cut in zip(samples, cuts)])
-        d = np.concatenate([dk[cut] for (_, _, dk), cut in zip(samples, cuts)])
+        samples = [piece.samples(k, slice(j0 >> (top - k), min(size, j0 + STEP_CHUNK) >> (top - k)))
+                   for k in levels]
+        counts = [len(v) for _, v, _ in samples]
+        vbar = np.concatenate([v for _, v, _ in samples])
+        d = np.concatenate([dk for _, _, dk in samples])
         h = np.repeat([hk for hk, _, _ in samples], counts)
         h_qbar = h * (vbar - lams[:, None])
         z = d * d + h * h_qbar
@@ -461,7 +467,7 @@ def fundamental_solutions(p, lam, x0, x1):
     Energies are processed ENERGY_BLOCK at a time, so the transient memory
     does not grow with their number.  Each block runs at DEFAULT_RTOL from
     k = 0 (module docstring), on the span's step plan, which samples V once
-    per piece and step level over all calls.
+    per piece and step level over all calls, up to the levels it keeps.
 
     Args:
         p: the Potential (both endpoints must lie in [-a, a]).
@@ -531,9 +537,9 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     level carries over between blocks of one call, never between calls:
     each call chooses it afresh.  What does carry over is the span's step
     plan, kept on p: its grids, min V per piece and the Gauss samples of
-    each level used so far, so V is sampled once per piece and step level
-    over all calls, and a later call pays only for the energy-dependent
-    work.
+    each level up to _PLAN_TOP_LEVEL used so far, so V is sampled once per
+    piece and step level over all calls, and a later call that steps no
+    finer pays only for the energy-dependent work.
 
     For an even V on a span symmetric about 0, x1 = -x0 = +-b, only [0, b]
     is integrated.  The columns of its T+ are the even solution phi_e and

@@ -420,6 +420,32 @@ def test_step_plan_shared_between_threads(monkeypatch):
             assert np.array_equal(zeros, want_zeros)
 
 
+def test_step_plan_keeps_no_fine_level_samples():
+    # a pass that refines down to MAX_HALVINGS before it gives up leaves the
+    # plan no larger than the levels up to 1 take: under 4 steps per grid
+    # interval, of 16 bytes each.  A finer level is sampled chunk by chunk,
+    # with the bits of sampling it whole
+    wild = Potential.cosine(1e3, 1e5, 1.0)
+    for x0 in (-1.0, 0.0):
+        with pytest.raises(IntegrationError):
+            odesolve.propagate(wild, 3.0, x0, 1.0)
+    pieces = [piece for plan in wild._plans.values() for piece in plan]
+    top = odesolve._PLAN_TOP_LEVEL
+    assert pieces and all(max(piece._levels) <= top for piece in pieces)
+    size = sum(piece.grid.nbytes + sum(m.nbytes for _, *arrays in piece._levels.values()
+                                       for m in arrays) for piece in pieces)
+    assert size <= sum(64 * (len(piece.grid) - 1) + piece.grid.nbytes for piece in pieces)
+
+    piece, k = pieces[0], odesolve.MAX_HALVINGS
+    whole = odesolve._gauss_samples(piece.vfun, piece.grid, k)
+    n = odesolve._step_count(piece.grid, k)
+    assert n > 2 * odesolve.STEP_CHUNK
+    for cut in (slice(0, odesolve.STEP_CHUNK), slice(n - 1000, n)):
+        h, vbar, d = piece.samples(k, cut)
+        assert h == whole[0] and _same_bits(vbar, whole[1][cut]) and _same_bits(d, whole[2][cut])
+    assert max(piece._levels) <= top
+
+
 @pytest.mark.parametrize("k", [-3, 0, odesolve.MAX_HALVINGS - 1])
 @pytest.mark.parametrize("lams", [np.array([-20.0, 3.0, 150.0]), np.array([1j, 2.0 - 1.0j])],
                          ids=["real", "complex"])
@@ -452,9 +478,7 @@ def _four_entry_mul(left, right):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_stacked_mul_matches_four_entry_formula_bitwise(dtype):
-    # half the real and imaginary parts are +-0.0; tobytes tells -0.0 from 0.0.
-    # A product entry of 32 x 512 floats is past _MUL_SPLIT_BYTES, so that
-    # product is formed one entry at a time
+    # half the real and imaginary parts are +-0.0; tobytes tells -0.0 from 0.0
     rng = np.random.default_rng(3)
 
     def draw(shape):
@@ -466,12 +490,10 @@ def test_stacked_mul_matches_four_entry_formula_bitwise(dtype):
             part[...] = x
         return m
 
-    for shape in ((16, 16), (32, 512)):
-        assert (np.prod(shape) * 8 >= odesolve._MUL_SPLIT_BYTES) == (shape == (32, 512))
-        left, right = draw(shape), draw(shape)
-        got, want = odesolve._mul(left, right), _four_entry_mul(left, right)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert any(np.any(np.signbit(x) & (x == 0.0)) for x in (got.real, got.imag))
+    left, right = draw((16, 16)), draw((16, 16))
+    got, want = odesolve._mul(left, right), _four_entry_mul(left, right)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert any(np.any(np.signbit(x) & (x == 0.0)) for x in (got.real, got.imag))
 
 
 def test_tree_products_match_matmul():
