@@ -39,15 +39,16 @@ solution solves too, it steps only the half from 0: the even and odd
 solutions there give the whole span's T by reflection, and the sum of
 their zeros is the zero count of the solution launched at an end.
 
-The spectrum's boundary-data pass (_edge_transfers) steps the same way at
-DEFAULT_RTOL, and returns T at block edges at most a/32 apart together
-with each block's own transfer S and dS/dlam.  The derivative of one step
-is closed form: with dz/dlam = -h^2 for z = s^2, d(cosh s)/dz = sinhc/2,
+The spectrum's boundary-data pass (_edge_transfers) steps [-a, a] the
+same way at DEFAULT_RTOL.  It returns each block's own transfer S and
+dS/dlam, for blocks at most a/32 long, and T from both ends at every block
+edge, that from a as the running product of adj(S) = S^-1.  The derivative
+of one step is closed form: with dz/dlam = -h^2 for z = s^2, d(cosh s)/dz = sinhc/2,
 d(sinhc)/dz = (s cosh s - sinh s)/2s^3 and dOmega/dlam = [[0, 0], [-h, 0]],
 and the pairwise products within a block carry (AB, A'B + AB'); S and
 dS/dlam take the Richardson step at the levels the error control of the
-piece's prefix products picks.  For an even V its pass from -b too steps
-only [0, b] and mirrors the blocks.
+piece's prefix products picks.  For an even V this pass too steps only
+[0, a] and mirrors the blocks.
 
 The energy-independent part of this work is done once per potential and
 span.  The span's step plan, kept on the Potential, holds the pieces and
@@ -449,13 +450,16 @@ def _piece_prefix(piece, lams, rounds, rtol, start=0, x_start=None, dual=False):
 
 
 def _spectral_array(lam):
-    """lam as a 1-D array, real when every entry is real."""
+    """lam as a 1-D array of finite values, real when every entry is real."""
     lams = np.atleast_1d(np.asarray(lam))
     if lams.ndim != 1:
         raise ValueError("lam must be a scalar or a 1-D array")
     if np.iscomplexobj(lams) and not np.any(lams.imag):
         lams = lams.real
-    return lams.astype(complex if np.iscomplexobj(lams) else float)
+    lams = lams.astype(complex if np.iscomplexobj(lams) else float)
+    if not np.all(np.isfinite(lams)):  # else it would read as an overflow of the first piece
+        raise ValueError(f"lam must be finite, got {lam}")
+    return lams
 
 
 def fundamental_solutions(p, lam, x0, x1):
@@ -631,44 +635,27 @@ def _transfer(p, lams, x0, x1, rtol, counted, entry):
     return out, zeros
 
 
-def _edge_transfers(p, lams, x0, x1):
-    """Transfer matrices of one pass from x0 to x1 at the edges of its
-    blocks, for the spectrum's boundary data away from the ends.
+def _edge_transfers(p, lams):
+    """The spectrum's boundary-data pass over [-a, a], at the block edges.
 
-    lams is a 1-D array of real energies.  Returns x, the block edges from x0
-    to x1; T(x0 -> x) at every edge, of shape (len(lams), len(x), 2, 2); and
-    each block's own transfer S = T(x_i -> x_i+1) and dS/dlam, of shape
-    (len(lams), len(x) - 1, 2, 2).  T is the running product of the S.  A
-    block holds 2**_EDGE_ROUNDS grid intervals, fewer on a piece whose
+    lams is a 1-D array of real energies.  Returns x, the block edges from
+    -a to a; T(-a -> x) and T(a -> x) at every edge, of shape
+    (len(lams), len(x), 2, 2); and each block's own transfer
+    S = T(x_i -> x_i+1) and dS/dlam, of shape (len(lams), len(x) - 1, 2, 2).
+    A block holds 2**_EDGE_ROUNDS grid intervals, fewer on a piece whose
     interval count is not a multiple of that, so edges lie at most a/32
-    apart and the passes from x0 and from x1 share them.
+    apart.  Each piece starts at the coarsest level propagate's first block
+    would, and its steps shrink until the prefix products pass at DEFAULT_RTOL.
 
-    For an even V, the pass from -b to b is stepped on [0, b] only: a block
-    of [-b, 0] is the mirror image of one of [0, b], run the other way, so
-    with P = diag(1, -1) it is P S^-1 P = P adj(S) P, and its derivative is
-    P adj(dS/dlam) P.  The pass from b to -b is a full pass.
+    T(-a -> x) is the running product of the S from -a, and T(a -> x) that of
+    the S^-1 = adj(S) from a (det S = 1), kept as deviations from I, since
+    adj(I + D) = I + adj(D).  For an even V only [0, a] is stepped: with
+    P = diag(1, -1), a block of [-a, 0] is P adj(S) P of its mirror image S
+    in [0, a], its derivative P adj(dS/dlam) P, and T(a -> x) = P T(-a -> -x) P.
     """
-    if x0 == -x1 < 0 and p.is_even():
-        y, steps, dsteps = _edge_steps(p, lams, 0.0, x1)
-        x = np.r_[-y[:0:-1], y]
-        # P adj(S) P swaps the diagonal, also of the deviation S - I
-        steps, dsteps = (np.concatenate([m[::-1, ::-1, :, ::-1].swapaxes(0, 1), m], axis=-1)
-                         for m in (steps, dsteps))
-    else:
-        x, steps, dsteps = _edge_steps(p, lams, x0, x1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.concatenate([np.zeros((2, 2, len(lams), 1)), _prefix(steps)], axis=-1)
-    t = _plus_identity(t)
-    # (2, 2, energy, edge or block) -> (energy, edge or block, 2, 2)
-    return (x, *(np.moveaxis(m, (0, 1), (2, 3)) for m in (t, _plus_identity(steps), dsteps)))
-
-
-def _edge_steps(p, lams, x0, x1):
-    """_edge_transfers' pass from x0 to x1: the block edges, and each block's
-    S - I and dS/dlam as arrays of shape (2, 2, len(lams), number of blocks).
-    Each piece starts at the coarsest level propagate's first block would,
-    and the steps shrink until the prefix products pass at DEFAULT_RTOL."""
-    plan = _step_plan(p, x0, x1)
+    even = p.is_even()
+    x0 = 0.0 if even else -p.a
+    plan = _step_plan(p, x0, p.a)
     rounds = []
     for piece in plan:  # blocks of the largest power of two that divides n
         n = len(piece.grid) - 1
@@ -685,7 +672,22 @@ def _edge_steps(p, lams, x0, x1):
                 steps.append(_piece_prefix(piece, block, r, DEFAULT_RTOL,
                                            _first_level(grid, hk), dual=True)[0])
             out[..., start:start + len(block), :] = np.concatenate(steps, axis=-2).swapaxes(-1, -2)
-    return x, out[0], out[1]
+        steps, dsteps = out
+        if even:
+            x = np.r_[-x[:0:-1], x]
+            # P adj(S) P swaps the diagonal, also of the deviation S - I
+            steps, dsteps = (np.concatenate([m[::-1, ::-1, :, ::-1].swapaxes(0, 1), m], axis=-1)
+                             for m in (steps, dsteps))
+        # adj swaps the diagonal and negates the rest; the product from a runs backwards
+        negate = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
+        adj = steps[::-1, ::-1, :, ::-1].swapaxes(0, 1) * negate
+        end = np.zeros((2, 2, len(lams), 1))  # T - I where a pass starts
+        left = np.concatenate([end, _prefix(steps)], axis=-1)
+        right = np.concatenate([end, _prefix(adj)], axis=-1)[..., ::-1]
+    # (2, 2, energy, edge or block) -> (energy, edge or block, 2, 2)
+    return (x, *(np.moveaxis(m, (0, 1), (2, 3))
+                 for m in (_plus_identity(left), _plus_identity(right), _plus_identity(steps),
+                           dsteps)))
 
 
 def _same_grid(u, w):

@@ -10,8 +10,8 @@ Each kind is lowered once, on construction, to a tuple of (lo, hi, V)
 pieces that tiles [-a, a], with V vectorized and smooth on its piece.
 One table, ``_KINDS``, gives per kind the required parameters and the
 lowering.  Validation, evaluation, the breakpoints, the parity check (one
-node test for every kind, made once, on construction) and the
-integrator's V are all read from the pieces.
+node test for every kind), the sup norm (both made once, on construction)
+and the integrator's V are all read from the pieces.
 Evaluation at an interior jump uses the right-limit value so results are
 deterministic.
 """
@@ -121,6 +121,7 @@ class Potential:
     params: dict = field(default_factory=dict)
     _pieces: tuple = field(init=False, repr=False, compare=False)
     _even: bool = field(init=False, repr=False, compare=False)
+    _sup: float = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,6 +147,9 @@ class Potential:
             raise PotentialError("pieces must cover the interval up to x = a")
         object.__setattr__(self, "_pieces", pieces)
         object.__setattr__(self, "_even", self._even_at_nodes())
+        edges = (-self.a, *self.breakpoints(), self.a)  # sup_norm: 513 samples per piece
+        object.__setattr__(self, "_sup", max(float(np.max(np.abs(v(np.linspace(lo, hi, 513)))))
+                                             for lo, hi, (*_, v) in zip(edges, edges[1:], pieces)))
         object.__setattr__(self, "_plans", {})
 
     # -- factories ------------------------------------------------------------
@@ -233,13 +237,8 @@ class Potential:
         return self._pieces[np.searchsorted(self.breakpoints(), 0.5 * (lo + hi), side="right")][2]
 
     def sup_norm(self):
-        """Estimate of max |V| on [-a, a] (dense sampling per smooth piece)."""
-        edges = (-self.a, *self.breakpoints(), self.a)
-        worst = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            vals = self.piece_callable(lo, hi)(np.linspace(lo, hi, 513))
-            worst = max(worst, float(np.max(np.abs(vals))))
-        return worst
+        """Estimate of max |V| on [-a, a] from 513 samples per piece, made on construction."""
+        return self._sup
 
     # -- serialization ----------------------------------------------------------
 

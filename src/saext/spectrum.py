@@ -35,11 +35,12 @@ splitting it into two single ones when N there is one more than below.
 Failing both, the interval is bisected by the count until each part holds
 one level or two within the root tolerance.
 
-Each located level is accepted or dropped from boundary data alone: the
-transfer matrices of one pass from -a and one from a at block edges, and
-each block's own transfer S with dS/dE (odesolve._edge_transfers).  The
-eigenfunction's parts join at a block edge, and its L2 norm is a sum of
-Wronskians: over a block, the integral of u_j u_k for solutions with
+Each located level is accepted or dropped from boundary data alone: one
+pass over [-a, a] (odesolve._edge_transfers) gives each block's own
+transfer S with dS/dE, and the transfer matrices from -a and from a at
+every block edge, the latter as the running product of S^-1 = adj(S).
+The eigenfunction's parts join at a block edge, and its L2 norm is a sum
+of Wronskians: over a block, the integral of u_j u_k for solutions with
 E-independent data at its start is u_j' du_k/dE - u_j du_k'/dE at its end
 (Titchmarsh, Eigenfunction Expansions I, 1962; Pryce 1993).  The dense
 eigenfunctions, built when SpectrumResult.eigenfunctions is first read,
@@ -270,16 +271,15 @@ def _eigenfunctions(p, roots, end_data):
 
 
 def _block_gram(step, dstep, y):
-    """Per block of a pass, the integrals of conj(f_j) f_k over it, for the
-    solutions f_k with data y[..., :, k] at its start, from its transfer S
-    and dS/dE.
+    """Per block of the boundary-data pass, the integrals of conj(f_j) f_k
+    over it, for the solutions f_k with data y[..., :, k] at its start, from
+    its transfer S and dS/dE.
 
     The solutions u_k with data e_k at a block start are real, and with
     W(f, g) = f g' - f' g, d/dx W(u_j, du_k/dE) = -u_j u_k, so their
-    integrals are S^T J dS/dE with J = [[0, -1], [1, 0]]; a block run
-    towards -x gives the negative.  Taken
-    block by block, each integral is as accurate as the data y, also where
-    a solution decays along the pass."""
+    integrals are S^T J dS/dE with J = [[0, -1], [1, 0]].  Taken block by
+    block, each integral is as accurate as the data y, also where a
+    solution decays along the pass."""
     z, dz = step @ y, dstep @ y  # conj(z)^T J dz:
     return (np.conj(z[..., 1, :, None]) * dz[..., 0, None, :]
             - np.conj(z[..., 0, :, None]) * dz[..., 1, None, :])
@@ -292,46 +292,42 @@ def _boundary_data(p, bc, levels):
     join is the block edge where a simple level's parts meet, None for a
     double level.
 
-    With Y, Y' the transfer matrices from -a and from a, at the block edges
-    of one pass from -a at every level and of one from a at every simple
-    level (for an even V the mirror image of the first), a null vector q of
-    K(x) = Y(x) B' - Y'(x) B (_endpoint_maps) gives an eigenfunction.  A
-    double level takes both null vectors of K(a).  A simple level takes q at
-    the block edge _join picks, so neither part is carried through decay
-    into growth, which amplifies rounding and root error; its jump there is
-    sigma_min of K plus the rounding of the two sides.  The norms come from
-    _block_gram, and one that is not positive gives NaN.
+    With Y, Y' the transfer matrices from -a and from a at the block edges,
+    both from one odesolve._edge_transfers pass over every level, a null
+    vector q of K(x) = Y(x) B' - Y'(x) B (_endpoint_maps) gives an
+    eigenfunction.  A double level takes both null vectors of K(a).  A
+    simple level takes q at the block edge _join picks, so neither part is
+    carried through decay into growth, which amplifies rounding and root
+    error; its jump there is sigma_min of K plus the rounding of the two
+    sides.  Each norm is one _block_gram sum over the blocks, each block
+    entered with its data at its start: from -a left of the join and from a
+    right of it, so a block that overflows on the side the join does not
+    use never enters the sum.  A norm that is not positive gives NaN.
 
     The end data need no symmetry check: a simple level's, (B q, B' q), lie
     on Ucal's Lagrangian subspace, and a double level's are the ends of one
     solution, whose conj(f') f - conj(f) f' is constant in x for real V, E."""
     roots = np.array([e for e, _ in levels])
     simple = np.array([count == 1 for _, count in levels], dtype=bool)
-    x, left, lstep, dlstep = odesolve._edge_transfers(p, roots, -p.a, p.a)
-    if p.is_even():  # T(a -> x) = P T(-a -> -x) P with P = diag(1, -1), on mirrored edges
-        flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        right, rstep, drstep = (m[simple, ::-1] * flip for m in (left, lstep, dlstep))
-    else:
-        _, right, rstep, drstep = odesolve._edge_transfers(p, roots[simple], p.a, -p.a)
-        right, rstep, drstep = right[:, ::-1], rstep[:, ::-1], drstep[:, ::-1]
-    # from here on every array runs from -a, and block i of the pass from a
-    # runs from x_i+1 to x_i.  minus[l, k] and plus[l, k] are the data
-    # (f, f') of eigenfunction k of level l at -a and at a
+    x, left, right, step, dstep = odesolve._edge_transfers(p, roots)
+    # minus[l, k] and plus[l, k] are the data (f, f') of eigenfunction k of
+    # level l at -a and at a
     at_a, at_minus_a = _endpoint_maps(bc)
     minus, plus = np.zeros((2, len(levels), 2, 2), complex)
     jumps = np.zeros((len(levels), 2))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        tl, sl, dsl = left[simple], lstep[simple], dlstep[simple]
+        tl, tr = left[simple], right[simple]
         f = tl[..., 0, :] @ (_null(tl[:, -1] @ at_minus_a - at_a)[:, 0] @ at_minus_a.T)[..., None]
-        g = right[..., 0, :] @ (_null(at_minus_a - right[:, 0] @ at_a)[:, 0] @ at_a.T)[..., None]
+        g = tr[..., 0, :] @ (_null(at_minus_a - tr[:, 0] @ at_a)[:, 0] @ at_a.T)[..., None]
         j = np.array([_join(*fg) for fg in zip(f[..., 0], g[..., 0])], dtype=int)
-        tl_j, tr_j = tl[np.arange(len(j)), j], right[np.arange(len(j)), j]
+        tl_j, tr_j = tl[np.arange(len(j)), j], tr[np.arange(len(j)), j]
         _, sigma, vh = np.linalg.svd(tl_j @ at_minus_a - tr_j @ at_a)
         c_minus, c_plus = np.conj(vh[:, -1]) @ at_minus_a.T, np.conj(vh[:, -1]) @ at_a.T
-        on_left = np.arange(lstep.shape[1]) < j[:, None]  # the blocks left of the join
-        inner = (_block_gram(sl, dsl, tl[:, :-1] @ c_minus[:, None, :, None])[..., 0, 0] * on_left
-                 - _block_gram(rstep, drstep, right[:, 1:] @ c_plus[:, None, :, None])[..., 0, 0]
-                 * ~on_left)
+        # each block's data at its start: from -a left of the join, from a right of it
+        on_left = (np.arange(step.shape[1]) < j[:, None])[..., None, None]
+        y = np.where(on_left, tl[:, :-1] @ c_minus[:, None, :, None],
+                     tr[:, :-1] @ c_plus[:, None, :, None])
+        inner = _block_gram(step[simple], dstep[simple], y)[..., 0, 0]
         scale = 1.0 / np.sqrt(inner.sum(axis=1).real)
         minus[simple, 0], plus[simple, 0] = scale[:, None] * c_minus, scale[:, None] * c_plus
         # each side of the join carries a rounding of eps |T| |c|, which bounds
@@ -342,9 +338,9 @@ def _boundary_data(p, bc, levels):
         jumps[simple, 0] = scale * (sigma[:, -1] + floor)
 
         # a double level: Gram-Schmidt in the Gram matrix of the null vectors of K(a)
-        tl, sl, dsl = left[~simple], lstep[~simple], dlstep[~simple]
+        tl = left[~simple]
         c = at_minus_a @ _null(tl[:, -1] @ at_minus_a - at_a, 2).swapaxes(-1, -2)
-        gram = _block_gram(sl, dsl, tl[:, :-1] @ c[:, None]).sum(axis=1)
+        gram = _block_gram(step[~simple], dstep[~simple], tl[:, :-1] @ c[:, None]).sum(axis=1)
         g00, g01, g11 = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
         first = c[..., 0] / np.sqrt(g00)[:, None]
         second = ((c[..., 1] - (g01 / g00)[:, None] * c[..., 0])

@@ -141,6 +141,20 @@ def test_propagate_rejects_a_two_dimensional_energy_array():
         odesolve.propagate(P0, np.ones((2, 2)), -1.0, 1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                 np.array([1.0, np.nan])],
+                         ids=["nan", "inf", "-inf", "complex-nan", "array-nan"])
+def test_a_non_finite_lambda_is_rejected(lam):
+    # a lambda that is not finite would otherwise read as an overflow of the
+    # first piece, an IntegrationError that names no cause; both passes
+    # reject it, the half pass of an even V too
+    for x1 in (1.0, 0.5):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            odesolve.propagate(P0, lam, -1.0, x1)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            odesolve.fundamental_solutions(P0, lam, -1.0, x1)
+
+
 def test_wronskian_constant_along_x():
     p = Potential.harmonic(1.0, 1.0)
     u = odesolve.integrate(p, 2.0 + 1j, -1.0, 1.0, 1.0, 0.0)
@@ -366,8 +380,8 @@ def test_step_plan_keeps_no_call_history(make):
         for rtol in (1e-7, odesolve.DEFAULT_RTOL):
             for x0 in (-1.0, 1.0):
                 odesolve.propagate(used, lams, x0, -x0, rtol)
+    odesolve._edge_transfers(used, np.array([-7.0, 150.0]))
     for x0 in (-1.0, 1.0):
-        odesolve._edge_transfers(used, np.array([-7.0, 150.0]), x0, -x0)
         odesolve.fundamental_solutions(used, np.array([2.0, 1j]), x0, -x0)
     odesolve.fundamental_solutions(used, 2.0, -1.0, -0.0)  # its grid ends at -0.0
 
@@ -376,8 +390,9 @@ def test_step_plan_keeps_no_call_history(make):
         for rtol in (1e-7, odesolve.DEFAULT_RTOL):
             got, want = (odesolve.propagate(q, energies, x0, -x0, rtol) for q in (used, make()))
             assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
-        got, want = (odesolve._edge_transfers(q, energies, x0, -x0) for q in (used, make()))
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    # x, T from -a, T from a, S and dS/dE
+    got, want = (odesolve._edge_transfers(q, energies) for q in (used, make()))
+    assert len(got) == 5 and all(_same_bits(g, w) for g, w in zip(got, want))
     got, want = (odesolve.fundamental_solutions(q, 2.0, -1.0, 0.0)[0] for q in (used, make()))
     assert _same_bits(got.x, want.x) and _same_bits(got.f, want.f)
 
@@ -648,25 +663,48 @@ def test_propagate_rejects_a_grid_too_coarse_to_count_zeros():
 TILTED = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
 
 
-@pytest.mark.parametrize("p", [Potential.harmonic(25.0, 1.0), TILTED],
-                         ids=["even-half-pass", "tilted"])
-@pytest.mark.parametrize("x0", [-1.0, 1.0])
-def test_edge_transfers_carry_the_energy_slope(p, x0):
-    # each block's dS/dE against a Richardson central difference of S; from
-    # -1 the even V steps [0, 1] only and mirrors its blocks onto [-1, 0],
-    # and from 1 it makes a full pass
+EDGE_CASES = [Potential.harmonic(25.0, 1.0), TILTED, Potential.cosine(5.0, np.pi, 1.0),
+              Potential.cosine(5.0, np.pi, 8.0)]
+
+
+@pytest.mark.parametrize("p", EDGE_CASES,
+                         ids=["even-half-pass", "tilted", "cosine-a1", "cosine-a8"])
+def test_edge_transfers_carry_the_energy_slope(p):
+    # each block's dS/dE against a Richardson central difference of S.  An
+    # even V steps [0, a] only and mirrors its blocks onto [-a, 0]
     energies = np.array([-7.0, 2.0, 17.3, 150.0])
-    x, t, s, ds = odesolve._edge_transfers(p, energies, x0, -x0)
-    assert x[0] == x0 and x[-1] == -x0 and np.all(np.abs(np.diff(x)) <= 1.0 / 32 + 1e-15)
+    x, left, right, s, ds = odesolve._edge_transfers(p, energies)
+    assert x[0] == -p.a and x[-1] == p.a
+    assert np.all(np.diff(x) > 0) and np.all(np.diff(x) <= p.a * (1.0 / 32 + 1e-15))
+    assert left.shape == right.shape == (len(energies), len(x), 2, 2)
+    assert s.shape == ds.shape == (len(energies), len(x) - 1, 2, 2)
 
     def slope(h):
-        return (odesolve._edge_transfers(p, energies + h, x0, -x0)[2]
-                - odesolve._edge_transfers(p, energies - h, x0, -x0)[2]) / (2.0 * h)
+        return (odesolve._edge_transfers(p, energies + h)[3]
+                - odesolve._edge_transfers(p, energies - h)[3]) / (2.0 * h)
     want = (4.0 * slope(0.05) - slope(0.1)) / 3.0
     scale = np.max(np.abs(ds), axis=(1, 2, 3))
     assert np.all(np.max(np.abs(ds - want), axis=(1, 2, 3)) <= 1e-8 * scale)
-    # T is the running product of the blocks and ends at propagate's T
-    assert np.max(np.abs(s @ t[:, :-1] - t[:, 1:])) <= 1e-12 * np.max(np.abs(t))
-    whole = odesolve.propagate(p, energies, x0, -x0)[0]
-    assert np.all(np.max(np.abs(t[:, -1] - whole), axis=(1, 2))
-                  <= 1e-12 * np.max(np.abs(whole), axis=(1, 2)))
+    # T from -a is the running product of the blocks, and T from a that of
+    # their inverses; both start at I
+    assert np.max(np.abs(s @ left[:, :-1] - left[:, 1:])) <= 1e-12 * np.max(np.abs(left))
+    assert np.array_equal(left[:, 0], np.broadcast_to(np.eye(2), left[:, 0].shape))
+    assert np.array_equal(right[:, -1], left[:, 0])
+    # both ends against propagate's T at every other edge
+    for t, end in ((left, -p.a), (right, p.a)):
+        for i in range(len(x)):
+            if x[i] != end:
+                whole = odesolve.propagate(p, energies, end, x[i])[0]
+                assert np.all(np.max(np.abs(t[:, i] - whole), axis=(1, 2))
+                              <= 1e-12 * np.max(np.abs(whole), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("p", [p for p in EDGE_CASES if p.is_even()],
+                         ids=["harmonic-a1", "cosine-a1", "cosine-a8"])
+def test_edge_transfers_from_a_mirror_those_from_minus_a_for_an_even_v(p):
+    # with P = diag(1, -1), T(a -> x) = P T(-a -> -x) P bit for bit: the
+    # product from a multiplies the sign-flipped factors of the product from
+    # -a in the same order, and a sign flip rounds nothing
+    x, left, right, _, _ = odesolve._edge_transfers(p, np.array([-7.0, 2.0, 17.3, 150.0]))
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(right, left[:, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]]))

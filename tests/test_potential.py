@@ -181,6 +181,17 @@ def test_sup_norm():
     assert abs(Potential.harmonic(2.0, 1.0).sup_norm() - 2.0) < 1e-12
 
 
+def test_sup_norm_is_made_once_from_513_samples_per_piece(monkeypatch):
+    # the largest |V| over 513 evenly spaced points of each piece, ends
+    # included (the left limit at a jump from the left piece), made on
+    # construction: sup_norm samples no V
+    p = Potential.piecewise([((-2.0, 0.3), [2.0, 1.0, -5.0]), ((0.3, 2.0), [2.0])], 2.0)
+    want = max(np.max(np.abs(np.polynomial.polynomial.polyval(np.linspace(lo, hi, 513), cs)))
+               for (lo, hi), cs in (((-2.0, 0.3), [2.0, 1.0, -5.0]), ((0.3, 2.0), [2.0])))
+    monkeypatch.setattr(Potential, "piece_callable", lambda *args: pytest.fail("V sampled"))
+    assert p.sup_norm() == want == 20.0
+
+
 def test_json_round_trip():
     p = Potential.finite_well(-10.0, 0.5, 1.0)
     q = Potential.from_json(p.to_json())

@@ -371,21 +371,16 @@ def test_reflected_pair_matches_the_pass_from_a(p):
 @pytest.mark.parametrize("p", [p for p in EVEN_KINDS if p.a <= 2] + [TILTED],
                          ids=lambda p: f"{p.kind}-a{p.a:g}")
 def test_boundary_data_norms_match_the_dense_eigenfunctions(p):
-    # each eigenfunction's norm from its boundary data, the block transfers of
-    # full passes from -a and from a (for an even V, the pass from a is not
-    # the mirror image find_eigenvalues takes) and spectrum._block_gram,
-    # against Boole's rule on its dense samples; a simple level joins where
-    # find_eigenvalues would
-    def edge_pass(energy, x0):  # one energy's pass from x0, its arrays ordered from -a
-        _, t, s, ds = odesolve._edge_transfers(p, np.array([energy]), x0, -x0)
-        order = slice(None, None, 1 if x0 < 0 else -1)
-        return t[0, order], s[0, order], ds[0, order]
-
+    # each eigenfunction's norm from its boundary data, one _block_gram sum
+    # over the blocks of the boundary-data pass, each entered with its data
+    # from -a left of the join and from a right of it, against Boole's rule
+    # on its dense samples; a simple level joins where find_eigenvalues would
     result = find_eigenvalues(p, bc_named("periodic"), e_max=40.0)
     assert result.eigenvalues
     for energy, funcs, (ends_minus, ends_plus, _) in zip(
             result.eigenvalues, result.eigenfunctions, result.end_data):
-        (left, ls, dls), (right, rs, drs) = edge_pass(energy, -p.a), edge_pass(energy, p.a)
+        _, left, right, s, ds = (m[0] if m.ndim > 1 else m
+                                 for m in odesolve._edge_transfers(p, np.array([energy])))
         for f, end_minus, end_plus in zip(funcs, ends_minus, ends_plus):
             # the dense eigenfunction starts from the end data the boundary-data
             # pass chose, times one unit phase; a double level's data at a is
@@ -398,12 +393,36 @@ def test_boundary_data_norms_match_the_dense_eigenfunctions(p):
             assert np.max(np.abs([f.f1, f.df1] - phase * end_plus)) <= (
                 1e-14 if len(funcs) == 1 else 1e-12) * scale
             minus, plus = np.array([[f.f0], [f.df0]]), np.array([[f.f1], [f.df1]])
-            j = len(ls) if len(funcs) == 2 else spectrum._join((left @ minus)[:, 0, 0],
-                                                              (right @ plus)[:, 0, 0])
-            inner = (spectrum._block_gram(ls[:j], dls[:j], left[:j] @ minus).sum()
-                     - spectrum._block_gram(rs[j:], drs[j:], right[j + 1:] @ plus).sum())
+            j = len(s) if len(funcs) == 2 else spectrum._join((left @ minus)[:, 0, 0],
+                                                             (right @ plus)[:, 0, 0])
+            y = np.where((np.arange(len(s)) < j)[:, None, None], left[:-1] @ minus,
+                         right[:-1] @ plus)
+            inner = spectrum._block_gram(s, ds, y).sum()
             norm = np.sqrt(odesolve.l2_inner(f, f).real)
             assert abs(np.sqrt(inner.real) - norm) <= 1e-9 * norm
+
+
+@pytest.mark.parametrize("p, bc", [
+    (Potential.harmonic(25.0, 1.0), bc_named("periodic")),
+    (TILTED, bc_named("automorphic", K=2.0 + 1.0j)),
+    # even, but its grid is not symmetric about 0
+    (Potential.piecewise([((-1.0, 0.3), [2.0]), ((0.3, 1.0), [2.0])], 1.0), bc_named("dirichlet")),
+], ids=["even-periodic", "tilted-automorphic", "even-asymmetric-grid"])
+def test_find_eigenvalues_makes_one_boundary_data_pass(monkeypatch, p, bc):
+    # the data from both ends of every level, simple or double, even V or
+    # not, come from one _edge_transfers call: T from a is the running
+    # product of the inverse blocks, not a second pass
+    calls = []
+    edge_transfers = odesolve._edge_transfers
+
+    def counting(p, lams):
+        calls.append(len(lams))
+        return edge_transfers(p, lams)
+
+    monkeypatch.setattr(odesolve, "_edge_transfers", counting)
+    result = find_eigenvalues(p, bc, e_max=40.0)
+    assert result.degeneracies.count(1) >= 3
+    assert len(calls) == 1 and calls[0] >= len(result.eigenvalues)
 
 
 @pytest.mark.parametrize("p, bc, calls", [
@@ -439,9 +458,8 @@ def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
 def test_find_eigenvalues_samples_every_point_of_v_once(monkeypatch, p, bc):
     # V is sampled once per piece, span and step level: each propagate call
     # after the first reads the step plan the potential keeps, so no array of
-    # points reaches the same piece's V twice.  e_min is given, since the
-    # default floor's sup_norm samples 513 points per piece, which on a
-    # piece as long as a are that piece's grid
+    # points reaches the same piece's V twice.  The default floor reads
+    # sup_norm, which sampled V on construction
     seen = collections.Counter()
     piece_callable = Potential.piece_callable
 
@@ -455,7 +473,7 @@ def test_find_eigenvalues_samples_every_point_of_v_once(monkeypatch, p, bc):
 
     monkeypatch.setattr(Potential, "piece_callable", counted)
     fresh = Potential.from_json(p.to_json())
-    result = find_eigenvalues(fresh, bc, e_min=-20.0, e_max=40.0)
+    result = find_eigenvalues(fresh, bc, e_max=40.0)
     assert len(result.eigenvalues) >= 3 and len(seen) >= 4
     assert max(seen.values()) == 1
 
@@ -740,15 +758,31 @@ def test_eigenphase_rounded_below_two_pi_counts_as_zero():
     assert_matches(result, [(((2 * n + 1) * np.pi / 4) ** 2, 1) for n in range(3)], rel=1e-8)
 
 
-def test_deep_robin_state_at_wide_half_width_is_dropped_with_a_warning(caplog):
-    # at a = 8 the boundary data of the Robin surface state near -895 overflow
-    # (ROADMAP item 2): it is dropped with a warning and no RuntimeWarning
+def _zero_robin_surface_level():
+    """The surface state of zero(8) x robin(30, -20) from the closed-form
+    determinant, -900.0000000001489."""
+    with np.errstate(over="ignore", invalid="ignore"):  # cosh(8 k) squared overflows below
+        return oracles.bisect_roots(oracles.robin_det(30.0, -20.0, 8.0), -950.0, -350.0)[0]
+
+
+@pytest.mark.parametrize("p, level, rel", [
+    (Potential.zero(8.0), _zero_robin_surface_level(), 1e-10),
+    # DOP853 at rtol 3e-14 (oracles.reference_propagate) with brentq; the
+    # collocation reference, -895.0136737, has an error estimate of 0.15
+    (Potential.cosine(5.0, np.pi, 8.0), -895.0136710233309, 1e-10),
+], ids=["zero", "cosine"])
+def test_deep_robin_state_at_wide_half_width_is_kept(caplog, p, level, rel):
+    # at a = 8 the solutions grow by about e^480 near E = -900, and the
+    # solutions from the end the join does not use overflow on some blocks.
+    # The norm once summed both ends' blocks masked by 0/1, which turned
+    # those into inf * 0 = NaN and dropped the level (ROADMAP item 2); each
+    # block now enters with the data of the end it uses
     with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
-        result = find_eigenvalues(Potential.cosine(5.0, np.pi, 8.0),
-                                  bc_named("robin", alpha=30.0, gamma=-20.0), e_max=10.0)
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == 1 and messages[0].startswith("dropping candidate E = -895")
-    assert result.eigenvalues and max(result.residuals) <= spectrum.RESIDUAL_LIMIT
+        result = find_eigenvalues(p, bc_named("robin", alpha=30.0, gamma=-20.0), e_max=10.0)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+    assert abs(result.eigenvalues[0] - level) <= rel * abs(level)
+    assert result.degeneracies[0] == 1 and result.residuals[0] <= spectrum.RESIDUAL_LIMIT
+    assert max(result.residuals) <= spectrum.RESIDUAL_LIMIT
 
 
 @pytest.mark.xfail(strict=True, reason=(
