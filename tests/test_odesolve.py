@@ -669,9 +669,11 @@ EDGE_CASES = [Potential.harmonic(25.0, 1.0), TILTED, Potential.cosine(5.0, np.pi
 
 @pytest.mark.parametrize("p", EDGE_CASES,
                          ids=["even-half-pass", "tilted", "cosine-a1", "cosine-a8"])
-def test_edge_transfers_carry_the_energy_slope(p):
-    # each block's dS/dE against a Richardson central difference of S.  An
-    # even V steps [0, a] only and mirrors its blocks onto [-a, 0]
+@pytest.mark.parametrize("x0", [-1.0, 1.0])
+def test_edge_transfers_carry_the_energy_slope(p, x0):
+    # each block's dS/dE against a Richardson central difference of S, and
+    # T from the end x0 * a.  An even V steps [0, a] only and mirrors its
+    # blocks onto [-a, 0]
     energies = np.array([-7.0, 2.0, 17.3, 150.0])
     x, left, right, s, ds = odesolve._edge_transfers(p, energies)
     assert x[0] == -p.a and x[-1] == p.a
@@ -686,17 +688,18 @@ def test_edge_transfers_carry_the_energy_slope(p):
     scale = np.max(np.abs(ds), axis=(1, 2, 3))
     assert np.all(np.max(np.abs(ds - want), axis=(1, 2, 3)) <= 1e-8 * scale)
     # T from -a is the running product of the blocks, and T from a that of
-    # their inverses; both start at I
-    assert np.max(np.abs(s @ left[:, :-1] - left[:, 1:])) <= 1e-12 * np.max(np.abs(left))
-    assert np.array_equal(left[:, 0], np.broadcast_to(np.eye(2), left[:, 0].shape))
-    assert np.array_equal(right[:, -1], left[:, 0])
-    # both ends against propagate's T at every other edge
-    for t, end in ((left, -p.a), (right, p.a)):
-        for i in range(len(x)):
-            if x[i] != end:
-                whole = odesolve.propagate(p, energies, end, x[i])[0]
-                assert np.all(np.max(np.abs(t[:, i] - whole), axis=(1, 2))
-                              <= 1e-12 * np.max(np.abs(whole), axis=(1, 2)))
+    # their inverses, so S T(end -> x_i) = T(end -> x_i+1) for both; each is
+    # I at its own end
+    end, t = x0 * p.a, (left if x0 < 0 else right)
+    assert np.max(np.abs(s @ t[:, :-1] - t[:, 1:])) <= 1e-12 * np.max(np.abs(t))
+    own = 0 if x0 < 0 else -1
+    assert np.array_equal(t[:, own], np.broadcast_to(np.eye(2), t[:, own].shape))
+    # against propagate's T from that end at every other edge
+    for i in range(len(x)):
+        if x[i] != end:
+            whole = odesolve.propagate(p, energies, end, x[i])[0]
+            assert np.all(np.max(np.abs(t[:, i] - whole), axis=(1, 2))
+                          <= 1e-12 * np.max(np.abs(whole), axis=(1, 2)))
 
 
 @pytest.mark.parametrize("p", [p for p in EDGE_CASES if p.is_even()],
