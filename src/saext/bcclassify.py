@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .deficiency import boundary_waves
 from .errors import ParameterError
 from .extmap import Unitary2, _singular_values, _solve
 
@@ -248,19 +249,12 @@ def synthesize_from(bc):
     return Unitary2.certify(_cayley_prime(bc.Hprime), tol=1e-8)
 
 
-def apply_bc(bc, fa, fma, dfa, dfma):
-    """Residual of the endpoint relation for the boundary data of one function.
-
-    Args:
-        bc: BoundaryCondition (only its Ucal is used).
-        fa, fma: f(a), f(-a).
-        dfa, dfma: f'(a), f'(-a).
-
-    Returns:
-        || (f'(a) - i f(a), f'(-a) + i f(-a))^T
-           - Ucal (f'(a) + i f(a), f'(-a) - i f(-a))^T ||, zero exactly when
-        the data satisfies the extension's boundary conditions.
-    """
-    minus = np.array([dfa - 1j * fa, dfma + 1j * fma])
-    plus = np.array([dfa + 1j * fa, dfma - 1j * fma])
-    return float(np.linalg.norm(minus - bc.Ucal.matrix @ plus))
+def apply_bc(bc, rows):
+    """Residual ||psi_minus - Ucal psi_plus|| of the boundary relation for
+    boundary rows (deficiency.boundary_waves): a float for one row, an array
+    for a stack.  It is zero exactly when the row meets the extension's
+    boundary conditions, and NaN for a row holding NaN."""
+    psi_minus, psi_plus = boundary_waves(rows)
+    residual = psi_minus - (bc.Ucal.matrix @ psi_plus[..., None])[..., 0]
+    norm = np.sqrt(np.vecdot(residual, residual).real)
+    return float(norm) if norm.ndim == 0 else norm

@@ -13,14 +13,14 @@ solution launched with (g, g') = (1, 0) from x = -a and the one launched
 with (1, 0) from x = +a.  Both constructions fix a deterministic phase,
 so every downstream unitary parametrization is reproducible.
 
-Boundary data is stored row-wise as (g'(a), g(a), g'(-a), g(-a)); the two
-defining endpoint identities,
-
-    conj(g_j'(a)) g_k(a) - conj(g_j(a)) g_k'(a)
-        - conj(g_j'(-a)) g_k(-a) + conj(g_j(-a)) g_k'(-a) = 2i delta_jk
-
-and its conjugation-free counterpart equal to zero, hold by construction
-up to rounding and are checked when a basis is read from JSON.
+Boundary data is stored as rows (f'(a), f(a), f'(-a), f(-a)), the order
+of every boundary row in saext.  A row's waves (boundary_waves) are
+psi_-+ = (f'(a) -+ i f(a), f'(-a) +- i f(-a)); f lies in the domain of the
+extension with boundary unitary Ucal exactly when psi_minus = Ucal psi_plus,
+and psi_plus(f)^dagger psi_plus(g) - psi_minus(f)^dagger psi_minus(g) =
+2i endpoint_form(f, g).  For a deficiency basis endpoint_form(g_j, g_k) =
+2i delta_jk and its conjugation-free counterpart is zero; both hold by
+construction up to rounding and are checked when a basis is read from JSON.
 """
 
 from __future__ import annotations
@@ -113,15 +113,29 @@ class DeficiencyBasis:
         return basis
 
 
-def endpoint_form(table, j, k, conjugate_first=True):
-    """The boundary bilinear form between rows j and k of a boundary table.
+def _row_entries(rows):
+    """The four entries of boundary rows, over the leading axes (scalars for one row)."""
+    rows = np.asarray(rows)
+    return rows.transpose(-1, *range(rows.ndim - 1))
 
-    With conjugation on row j this equals 2i delta_jk for a deficiency
-    basis; without conjugation it vanishes identically.
-    """
-    tj = np.conj(table[j]) if conjugate_first else table[j]
-    tk = table[k]
-    return tj[0] * tk[1] - tj[1] * tk[0] - tj[2] * tk[3] + tj[3] * tk[2]
+
+def boundary_waves(rows):
+    """The waves (psi_minus, psi_plus) of boundary rows, over the last axis:
+    psi_-+ = (f'(a) -+ i f(a), f'(-a) +- i f(-a))."""
+    df1, f1, df0, f0 = _row_entries(rows)
+    psi = np.empty((2, *np.shape(rows)[:-1], 2), complex)
+    psi[0, ..., 0], psi[0, ..., 1] = df1 - 1j * f1, df0 + 1j * f0
+    psi[1, ..., 0], psi[1, ..., 1] = df1 + 1j * f1, df0 - 1j * f0
+    return psi[0], psi[1]
+
+
+def endpoint_form(f, g, conjugate_first=True):
+    """The boundary form [conj(f') g - conj(f) g']_{-a}^{a} of boundary rows
+    f and g, over the last axis (module docstring); without conjugation of
+    f it vanishes between the rows of a deficiency basis."""
+    df1, f1, df0, f0 = _row_entries(np.conj(f) if conjugate_first else f)
+    dg1, g1, dg0, g0 = _row_entries(g)
+    return df1 * g1 - f1 * dg1 - df0 * g0 + f0 * dg0
 
 
 def wronskian_identity(table, j):
@@ -134,11 +148,11 @@ def _check_endpoint_identities(mode, table):
     for j in range(2):
         for k in range(2):
             want = 2j if j == k else 0.0
-            got = endpoint_form(table, j, k)
+            got = endpoint_form(table[j], table[k])
             if not abs(got - want) <= ORTHONORMALITY_TOL:  # NaN fails too, in any row
                 raise InvariantViolation(
                     f"endpoint identity ({j},{k}) = {got}, expected {want}")
-            got2 = endpoint_form(table, j, k, conjugate_first=False)
+            got2 = endpoint_form(table[j], table[k], conjugate_first=False)
             if abs(got2) > ORTHONORMALITY_TOL:
                 raise InvariantViolation(f"conjugation-free identity ({j},{k}) = {got2} != 0")
     if mode == EVEN_MODE:
@@ -152,14 +166,14 @@ def _orthonormalized(raw):
     """The rows of raw, boundary data of two solutions, orthonormalized in order.
 
     Green's identity gives their Gram matrix G from boundary data alone,
-    G_jk = endpoint_form(raw, j, k) / 2i; with G = L L^dagger (Cholesky),
+    G_jk = endpoint_form(raw[j], raw[k]) / 2i; with G = L L^dagger (Cholesky),
     the rows of L^-1 raw are orthonormal.  The first keeps the phase of
     raw's first row, and the second adds to a positive multiple of raw's
     second row a multiple of the first.
     """
     # each row scaled exactly, by a power of two, so that G stays in the float range
     raw = raw * np.ldexp(1.0, -np.frexp(np.abs(raw).max(axis=1, keepdims=True))[1])
-    gram = np.array([[endpoint_form(raw, j, k) for k in range(2)] for j in range(2)]) / 2j
+    gram = np.array([[endpoint_form(raw[j], raw[k]) for k in range(2)] for j in range(2)]) / 2j
     return np.linalg.solve(np.linalg.cholesky(gram), raw)
 
 

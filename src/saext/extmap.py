@@ -12,10 +12,11 @@ and finally the boundary unitary Ucal = (1/2) P Ut Q with
 P = [[1,1],[-1,1]] and Q = [[1,-1],[1,1]].  Ucal relates the endpoint
 data of every function in the extension domain through
 
-    (f'(a) - i f(a), f'(-a) + i f(-a))^T = Ucal (f'(a) + i f(a), f'(-a) - i f(-a))^T.
+    (f'(a) - i f(a), f'(-a) + i f(-a))^T = Ucal (f'(a) + i f(a), f'(-a) - i f(-a))^T,
 
-The inverse direction recovers conj(U) from Ucal as the unique solution
-of a linear system; for a general (non-even) potential the same boundary
+psi_minus = Ucal psi_plus in the waves of deficiency.boundary_waves.  The
+inverse direction recovers conj(U) from Ucal as the unique solution of a
+linear system; for a general (non-even) potential the same boundary
 unitary is produced from an orthonormal deficiency pair without any
 parity assumption.
 
@@ -30,8 +31,9 @@ identity |g_j + i g_j'|^2 - |g_j - i g_j'|^2 = 2 at a gives, for unit x,
 and so do V~ and, by rows, the inverse system's m = D Ut + (A + iB).  In
 general mode the boundary form's Gram matrix of the table's rows and
 their conjugates is diag(2i, 2i, -2i, -2i), which gives
-sigma_min(Z+) >= 2 / ||table||_2 for the endpoint vectors below.  Tests
-check these bounds; the maps certify their outputs unitary.
+sigma_min(Psi_minus) >= 2 / ||table||_2 for the waves psi_minus of the
+domain representatives below.  Tests check these bounds; the maps
+certify their outputs unitary.
 
 Every map takes one 2x2 matrix or an (n, 2, 2) stack of them.  The
 singular values, the solves and the unitarity defects are written out in
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deficiency import EVEN_MODE, GENERAL_MODE, DeficiencyBasis
+from .deficiency import EVEN_MODE, GENERAL_MODE, DeficiencyBasis, boundary_waves
 from .errors import ModeError, UnitarityError
 
 INPUT_UNITARITY_TOL = 1e-10
@@ -251,25 +253,16 @@ def inverse_map(basis, ucal):
 def forward_map_general(basis, u):
     """Boundary unitary from an orthonormal deficiency pair (any potential).
 
-    Builds the domain representatives G_j = g_j + sum_k u_jk conj(g_k)
-    from boundary data alone, forms the endpoint vectors
-
-        z_j(+) = (G_j'(a) - i G_j(a), G_j'(-a) + i G_j(-a))^T
-        z_j(-) = (G_j'(a) + i G_j(a), G_j'(-a) - i G_j(-a))^T
-
-    and returns Ucal = (Z- (Z+)^-1)^dagger, the unique unitary with
-    z_j(-) = Ucal^dagger z_j(+).  Ucal satisfies the same endpoint
-    relation as the even-potential map.  The z_j(+) are independent, with
-    sigma_min(Z+) >= 2 / ||table||_2 (module docstring); Ucal is certified
-    unitary (UnitarityError otherwise).
+    Returns the unique unitary Ucal with psi_minus(G_j) = Ucal psi_plus(G_j)
+    for the domain representatives G_j = g_j + sum_k u_jk conj(g_k):
+    Ucal = conj(Psi_minus^-1 Psi_plus), row j of Psi_-+ the wave of G_j's
+    boundary row.  sigma_min(Psi_minus) >= 2 / ||table||_2 (module
+    docstring); Ucal is certified unitary (UnitarityError otherwise).
     """
     _require_mode(basis, GENERAL_MODE)
     table = basis.boundary_table
-    g = table + u.matrix @ np.conj(table)  # rows (G_j'(a), G_j(a), G_j'(-a), G_j(-a))
-    z_plus = np.array([g[:, 0] - 1j * g[:, 1], g[:, 2] + 1j * g[:, 3]])
-    z_minus = np.array([g[:, 0] + 1j * g[:, 1], g[:, 2] - 1j * g[:, 3]])
-    w = _solve(z_plus.T, z_minus.T).T  # w = z_minus @ z_plus^-1
-    return Unitary2.certify(w.conj().T, GENERAL_UNITARITY_TOL)
+    psi_minus, psi_plus = boundary_waves(table + u.matrix @ np.conj(table))
+    return Unitary2.certify(np.conj(_solve(psi_minus, psi_plus)), GENERAL_UNITARITY_TOL)
 
 
 def random_matrix(rng, n=None):

@@ -1,10 +1,11 @@
 """Spectra of self-adjoint extensions by counting levels.
 
 The fundamental solutions u1, u2 of -f'' + V f = E f start at x = -a with
-data (1, 0) and (0, 1).  Their boundary vectors (u_k'(a) -+ i u_k(a),
-u_k'(-a) +- i u_k(-a)) are the columns of minus and plus, and the unitary
-S(E) = minus plus^-1 maps the plus data of every solution to its minus
-data.  E is an eigenvalue exactly when an eigenphase of
+data (1, 0) and (0, 1).  The waves psi_-+ of their boundary rows
+(deficiency.boundary_waves) are the columns of minus and plus, the only
+meaning of minus and plus here, and S(E) = minus plus^-1 maps psi_plus of
+every solution to its psi_minus.  By the boundary relation psi_minus =
+Ucal psi_plus, E is an eigenvalue exactly when an eigenphase of
 W(E) = Ucal^dagger S(E) is 0 mod 2 pi, as often as its multiplicity.
 With C the sum of the eigenphases of a matrix, each in [0, 2 pi), and k_j
 those of Ucal, the number of levels below E is
@@ -57,7 +58,7 @@ import numpy as np
 
 from . import odesolve
 from .bcclassify import BoundaryCondition, apply_bc
-from .deficiency import endpoint_form
+from .deficiency import boundary_waves, endpoint_form
 from .odesolve import DEFAULT_RTOL, OdeSolution
 from .potential import Potential
 
@@ -74,9 +75,10 @@ class SpectrumResult:
     ``degeneracies[i]`` is the number of eigenphases of W that cross 0 at
     ``eigenvalues[i]``, and ``eigenfunctions[i]`` holds as many
     L2-normalized OdeSolution trajectories.  On first access they integrate
-    the end data that the boundary-data pass chose, kept in ``end_data``
-    (which neither to_json nor equality reads), and are then kept; two
-    threads may both build them, with equal results.  ``residuals[i]`` is
+    ``end_data[i]`` = (rows, join), which neither to_json nor equality
+    reads: their boundary rows, and for a simple level the block edge where
+    its parts join (None for a double).  Two threads may both build them,
+    with equal results.  ``residuals[i]`` is
     the worst residual among the level's eigenfunctions, taken from their
     boundary data: of the endpoint relation, or of the join of a simple
     level's eigenfunction at a block edge.  ``det_trace`` keeps the
@@ -111,18 +113,17 @@ class SpectrumResult:
 def _bc_matrix(p, bc, energy, rtol):
     """M(E) = minus - Ucal plus, the eigenphases t of W(E) in [0, 2 pi), the
     level count N(E) and log_s, for a scalar E or, from one propagation,
-    stacked over a 1-D array.  Column k of minus and plus is divided by s_k,
-    the largest boundary magnitude of u_k and at least 1, so nothing
-    overflows for deep wells or large |E|; S and W do not change, and the
-    unscaled |det M| is |det| of the returned M times exp(log_s), with
-    log_s = sum_k log s_k.  The eigenphases of W, S and Ucal come from one
-    eigvals call over the three stacked."""
+    stacked over a 1-D array.  Column k of minus and plus is the wave of
+    u_k's boundary row divided by s_k, the largest boundary magnitude of u_k
+    and at least 1, so nothing overflows for deep wells or large |E|; S and
+    W do not change, and the unscaled |det M| is |det| of the returned M
+    times exp(log_s), with log_s = sum_k log s_k.  The eigenphases of W, S
+    and Ucal come from one eigvals call over the three stacked."""
     transfer, zeros = odesolve.propagate(p, energy, -p.a, p.a, rtol)
-    ua, dua = transfer[..., 0, :], transfer[..., 1, :]  # column k: u_k(a), u_k'(a)
-    uma, duma = np.eye(2)                               # u_k(-a), u_k'(-a)
-    s = np.maximum(np.maximum(np.abs(ua), np.abs(dua)), 1.0)[..., None, :]
-    minus = np.stack(np.broadcast_arrays(dua - 1j * ua, duma + 1j * uma), axis=-2) / s
-    plus = np.stack(np.broadcast_arrays(dua + 1j * ua, duma - 1j * uma), axis=-2) / s
+    at_a = transfer.swapaxes(-1, -2)  # row k: u_k(a), u_k'(a); at -a, row k of I
+    s = np.maximum(np.abs(at_a).max(axis=-1), 1.0)[..., None, :]
+    minus, plus = (wave.swapaxes(-1, -2) / s
+                   for wave in boundary_waves(_rows(*np.broadcast_arrays(at_a, np.eye(2)))))
     ucal = bc.Ucal.matrix
     s_matrix = minus @ np.linalg.inv(plus)
     w = ucal.conj().T @ s_matrix
@@ -224,10 +225,16 @@ def _phase_fixed(sol):
 
 
 def _endpoint_maps(bc):
-    """B and B': data (f, f') = B q at a and B' q at -a meet the BC for every q."""
+    """The 4x2 matrix R whose boundary rows R q solve the boundary relation
+    for every q: their waves are psi_plus = q and psi_minus = Ucal q."""
     ucal, eye = bc.Ucal.matrix, np.eye(2)
-    return (np.array([(eye - ucal)[0] / 2j, (eye + ucal)[0] / 2]),
-            np.array([-(eye - ucal)[1] / 2j, (eye + ucal)[1] / 2]))
+    return np.array([(eye + ucal)[0] / 2, (eye - ucal)[0] / 2j,
+                     (eye + ucal)[1] / 2, -(eye - ucal)[1] / 2j])
+
+
+def _rows(y1, y0):
+    """The boundary rows of the data y1 = (f, f') at a and y0 at -a."""
+    return np.concatenate([y1[..., ::-1], y0[..., ::-1]], axis=-1)
 
 
 def _null(k, n=1):
@@ -244,25 +251,25 @@ def _join(f, g):
 
 def _eigenfunctions(p, roots, end_data):
     """The eigenfunctions of every level, integrated from the end data
-    (minus, plus, join) that _boundary_data chose: one for each row of
-    minus from -a, and for a simple level its part from a, from plus[0],
-    on the samples past the one nearest join.  The fundamental solutions
-    from -a of every level come from one call, and those from a of every
+    (rows, join) that _boundary_data chose: one for each row from its data
+    at -a, and for a simple level its part from a, from its data there, on
+    the samples past the one nearest join.  The fundamental solutions from
+    -a of every level come from one call, and those from a of every
     simple level from one more, or by reflection where V and its grid are
     symmetric about 0."""
     roots = np.array(roots)
     lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
     edges = np.array(p.breakpoints())
-    simple = np.array([join is not None for _, _, join in end_data], dtype=bool)
+    simple = np.array([join is not None for _, join in end_data], dtype=bool)
     if p.is_even() and np.array_equal(edges, -edges[::-1]):
         rights = (_reflected(left) for left, one in zip(lefts, simple) if one)
     else:
         rights = iter(odesolve.fundamental_solutions(p, roots[simple], p.a, -p.a))
     out = []
-    for left, (minus, plus, join) in zip(lefts, end_data):
-        funcs = [odesolve.combine(left, c) for c in minus]
+    for left, (rows, join) in zip(lefts, end_data):
+        funcs = [odesolve.combine(left, row[3:1:-1]) for row in rows]
         if join is not None:
-            (f,), g = funcs, odesolve.combine(next(rights), plus[0])
+            (f,), g = funcs, odesolve.combine(next(rights), rows[0, 1::-1])
             j = int(np.argmin(np.abs(f.x - join)))
             y = np.where(np.arange(len(f.x)) <= j, [f.f, f.df], [g.f[::-1], g.df[::-1]])
             funcs = [OdeSolution(f.lam, f.x, *y, f.segments)]
@@ -287,75 +294,68 @@ def _block_gram(step, dstep, y):
 
 def _boundary_data(p, bc, levels):
     """Per (E, multiplicity) in levels, the worst residual of its
-    L2-normalized eigenfunctions and their end data (minus, plus, join):
-    the rows of minus and plus are their data (f, f') at -a and at a, and
-    join is the block edge where a simple level's parts meet, None for a
-    double level.
+    L2-normalized eigenfunctions and their end data (rows, join): their
+    boundary rows, and the block edge where a simple level's parts meet,
+    None for a double level.
 
     With Y, Y' the transfer matrices from -a and from a at the block edges,
-    both from one odesolve._edge_transfers pass over every level, a null
-    vector q of K(x) = Y(x) B' - Y'(x) B (_endpoint_maps) gives an
-    eigenfunction.  A double level takes both null vectors of K(a).  A
-    simple level takes q at the block edge _join picks, so neither part is
-    carried through decay into growth, which amplifies rounding and root
-    error; its jump there is sigma_min of K plus the rounding of the two
-    sides.  Each norm is one _block_gram sum over the blocks, each block
-    entered with its data at its start: from -a left of the join and from a
-    right of it, so a block that overflows on the side the join does not
-    use never enters the sum.  A norm that is not positive gives NaN.
+    both from one odesolve._edge_transfers pass over every level, and B, B'
+    the rows of _endpoint_maps that give (f, f') at a and at -a, a null
+    vector q of K(x) = Y(x) B' - Y'(x) B gives an eigenfunction.  A double
+    level takes both null vectors of K(a).  A simple level takes q at the
+    block edge _join picks, so neither part is carried through decay into
+    growth, which amplifies rounding and root error; its jump there is
+    sigma_min of K plus the rounding of the two sides.  Each norm is one
+    _block_gram sum over the blocks, each block entered with its data at
+    its start: from -a left of the join and from a right of it, so a block
+    that overflows on the side the join does not use never enters the sum.
+    A norm that is not positive gives NaN, and so does the row's residual.
 
-    The end data need no symmetry check: a simple level's, (B q, B' q), lie
+    The end data need no symmetry check: a simple level's rows, R q, lie
     on Ucal's Lagrangian subspace, and a double level's are the ends of one
     solution, whose conj(f') f - conj(f) f' is constant in x for real V, E."""
     roots = np.array([e for e, _ in levels])
     simple = np.array([count == 1 for _, count in levels], dtype=bool)
     x, left, right, step, dstep = odesolve._edge_transfers(p, roots)
-    # minus[l, k] and plus[l, k] are the data (f, f') of eigenfunction k of
-    # level l at -a and at a
-    at_a, at_minus_a = _endpoint_maps(bc)
-    minus, plus = np.zeros((2, len(levels), 2, 2), complex)
+    b, b_prime = _endpoint_maps(bc)[[[1, 0], [3, 2]]]  # rows (f, f') at a, at -a
+    rows = np.zeros((len(levels), 2, 4), complex)  # rows[l, k]: eigenfunction k of level l
     jumps = np.zeros((len(levels), 2))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         tl, tr = left[simple], right[simple]
-        f = tl[..., 0, :] @ (_null(tl[:, -1] @ at_minus_a - at_a)[:, 0] @ at_minus_a.T)[..., None]
-        g = tr[..., 0, :] @ (_null(at_minus_a - tr[:, 0] @ at_a)[:, 0] @ at_a.T)[..., None]
+        f = tl[..., 0, :] @ (_null(tl[:, -1] @ b_prime - b)[:, 0] @ b_prime.T)[..., None]
+        g = tr[..., 0, :] @ (_null(b_prime - tr[:, 0] @ b)[:, 0] @ b.T)[..., None]
         j = np.array([_join(*fg) for fg in zip(f[..., 0], g[..., 0])], dtype=int)
         tl_j, tr_j = tl[np.arange(len(j)), j], tr[np.arange(len(j)), j]
-        _, sigma, vh = np.linalg.svd(tl_j @ at_minus_a - tr_j @ at_a)
-        c_minus, c_plus = np.conj(vh[:, -1]) @ at_minus_a.T, np.conj(vh[:, -1]) @ at_a.T
+        _, sigma, vh = np.linalg.svd(tl_j @ b_prime - tr_j @ b)
+        c0, c1 = np.conj(vh[:, -1]) @ b_prime.T, np.conj(vh[:, -1]) @ b.T  # at -a, at a
         # each block's data at its start: from -a left of the join, from a right of it
         on_left = (np.arange(step.shape[1]) < j[:, None])[..., None, None]
-        y = np.where(on_left, tl[:, :-1] @ c_minus[:, None, :, None],
-                     tr[:, :-1] @ c_plus[:, None, :, None])
+        y = np.where(on_left, tl[:, :-1] @ c0[:, None, :, None], tr[:, :-1] @ c1[:, None, :, None])
         inner = _block_gram(step[simple], dstep[simple], y)[..., 0, 0]
         scale = 1.0 / np.sqrt(inner.sum(axis=1).real)
-        minus[simple, 0], plus[simple, 0] = scale[:, None] * c_minus, scale[:, None] * c_plus
+        rows[simple, 0] = scale[:, None] * _rows(c1, c0)
         # each side of the join carries a rounding of eps |T| |c|, which bounds
         # how small a jump it can show
         floor = np.finfo(float).eps * np.linalg.norm(
-            np.abs(tl_j) @ np.abs(c_minus)[..., None] + np.abs(tr_j) @ np.abs(c_plus)[..., None],
+            np.abs(tl_j) @ np.abs(c0)[..., None] + np.abs(tr_j) @ np.abs(c1)[..., None],
             axis=(1, 2))
         jumps[simple, 0] = scale * (sigma[:, -1] + floor)
 
         # a double level: Gram-Schmidt in the Gram matrix of the null vectors of K(a)
         tl = left[~simple]
-        c = at_minus_a @ _null(tl[:, -1] @ at_minus_a - at_a, 2).swapaxes(-1, -2)
+        c = b_prime @ _null(tl[:, -1] @ b_prime - b, 2).swapaxes(-1, -2)
         gram = _block_gram(step[~simple], dstep[~simple], tl[:, :-1] @ c[:, None]).sum(axis=1)
         g00, g01, g11 = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
         first = c[..., 0] / np.sqrt(g00)[:, None]
         second = ((c[..., 1] - (g01 / g00)[:, None] * c[..., 0])
                   / np.sqrt(g11 - abs(g01) ** 2 / g00)[:, None])
-        minus[~simple] = np.stack([first, second], axis=1)
-        plus[~simple] = (tl[:, -1, None] @ minus[~simple, ..., None])[..., 0]
+        c0 = np.stack([first, second], axis=1)
+        rows[~simple] = _rows((tl[:, -1, None] @ c0[..., None])[..., 0], c0)
 
+    worst = np.maximum(apply_bc(bc, rows), jumps)
     joins = iter(x[j].tolist())
-    out = []
-    for (_, count), ends_minus, ends_plus, jump in zip(levels, minus, plus, jumps):
-        data = [(fa, fma, dfa, dfma)
-                for (fa, dfa), (fma, dfma) in zip(ends_plus[:count], ends_minus[:count])]
-        out.append((float(np.max([apply_bc(bc, *d) for d in data] + list(jump[:count]))),
-                    (ends_minus[:count], ends_plus[:count], next(joins) if count == 1 else None)))
-    return out
+    return [(float(np.max(w[:count])), (ends[:count], next(joins) if count == 1 else None))
+            for (_, count), w, ends in zip(levels, worst, rows)]
 
 
 def _scan_grid(low, high, a, at_least):
@@ -489,12 +489,6 @@ def _reflected(left):
             OdeSolution(u2.lam, x, -u2.f, u2.df, u2.segments))
 
 
-def _symmetry_defect(fa, fma, dfa, dfma):
-    """|<f, Af> - <Af, f>| evaluated through the endpoint Wronskian form, for
-    the boundary data in apply_bc's order."""
-    return abs(endpoint_form(np.array([[dfa, fa, dfma, fma]]), 0, 0))
-
-
 def _derivative_uniform(y, h):
     """Fourth-order first derivative of samples on a uniform grid of at
     least 5 points (every piece of an odesolve grid has 9 or more)."""
@@ -537,10 +531,11 @@ def eigenfunction_residuals(result):
     entries = []
     for energy, funcs in zip(result.eigenvalues, result.eigenfunctions):
         for f in funcs:
+            row = np.array([f.df1, f.f1, f.df0, f.f0])
             entries.append({
                 "eigenvalue": energy,
-                "boundary": apply_bc(result.bc, f.f1, f.f0, f.df1, f.df0),
-                "symmetry": _symmetry_defect(f.f1, f.f0, f.df1, f.df0),
+                "boundary": apply_bc(result.bc, row),
+                "symmetry": float(abs(endpoint_form(row, row))),
                 "eigen_equation": _eigen_equation_defect(result.potential, f, energy),
             })
     def worst(key):

@@ -152,8 +152,8 @@ def test_criterion_09_general_potential_construction():
         for j in range(2):
             for k in range(2):
                 want = 2j if j == k else 0.0
-                ok = ok and abs(endpoint_form(table, j, k) - want) <= 1e-8
-                ok = ok and abs(endpoint_form(table, j, k, conjugate_first=False)) <= 1e-8
+                ok = ok and abs(endpoint_form(table[j], table[k]) - want) <= 1e-8
+                ok = ok and abs(endpoint_form(table[j], table[k], conjugate_first=False)) <= 1e-8
 
     rng = np.random.default_rng(9)
     basis_x = solve_orthonormal_pair(Potential.polynomial([0.0, 1.0], 1.0))

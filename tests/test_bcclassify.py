@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from saext import bcclassify
+from saext import bcclassify, spectrum
 from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, FAMILIES, apply_bc, classify,
                               synthesize, synthesize_from)
+from saext.deficiency import boundary_waves, endpoint_form
 from saext.errors import ParameterError
 from saext.extmap import Unitary2, haar_unitary
 
@@ -202,13 +203,13 @@ def test_parameter_errors():
 
 def test_apply_bc_dirichlet_data():
     bc = classify(synthesize("dirichlet"))
-    assert apply_bc(bc, 0.0, 0.0, 3.7, -1.2) < 1e-15
-    assert abs(apply_bc(bc, 1.0, 0.0, 0.0, 0.0) - 2.0) < 1e-15
+    assert apply_bc(bc, np.array([3.7, 0.0, -1.2, 0.0])) < 1e-15
+    assert abs(apply_bc(bc, np.array([0.0, 1.0, 0.0, 0.0])) - 2.0) < 1e-15
 
 
 def test_apply_bc_neumann_data():
     bc = classify(synthesize("neumann"))
-    assert apply_bc(bc, 0.9, -0.3, 0.0, 0.0) < 1e-15
+    assert apply_bc(bc, np.array([0.0, 0.9, 0.0, -0.3])) < 1e-15
 
 
 def test_apply_bc_case_i_consistency():
@@ -221,7 +222,7 @@ def test_apply_bc_case_i_consistency():
         fa, fma = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         dfa, dfma = bc.H @ np.array([fa, -fma])
         scale = max(1.0, abs(dfa), abs(dfma))
-        assert apply_bc(bc, fa, fma, dfa, dfma) < 1e-8 * scale
+        assert apply_bc(bc, np.array([dfa, fa, dfma, fma])) < 1e-8 * scale
 
 
 def test_report_json_shape():
@@ -291,6 +292,42 @@ def test_classify_matches_lapack_reference():
         assert (bc.case, bc.name) == reference_case_and_name(m), m
         names.add(bc.name)
     assert names == set(FAMILIES)
+
+
+def test_waves_meet_the_boundary_form_and_the_endpoint_maps():
+    # Green's identity in the waves of boundary rows (f'(a), f(a), f'(-a), f(-a)):
+    # psi_plus(f)^dag psi_plus(g) - psi_minus(f)^dag psi_minus(g) = 2i endpoint_form(f, g)
+    rng = np.random.default_rng(9)
+    f, g = rng.standard_normal((2, 500, 4)) + 1j * rng.standard_normal((2, 500, 4))
+    (f_minus, f_plus), (g_minus, g_plus) = boundary_waves(f), boundary_waves(g)
+    form = np.sum(np.conj(f_plus) * g_plus - np.conj(f_minus) * g_minus, axis=-1)
+    assert np.abs(form - 2j * endpoint_form(f, g)).max() <= 1e-13
+    # the rows R q of spectrum._endpoint_maps have waves psi_plus = q and
+    # psi_minus = Ucal q, for every named family and 200 Haar draws
+    bcs = [classify(synthesize(family, **params)) for family, params in NAMED]
+    bcs += [classify(Unitary2.certify(u)) for u in haar_unitary(rng, 200)]
+    assert {bc.case for bc in bcs} == {"I", "II", "III", "IV"}
+    for bc in bcs:
+        q = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        psi_minus, psi_plus = boundary_waves(q @ spectrum._endpoint_maps(bc).T)
+        assert np.abs(psi_plus - q).max() <= 1e-14
+        assert np.abs(psi_minus - q @ bc.Ucal.matrix.T).max() <= 1e-14
+
+
+def test_apply_bc_on_a_stack_matches_row_by_row_calls():
+    rng = np.random.default_rng(10)
+    rows = ((rng.standard_normal((3, 5, 4)) + 1j * rng.standard_normal((3, 5, 4)))
+            * 10.0 ** rng.uniform(-8.0, 3.0, (3, 5, 1)))
+    rows[1, 2, 3] = np.nan
+    for family, params in NAMED:
+        bc = classify(synthesize(family, **params))
+        stacked = apply_bc(bc, rows)
+        single = [[apply_bc(bc, row) for row in level] for level in rows]
+        assert all(type(value) is float for level in single for value in level)
+        assert stacked.shape == (3, 5) and stacked.tobytes() == np.array(single).tobytes()
+        # a row holding NaN reads NaN, so find_eigenvalues drops a level whose
+        # norm is not positive
+        assert np.isnan(stacked[1, 2]) and np.isfinite(np.delete(stacked.ravel(), 7)).all()
 
 
 @pytest.mark.parametrize("family, params", NAMED, ids=[family for family, _ in NAMED])

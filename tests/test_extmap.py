@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from saext import extmap
-from saext.deficiency import (GENERAL_MODE, DeficiencyBasis, change_of_basis, solve_even_odd,
-                              solve_orthonormal_pair)
+from saext.deficiency import (GENERAL_MODE, DeficiencyBasis, boundary_waves, change_of_basis,
+                              solve_even_odd, solve_orthonormal_pair)
 from saext.errors import ModeError, UnitarityError
 from saext.extmap import (SIGMA_FLOOR, Unitary2, build_V_Vtilde, check_identities, forward_map,
                           forward_map_general, haar_unitary, inverse_map, random_matrix)
@@ -206,12 +206,13 @@ def test_inverse_system_is_bounded_away_from_singular(p):
 @pytest.mark.parametrize("p", BOUND_POTENTIALS, ids=bound_id)
 def test_general_endpoint_vectors_are_independent(p):
     # the rows of [table; conj(table)] have boundary-form Gram diag(2i, 2i, -2i, -2i),
-    # so the endpoint vectors z_j(+) of forward_map_general obey sigma_min >= 2 / ||table||_2
+    # so the waves psi_minus(G_j) that forward_map_general inverts obey
+    # sigma_min >= 2 / ||table||_2
     table = solve_orthonormal_pair(p).boundary_table
-    g = table + haar_unitary(np.random.default_rng(42), 500) @ np.conj(table)
-    z_plus = np.stack([g[..., 0] - 1j * g[..., 1], g[..., 2] + 1j * g[..., 3]], axis=-2)
+    psi_minus, _ = boundary_waves(table + haar_unitary(np.random.default_rng(42), 500)
+                                  @ np.conj(table))
     bound = 2.0 / np.linalg.norm(table, 2)
-    assert sigma_min(z_plus).min() / bound >= 1.0 - 1e-6
+    assert sigma_min(psi_minus).min() / bound >= 1.0 - 1e-6
 
 
 def test_mode_errors():
