@@ -27,13 +27,15 @@ the largest magnitude the product passes through sets its rounding, also
 where it cancels back to a small value.  Otherwise k grows
 to the level where the estimate, which falls 16-fold as h halves, should
 pass, up to MAX_HALVINGS, after which IntegrationError is raised.
-``fundamental_solutions`` runs at DEFAULT_RTOL from k = 0, since its
-output lives on the grid.  ``propagate``, the one pass that takes rtol,
-returns only products over whole blocks of intervals, so it starts with
-steps of up to 2**_MAX_COARSENINGS intervals that turn the phase of a
-solution by less than pi/4, and each later block of energies at the
-level the estimates of the one before point to.  It evaluates many
-energies at once and counts the zeros of a solution on the way.  For an
+One rule, in _piece_prefix, picks where k starts: the coarsest level
+whose steps span at most 2**_MAX_COARSENINGS grid intervals, no more
+than a block of the products returned, and turn the phase of a solution
+by less than pi/4 at the block's highest energy.  ``fundamental_solutions``,
+whose output lives on the grid, thus starts at k = 0, and every block of
+energies is stepped as a call on that block alone would step it.
+``propagate``, the one pass that takes rtol, returns only products over
+whole blocks of intervals, evaluates many energies at once and counts
+the zeros of a solution on the way.  For an
 even V over a span symmetric about 0, where the mirror image of a
 solution solves too, it steps only the half from 0: the even and odd
 solutions there give the whole span's T by reflection, and the sum of
@@ -88,7 +90,7 @@ STEP_CHUNK = 4096     # Magnus steps of the finest level evaluated per batch and
 
 _INTERVALS_PER_HALFWIDTH = 512  # dense spacing target a/512, well under the a/128 contract
 _MIN_SEGMENT_INTERVALS = 8
-_MAX_COARSENINGS = 3  # propagate's first steps span up to 2**3 grid intervals (a/64)
+_MAX_COARSENINGS = 3  # a piece's first steps span up to 2**3 grid intervals (a/64)
 _EDGE_ROUNDS = 4  # _edge_transfers reports T every 2**4 grid intervals (a/32)
 _MAX_PLANS = 8  # spans whose step plan a Potential keeps; more start the store afresh
 _PLAN_TOP_LEVEL = 1  # the plan keeps Gauss samples up to 2 steps per interval
@@ -397,16 +399,23 @@ def _interval_transfers(piece, lams, levels, dual=False):
     return np.concatenate(parts, axis=-1)
 
 
-def _piece_prefix(piece, lams, rounds, rtol, start=0, x_start=None, dual=False):
+def _piece_prefix(piece, lams, rounds, rtol, x_start=None, dual=False):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
     grid intervals, as deviations T - I from the identity in one array of
-    shape (2, 2, number of blocks, len(lams)), and the level to start the
-    next energies at.  Steps start at level start >= -rounds and shrink per energy until
-    the error estimate passes (see the module docstring).  With dual, each
-    block's own transfer S - I and dS/dlam take the place of the prefix
-    products, on a leading axis of size 2; they take the prefix products'
-    Richardson step at the levels their error estimate picks.  Errors carry
-    x_start, by default the grid's first point."""
+    shape (2, 2, number of blocks, len(lams)).  rounds None picks propagate's
+    zero-count blocks: the longest that hold at most one zero of a solution
+    for every energy, or IntegrationError where a grid interval is too long
+    for that.  Steps start at the coarsest level -c, c <= min(rounds,
+    _MAX_COARSENINGS), whose steps tile the piece in at least
+    _MIN_SEGMENT_INTERVALS steps and turn a solution's phase by less than
+    pi/4, half a zero-count block's pi/2, so no step straddles two blocks;
+    they shrink per energy until the error estimate passes (see the module
+    docstring).  The start depends on lams alone, so a block of energies is
+    stepped alike in every batch that holds it.  With dual, each block's own
+    transfer S - I and dS/dlam take the place of the prefix products, on a
+    leading axis of size 2; they take the prefix products' Richardson step
+    at the levels their error estimate picks.  Errors carry x_start, by
+    default the grid's first point."""
     def edges(levels, sel):
         blocks = _blocks(_interval_transfers(piece, sel, levels, dual), rounds + min(levels[0], 0),
                          _mul_dual if dual else _mul)  # ([2,] 2, 2, level, energy, block)
@@ -415,10 +424,26 @@ def _piece_prefix(piece, lams, rounds, rtol, start=0, x_start=None, dual=False):
         prefix = prefix.transpose(n - 3, *range(n - 3), n - 1, n - 2)
         return prefix.reshape(len(levels), -1, len(sel))
 
-    x_start = float(piece.grid[0]) if x_start is None else x_start
-    coarse, fine = edges((start, start + 1), lams)
+    grid, e_max = piece.grid, float(np.max(lams.real))
+    x_start = float(grid[0]) if x_start is None else x_start
+    n = len(grid) - 1
+    hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, e_max - piece.v_min))  # phase per interval
+    if rounds is None:
+        # zeros lie >= pi / sqrt(max(E - V)) apart (Sturm comparison), so a block
+        # with h_block sqrt(E - min V) < pi/2 holds at most one; 2 covers V between samples
+        if hk >= 0.5 * np.pi:
+            raise IntegrationError(f"grid too coarse to count zeros at E = {e_max:g}",
+                                   x_fail=x_start)
+        rounds = (n - 1).bit_length()
+        if hk:
+            rounds = min(rounds, int(np.ceil(np.log2(0.5 * np.pi / hk))) - 1)
+    c = 0  # the first steps span 2**c grid intervals
+    while (c < min(rounds, _MAX_COARSENINGS) and n % (2 << c) == 0
+           and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS and (2 << c) * hk < 0.25 * np.pi):
+        c += 1
+    coarse, fine = edges((-c, 1 - c), lams)
     t_rows = len(fine) // 3 if dual else len(fine)  # the rows of the prefix products
-    level = np.full(len(lams), start)  # of each energy's coarser steps
+    level = np.full(len(lams), -c)  # of each energy's coarser steps
     while True:
         value = fine + (fine - coarse) / 15.0
         if not np.all(np.isfinite(value)):
@@ -429,12 +454,8 @@ def _piece_prefix(piece, lams, rounds, rtol, start=0, x_start=None, dual=False):
         with np.errstate(divide="ignore"):  # the estimate falls 16-fold as h halves
             need = level + np.ceil(0.25 * np.log2(err / bound))
         if not bad.any():
-            # the next energies start at most one level coarser, and not below a
-            # level that failed here
-            floor = np.where(level > start, start + 1, start - 1)
-            out = value[t_rows:].reshape(2, 2, 2, -1, len(lams)) if dual else value.reshape(
+            return value[t_rows:].reshape(2, 2, 2, -1, len(lams)) if dual else value.reshape(
                 2, 2, -1, len(lams))
-            return out, int(np.min(np.maximum(need, floor)))
         k = level[bad][0]  # shared by every energy still refined
         if k >= MAX_HALVINGS - 1:
             break
@@ -470,8 +491,9 @@ def fundamental_solutions(p, lam, x0, x1):
     list of one such pair per entry; every solution shares one grid.
     Energies are processed ENERGY_BLOCK at a time, so the transient memory
     does not grow with their number.  Each block runs at DEFAULT_RTOL from
-    k = 0 (module docstring), on the span's step plan, which samples V once
-    per piece and step level over all calls, up to the levels it keeps.
+    k = 0, as its blocks are single grid intervals (module docstring), on
+    the span's step plan, which samples V once per piece and step level
+    over all calls, up to the levels it keeps.
 
     Args:
         p: the Potential (both endpoints must lie in [-a, a]).
@@ -504,7 +526,7 @@ def fundamental_solutions(p, lam, x0, x1):
             y = np.broadcast_to(np.eye(2, dtype=complex), (len(block), 2, 2))
             ys = []
             for piece, skip in zip(plan, skips):
-                prefix, _ = _piece_prefix(piece, block, 0, DEFAULT_RTOL)
+                prefix = _piece_prefix(piece, block, 0, DEFAULT_RTOL)
                 t = _plus_identity(prefix)[..., None]  # T at the piece's grid points
                 path = np.concatenate([y[None], np.moveaxis(t[:, 0] * y[:, 0] + t[:, 1] * y[:, 1],
                                                             0, 2)])
@@ -534,12 +556,11 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     time.  Each piece's steps are multiplied by a pairwise tree into blocks
     that hold at most one zero of a solution, whose prefix products give
     the solution at the block edges.  A step may span several grid
-    intervals: the first block of energies starts each piece with steps of
-    up to 2**_MAX_COARSENINGS intervals that turn the phase of a solution
-    by less than pi/4, and each later block at the level the error
-    estimates of the one before point to (module docstring).  The step
-    level carries over between blocks of one call, never between calls:
-    each call chooses it afresh.  What does carry over is the span's step
+    intervals: each block of energies starts each piece with steps of up
+    to 2**_MAX_COARSENINGS intervals that turn the phase of a solution by
+    less than pi/4 (module docstring).  No step level carries over, neither
+    between blocks of one call nor between calls: each block is stepped as
+    a call on that block alone would step it.  What does carry over is the span's step
     plan, kept on p: its grids, min V per piece and the Gauss samples of
     each level up to _PLAN_TOP_LEVEL used so far, so V is sampled once per
     piece and step level over all calls, and a later call that steps no
@@ -585,46 +606,20 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     return (out[0], int(zeros[0])) if np.ndim(lam) == 0 else (out, zeros)
 
 
-def _first_level(grid, hk):
-    """The coarsest level -c to start a piece at: its steps span 2**c grid
-    intervals, tile the piece in at least _MIN_SEGMENT_INTERVALS steps and turn
-    a solution's phase by less than pi/4, where hk is the phase turned per
-    interval."""
-    n, c = len(grid) - 1, 0
-    while (c < _MAX_COARSENINGS and n % (2 << c) == 0
-           and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS
-           and (2 << c) * hk < 0.25 * np.pi):
-        c += 1
-    return -c
-
-
 def _transfer(p, lams, x0, x1, rtol, counted, entry):
     """propagate's pass from x0 to x1 over the 1-D array lams: the
     (n, 2, 2) transfer matrices and, per energy, the zeros in (x0, x1) of
     the solutions in the counted columns of T.  Errors on a piece carry
     entry(grid) of its grid."""
     plan = _step_plan(p, x0, x1)
-    warm = [-_MAX_COARSENINGS] * len(plan)  # per piece, the level the next block starts at
     out = np.empty((len(lams), 2, 2), dtype=complex)
     zeros = np.zeros(len(lams), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
             t = np.zeros((2, 2, len(block)))  # deviation from the identity
-            for i, piece in enumerate(plan):
-                grid = piece.grid
-                # zeros lie >= pi / sqrt(max(E - V)) apart (Sturm comparison), so a block
-                # with h_block sqrt(E - min V) < pi/2 holds at most one; 2 covers V between samples
-                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block.real) - piece.v_min))
-                if hk >= 0.5 * np.pi:
-                    raise IntegrationError(f"grid too coarse to count zeros at E = "
-                                           f"{np.max(block.real):g}", x_fail=entry(grid))
-                full = (len(grid) - 2).bit_length()
-                rounds = min(full, int(np.ceil(np.log2(0.5 * np.pi / hk))) - 1) if hk else full
-                # a first step turns the phase by less than pi/4, half a block's pi/2,
-                # so no step straddles two blocks
-                prefix, warm[i] = _piece_prefix(piece, block, rounds, rtol,
-                                                max(warm[i], _first_level(grid, hk)), entry(grid))
+            for piece in plan:
+                prefix = _piece_prefix(piece, block, None, rtol, entry(piece.grid))
                 # rows f and f' of the counted columns of T at the piece start
                 u0, du0 = _plus_identity(t)[:, counted]
                 u = np.concatenate([u0[None].real, ((1.0 + prefix[0, 0][:, None]) * u0
@@ -644,8 +639,8 @@ def _edge_transfers(p, lams):
     S = T(x_i -> x_i+1) and dS/dlam, of shape (len(lams), len(x) - 1, 2, 2).
     A block holds 2**_EDGE_ROUNDS grid intervals, fewer on a piece whose
     interval count is not a multiple of that, so edges lie at most a/32
-    apart.  Each piece starts at the coarsest level propagate's first block
-    would, and its steps shrink until the prefix products pass at DEFAULT_RTOL.
+    apart.  Each piece starts at the level _piece_prefix picks, and its
+    steps shrink until the prefix products pass at DEFAULT_RTOL.
 
     T(-a -> x) is the running product of the S from -a, and T(a -> x) that of
     the S^-1 = adj(S) from a (det S = 1), kept as deviations from I, since
@@ -665,12 +660,8 @@ def _edge_transfers(p, lams):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
-            steps = []
-            for piece, r in zip(plan, rounds):
-                grid = piece.grid
-                hk = abs(grid[1] - grid[0]) * np.sqrt(max(0.0, np.max(block) - piece.v_min))
-                steps.append(_piece_prefix(piece, block, r, DEFAULT_RTOL,
-                                           _first_level(grid, hk), dual=True)[0])
+            steps = [_piece_prefix(piece, block, r, DEFAULT_RTOL, dual=True)
+                     for piece, r in zip(plan, rounds)]
             out[..., start:start + len(block), :] = np.concatenate(steps, axis=-2).swapaxes(-1, -2)
         steps, dsteps = out
         if even:

@@ -346,9 +346,9 @@ def test_batched_fundamental_solutions_match_scalar_calls(monkeypatch):
 
 
 def test_propagate_keeps_no_state_between_calls():
-    # the step level one energy block ends at seeds only the next block of the
-    # same call: a repeated call returns the same bits, also after a call whose
-    # higher energies end at finer steps than these need
+    # every call chooses its step levels afresh from its own energies: a
+    # repeated call returns the same bits, also after a call whose higher
+    # energies end at finer steps than these need
     p = Potential.harmonic(25.0, 1.0)
     energies = np.linspace(-30.0, 400.0, 3 * odesolve.ENERGY_BLOCK + 5)
     first_t, first_zeros = odesolve.propagate(p, energies, -1.0, 1.0)
@@ -357,6 +357,30 @@ def test_propagate_keeps_no_state_between_calls():
             odesolve.propagate(p, other, -1.0, 1.0)
         t, zeros = odesolve.propagate(p, energies, -1.0, 1.0)
         assert np.array_equal(t, first_t) and np.array_equal(zeros, first_zeros)
+
+
+def test_every_energy_block_is_stepped_as_a_call_on_it_alone():
+    # a batch of several ENERGY_BLOCKs returns, block by block, the bits of
+    # separate calls: no step level carries from one block to the next
+    p = Potential.cosine(5.0, np.pi, 8.0)
+    energies = np.linspace(-6.0, 10.0, 3 * odesolve.ENERGY_BLOCK)
+    blocks = np.split(energies, 3)
+    for x0 in (-8.0, 0.0):  # the half pass of an even V, and a plain pass
+        for rtol in (1e-7, odesolve.DEFAULT_RTOL):
+            t, zeros = odesolve.propagate(p, energies, x0, 8.0, rtol)
+            parts = [odesolve.propagate(p, block, x0, 8.0, rtol) for block in blocks]
+            assert _same_bits(t, np.concatenate([part[0] for part in parts]))
+            assert _same_bits(zeros, np.concatenate([part[1] for part in parts]))
+    pairs = odesolve.fundamental_solutions(p, energies, 0.0, 8.0)
+    alone = [pair for block in blocks for pair in odesolve.fundamental_solutions(p, block, 0.0, 8.0)]
+    assert all(_same_bits(u.f, w.f) and _same_bits(u.df, w.df)
+               for pair, single in zip(pairs, alone) for u, w in zip(pair, single))
+    # x, T from -a, T from a, S and dS/dE
+    whole = odesolve._edge_transfers(p, energies)
+    parts = [odesolve._edge_transfers(p, block) for block in blocks]
+    assert _same_bits(whole[0], parts[0][0])
+    for i in range(1, 5):
+        assert _same_bits(whole[i], np.concatenate([part[i] for part in parts]))
 
 
 def _tilted():
