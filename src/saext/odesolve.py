@@ -44,13 +44,15 @@ their zeros is the zero count of the solution launched at an end.
 The spectrum's boundary-data pass (_edge_transfers) steps [-a, a] the
 same way at DEFAULT_RTOL.  It returns each block's own transfer S and
 dS/dlam, for blocks at most a/32 long, and T from both ends at every block
-edge, that from a as the running product of adj(S) = S^-1.  The derivative
-of one step is closed form: with dz/dlam = -h^2 for z = s^2, d(cosh s)/dz = sinhc/2,
-d(sinhc)/dz = (s cosh s - sinh s)/2s^3 and dOmega/dlam = [[0, 0], [-h, 0]],
-and the pairwise products within a block carry (AB, A'B + AB'); S and
-dS/dlam take the Richardson step at the levels the error control of the
-piece's prefix products picks.  For an even V this pass too steps only
-[0, a] and mirrors the blocks.
+edge, that from a as the running product of adj(S) = S^-1.  The slope
+comes from a complex step: the pass runs the complex arithmetic of
+lam = i at lam = E + i eps, eps = _SLOPE_STEP, and S(lam) is analytic, so
+Re S is S(E) and Im S / eps is dS/dlam to rounding, with no difference
+quotient (Squire & Trapp, SIAM Rev. 40 (1998) 110).  _cosh_sinhc sums its
+power series near z = 0, where sqrt z would round the tiny Im z away.  S
+and dS/dlam take the Richardson step at the levels the error control of
+the piece's prefix products picks.  For an even V this pass too steps
+only [0, a] and mirrors the blocks.
 
 The energy-independent part of this work is done once per potential and
 span.  The span's step plan, kept on the Potential, holds the pieces and
@@ -92,6 +94,10 @@ _INTERVALS_PER_HALFWIDTH = 512  # dense spacing target a/512, well under the a/1
 _MIN_SEGMENT_INTERVALS = 8
 _MAX_COARSENINGS = 3  # a piece's first steps span up to 2**3 grid intervals (a/64)
 _EDGE_ROUNDS = 4  # _edge_transfers reports T every 2**4 grid intervals (a/32)
+# _edge_transfers steps at E + i eps, eps = _SLOPE_STEP: Im S / eps is dS/dE to
+# rounding, as eps^2 lies below the rounding of every entry and eps h^2 |dS/dE|
+# far above the subnormal range
+_SLOPE_STEP = 1e-60
 _MAX_PLANS = 8  # spans whose step plan a Potential keeps; more start the store afresh
 _PLAN_TOP_LEVEL = 1  # the plan keeps Gauss samples up to 2 steps per interval
 _INTERVAL_MULTIPLE = 4  # quadrature halves a piece's Simpson panels once
@@ -219,47 +225,51 @@ def _step_plan(p, x0, x1):
     return plan
 
 
+# Taylor coefficients of cosh(sqrt z) - 1, 1/(2n)! for n = 10 .. 1, and of
+# sinh(sqrt z)/sqrt z, 1/(2n + 1)! for n = 9 .. 0, highest first
+_COSH_SERIES = tuple(1.0 / math.factorial(2 * n) for n in range(10, 0, -1))
+_SINHC_SERIES = tuple(1.0 / math.factorial(2 * n + 1) for n in range(9, -1, -1))
+
+
 def _cosh_sinhc(z):
     """cosh(sqrt z) - 1 and sinh(sqrt z)/sqrt z, entire in z and real for real z.
 
     Both come from half-angle functions, so cosh - 1 keeps full relative
-    precision for the small arguments of a Magnus step.
+    precision for the small arguments of a Magnus step.  For complex z they
+    come from their power series where |z| < 1/2: near z = 0, going
+    through sqrt z would round away the tiny Im z of a complex step, and
+    with it the energy slope that step carries (_edge_transfers).
     """
     if np.iscomplexobj(z):
-        s = np.sqrt(z)
-        sh, ch, sign = np.sinh(0.5 * s), np.cosh(0.5 * s), 1.0
-    else:  # real sqrt: sinh and cosh only where z > 0, sin and cos only elsewhere
-        grows = z > 0
-        shrinks = ~grows
-        s = np.sqrt(np.abs(z))
-        half = 0.5 * s
-        sh, ch = np.empty_like(s), np.empty_like(s)
-        np.sinh(half, out=sh, where=grows)
-        np.cosh(half, out=ch, where=grows)
-        np.sin(half, out=sh, where=shrinks)
-        np.cos(half, out=ch, where=shrinks)
-        sign = np.where(grows, 1.0, -1.0)
+        near = np.abs(z) < 0.5
+        cm1, sinhc = np.empty_like(z), np.empty_like(z)
+        w = z[near]
+        c, sc = np.full_like(w, _COSH_SERIES[0]), np.full_like(w, _SINHC_SERIES[0])
+        for a, b in zip(_COSH_SERIES[1:], _SINHC_SERIES[1:]):
+            c *= w
+            c += a
+            sc *= w
+            sc += b
+        cm1[near], sinhc[near] = c * w, sc
+        far = ~near
+        s = np.sqrt(z[far])
+        sh, ch = np.sinh(0.5 * s), np.cosh(0.5 * s)
+        cm1[far], sinhc[far] = 2.0 * sh * sh, 2.0 * sh * ch / s
+        return cm1, sinhc
+    # real sqrt: sinh and cosh only where z > 0, sin and cos only elsewhere
+    grows = z > 0
+    shrinks = ~grows
+    s = np.sqrt(np.abs(z))
+    half = 0.5 * s
+    sh, ch = np.empty_like(s), np.empty_like(s)
+    np.sinh(half, out=sh, where=grows)
+    np.cosh(half, out=ch, where=grows)
+    np.sin(half, out=sh, where=shrinks)
+    np.cos(half, out=ch, where=shrinks)
+    sign = np.where(grows, 1.0, -1.0)
     nonzero = s != 0
     sinhc = np.where(nonzero, 2.0 * sh * ch / np.where(nonzero, s, 1.0), 1.0)
     return 2.0 * sign * sh * sh, sinhc
-
-
-# Taylor coefficients n / (2n + 1)! of d sinhc/dz, highest first (n = 8 .. 1)
-_SINHC_SLOPE = tuple(n / math.factorial(2 * n + 1) for n in range(8, 0, -1))
-
-
-def _sinhc_slope(z, cm1, sinhc):
-    """d sinhc/dz = (s cosh s - sinh s) / 2 s^3 = (1 + cm1 - sinhc) / 2z for
-    z = s^2, from _cosh_sinhc(z) = cm1, sinhc; its Taylor series where
-    |z| < 1/2, where that difference cancels."""
-    out = np.full_like(sinhc, _SINHC_SLOPE[0])
-    for c in _SINHC_SLOPE[1:]:
-        out *= z
-        out += c
-    far = np.abs(z) >= 0.5
-    if far.any():
-        out[far] = (1.0 + cm1[far] - sinhc[far]) / (2.0 * z[far])
-    return out
 
 
 def _mul(left, right):
@@ -276,22 +286,6 @@ def _mul(left, right):
     return out
 
 
-def _mul_dual(left, right):
-    """_mul for pairs (T - I, dT/dE) stacked on a leading axis, shape (2, 2, 2, ...):
-    the product and its derivative L'(I + R) + (I + L)R' = L' + R' + L'R + LR'."""
-    (l, dl), (r, dr) = left, right
-    out = np.empty(np.broadcast_shapes(left.shape, right.shape), np.result_type(left, right))
-    out[0] = _mul(l, r)
-    der = out[1]
-    np.multiply(dl[:, :1], r[:1], out=der)
-    der += dl[:, 1:] * r[1:]
-    der += l[:, :1] * dr[:1]
-    der += l[:, 1:] * dr[1:]
-    der += dl
-    der += dr
-    return out
-
-
 def _plus_identity(t):
     """I + t for a deviation t of shape (2, 2, ...).  Only the diagonal gets
     the 1, so an off-diagonal -0.0 stays -0.0."""
@@ -301,14 +295,14 @@ def _plus_identity(t):
     return out
 
 
-def _blocks(m, rounds, mul=_mul):
+def _blocks(m, rounds):
     """Ordered products of consecutive blocks of 2**rounds factors along the
     last axis, later factors on the left, by rounds of a pairwise tree that
     each multiply neighbours; the last block may be shorter."""
     for _ in range(rounds):
         n = m.shape[-1]
         even = n - n % 2
-        pairs = mul(m[..., 1:even:2], m[..., 0:even:2])
+        pairs = _mul(m[..., 1:even:2], m[..., 0:even:2])
         m = np.concatenate([pairs, m[..., -1:]], axis=-1) if n % 2 else pairs
     return m
 
@@ -343,7 +337,7 @@ def _gauss_samples(vfun, grid, halvings, cut=slice(None)):
     return (h, *out)
 
 
-def _interval_transfers(piece, lams, levels, dual=False):
+def _interval_transfers(piece, lams, levels):
     """Transfer matrices over one piece at consecutive step levels, levels =
     (k,) or the Richardson pair (k, k + 1), from one step evaluation.
 
@@ -354,15 +348,14 @@ def _interval_transfers(piece, lams, levels, dual=False):
     or for k < 0 of every step, each spanning 2**-k intervals.  The steps of
     every level are evaluated together, in one _cosh_sinhc pass; one
     pairwise round of its own steps brings level k + 1 to level k's m, and
-    one _blocks tree then multiplies both.  With dual, the array gains a
-    leading axis of size 2 that holds T - I and dT/dlam.  The Gauss samples
-    come from the piece's step plan, or at levels finer than it keeps from
-    V over the chunk (_Piece.samples).  Steps are evaluated STEP_CHUNK of
-    the finest level at a time, with the coarser level's over the same
-    intervals, so transient memory stays flat as h shrinks and every chunk
-    holds whole intervals.
+    one _blocks tree then multiplies both.  The Gauss samples come from the
+    piece's step plan, or at levels finer than it keeps from V over the
+    chunk (_Piece.samples).  Steps are evaluated STEP_CHUNK of the finest
+    level at a time, with the coarser level's over the same intervals, so
+    transient memory stays flat as h shrinks and every chunk holds whole
+    intervals.
     """
-    top, mul = levels[-1], _mul_dual if dual else _mul
+    top = levels[-1]
     size = _step_count(piece.grid, top)  # steps of the finest level
     parts = []
     for j0 in range(0, size, STEP_CHUNK):
@@ -382,24 +375,14 @@ def _interval_transfers(piece, lams, levels, dual=False):
         np.multiply(sc, h, out=steps[0, 1])
         np.multiply(sc, h_qbar, out=steps[1, 0])
         np.subtract(cm1, sd, out=steps[1, 1])
-        if dual:
-            # dz/dlam = -h^2 and dOmega/dlam = [[0, 0], [-h, 0]]
-            dcm1, dsc = -0.5 * h * h * sc, -h * h * _sinhc_slope(z, cm1, sc)
-            dsd = dsc * d
-            dsteps = np.empty_like(steps)
-            np.add(dcm1, dsd, out=dsteps[0, 0])
-            np.multiply(dsc, h, out=dsteps[0, 1])
-            dsteps[1, 0] = dsc * h_qbar - sc * h
-            np.subtract(dcm1, dsd, out=dsteps[1, 1])
-            steps = np.stack([steps, dsteps])
         ends = np.cumsum(counts).tolist()
-        stacked = np.stack([_blocks(steps[..., end - count:end], i, mul)
+        stacked = np.stack([_blocks(steps[..., end - count:end], i)
                             for i, (count, end) in enumerate(zip(counts, ends))], axis=-3)
-        parts.append(_blocks(stacked, max(levels[0], 0), mul))
+        parts.append(_blocks(stacked, max(levels[0], 0)))
     return np.concatenate(parts, axis=-1)
 
 
-def _piece_prefix(piece, lams, rounds, rtol, x_start=None, dual=False):
+def _piece_prefix(piece, lams, rounds, rtol, x_start=None, own=False):
     """Prefix products of one piece at the ends of its blocks of 2**rounds
     grid intervals, as deviations T - I from the identity in one array of
     shape (2, 2, number of blocks, len(lams)).  rounds None picks propagate's
@@ -411,16 +394,15 @@ def _piece_prefix(piece, lams, rounds, rtol, x_start=None, dual=False):
     pi/4, half a zero-count block's pi/2, so no step straddles two blocks;
     they shrink per energy until the error estimate passes (see the module
     docstring).  The start depends on lams alone, so a block of energies is
-    stepped alike in every batch that holds it.  With dual, each block's own
-    transfer S - I and dS/dlam take the place of the prefix products, on a
-    leading axis of size 2; they take the prefix products' Richardson step
-    at the levels their error estimate picks.  Errors carry x_start, by
-    default the grid's first point."""
+    stepped alike in every batch that holds it.  With own, each block's own
+    transfer S - I takes the place of the prefix products; it takes the
+    prefix products' Richardson step at the levels their error estimate
+    picks.  Errors carry x_start, by default the grid's first point."""
     def edges(levels, sel):
-        blocks = _blocks(_interval_transfers(piece, sel, levels, dual), rounds + min(levels[0], 0),
-                         _mul_dual if dual else _mul)  # ([2,] 2, 2, level, energy, block)
-        prefix = np.concatenate([_prefix(blocks[0])[None], blocks]) if dual else _prefix(blocks)
-        n = prefix.ndim  # to (level, [3,] 2, 2, block, energy)
+        blocks = _blocks(_interval_transfers(piece, sel, levels),
+                         rounds + min(levels[0], 0))  # (2, 2, level, energy, block)
+        prefix = np.stack([_prefix(blocks), blocks]) if own else _prefix(blocks)
+        n = prefix.ndim  # to (level, [2,] 2, 2, block, energy)
         prefix = prefix.transpose(n - 3, *range(n - 3), n - 1, n - 2)
         return prefix.reshape(len(levels), -1, len(sel))
 
@@ -442,7 +424,7 @@ def _piece_prefix(piece, lams, rounds, rtol, x_start=None, dual=False):
            and n >> (c + 1) >= _MIN_SEGMENT_INTERVALS and (2 << c) * hk < 0.25 * np.pi):
         c += 1
     coarse, fine = edges((-c, 1 - c), lams)
-    t_rows = len(fine) // 3 if dual else len(fine)  # the rows of the prefix products
+    t_rows = len(fine) // 2 if own else len(fine)  # the rows of the prefix products
     level = np.full(len(lams), -c)  # of each energy's coarser steps
     while True:
         value = fine + (fine - coarse) / 15.0
@@ -453,9 +435,8 @@ def _piece_prefix(piece, lams, rounds, rtol, x_start=None, dual=False):
         bad = ~(err <= bound)
         with np.errstate(divide="ignore"):  # the estimate falls 16-fold as h halves
             need = level + np.ceil(0.25 * np.log2(err / bound))
-        if not bad.any():
-            return value[t_rows:].reshape(2, 2, 2, -1, len(lams)) if dual else value.reshape(
-                2, 2, -1, len(lams))
+        if not bad.any():  # the prefix products, or with own the blocks' own transfers
+            return value[-t_rows:].reshape(2, 2, -1, len(lams))
         k = level[bad][0]  # shared by every energy still refined
         if k >= MAX_HALVINGS - 1:
             break
@@ -640,7 +621,9 @@ def _edge_transfers(p, lams):
     A block holds 2**_EDGE_ROUNDS grid intervals, fewer on a piece whose
     interval count is not a multiple of that, so edges lie at most a/32
     apart.  Each piece starts at the level _piece_prefix picks, and its
-    steps shrink until the prefix products pass at DEFAULT_RTOL.
+    steps shrink until the prefix products pass at DEFAULT_RTOL.  The
+    blocks are stepped at lam + i _SLOPE_STEP, whose real part is S and
+    whose imaginary part over _SLOPE_STEP is dS/dlam (module docstring).
 
     T(-a -> x) is the running product of the S from -a, and T(a -> x) that of
     the S^-1 = adj(S) from a (det S = 1), kept as deviations from I, since
@@ -656,19 +639,18 @@ def _edge_transfers(p, lams):
         n = len(piece.grid) - 1
         rounds.append(min(_EDGE_ROUNDS, (n & -n).bit_length() - 1))
     x = np.concatenate([[x0]] + [piece.grid[1 << r::1 << r] for piece, r in zip(plan, rounds)])
-    out = np.empty((2, 2, 2, len(lams), len(x) - 1))
+    out = np.empty((2, 2, len(lams), len(x) - 1), complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
-            block = lams[start:start + ENERGY_BLOCK]
-            steps = [_piece_prefix(piece, block, r, DEFAULT_RTOL, dual=True)
+            block = lams[start:start + ENERGY_BLOCK] + 1j * _SLOPE_STEP
+            steps = [_piece_prefix(piece, block, r, DEFAULT_RTOL, own=True)
                      for piece, r in zip(plan, rounds)]
             out[..., start:start + len(block), :] = np.concatenate(steps, axis=-2).swapaxes(-1, -2)
-        steps, dsteps = out
         if even:
             x = np.r_[-x[:0:-1], x]
             # P adj(S) P swaps the diagonal, also of the deviation S - I
-            steps, dsteps = (np.concatenate([m[::-1, ::-1, :, ::-1].swapaxes(0, 1), m], axis=-1)
-                             for m in (steps, dsteps))
+            out = np.concatenate([out[::-1, ::-1, :, ::-1].swapaxes(0, 1), out], axis=-1)
+        steps, dsteps = out.real, out.imag / _SLOPE_STEP
         # adj swaps the diagonal and negates the rest; the product from a runs backwards
         negate = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
         adj = steps[::-1, ::-1, :, ::-1].swapaxes(0, 1) * negate

@@ -396,8 +396,8 @@ def _same_bits(got, want):
 def test_step_plan_keeps_no_call_history(make):
     # the step plan a Potential keeps holds nothing that depends on energy or
     # on earlier calls: after other energies, both rtols, both directions, the
-    # dual pass and the dense pass, every result has the bits of a fresh, equal
-    # potential's
+    # boundary-data pass and the dense pass, every result has the bits of a
+    # fresh, equal potential's
     used = make()
     before = (repr(used), used.to_json())
     for lams in (np.linspace(-30.0, 400.0, 40), np.array([1e3, 5e3]), np.array([1j, 2.0 + 3.0j])):
@@ -488,14 +488,13 @@ def test_step_plan_keeps_no_fine_level_samples():
 @pytest.mark.parametrize("k", [-3, 0, odesolve.MAX_HALVINGS - 1])
 @pytest.mark.parametrize("lams", [np.array([-20.0, 3.0, 150.0]), np.array([1j, 2.0 - 1.0j])],
                          ids=["real", "complex"])
-@pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
-def test_two_level_step_evaluation_matches_one_level_calls(k, lams, dual):
+def test_two_level_step_evaluation_matches_one_level_calls(k, lams):
     # at k = MAX_HALVINGS - 1 both levels run over many STEP_CHUNKs of steps
     piece = odesolve._step_plan(Potential.harmonic(25.0, 1.0), -1.0, 1.0)[0]
-    pair = odesolve._interval_transfers(piece, lams, (k, k + 1), dual)
-    coarse, fine = (odesolve._interval_transfers(piece, lams, (j,), dual) for j in (k, k + 1))
+    pair = odesolve._interval_transfers(piece, lams, (k, k + 1))
+    coarse, fine = (odesolve._interval_transfers(piece, lams, (j,)) for j in (k, k + 1))
     if k < 0:  # steps of level k + 1, paired into steps of level k
-        fine = odesolve._blocks(fine, 1, odesolve._mul_dual if dual else odesolve._mul)
+        fine = odesolve._blocks(fine, 1)
     if k == odesolve.MAX_HALVINGS - 1:
         assert (len(piece.grid) - 1) << (k + 1) >= 8 * odesolve.STEP_CHUNK
     assert _same_bits(pair[..., :1, :, :], coarse) and _same_bits(pair[..., 1:, :, :], fine)
@@ -505,6 +504,44 @@ def test_scalar_lam_returns_one_matrix():
     assert odesolve.propagate(P0, 1.0, -1.0, 1.0)[0].shape == (2, 2)
     assert odesolve.propagate(P0, 1j, -1.0, 1.0)[0].shape == (2, 2)
     assert odesolve.propagate(P0, [1.0], -1.0, 1.0)[0].shape == (1, 2, 2)
+
+
+def _cosh_sinhc_series(z, terms=30):
+    """cosh(sqrt z) - 1 and sinh(sqrt z)/sqrt z from their Taylor series."""
+    return (sum(z ** n / math.factorial(2 * n) for n in range(1, terms)),
+            sum(z ** n / math.factorial(2 * n + 1) for n in range(terms)))
+
+
+def test_cosh_sinhc_forms_agree_and_carry_the_complex_step_slope():
+    # the complex branch sums the power series where |z| < 1/2 and goes
+    # through sqrt z elsewhere: just inside and just outside that circle
+    # both forms agree
+    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    for r in (0.5 * (1.0 - 1e-12), 0.5 * (1.0 + 1e-12)):
+        z = r * np.exp(1j * theta)
+        for zj, *got in zip(z.tolist(), *odesolve._cosh_sinhc(z)):
+            root = cmath.sqrt(zj)
+            closed = 2.0 * cmath.sinh(0.5 * root) ** 2, cmath.sinh(root) / root
+            for want in (closed, _cosh_sinhc_series(zj)):
+                assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
+    # on the real axis the complex branch gives the real branch's values
+    x = np.r_[np.linspace(-40.0, 40.0, 8001), 0.0, -0.0, 1e-300, -1e-300,
+              np.nextafter(0.5, 0.0), -np.nextafter(0.5, 0.0)]
+    cm1, sinhc = odesolve._cosh_sinhc(x)
+    for got, want in zip(odesolve._cosh_sinhc(x + 0j), (cm1, sinhc)):
+        assert not np.any(got.imag)
+        assert np.all(np.abs(got.real - want) <= 1e-15 * np.abs(want))
+    # and a complex step's Im f(x + i eps)/eps is f'(x): d(cosh - 1)/dz =
+    # sinhc/2, and d sinhc/dz = (1 + cm1 - sinhc)/2z, summed where it does
+    # not cancel
+    eps = odesolve._SLOPE_STEP
+    step_cm1, step_sinhc = odesolve._cosh_sinhc(x + 1j * eps)
+    assert np.all(np.abs(step_cm1.imag / eps - 0.5 * sinhc) <= 2e-15 * np.abs(0.5 * sinhc))
+    far = np.abs(x) >= 0.5
+    terms = np.abs(1.0 + cm1[far]) + np.abs(sinhc[far])
+    slope = (1.0 + cm1[far] - sinhc[far]) / (2.0 * x[far])
+    assert np.all(np.abs(step_sinhc.imag[far] / eps - slope)
+                  <= 4e-15 * terms / (2.0 * np.abs(x[far])))
 
 
 def _four_entry_mul(left, right):
@@ -724,6 +761,38 @@ def test_edge_transfers_carry_the_energy_slope(p, x0):
             whole = odesolve.propagate(p, energies, end, x[i])[0]
             assert np.all(np.max(np.abs(t[:, i] - whole), axis=(1, 2))
                           <= 1e-12 * np.max(np.abs(whole), axis=(1, 2)))
+
+
+def _free_block(energy, length):
+    """S and dS/dE over a block of V = 0: S = [[c, L s], [-E L s, c]] with
+    c = cosh sqrt u = cos(sqrt E L) and s = sinh sqrt u / sqrt u for
+    u = -E L^2, du/dE = -L^2, dc/du = s/2 and ds/du = (c - s)/2u."""
+    u = -energy * length ** 2
+    if abs(u) < 1.0:  # Taylor series, where (c - s)/2u cancels
+        cm1, s = _cosh_sinhc_series(u)
+        c = 1.0 + cm1
+        ds = sum(n * u ** (n - 1) / math.factorial(2 * n + 1) for n in range(1, 30))
+    else:
+        root = cmath.sqrt(u)
+        c, s = cmath.cosh(root).real, (cmath.sinh(root) / root).real
+        ds = (c - s) / (2.0 * u)
+    return (np.array([[c, length * s], [-energy * length * s, c]]),
+            np.array([[-0.5 * length ** 2 * s, -length ** 3 * ds],
+                      [-length * s + energy * length ** 3 * ds, -0.5 * length ** 2 * s]]))
+
+
+@pytest.mark.parametrize("a", [1.0, 8.0])
+def test_edge_transfer_slopes_match_the_free_closed_form(a):
+    # V = 0: every block's S and dS/dE against the closed form, also at and
+    # next to E = 0, where going through sqrt z would round the complex
+    # step's Im z away
+    energies = np.array([-900.0, -7.0, -1e-9, 0.0, 1e-9, 2.0, 17.3, 150.0, 1e4])
+    x, _, _, s, ds = odesolve._edge_transfers(Potential.zero(a), energies)
+    for i, energy in enumerate(energies.tolist()):
+        for j, length in enumerate(np.diff(x).tolist()):
+            want, dwant = _free_block(energy, length)
+            assert np.max(np.abs(s[i, j] - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.max(np.abs(ds[i, j] - dwant)) <= 1e-13 * np.max(np.abs(dwant))
 
 
 @pytest.mark.parametrize("p", [p for p in EDGE_CASES if p.is_even()],

@@ -741,8 +741,8 @@ def test_level_count_between_reference_levels(p, bc, e_max, levels):
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: both surface states near -100 are located, at -100.0000027 "
-    "(1.9e-6 off) and -99.9999992, then dropped at boundary residuals 1.04e-6 and "
-    "2.55e-6"))
+    "(1.9e-6 off) and -99.9999992, then dropped at boundary residuals 1.47e-6 and "
+    "2.57e-6"))
 def test_default_arguments_keep_close_robin_surface_states(caplog):
     # V = 0, Robin(10, -10): E = -k^2 with k tanh k = 10 and k coth k = 10,
     # 1.65e-6 apart (brentq to 1e-15), and one level below e_max
@@ -807,8 +807,9 @@ def test_dense_eigenfunction_of_a_deep_surface_state():
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: at a=8 the solutions from -a grow by about e^37 at E = -6, "
-    "where S(E) reads rounding noise and 20 candidates are dropped; the surface "
-    "state -2.9235 is dropped at boundary residual 1.1e-5"))
+    "where S(E) reads rounding noise and 7 candidates between -6 and -5.73 are "
+    "dropped at boundary residuals 7.2-12.7; the surface state -2.9235 is dropped at "
+    "boundary residual 1.68e-5"))
 def test_default_arguments_keep_wide_surface_state(caplog):
     # collocation references on four pieces (perfbench/oracle.collocation_levels),
     # error estimate 4.2e-11
