@@ -18,6 +18,7 @@ whether I - Ucal and I + Ucal are singular:
                             the mixed Dirichlet/Neumann pairs.
 
 H and Ucal are a commuting Cayley pair: Ucal = (H + iI)^-1 (H - iI).
+classify and synthesize work on the entries of Ucal and H (``extmap._entries``).
 FAMILIES maps each named family to the parameters synthesize takes for it:
 the entries alpha, gamma and optional beta of H (H' for general-case-III),
 K for automorphic (t in (0, pi)), and nothing for the six fixed families.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .deficiency import boundary_waves
 from .errors import ParameterError
-from .extmap import Unitary2, _singular_values, _solve
+from .extmap import Unitary2, _entries, _matrix, _singular_values, _solve
 
 DEFAULT_TOL = 1e-8
 
@@ -79,7 +80,7 @@ class BoundaryCondition:
         from .jsonio import matrix_to_json
         data = {"case": self.case, "name": self.name,
                 "matrix": matrix_to_json(self.Ucal.matrix),
-                "singular_values": dict(self.sigma)}
+                "singular_values": {k: [float(x) for x in v] for k, v in self.sigma.items()}}
         params = {}
         if self.robin is not None:
             a, b, g = self.robin
@@ -95,16 +96,11 @@ class BoundaryCondition:
         return data
 
 
-def _hermitian_part(m):
-    return 0.5 * (m + m.conj().T)
-
-
-def _case_iv_data(u, tol):
-    """Angles of the nearest traceless Hermitian unitary (Pauli direction)."""
-    m = u.matrix
-    n3 = 0.5 * (m[0, 0] - m[1, 1]).real
-    n1 = 0.5 * (m[1, 0] + m[0, 1]).real
-    n2 = 0.5 * (m[1, 0] - m[0, 1]).imag
+def _case_iv_data(a, b, c, d, tol):
+    """Angles of the traceless Hermitian unitary nearest to [[a, b], [c, d]] (Pauli direction)."""
+    n3 = 0.5 * (a - d).real
+    n1 = 0.5 * (c + b).real
+    n2 = 0.5 * (c - b).imag
     vec = np.array([n1, n2, n3])
     vec = vec / np.linalg.norm(vec)
     sin_theta = float(np.hypot(vec[0], vec[1]))
@@ -126,31 +122,35 @@ def classify(ucal, tol=DEFAULT_TOL):
     """
     if not 0.0 < tol <= 1e-4:
         raise ParameterError(f"tol must lie in (0, 1e-4], got {tol}")
-    minus, plus = _IDENTITY - ucal.matrix, _IDENTITY + ucal.matrix
+    a, b, c, d = _entries(ucal.matrix)
+    # 0.0 - b, not -b: the signed zeros of I -/+ Ucal reach the reported parameters
+    minus, plus = (1.0 - a, 0.0 - b, 0.0 - c, 1.0 - d), (1.0 + a, 0.0 + b, 0.0 + c, 1.0 + d)
     sig_minus, sig_plus = _singular_values(minus), _singular_values(plus)
     scale = max(sig_minus[0], sig_plus[0])
     minus_singular = sig_minus[1] <= tol * scale
     plus_singular = sig_plus[1] <= tol * scale
     sigma = {"I_minus_U": sig_minus, "I_plus_U": sig_plus}
 
+    if not (minus_singular and plus_singular):  # H for cases I and II, else H'
+        k, lhs, rhs = (1j, minus, plus) if not minus_singular else (-1j, plus, minus)
+        m00, m01, m10, m11 = (k * z for z in _solve(lhs, rhs))
+        h00, h01, h11 = m00.real, 0.5 * (m01 + m10.conjugate()), m11.real
+        h = _matrix(h00, h01, 0.5 * (m10 + m01.conjugate()), h11)
     if not minus_singular:  # cases I and II share H
-        h = _hermitian_part(1j * _solve(minus, plus))
-        robin = (h[0, 0].real, h[0, 1], -h[1, 1].real)
+        robin = (h00, h01, -h11)
         if plus_singular:
             case, name = CASE_II, "neumann" if sig_plus[0] <= tol * scale else "general-case-II"
         else:
-            h_scale = max(1.0, np.abs(h).max())
-            case, name = CASE_I, "robin" if abs(robin[1]) <= tol * h_scale else "general-coupled"
+            h_scale = max(1.0, abs(h00), abs(h01), abs(h11))
+            case, name = CASE_I, "robin" if abs(h01) <= tol * h_scale else "general-coupled"
         return BoundaryCondition(ucal, case, name, H=h, robin=robin, sigma=sigma)
 
-    if minus_singular and not plus_singular:
-        hp = _hermitian_part(-1j * _solve(plus, minus))
-        alpha_p, beta_p, gamma_p = hp[0, 0].real, -hp[0, 1], -hp[1, 1].real
+    if not plus_singular:
         name = "dirichlet" if sig_minus[0] <= tol * scale else "general-case-III"
-        return BoundaryCondition(ucal, CASE_III, name, Hprime=hp,
-                                 robin_prime=(alpha_p, beta_p, gamma_p), sigma=sigma)
+        return BoundaryCondition(ucal, CASE_III, name, Hprime=h,
+                                 robin_prime=(h00, -h01, -h11), sigma=sigma)
 
-    theta, phi, sin_theta = _case_iv_data(ucal, tol)
+    theta, phi, sin_theta = _case_iv_data(a, b, c, d, tol)
     if sin_theta <= tol:
         if theta < 0.5 * np.pi:
             name, kval = "dirichlet-at-a-neumann-at-minus-a", None
@@ -169,15 +169,18 @@ def classify(ucal, tol=DEFAULT_TOL):
 
 
 def _cayley(h):
-    """Ucal = (H + iI)^-1 (H - iI); unitary for Hermitian H, never has
-    eigenvalue 1, and inverts H = i(I - Ucal)^-1 (I + Ucal)."""
-    return _solve(h + 1j * _IDENTITY, h - 1j * _IDENTITY)
+    """Entries of Ucal = (H + iI)^-1 (H - iI) from those of H (iI's zeros added too,
+    for the signed zeros of Ucal); unitary for Hermitian H, never has eigenvalue 1,
+    and inverts H = i(I - Ucal)^-1 (I + Ucal)."""
+    a, b, c, d = h
+    return _solve((a + 1j, b + 0j, c + 0j, d + 1j), (a - 1j, b - 0j, c - 0j, d - 1j))
 
 
 def _cayley_prime(hp):
-    """Ucal = (iI - H')^-1 (H' + iI), the inverse of
+    """Entries of Ucal = (iI - H')^-1 (H' + iI) from those of H', the inverse of
     H' = -i(I + Ucal)^-1 (I - Ucal)."""
-    return _solve(1j * _IDENTITY - hp, hp + 1j * _IDENTITY)
+    a, b, c, d = hp
+    return _solve((1j - a, 0j - b, 0j - c, 1j - d), (a + 1j, b + 0j, c + 0j, d + 1j))
 
 
 def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
@@ -214,20 +217,19 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
     if family == "robin":
         if alpha == 0.0 or gamma == 0.0:
             raise ParameterError("strict Robin needs alpha != 0 and gamma != 0")
-        h = np.diag([float(alpha), -float(gamma)]).astype(complex)
-        return Unitary2.certify(_cayley(h))
+        return Unitary2._certified(_cayley((float(alpha), 0.0, 0.0, -float(gamma))))
 
     # general-coupled (H invertible), general-case-II (H singular) and
     # general-case-III (singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']])
     beta = complex(beta or 0.0) * (-1.0 if family == "general-case-III" else 1.0)
-    h = np.array([[float(alpha), beta], [np.conj(beta), -float(gamma)]])
+    h = (float(alpha), beta, beta.conjugate(), -float(gamma))
     # det H against max(1, max |H|)^2, both scaled so that no square overflows
-    scale = max(1.0, np.abs(h).max())
+    scale = max(1.0, *map(abs, h))
     det = (float(alpha) / scale) * (float(gamma) / scale) + abs(beta / scale) ** 2
     singular = abs(det) <= 1e-10
     if singular == (family == "general-coupled"):
         raise ParameterError(f"{family} needs alpha*gamma + |beta|^2 {'!=' if singular else '='} 0")
-    return Unitary2.certify(_cayley_prime(h) if family == "general-case-III" else _cayley(h))
+    return Unitary2._certified(_cayley_prime(h) if family == "general-case-III" else _cayley(h))
 
 
 def synthesize_from(bc):
@@ -245,8 +247,8 @@ def synthesize_from(bc):
             return synthesize(bc.name)
         return synthesize("automorphic", K=bc.K)
     if bc.case == CASE_II:
-        return Unitary2.certify(_cayley(bc.H), tol=1e-8)
-    return Unitary2.certify(_cayley_prime(bc.Hprime), tol=1e-8)
+        return Unitary2._certified(_cayley(_entries(bc.H)), 1e-8)
+    return Unitary2._certified(_cayley_prime(_entries(bc.Hprime)), 1e-8)
 
 
 def apply_bc(bc, rows):

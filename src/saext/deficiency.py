@@ -67,9 +67,16 @@ class DeficiencyBasis:
 
     @cached_property
     def _a_pm_ib(self):
-        """(A - iB, A + iB, conj(A) - i conj(B), conj(A) + i conj(B)), derived once per basis."""
-        a, b = self.mat_A, self.mat_B
-        return a - 1j * b, a + 1j * b, np.conj(a) - 1j * np.conj(b), np.conj(a) + 1j * np.conj(b)
+        """The diagonals of A - iB, A + iB, conj(A) - i conj(B) and conj(A) + i conj(B),
+        pairs of Python numbers derived once per basis."""
+        ab = self.boundary_table[:, 1::-1].T  # the rows g(a), g'(a)
+        return [tuple((x + s * y).tolist()) for x, y in (ab, ab.conj()) for s in (-1j, 1j)]
+
+    @cached_property
+    def _waves(self):
+        """The entries of the waves (psi_minus, psi_plus) of the table (W) and of its conj (W')."""
+        minus, plus = boundary_waves(np.array([self.boundary_table, np.conj(self.boundary_table)]))
+        return [(w[0].ravel().tolist(), w[1].ravel().tolist()) for w in (minus, plus)]
 
     # -- serialization --------------------------------------------------------
 
@@ -78,9 +85,9 @@ class DeficiencyBasis:
         data = {
             "mode": self.parity_mode,
             "potential": self.potential.to_json(),
-            "boundary_table": [[[z.real, z.imag] for z in row] for row in self.boundary_table],
+            "boundary_table": matrix_to_json(self.boundary_table)["rows"],
         }
-        if self.mat_A is not None:
+        if self.parity_mode == EVEN_MODE:
             data["mat_A"] = matrix_to_json(self.mat_A)
             data["mat_B"] = matrix_to_json(self.mat_B)
         return data

@@ -35,12 +35,11 @@ sigma_min(Psi_minus) >= 2 / ||table||_2 for the waves psi_minus of the
 domain representatives below.  Tests check these bounds; the maps
 certify their outputs unitary.
 
-Every map takes one 2x2 matrix or an (n, 2, 2) stack of them.  The
-singular values, the solves and the unitarity defects are written out in
-closed form (the private helpers below, shared with ``bcclassify``):
-on one matrix they work on Python numbers, on a stack on length-n
-arrays.  ``check_identities`` certifies this same code: it sends all its
-Haar draws through ``forward_map`` as one stack.
+Every map takes one 2x2 matrix or an (n, 2, 2) stack of them.  The maps and
+their closed-form singular values, solves and unitarity defects (shared with
+``bcclassify``) are written on the four entries of a matrix: Python numbers
+for one matrix, length-n arrays for a stack.  ``check_identities`` certifies
+this same code: it sends all its Haar draws through ``forward_map`` as one stack.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deficiency import EVEN_MODE, GENERAL_MODE, DeficiencyBasis, boundary_waves
+from .deficiency import EVEN_MODE, GENERAL_MODE, DeficiencyBasis
 from .errors import ModeError, UnitarityError
 
 INPUT_UNITARITY_TOL = 1e-10
@@ -57,15 +56,17 @@ OUTPUT_UNITARITY_TOL = 1e-9
 GENERAL_UNITARITY_TOL = 1e-8
 SIGMA_FLOOR = 1e-6
 
-_IDENTITY = np.eye(2)
-_P = np.array([[1.0, 1.0], [-1.0, 1.0]])
-_Q = np.array([[1.0, -1.0], [1.0, 1.0]])
-
 
 def _entries(m):
     """(m00, m01, m10, m11) of a 2x2 matrix as Python numbers, or of an
     (n, 2, 2) stack as four length-n arrays."""
     return m.ravel().tolist() if m.ndim == 2 else tuple(m.reshape(-1, 4).T)
+
+
+def _matrix(a, b, c, d):
+    """The complex matrix [[a, b], [c, d]], or the (n, 2, 2) stack of length-n arrays."""
+    m = np.array([[a, b], [c, d]], dtype=complex)
+    return m if m.ndim == 2 else m.transpose(2, 0, 1)  # a stack's index first
 
 
 def _gram(a, b, c, d):
@@ -80,18 +81,18 @@ def _unitarity_defect(a, b, c, d):
     return ((p - 1.0) ** 2 + (q - 1.0) ** 2 + 2.0 * abs(o) ** 2) ** 0.5
 
 
-def _balanced(m):
-    """(entries of m / s, s), per matrix of a stack: s is the largest power
-    of two at most max |m_ij| where that lies outside [2**-500, 2**500],
-    else 1, and at least 2**-1022 (numpy divides by the reciprocal)."""
-    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1] - 1  # 0, inf and NaN give -1
+def _balanced(a, b, c, d):
+    """(entries / s, s), per matrix of a stack: s is the largest power of
+    two at most max |m_ij| where that lies outside [2**-500, 2**500], else
+    1, and at least 2**-1022 (numpy divides by the reciprocal)."""
+    e = np.frexp(np.max([abs(a), abs(b), abs(c), abs(d)], axis=0))[1] - 1  # 0, inf, NaN: -1
     s = np.ldexp(1.0, np.where(np.abs(e) <= 500, 0, np.maximum(e, -1022)))
-    return _entries(m / s[..., None, None]), s
+    return (a / s, b / s, c / s, d / s), s
 
 
 def _singular_values(m):
-    """[sigma_max, sigma_min] of a 2x2 matrix, each a length-n array for
-    an (n, 2, 2) stack.
+    """[sigma_max, sigma_min] of the 2x2 matrix with entries m = (a, b, c, d),
+    each a length-n array for a stack's entries.
 
     sigma_max^2 is the larger eigenvalue of the Gram matrix, which keeps
     full relative precision also when both singular values are equal, and
@@ -100,13 +101,14 @@ def _singular_values(m):
     arrays alike.  A stack, and one matrix whose squares leave the float
     range, are computed from m / s (_balanced) and multiplied by s.
     """
-    (a, b, c, d), s = _balanced(m) if m.ndim == 3 else (_entries(m), 1.0)
+    stack = isinstance(m[0], np.ndarray)
+    (a, b, c, d), s = _balanced(*m) if stack else (m, 1.0)
     try:
         p, q, o = _gram(a, b, c, d)
     except OverflowError:  # Python floats raise it where numpy gives inf
         p = q = np.inf
-    if m.ndim == 2 and not 2.0 ** -1000 <= p + q <= 2.0 ** 1000:
-        (a, b, c, d), s = _balanced(m)
+    if not stack and not 2.0 ** -1000 <= p + q <= 2.0 ** 1000:
+        (a, b, c, d), s = _balanced(*m)
         p, q, o = _gram(a, b, c, d)
     s_max = (0.5 * (p + q) + abs(0.5 * (p - q) + 1j * abs(o))) ** 0.5
     # the zero matrix has det 0: divide by 1 there, not by sigma_max = 0
@@ -114,23 +116,19 @@ def _singular_values(m):
 
 
 def _solve(lhs, rhs):
-    """lhs^-1 rhs by Cramer's rule, for two 2x2 matrices or two (n, 2, 2)
-    stacks; a stack, and one lhs whose det leaves the float range, as
-    adj(lhs / s) rhs / (s det(lhs / s)) (_balanced).  ZeroDivisionError if
-    a single lhs is exactly singular."""
-    (a, b, c, d), s = _balanced(lhs) if lhs.ndim == 3 else (_entries(lhs), 1.0)
+    """The entries of lhs^-1 rhs by Cramer's rule, from the entries of two
+    2x2 matrices or of two stacks; a stack, and one lhs whose det leaves
+    the float range, as adj(lhs / s) rhs / (s det(lhs / s)) (_balanced).
+    ZeroDivisionError if a single lhs is exactly singular."""
+    stack = isinstance(lhs[0], np.ndarray)
+    (a, b, c, d), s = _balanced(*lhs) if stack else (lhs, 1.0)
     det = (a * d - b * c) * s
-    if lhs.ndim == 2 and not 2.0 ** -1000 <= abs(det) <= 2.0 ** 1000:
-        (a, b, c, d), s = _balanced(lhs)
+    if not stack and not 2.0 ** -1000 <= abs(det) <= 2.0 ** 1000:
+        (a, b, c, d), s = _balanced(*lhs)
         det = (a * d - b * c) * s
-    e, f, g, h = _entries(rhs)
-    out = np.array([[(d * e - b * g) / det, (d * f - b * h) / det],
-                    [(a * g - c * e) / det, (a * h - c * f) / det]])
-    return out if out.ndim == 2 else out.transpose(2, 0, 1)  # a stack's index first
-
-
-def _dagger(m):
-    return np.conj(m).swapaxes(-1, -2)
+    e, f, g, h = rhs
+    return ((d * e - b * g) / det, (d * f - b * h) / det,
+            (a * g - c * e) / det, (a * h - c * f) / det)
 
 
 @dataclass(frozen=True)
@@ -150,11 +148,16 @@ class Unitary2:
         m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2) and (m.ndim != 3 or m.shape[1:] != (2, 2)):
             raise UnitarityError(f"expected a 2x2 matrix or a stack of them, got shape {m.shape}")
-        defect = cls.defect_of(m)
-        if m.ndim == 3:
-            defect = np.max(defect, initial=0.0)
+        return cls._certified(_entries(m), tol, m)
+
+    @classmethod
+    def _certified(cls, entries, tol=INPUT_UNITARITY_TOL, matrix=None):
+        """Certify the entries of one matrix or a stack, then freeze ``matrix`` or their own."""
+        defect = _unitarity_defect(*entries)
+        defect = np.max(defect, initial=0.0) if isinstance(defect, np.ndarray) else defect
         if not defect <= tol:  # a NaN defect fails too
             raise UnitarityError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
+        m = _matrix(*entries) if matrix is None else matrix
         m.setflags(write=False)
         return cls(m)
 
@@ -180,6 +183,15 @@ def _require_mode(basis, mode):
         raise ModeError(f"basis is in {basis.parity_mode!r} mode, need {mode!r}")
 
 
+def _scaled(zs, ws, diag):
+    """z w for paired entries, plus the pair diag on the diagonal; on a stack's
+    arrays in the real arithmetic of Python's complex product (numpy's rounds apart)."""
+    stack = isinstance(zs[0], np.ndarray)
+    x = [(z.real * w.real - z.imag * w.imag) + 1j * (z.real * w.imag + z.imag * w.real) if stack
+         else z * w for z, w in zip(zs, ws)]
+    return [x[0] + diag[0], x[1], x[2], x[3] + diag[1]]
+
+
 def build_V_Vtilde(basis, u_matrix):
     """The pair (V, V~) for an arbitrary (not necessarily unitary) matrix,
     or for each matrix of an (n, 2, 2) stack.
@@ -192,9 +204,9 @@ def build_V_Vtilde(basis, u_matrix):
     on a unitary exactly when U is one.
     """
     _require_mode(basis, EVEN_MODE)
-    a_minus, a_plus, ac_minus, ac_plus = basis._a_pm_ib
-    uc = np.conj(np.asarray(u_matrix, dtype=complex))
-    return ac_minus + uc @ a_minus, -(ac_plus + uc @ a_plus)
+    d, ce, e, cd = basis._a_pm_ib  # D = A - iB and E = conj(A + iB), diagonal
+    uc = [z.conjugate() for z in _entries(np.asarray(u_matrix, dtype=complex))]
+    return _matrix(*_scaled(uc, d * 2, e)), _matrix(*[-z for z in _scaled(uc, ce * 2, cd)])
 
 
 def forward_map(basis, u):
@@ -214,21 +226,28 @@ def forward_map(basis, u):
         UnitarityError: if Ut or Ucal fails its certification.
     """
     v, vt = build_V_Vtilde(basis, u.matrix)
-    utilde = _solve(v, vt)
-    ucal = 0.5 * _P @ utilde @ _Q
+    utilde = t00, t01, t10, t11 = _solve(_entries(v), _entries(vt))
+    r0, r1, r2, r3 = t00 + t10, t01 + t11, t10 - t00, t11 - t01  # P Ut
+    ucal = 0.5 * (r0 + r1), 0.5 * (r1 - r0), 0.5 * (r2 + r3), 0.5 * (r3 - r2)
     return MapPair(basis, u,
-                   Unitary2.certify(utilde, OUTPUT_UNITARITY_TOL),
-                   Unitary2.certify(ucal, OUTPUT_UNITARITY_TOL),
-                   v, vt)
+                   Unitary2._certified(utilde, OUTPUT_UNITARITY_TOL),
+                   Unitary2._certified(ucal, OUTPUT_UNITARITY_TOL), v, vt)
+
+
+def _inverse_entries(basis, ucal):
+    """The entries of (m, rhs) in the inverse-map system conj(U) m = rhs."""
+    _require_mode(basis, EVEN_MODE)
+    d, ce, e, cd = basis._a_pm_ib
+    u00, u01, u10, u11 = ucal
+    q0, q1, q2, q3 = u00 - u10, u01 - u11, u00 + u10, u01 + u11  # Q Ucal
+    t = 0.5 * (q0 - q1), 0.5 * (q0 + q1), 0.5 * (q2 - q3), 0.5 * (q2 + q3)
+    return (_scaled(t, (d[0], d[0], d[1], d[1]), ce),
+            [-z for z in _scaled(t, (e[0], e[0], e[1], e[1]), cd)])
 
 
 def _inverse_system(basis, ucal):
-    """(m, rhs) of the inverse-map system conj(U) m = rhs for a boundary
-    unitary matrix, or for an (n, 2, 2) stack of them."""
-    _require_mode(basis, EVEN_MODE)
-    a_minus, a_plus, ac_minus, ac_plus = basis._a_pm_ib
-    utilde = 0.5 * _Q @ ucal @ _P
-    return a_minus @ utilde + a_plus, -(ac_minus @ utilde + ac_plus)
+    """(m, rhs) of _inverse_entries for a boundary unitary matrix or a stack."""
+    return tuple(_matrix(*x) for x in _inverse_entries(basis, _entries(ucal)))
 
 
 def inverse_map(basis, ucal):
@@ -245,9 +264,9 @@ def inverse_map(basis, ucal):
     ucal may be one certified matrix or a stack, and so is the returned U,
     certified unitary (UnitarityError otherwise).
     """
-    m, rhs = _inverse_system(basis, ucal.matrix)
-    xt = _solve(m.swapaxes(-1, -2), rhs.swapaxes(-1, -2))  # x m = rhs, transposed
-    return Unitary2.certify(_dagger(xt), OUTPUT_UNITARITY_TOL)
+    (m00, m01, m10, m11), (r00, r01, r10, r11) = _inverse_entries(basis, _entries(ucal.matrix))
+    x00, x10, x01, x11 = _solve((m00, m10, m01, m11), (r00, r10, r01, r11))  # x m = rhs, transposed
+    return Unitary2._certified([z.conjugate() for z in (x00, x01, x10, x11)], OUTPUT_UNITARITY_TOL)
 
 
 def forward_map_general(basis, u):
@@ -256,13 +275,16 @@ def forward_map_general(basis, u):
     Returns the unique unitary Ucal with psi_minus(G_j) = Ucal psi_plus(G_j)
     for the domain representatives G_j = g_j + sum_k u_jk conj(g_k):
     Ucal = conj(Psi_minus^-1 Psi_plus), row j of Psi_-+ the wave of G_j's
-    boundary row.  sigma_min(Psi_minus) >= 2 / ||table||_2 (module
-    docstring); Ucal is certified unitary (UnitarityError otherwise).
+    boundary row, W + U W' for the waves W, W' of the table and its conj.
+    sigma_min(Psi_minus) >= 2 / ||table||_2 (module docstring); Ucal is
+    certified unitary (UnitarityError otherwise).
     """
     _require_mode(basis, GENERAL_MODE)
-    table = basis.boundary_table
-    psi_minus, psi_plus = boundary_waves(table + u.matrix @ np.conj(table))
-    return Unitary2.certify(np.conj(_solve(psi_minus, psi_plus)), GENERAL_UNITARITY_TOL)
+    u00, u01, u10, u11 = _entries(u.matrix)
+    psi = [(w0 + u00 * c0 + u01 * c2, w1 + u00 * c1 + u01 * c3,
+            w2 + u10 * c0 + u11 * c2, w3 + u10 * c1 + u11 * c3)
+           for (w0, w1, w2, w3), (c0, c1, c2, c3) in basis._waves]
+    return Unitary2._certified(tuple(z.conjugate() for z in _solve(*psi)), GENERAL_UNITARITY_TOL)
 
 
 def random_matrix(rng, n=None):
@@ -301,13 +323,12 @@ def check_identities(basis, samples, seed=0):
     haar, rand = haar_unitary(rng, samples), random_matrix(rng, samples)
     u_mat = np.concatenate([haar, rand])
     v, vt = build_V_Vtilde(basis, u_mat)
-    uc = np.conj(u_mat)
-    lhs = v @ _dagger(v) - vt @ _dagger(vt)
-    rhs = 2.0 * (_IDENTITY - uc @ _dagger(uc))
+    lhs = v @ v.conj().swapaxes(1, 2) - vt @ vt.conj().swapaxes(1, 2)
+    rhs = 2.0 * (np.eye(2) - np.conj(u_mat) @ u_mat.swapaxes(1, 2))
     identity = (np.linalg.norm(lhs - rhs, axis=(1, 2))
                 / np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2))))
     pair = forward_map(basis, Unitary2.certify(haar))
-    m = _inverse_system(basis, pair.Ucal.matrix)[0]
+    m = _inverse_entries(basis, _entries(pair.Ucal.matrix))[0]
 
     def check(values, threshold, floor):  # singular values fail at or below a floor
         return {"worst": float(np.min(values, initial=np.inf) if floor
@@ -318,8 +339,8 @@ def check_identities(basis, samples, seed=0):
 
     checks = {name: check(values, threshold, floor) for name, values, threshold, floor in (
         ("identity", identity, 1e-8, False),
-        ("v_nonsingular", _singular_values(pair.V)[1], SIGMA_FLOOR, True),
-        ("vtilde_nonsingular", _singular_values(pair.Vtilde)[1], SIGMA_FLOOR, True),
+        ("v_nonsingular", _singular_values(_entries(pair.V))[1], SIGMA_FLOOR, True),
+        ("vtilde_nonsingular", _singular_values(_entries(pair.Vtilde))[1], SIGMA_FLOOR, True),
         ("homogeneous_system", _singular_values(m)[1], SIGMA_FLOOR, True),
         ("forward_unitarity", pair.Ucal.defect, OUTPUT_UNITARITY_TOL, False))}
     return {"samples": samples,

@@ -17,8 +17,8 @@ import numpy as np
 
 
 def matrix_to_json(m):
-    m = np.asarray(m, dtype=complex)
-    return {"rows": [[[z.real, z.imag] for z in row] for row in m]}
+    rows = np.asarray(m, dtype=complex).tolist()
+    return {"rows": [[[z.real, z.imag] for z in row] for row in rows]}
 
 
 def _real(value):

@@ -128,24 +128,42 @@ def test_round_trip_both_directions(basis):
         assert np.abs(back.matrix - w.matrix).max() < 1e-8
 
 
-# numpy rounds a complex product apart from Python, and Cramer's rule passes
-# that on, amplified by the condition of V and m: up to about 100 for harmonic(25)
-@pytest.mark.parametrize("p, tol", [(Potential.zero(1.0), 1e-15), (Potential.zero(3.0), 1e-15),
-                                    (Potential.harmonic(25.0, 1.0), 1e-14)],
-                         ids=["zero-a1", "zero-a3", "harmonic-a1"])
-def test_maps_of_a_stack_are_the_maps_of_its_matrices(p, tol):
-    basis = solve_even_odd(p)
+def tilted(a):
+    """V = 2x/a on [-a, 0), -3 on [0, a]: a potential that is not even."""
+    return Potential.piecewise([((-a, 0.0), [0.0, 2.0 / a]), ((0.0, a), [-3.0])], a)
+
+
+# numpy rounds a complex quotient apart from Python, and Cramer's rule passes that on,
+# amplified by the condition of V and m: up to about 100 for harmonic(25).  The
+# products that form V and m are taken in Python's own real arithmetic on a stack.
+@pytest.mark.parametrize("p, tol, general", [
+    (Potential.zero(1.0), 1e-15, False), (Potential.zero(3.0), 1e-15, False),
+    (Potential.harmonic(25.0, 1.0), 1e-14, False),
+    (Potential.zero(1.0), 1e-15, True), (Potential.zero(3.0), 1e-15, True),
+    (tilted(1.0), 1e-15, True), (tilted(3.0), 1e-15, True),
+], ids=["zero-a1", "zero-a3", "harmonic-a1", "general-zero-a1", "general-zero-a3",
+        "general-tilted-a1", "general-tilted-a3"])
+def test_maps_of_a_stack_are_the_maps_of_its_matrices(p, tol, general):
     stack = Unitary2.certify(haar_unitary(np.random.default_rng(13), 200))
-    pair = forward_map(basis, stack)
-    back = inverse_map(basis, pair.Ucal)
-    for k, u in enumerate(stack.matrix):
-        one = forward_map(basis, Unitary2.certify(u))
-        ucal = Unitary2.certify(pair.Ucal.matrix[k])  # the inverse map of the same input
-        for got, want in ((pair.V[k], one.V), (pair.Vtilde[k], one.Vtilde),
-                          (pair.Utilde.matrix[k], one.Utilde.matrix),
-                          (pair.Ucal.matrix[k], one.Ucal.matrix),
-                          (back.matrix[k], inverse_map(basis, ucal).matrix)):
-            assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+    if general:
+        basis = solve_orthonormal_pair(p)
+        ucal = forward_map_general(basis, stack).matrix
+        outputs = [(ucal[k], forward_map_general(basis, Unitary2.certify(u)).matrix)
+                   for k, u in enumerate(stack.matrix)]
+    else:
+        basis = solve_even_odd(p)
+        pair = forward_map(basis, stack)
+        back = inverse_map(basis, pair.Ucal)
+        outputs = []
+        for k, u in enumerate(stack.matrix):
+            one = forward_map(basis, Unitary2.certify(u))
+            ucal = Unitary2.certify(pair.Ucal.matrix[k])  # the inverse map of the same input
+            outputs += [(pair.V[k], one.V), (pair.Vtilde[k], one.Vtilde),
+                        (pair.Utilde.matrix[k], one.Utilde.matrix),
+                        (pair.Ucal.matrix[k], one.Ucal.matrix),
+                        (back.matrix[k], inverse_map(basis, ucal).matrix)]
+    for got, want in outputs:
+        assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
 def sigma_min(m):
@@ -295,14 +313,24 @@ def helper_inputs():
     return out
 
 
+def singular_values(m):
+    """The closed-form singular values of a matrix or a stack, through its entries."""
+    return extmap._singular_values(extmap._entries(m))
+
+
+def solve(lhs, rhs):
+    """The closed-form lhs^-1 rhs of two matrices or two stacks, through their entries."""
+    return extmap._matrix(*extmap._solve(extmap._entries(lhs), extmap._entries(rhs)))
+
+
 def test_closed_form_singular_values_match_lapack():
     for m in helper_inputs():
         want = np.linalg.svd(m, compute_uv=False)
-        got = extmap._singular_values(m)
+        got = singular_values(m)
         assert np.abs(np.array(got) - want).max() <= 1e-14 * max(1.0, want[0]), m
     stack = np.array(helper_inputs())
     want = np.linalg.svd(stack, compute_uv=False)
-    got = np.array(extmap._singular_values(stack)).T
+    got = np.array(singular_values(stack)).T
     assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, want[:, :1]))
 
 
@@ -321,20 +349,20 @@ def test_cramer_solve_matches_lapack():
         a, b, c, d = lhs.ravel()
         if a * d - b * c == 0.0:  # the zero matrix, diag(1, 0) and some rank-1 products
             with pytest.raises(ZeroDivisionError):
-                extmap._solve(lhs, IDENTITY)
+                solve(lhs, IDENTITY)
             continue
         if np.linalg.cond(lhs) > 1e8:  # the other rank-1 products
             continue
         rhs = random_matrix(rng)
         want = np.linalg.solve(lhs, rhs)
         bound = 1e-14 * np.linalg.cond(lhs) * np.abs(want).max()
-        assert np.abs(extmap._solve(lhs, rhs) - want).max() <= bound, lhs
+        assert np.abs(solve(lhs, rhs) - want).max() <= bound, lhs
     # the same nonsingular inputs as one stack
     lhs = np.array([m for m in helper_inputs() if np.linalg.cond(m) <= 1e8])
     rhs = random_matrix(rng, len(lhs))
     want = np.linalg.solve(lhs, rhs)
     bound = 1e-14 * np.linalg.cond(lhs) * np.abs(want).max(axis=(1, 2))
-    assert np.all(np.abs(extmap._solve(lhs, rhs) - want).max(axis=(1, 2)) <= bound)
+    assert np.all(np.abs(solve(lhs, rhs) - want).max(axis=(1, 2)) <= bound)
 
 
 def test_check_identities_draws_the_loop_draws():
@@ -405,9 +433,9 @@ def test_singular_values_of_tiny_and_huge_matrices_match_lapack(scale):
     # and 1e200 overflows to inf
     m = scale * random_matrix(np.random.default_rng(12))
     want = np.linalg.svd(m / scale, compute_uv=False) * scale
-    assert np.abs(np.array(extmap._singular_values(m)) - want).max() <= 1e-14 * want[0]
+    assert np.abs(np.array(singular_values(m)) - want).max() <= 1e-14 * want[0]
     stack = np.array([m, m / scale])
-    got = np.array(extmap._singular_values(stack)).T
+    got = np.array(singular_values(stack)).T
     assert np.abs(got[0] - want).max() <= 1e-14 * want[0]
     assert np.abs(got[1] - want / scale).max() <= 1e-14 * want[0] / scale  # the in-range one
 
@@ -418,6 +446,6 @@ def test_cramer_solve_of_tiny_and_huge_matrices_matches_lapack(scale):
     lhs, rhs = scale * random_matrix(rng), random_matrix(rng)
     want = np.linalg.solve(lhs / scale, rhs) / scale
     bound = 1e-14 * np.linalg.cond(lhs) * np.abs(want).max()
-    assert np.abs(extmap._solve(lhs, rhs) - want).max() <= bound
-    got = extmap._solve(np.array([lhs, lhs]), np.array([rhs, rhs]))
+    assert np.abs(solve(lhs, rhs) - want).max() <= bound
+    got = solve(np.array([lhs, lhs]), np.array([rhs, rhs]))
     assert np.abs(got - want).max() <= bound

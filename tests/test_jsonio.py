@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from saext import jsonio
+from saext.bcclassify import classify, synthesize
+from saext.deficiency import (EVEN_MODE, GENERAL_MODE, DeficiencyBasis, solve_even_odd,
+                              solve_orthonormal_pair)
+from saext.potential import Potential
 
 
 class Label(str):
@@ -81,3 +85,53 @@ def test_matrix_entries_are_pairs_of_json_numbers(entry):
     rows[0][1] = entry
     with pytest.raises(ValueError, match="2x2 rows"):
         jsonio.matrix_from_json({"rows": rows})
+
+
+def leaves(value):
+    """The leaves of a JSON-ready value, lists and dicts opened."""
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in leaves(v)]
+    if isinstance(value, (list, tuple)):
+        return [leaf for v in value for leaf in leaves(v)]
+    return [value]
+
+
+FIXED_TABLE = np.array([[0.5 - 0.25j, 1.5 + 0.75j, -0.5 + 0.25j, 1.5 + 0.75j],
+                        [-0.125 + 2.0j, 0.375 - 1.0j, -0.125 + 2.0j, -0.375 + 1.0j]])
+FIXED_BYTES = [
+    '{"boundary_table":[[[0.5,-0.25],[1.5,0.75],[-0.5,0.25],[1.5,0.75]],[[-0.125,2.0],'
+    '[0.375,-1.0],[-0.125,2.0],[-0.375,1.0]]],"mat_A":{"rows":[[[1.5,0.75],[0.0,0.0]],'
+    '[[0.0,0.0],[0.375,-1.0]]]},"mat_B":{"rows":[[[0.5,-0.25],[0.0,0.0]],[[0.0,0.0],'
+    '[-0.125,2.0]]]},"mode":"even-potential","potential":{"a":1.0,"kind":"harmonic",'
+    '"params":{"coefficient":25.0}}}',
+    '{"boundary_table":[[[0.5,-0.25],[1.5,0.75],[-0.5,0.25],[1.5,0.75]],[[-0.125,2.0],'
+    '[0.375,-1.0],[-0.125,2.0],[-0.375,1.0]]],"mode":"general","potential":{"a":1.0,'
+    '"kind":"harmonic","params":{"coefficient":25.0}}}',
+    '{"case":"I","matrix":{"rows":[[[-0.1891891891891892,-0.8648648648648648],'
+    '[0.2702702702702703,0.3783783783783784]],[[0.3783783783783784,-0.2702702702702703],'
+    '[0.4594594594594594,-0.7567567567567568]]]},"name":"general-coupled","parameters":'
+    '{"alpha":0.9999999999999999,"beta":[0.5,0.5],"gamma":-2.0},"singular_values":'
+    '{"I_minus_U":[1.6891483491541182,0.7786124286250361],"I_plus_U":[1.8422167858291334,'
+    '1.070877142603164]}}',
+]
+
+
+def test_reports_hold_python_numbers_and_keep_their_bytes():
+    # numpy scalars print the same text, but the encoder takes them slower
+    potential = Potential.harmonic(25.0, 1.0)
+    fixed = [DeficiencyBasis(mode, potential, FIXED_TABLE).to_json()
+             for mode in (EVEN_MODE, GENERAL_MODE)]
+    fixed.append(classify(synthesize("general-coupled", alpha=1.0, beta=0.5 + 0.5j,
+                                     gamma=-2.0)).to_json())
+    assert [jsonio.dumps(data) for data in fixed] == FIXED_BYTES
+    reports = fixed + [solve_even_odd(potential).to_json(),
+                       solve_orthonormal_pair(potential).to_json()]
+    # every kind of parameter, and singular values scaled back from a huge H
+    reports += [classify(synthesize(family, **params)).to_json() for family, params in (
+        ("robin", {"alpha": 2.0, "gamma": -3.0}), ("neumann", {}), ("dirichlet", {}),
+        ("general-case-III", {"alpha": 1.0, "beta": 1.0, "gamma": -1.0}),
+        ("automorphic", {"K": 2.0 + 1.0j}), ("dirichlet-at-a-neumann-at-minus-a", {}),
+        ("general-coupled", {"alpha": 1e300, "beta": 1e300j, "gamma": 1e300}))]
+    for data in reports:
+        numbers = [leaf for leaf in leaves(data) if not isinstance(leaf, str)]
+        assert numbers and all(type(leaf) in (float, int) for leaf in numbers), data
