@@ -64,8 +64,8 @@ def classify_roundtrip(samples, rng):
     """Worst |synthesize_from(classify(U)) - U| over the Case I and IV draws
     among ``samples`` Haar-random U from rng."""
     worst = 0.0
-    for _ in range(samples):
-        u = extmap.Unitary2.certify(extmap.haar_unitary(rng))
+    for draw in extmap.haar_unitary(rng, samples):
+        u = extmap.Unitary2.certify(draw)
         bc = bcclassify.classify(u)
         if bc.case in (bcclassify.CASE_I, bcclassify.CASE_IV):
             rebuilt = bcclassify.synthesize_from(bc)

@@ -40,10 +40,18 @@ their closed-form singular values, solves and unitarity defects (shared with
 ``bcclassify``) are written on the four entries of a matrix: Python numbers
 for one matrix, length-n arrays for a stack.  ``check_identities`` certifies
 this same code: it sends all its Haar draws through ``forward_map`` as one stack.
+
+``haar_unitary`` draws U the same way: the phase-fixed QR of a complex
+Gaussian Z in closed form on Z's four entries, with no LAPACK call.  It
+keeps three contracts: Z is ``random_matrix(rng, n)``, so a seeded caller
+takes its Gaussians in random_matrix's order; a stack is bit for bit the
+same as n single draws; and a singular Z, of probability zero, is not
+guarded.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,11 +303,30 @@ def random_matrix(rng, n=None):
 
 
 def haar_unitary(rng, n=None):
-    """A Haar-distributed 2x2 unitary (QR of a complex Gaussian,
-    phase-fixed), or an (n, 2, 2) stack of them, the same as n calls."""
-    q, r = np.linalg.qr(random_matrix(rng, n) / np.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    """A Haar-distributed 2x2 unitary, or an (n, 2, 2) stack of them.
+
+    Q of the QR factorization Z = Q R of a complex Gaussian Z with R's
+    diagonal made real and positive (Mezzadri, Notices AMS 54 (2007) 592),
+    in closed form on Z's entries: q1 = z1 / ||z1|| for Z's columns z1, z2,
+    and q2 = rho (-conj(q1[1]), conj(q1[0])), orthogonal to q1 by
+    construction, with rho = r / |r| for r = q1[0] z2[1] - q1[1] z2[0],
+    which makes R22 = conj(rho) r = |r| positive.  Three contracts hold:
+    Z is random_matrix(rng, n), so seeded callers take its Gaussians;
+    a stack is bit for bit the same as n single draws, since both run the
+    same real arithmetic (math.sqrt on Python floats, np.sqrt on arrays);
+    and a singular Z, which has probability zero, is not guarded.
+    """
+    z00, z01, z10, z11 = _entries(random_matrix(rng, n))
+    sqrt = math.sqrt if n is None else np.sqrt
+    norm = sqrt(z00.real * z00.real + z00.imag * z00.imag
+                + z10.real * z10.real + z10.imag * z10.imag)
+    ar, ai, cr, ci = z00.real / norm, z00.imag / norm, z10.real / norm, z10.imag / norm
+    rr = (ar * z11.real - ai * z11.imag) - (cr * z01.real - ci * z01.imag)
+    ri = (ar * z11.imag + ai * z11.real) - (cr * z01.imag + ci * z01.real)
+    size = sqrt(rr * rr + ri * ri)
+    pr, pi = rr / size, ri / size  # rho
+    return _matrix(ar + 1j * ai, -(cr * pr + ci * pi) + 1j * (ci * pr - cr * pi),
+                   cr + 1j * ci, (ar * pr + ai * pi) + 1j * (ar * pi - ai * pr))
 
 
 def check_identities(basis, samples, seed=0):

@@ -52,7 +52,8 @@ quotient (Squire & Trapp, SIAM Rev. 40 (1998) 110).  _cosh_sinhc sums its
 power series near z = 0, where sqrt z would round the tiny Im z away.  S
 and dS/dlam take the Richardson step at the levels the error control of
 the piece's prefix products picks.  For an even V this pass too steps
-only [0, a] and mirrors the blocks.
+only [0, a] and mirrors the blocks, and T from a is the mirror image of
+T from -a, with no second product.
 
 The energy-independent part of this work is done once per potential and
 span.  The span's step plan, kept on the Potential, holds the pieces and
@@ -629,7 +630,9 @@ def _edge_transfers(p, lams):
     the S^-1 = adj(S) from a (det S = 1), kept as deviations from I, since
     adj(I + D) = I + adj(D).  For an even V only [0, a] is stepped: with
     P = diag(1, -1), a block of [-a, 0] is P adj(S) P of its mirror image S
-    in [0, a], its derivative P adj(dS/dlam) P, and T(a -> x) = P T(-a -> -x) P.
+    in [0, a] and its derivative P adj(dS/dlam) P, and T(a -> x) is not
+    multiplied out but read off the product from -a as P T(-a -> -x) P,
+    which negates the deviation's off-diagonal.
     """
     even = p.is_even()
     x0 = 0.0 if even else -p.a
@@ -651,12 +654,14 @@ def _edge_transfers(p, lams):
             # P adj(S) P swaps the diagonal, also of the deviation S - I
             out = np.concatenate([out[::-1, ::-1, :, ::-1].swapaxes(0, 1), out], axis=-1)
         steps, dsteps = out.real, out.imag / _SLOPE_STEP
-        # adj swaps the diagonal and negates the rest; the product from a runs backwards
-        negate = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]
-        adj = steps[::-1, ::-1, :, ::-1].swapaxes(0, 1) * negate
+        negate = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None, None]  # P m P
         end = np.zeros((2, 2, len(lams), 1))  # T - I where a pass starts
         left = np.concatenate([end, _prefix(steps)], axis=-1)
-        right = np.concatenate([end, _prefix(adj)], axis=-1)[..., ::-1]
+        if even:  # T(a -> x) = P T(-a -> -x) P, and the edges are symmetric
+            right = left[..., ::-1] * negate
+        else:  # adj swaps the diagonal and negates the rest; the product from a runs backwards
+            adj = steps[::-1, ::-1, :, ::-1].swapaxes(0, 1) * negate
+            right = np.concatenate([end, _prefix(adj)], axis=-1)[..., ::-1]
     # (2, 2, energy, edge or block) -> (energy, edge or block, 2, 2)
     return (x, *(np.moveaxis(m, (0, 1), (2, 3))
                  for m in (_plus_identity(left), _plus_identity(right), _plus_identity(steps),

@@ -374,6 +374,41 @@ def test_check_identities_draws_the_loop_draws():
     assert np.array_equal(random_matrix(rng, 30), rand)
 
 
+def test_haar_unitary_is_the_phase_fixed_qr_of_random_matrix():
+    z = random_matrix(np.random.default_rng(21), 10_000)
+    q = haar_unitary(np.random.default_rng(21), 10_000)
+    assert np.max(Unitary2.defect_of(q)) <= 1e-14
+    r = q.conj().swapaxes(1, 2) @ z  # Z = Q R with R upper triangular, diagonal > 0
+    scale = np.linalg.norm(z, axis=(1, 2))
+    diagonal = np.diagonal(r, axis1=1, axis2=2)
+    assert np.all(np.abs(r[:, 1, 0]) <= 1e-14 * scale)
+    assert np.all(np.abs(diagonal.imag) <= 1e-14 * scale[:, None])
+    assert np.all(diagonal.real > 0.0)
+    # LAPACK's Q with the phases of R's diagonal moved into it, as the reference only
+    q_ref, r_ref = np.linalg.qr(z)
+    d = np.diagonal(r_ref, axis1=1, axis2=2)
+    assert np.abs(q - q_ref * (d / np.abs(d))[:, None, :]).max() <= 1e-12
+
+
+def test_haar_unitary_is_haar_distributed():
+    from scipy.stats import kstest
+
+    u = haar_unitary(np.random.default_rng(22), 5000)
+    # Haar on U(2): |U00|^2 is uniform on [0, 1] and det U uniform on the circle
+    assert kstest(np.abs(u[:, 0, 0]) ** 2, "uniform").pvalue > 0.01
+    phase = np.angle(np.linalg.det(u)) % (2.0 * np.pi)
+    assert kstest(phase, "uniform", args=(0.0, 2.0 * np.pi)).pvalue > 0.01
+
+
+def test_haar_unitary_runs_no_lapack_qr(monkeypatch):
+    def raising(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+    monkeypatch.setattr(np.linalg, "qr", raising)
+    rng = np.random.default_rng(23)
+    assert Unitary2.certify(haar_unitary(rng)).matrix.shape == (2, 2)
+    assert Unitary2.certify(haar_unitary(rng, 7)).matrix.shape == (7, 2, 2)
+
+
 def test_check_identities_certifies_the_forward_map(basis, monkeypatch):
     # wrapped by name, as the benchmark's tracer wraps it
     calls, forward = [], extmap.forward_map
