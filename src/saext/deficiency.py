@@ -236,6 +236,6 @@ def change_of_basis(basis_from, basis_to):
     lhs_m = np.array([[tf[0, 3], tf[1, 3]], [tf[0, 2], tf[1, 2]]])
     rhs_m = np.array([[tt[0, 3], tt[1, 3]], [tt[0, 2], tt[1, 2]]])
     defect = np.abs(lhs_m @ c.T - rhs_m).max()
-    if defect > 1e-7:
+    if not defect <= 1e-7:  # NaN fails too
         raise InvariantViolation(f"change of basis inconsistent at x = -a (defect {defect})")
     return c

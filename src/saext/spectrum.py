@@ -40,12 +40,13 @@ Each located level is accepted or dropped from boundary data alone: one
 pass over [-a, a] (odesolve._edge_transfers) gives each block's own
 transfer S with dS/dE, and the transfer matrices from -a and from a at
 every block edge, the latter as the running product of S^-1 = adj(S).
-The eigenfunction's parts join at a block edge, and its L2 norm is a sum
-of Wronskians: over a block, the integral of u_j u_k for solutions with
+Every eigenfunction, of a simple level or of a double one, joins its part
+from -a to its part from a at a block edge, and its L2 norm is a sum of
+Wronskians: over a block, the integral of u_j u_k for solutions with
 E-independent data at its start is u_j' du_k/dE - u_j du_k'/dE at its end
 (Titchmarsh, Eigenfunction Expansions I, 1962; Pryce 1993).  The dense
 eigenfunctions, built when SpectrumResult.eigenfunctions is first read,
-integrate the end data this pass chose.
+integrate the end data this pass chose from both ends.
 """
 
 from __future__ import annotations
@@ -76,12 +77,11 @@ class SpectrumResult:
     ``eigenvalues[i]``, and ``eigenfunctions[i]`` holds as many
     L2-normalized OdeSolution trajectories.  On first access they integrate
     ``end_data[i]`` = (rows, join), which neither to_json nor equality
-    reads: their boundary rows, and for a simple level the block edge where
-    its parts join (None for a double).  Two threads may both build them,
-    with equal results.  ``residuals[i]`` is
-    the worst residual among the level's eigenfunctions, taken from their
-    boundary data: of the endpoint relation, or of the join of a simple
-    level's eigenfunction at a block edge.  ``det_trace`` keeps the
+    reads: their boundary rows, and the block edge, a float, where their
+    parts from -a and from a join.  Two threads may both build them, with
+    equal results.  ``residuals[i]`` is the worst residual among the
+    level's eigenfunctions, taken from their boundary data: of the endpoint
+    relation, or of the join of their parts.  ``det_trace`` keeps the
     (E, |det M|) samples of the scan, uniform in sqrt(E - e_min), for
     plotting and diagnostics, with M's columns scaled as in _bc_matrix;
     the characteristic function (-1)^N |det M| is unscaled.
@@ -237,43 +237,42 @@ def _rows(y1, y0):
     return np.concatenate([y1[..., ::-1], y0[..., ::-1]], axis=-1)
 
 
-def _null(k, n=1):
-    """The n right singular vectors of k (or of each of a stack) with the
-    smallest singular values, as rows."""
-    return np.conj(np.linalg.svd(k)[2][..., ::-1, :][..., :n, :])
+def _null(k):
+    """The right singular vector of k (or of each of a stack) with the
+    smallest singular value."""
+    return np.conj(np.linalg.svd(k)[2][..., -1, :])
 
 
 def _join(f, g):
-    """Where a simple level joins its part from -a to its part from a: the
-    sample of largest |f g|, short of a, for f and g sampled from -a on."""
+    """Where a level joins its parts from -a to its parts from a: the sample
+    of largest |f g|, short of a, for f and g sampled from -a on."""
     return min(int(np.argmax(np.abs(f * g))), len(f) - 2)
 
 
 def _eigenfunctions(p, roots, end_data):
     """The eigenfunctions of every level, integrated from the end data
-    (rows, join) that _boundary_data chose: one for each row from its data
-    at -a, and for a simple level its part from a, from its data there, on
-    the samples past the one nearest join.  The fundamental solutions from
-    -a of every level come from one call, and those from a of every
-    simple level from one more, or by reflection where V and its grid are
-    symmetric about 0."""
+    (rows, join) that _boundary_data chose: for each row, its part from -a
+    from its data there up to the sample nearest join, and its part from a
+    from its data there on the samples past it.  The fundamental solutions
+    from -a of every level come from one call, and those from a from one
+    more, or by reflection where V and its grid are symmetric about 0."""
     roots = np.array(roots)
     lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
     edges = np.array(p.breakpoints())
-    simple = np.array([join is not None for _, join in end_data], dtype=bool)
     if p.is_even() and np.array_equal(edges, -edges[::-1]):
-        rights = (_reflected(left) for left, one in zip(lefts, simple) if one)
+        rights = map(_reflected, lefts)
     else:
-        rights = iter(odesolve.fundamental_solutions(p, roots[simple], p.a, -p.a))
+        rights = odesolve.fundamental_solutions(p, roots, p.a, -p.a)
     out = []
-    for left, (rows, join) in zip(lefts, end_data):
-        funcs = [odesolve.combine(left, row[3:1:-1]) for row in rows]
-        if join is not None:
-            (f,), g = funcs, odesolve.combine(next(rights), rows[0, 1::-1])
-            j = int(np.argmin(np.abs(f.x - join)))
-            y = np.where(np.arange(len(f.x)) <= j, [f.f, f.df], [g.f[::-1], g.df[::-1]])
-            funcs = [OdeSolution(f.lam, f.x, *y, f.segments)]
-        out.append(tuple(_phase_fixed(f) for f in funcs))
+    for left, right, (rows, join) in zip(lefts, rights, end_data):
+        x = left[0].x
+        on_left = np.arange(len(x)) <= np.argmin(np.abs(x - join))
+        funcs = []
+        for row in rows:
+            f, g = odesolve.combine(left, row[3:1:-1]), odesolve.combine(right, row[1::-1])
+            y = np.where(on_left, [f.f, f.df], [g.f[::-1], g.df[::-1]])
+            funcs.append(_phase_fixed(OdeSolution(f.lam, x, *y, f.segments)))
+        out.append(tuple(funcs))
     return out
 
 
@@ -295,67 +294,59 @@ def _block_gram(step, dstep, y):
 def _boundary_data(p, bc, levels):
     """Per (E, multiplicity) in levels, the worst residual of its
     L2-normalized eigenfunctions and their end data (rows, join): their
-    boundary rows, and the block edge where a simple level's parts meet,
-    None for a double level.
+    boundary rows, and the block edge where their parts from -a and from a
+    meet.
 
     With Y, Y' the transfer matrices from -a and from a at the block edges,
     both from one odesolve._edge_transfers pass over every level, and B, B'
     the rows of _endpoint_maps that give (f, f') at a and at -a, a null
-    vector q of K(x) = Y(x) B' - Y'(x) B gives an eigenfunction.  A double
-    level takes both null vectors of K(a).  A simple level takes q at the
+    vector q of K(x) = Y(x) B' - Y'(x) B gives an eigenfunction.  Each level
+    takes its multiplicity's smallest right singular vectors q_m of K at the
     block edge _join picks, so neither part is carried through decay into
-    growth, which amplifies rounding and root error; its jump there is
-    sigma_min of K plus the rounding of the two sides.  Each norm is one
-    _block_gram sum over the blocks, each block entered with its data at
+    growth, which amplifies rounding and root error.  Their Gram matrix is
+    one _block_gram sum over the blocks, each block entered with its data at
     its start: from -a left of the join and from a right of it, so a block
     that overflows on the side the join does not use never enters the sum.
-    A norm that is not positive gives NaN, and so does the row's residual.
+    Gram-Schmidt in it makes the eigenfunctions orthonormal, and as
+    K q_m = sigma_m u_m with orthonormal u_m, their jumps at the join follow
+    from the sigma_m, plus the rounding of the two sides.  A simple level
+    reads nothing of its second q, whose data overflow at depth.  A norm
+    that is not positive gives NaN, and so does the row's residual.
 
-    The end data need no symmetry check: a simple level's rows, R q, lie
-    on Ucal's Lagrangian subspace, and a double level's are the ends of one
-    solution, whose conj(f') f - conj(f) f' is constant in x for real V, E."""
+    The end data need no symmetry check: the rows R q lie on Ucal's
+    Lagrangian subspace."""
     roots = np.array([e for e, _ in levels])
-    simple = np.array([count == 1 for _, count in levels], dtype=bool)
     x, left, right, step, dstep = odesolve._edge_transfers(p, roots)
     b, b_prime = _endpoint_maps(bc)[[[1, 0], [3, 2]]]  # rows (f, f') at a, at -a
-    rows = np.zeros((len(levels), 2, 4), complex)  # rows[l, k]: eigenfunction k of level l
-    jumps = np.zeros((len(levels), 2))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        tl, tr = left[simple], right[simple]
-        f = tl[..., 0, :] @ (_null(tl[:, -1] @ b_prime - b)[:, 0] @ b_prime.T)[..., None]
-        g = tr[..., 0, :] @ (_null(b_prime - tr[:, 0] @ b)[:, 0] @ b.T)[..., None]
+        f = left[..., 0, :] @ (_null(left[:, -1] @ b_prime - b) @ b_prime.T)[..., None]
+        g = right[..., 0, :] @ (_null(b_prime - right[:, 0] @ b) @ b.T)[..., None]
         j = np.array([_join(*fg) for fg in zip(f[..., 0], g[..., 0])], dtype=int)
-        tl_j, tr_j = tl[np.arange(len(j)), j], tr[np.arange(len(j)), j]
+        tl_j, tr_j = left[np.arange(len(j)), j], right[np.arange(len(j)), j]
         _, sigma, vh = np.linalg.svd(tl_j @ b_prime - tr_j @ b)
-        c0, c1 = np.conj(vh[:, -1]) @ b_prime.T, np.conj(vh[:, -1]) @ b.T  # at -a, at a
+        sigma, q = sigma[:, ::-1], np.conj(vh[:, ::-1])  # smallest first; q[l, m] a row
+        c0, c1 = q @ b_prime.T, q @ b.T  # row m: (f, f') of q_m at -a, at a
         # each block's data at its start: from -a left of the join, from a right of it
         on_left = (np.arange(step.shape[1]) < j[:, None])[..., None, None]
-        y = np.where(on_left, tl[:, :-1] @ c0[:, None, :, None], tr[:, :-1] @ c1[:, None, :, None])
-        inner = _block_gram(step[simple], dstep[simple], y)[..., 0, 0]
-        scale = 1.0 / np.sqrt(inner.sum(axis=1).real)
-        rows[simple, 0] = scale[:, None] * _rows(c1, c0)
+        y = np.where(on_left, left[:, :-1] @ c0.swapaxes(-1, -2)[:, None],
+                     right[:, :-1] @ c1.swapaxes(-1, -2)[:, None])
+        gram = _block_gram(step, dstep, y).sum(axis=1)
+        g00, g01, g11 = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
+        # Gram-Schmidt, written out so that the first row reads nothing of q_1
+        r, d = (g01 / g00)[:, None], np.sqrt(g11 - abs(g01) ** 2 / g00)[:, None]
+        qrows = _rows(c1, c0)
+        rows = np.stack([qrows[:, 0] / np.sqrt(g00)[:, None], (qrows[:, 1] - r * qrows[:, 0]) / d],
+                        axis=1)
+        jumps = np.stack([sigma[:, 0] / np.sqrt(g00),
+                          np.hypot(sigma[:, 1], abs(r[:, 0]) * sigma[:, 0]) / d[:, 0]], axis=1)
         # each side of the join carries a rounding of eps |T| |c|, which bounds
         # how small a jump it can show
         floor = np.finfo(float).eps * np.linalg.norm(
-            np.abs(tl_j) @ np.abs(c0)[..., None] + np.abs(tr_j) @ np.abs(c1)[..., None],
-            axis=(1, 2))
-        jumps[simple, 0] = scale * (sigma[:, -1] + floor)
-
-        # a double level: Gram-Schmidt in the Gram matrix of the null vectors of K(a)
-        tl = left[~simple]
-        c = b_prime @ _null(tl[:, -1] @ b_prime - b, 2).swapaxes(-1, -2)
-        gram = _block_gram(step[~simple], dstep[~simple], tl[:, :-1] @ c[:, None]).sum(axis=1)
-        g00, g01, g11 = gram[:, 0, 0].real, gram[:, 0, 1], gram[:, 1, 1].real
-        first = c[..., 0] / np.sqrt(g00)[:, None]
-        second = ((c[..., 1] - (g01 / g00)[:, None] * c[..., 0])
-                  / np.sqrt(g11 - abs(g01) ** 2 / g00)[:, None])
-        c0 = np.stack([first, second], axis=1)
-        rows[~simple] = _rows((tl[:, -1, None] @ c0[..., None])[..., 0], c0)
-
-    worst = np.maximum(apply_bc(bc, rows), jumps)
-    joins = iter(x[j].tolist())
-    return [(float(np.max(w[:count])), (ends[:count], next(joins) if count == 1 else None))
-            for (_, count), w, ends in zip(levels, worst, rows)]
+            np.abs(tl_j)[:, None] @ np.abs(rows[..., 3:1:-1, None])
+            + np.abs(tr_j)[:, None] @ np.abs(rows[..., 1::-1, None]), axis=(-2, -1))
+        worst = np.maximum(apply_bc(bc, rows), jumps + floor)
+    return [(float(np.max(w[:count])), (level_rows[:count], join))
+            for (_, count), w, level_rows, join in zip(levels, worst, rows, x[j].tolist())]
 
 
 def _scan_grid(low, high, a, at_least):
@@ -377,11 +368,12 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     that holds three or more.  The intervals holding two levels are solved
     in one vectorized call, and those holding one in one more, to
     DEFAULT_RTOL (1 + |E|); the count gives each root its multiplicity.  A
-    root whose eigenfunctions miss the boundary relation or the join of
-    their two parts by more than RESIDUAL_LIMIT (or by NaN) is dropped with
-    a warning.  These residuals come from the boundary data
-    of one more pass at the roots (module docstring); no dense eigenfunction
-    is built until the result's ``eigenfunctions`` is read.
+    root whose eigenfunctions, one per multiplicity, miss the boundary
+    relation or the join of their parts from -a and from a by more than
+    RESIDUAL_LIMIT (or by NaN) is dropped with a warning.  These residuals
+    come from the boundary data of one more pass at the roots (module
+    docstring); no dense eigenfunction is built until the result's
+    ``eigenfunctions`` is read.
 
     The scan is uniform in the wavenumber k = sqrt(E - e_min), eight
     points per pi/2a in k (the asymptotic spacing of the Dirichlet levels)

@@ -183,6 +183,17 @@ def test_change_of_basis_rejects_bases_of_different_potentials():
         change_of_basis(solve_even_odd(P0), solve_orthonormal_pair(Potential.harmonic(25.0, 1.0)))
 
 
+def test_change_of_basis_rejects_a_nan_at_minus_a():
+    # the data at a solve for the coefficients, and a NaN at -a only reaches
+    # the cross-check there, whose defect is then NaN
+    basis = solve_orthonormal_pair(P0)
+    table = basis.boundary_table.copy()
+    table[1, 3] = np.nan
+    broken = DeficiencyBasis(basis.parity_mode, basis.potential, table)
+    with pytest.raises(InvariantViolation, match="inconsistent at x = -a"):
+        change_of_basis(solve_even_odd(P0), broken)
+
+
 @pytest.mark.parametrize("keys", [("mat_A", "mat_B"), ("mat_A",), ("mat_B",)])
 def test_from_json_rejects_matrices_that_contradict_the_table(keys):
     # A and B are read from the table, so copies that contradict it mark a corrupt file

@@ -218,6 +218,25 @@ def test_degenerate_pair_is_orthonormal():
     assert abs(odesolve.l2_inner(f1, f1).real - 1.0) <= 1e-8
 
 
+def test_double_levels_join_at_a_block_edge():
+    # a double level's eigenfunctions join their parts from -a and from a at
+    # a block edge, as a simple level's do, so their rows at both ends are the
+    # R q of the boundary-data pass and meet the boundary relation exactly;
+    # each residual bounds the jumps at the join of its level's eigenfunctions
+    result = find_eigenvalues(P0, bc_named("periodic"), e_max=200.0)
+    assert result.degeneracies.count(2) == 4
+    assert all(type(join) is float and -1.0 <= join < 1.0 for _, join in result.end_data)
+    assert eigenfunction_residuals(result)["worst_boundary"] <= 1e-12
+    x, left, right, _, _ = odesolve._edge_transfers(P0, np.array(result.eigenvalues))
+    for funcs, residual, (rows, join), tl, tr in zip(result.eigenfunctions, result.residuals,
+                                                     result.end_data, left, right):
+        gram = [[odesolve.l2_inner(f, g) for g in funcs] for f in funcs]
+        assert np.max(np.abs(np.array(gram) - np.eye(len(funcs)))) <= 1e-8
+        j = int(np.flatnonzero(x == join)[0])
+        for row in rows:
+            assert np.linalg.norm(tl[j] @ row[3:1:-1] - tr[j] @ row[1::-1]) <= residual
+
+
 def test_det_trace_covers_scan():
     # eight points per pi/2a in k = sqrt(E - e_min): ceil(8 sqrt(99.9) / (pi/2)) = 51
     result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=100.0)
@@ -317,8 +336,8 @@ def test_deeper_double_well_returns_its_levels_or_raises():
 
 def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
     # find_eigenvalues makes no dense pass; on first access the solutions from
-    # -a of every level come from one call, and those from a of every simple
-    # level from one more, or for an even V by reflection
+    # -a of every level come from one call, and those from a of every level
+    # from one more, or for an even V by reflection
     sizes = []
     fundamental = odesolve.fundamental_solutions
 
@@ -376,30 +395,27 @@ def test_reflected_pair_matches_the_pass_from_a(p):
 def test_boundary_data_norms_match_the_dense_eigenfunctions(p):
     # each eigenfunction's norm from its boundary data, one _block_gram sum
     # over the blocks of the boundary-data pass, each entered with its data
-    # from -a left of the join and from a right of it, against Boole's rule
-    # on its dense samples; a simple level joins where find_eigenvalues would
+    # from -a left of the stored join and from a right of it, against Boole's
+    # rule on its dense samples
     result = find_eigenvalues(p, bc_named("periodic"), e_max=40.0)
     assert result.eigenvalues
-    for energy, funcs, (rows, _) in zip(result.eigenvalues, result.eigenfunctions,
-                                        result.end_data):
-        _, left, right, s, ds = (m[0] if m.ndim > 1 else m
+    for energy, funcs, (rows, join) in zip(result.eigenvalues, result.eigenfunctions,
+                                           result.end_data):
+        x, left, right, s, ds = (m[0] if m.ndim > 1 else m
                                  for m in odesolve._edge_transfers(p, np.array([energy])))
+        j = int(np.flatnonzero(x == join)[0])
         for f, row in zip(funcs, rows):
             # boundary rows are (f'(a), f(a), f'(-a), f(-a))
             end_minus, end_plus = row[3:1:-1], row[1::-1]
             # the dense eigenfunction starts from the end data the boundary-data
-            # pass chose, times one unit phase; a double level's data at a is
-            # carried there by the dense pass, so it agrees to that pass's rounding
+            # pass chose at both ends, times one unit phase
             k = int(np.argmax(np.abs(end_minus)))
             phase = [f.f0, f.df0][k] / end_minus[k]
             scale = np.max(np.abs(np.r_[end_minus, end_plus]))
             assert abs(abs(phase) - 1.0) <= 1e-14
             assert np.max(np.abs([f.f0, f.df0] - phase * end_minus)) <= 1e-14 * scale
-            assert np.max(np.abs([f.f1, f.df1] - phase * end_plus)) <= (
-                1e-14 if len(funcs) == 1 else 1e-12) * scale
+            assert np.max(np.abs([f.f1, f.df1] - phase * end_plus)) <= 1e-14 * scale
             minus, plus = np.array([[f.f0], [f.df0]]), np.array([[f.f1], [f.df1]])
-            j = len(s) if len(funcs) == 2 else spectrum._join((left @ minus)[:, 0, 0],
-                                                             (right @ plus)[:, 0, 0])
             y = np.where((np.arange(len(s)) < j)[:, None, None], left[:-1] @ minus,
                          right[:-1] @ plus)
             inner = spectrum._block_gram(s, ds, y).sum()
@@ -440,7 +456,7 @@ def test_find_eigenvalues_makes_one_boundary_data_pass(monkeypatch, p, bc):
 ], ids=["harmonic-dirichlet", "well-periodic", "tilted-automorphic", "even-asymmetric-grid"])
 def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
     # on first access, an even V takes its eigenfunctions from one fundamental
-    # pass, from -a; the tilted V launches its simple levels from a in a second one
+    # pass, from -a; the tilted V launches every level from a in a second one
     starts = []
     fundamental = odesolve.fundamental_solutions
 
