@@ -152,11 +152,12 @@ def _eigenphases(w):
 
 def _chandrupatla(g, x1, x2, f1, f2, rtol):
     """Chandrupatla's bracketed root finder (Adv. Eng. Softw. 28 (1997) 145),
-    vectorized over the brackets [x1, x2] with end values f1, f2.  Each round
-    calls g(x, live) once, live the indices of the brackets still running.  A
-    bracket stops at its end of smaller |g| once |x2 - x1| < rtol (1 + |that
-    end|) or no float lies between its ends, or once they share a sign or
-    one is 0.  The returned mask is False where g is not finite."""
+    vectorized over the brackets [x1, x2] with end values f1, f2, which the
+    caller may take from samples it already has.  Each round calls g(x, live)
+    once, live the indices of the brackets still running.  A bracket stops
+    at its end of smaller |g| once |x2 - x1| < rtol (1 + |that end|) or no
+    float lies between its ends, or once they share a sign or one is 0.  The
+    returned mask is False where g is not finite."""
     root, ok = np.empty(len(x1)), np.ones(len(x1), dtype=bool)
     live, x3, f3 = np.arange(len(x1)), x2, f2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,30 +188,39 @@ def _chandrupatla(g, x1, x2, f1, f2, rtol):
 minimize_scalar = _chandrupatla  # the name perfbench's tracer wraps as the refinement
 
 
-def _solve(p, bc, lo, hi, below, target):
-    """Roots in the brackets [lo, hi] of value exp(log_scale), where
-    (value, log_scale) = target(M, t, N(E), log_s, N(lo)) of _bc_matrix's
-    outputs at E, and the mask of those that converged.  find_eigenvalues
-    solves one level for the unscaled (-1)^N |det M|, whose log_scale is
-    log_s: the (-1)^N prod_j sin(t_j / 2) that it replaces lacks the factor
-    |det plus|, which leaves a smoothed step near a level whose
-    eigenfunction is small at both ends, and root finders bisect a step.  It
-    solves two levels for the phase sum, with log_scale 0.  Each bracket
-    solves value exp(log_scale - c), c the larger log_scale at its ends: a
-    positive factor, which Chandrupatla's steps do not see, that keeps the
-    values in range and an exact zero at an end 0.  All bracket ends are
-    evaluated in one call.  Ends that share a sign at full tolerance put the
-    root at an end, within the accuracy of W."""
-    value, log_scale = target(*_bc_matrix(p, bc, np.r_[lo, hi], DEFAULT_RTOL),
-                              np.r_[below, below])
-    c = np.maximum(log_scale[:len(lo)], log_scale[len(lo):])
-    f = value * np.exp(log_scale - np.r_[c, c])
+def _samples(p, bc, energy, rtol):
+    """The rows E, N(E), |det M|, log_s and the phase sum of W over the
+    energies E, from one _bc_matrix call: what the count and the refinement
+    read of it, with M's columns scaled as in _bc_matrix."""
+    m, t, n, log_s = _bc_matrix(p, bc, energy, rtol)
+    return np.array([energy, n, np.abs(np.linalg.det(m)), log_s, t.sum(axis=-1)])
 
-    def g(x, live):
-        value, log_scale = target(*_bc_matrix(p, bc, x, DEFAULT_RTOL), below[live])
-        return value * np.exp(log_scale - c[live])
-    root, ok = minimize_scalar(g, lo, hi, f[:len(lo)], f[len(lo):], DEFAULT_RTOL)
-    for e in lo[~ok]:
+
+def _solve(p, bc, lo, hi):
+    """Roots in the brackets between the _samples columns lo and hi, each
+    holding one level or two by their counts, and the mask of those that
+    converged.  One level is solved for the unscaled (-1)^N |det M|: the
+    (-1)^N prod_j sin(t_j / 2) that it replaces lacks the factor |det plus|,
+    which leaves a smoothed step near a level whose eigenfunction is small
+    at both ends, and root finders bisect a step.  Two levels are solved for
+    the phase sum continued across them, C(W) - 2 pi (N(E) - N(lo)).  A
+    one-level bracket solves (-1)^N |det M| exp(log_s - c), c the larger
+    log_s at its ends: a positive factor, which Chandrupatla's steps do not
+    see, that keeps the values in range and an exact zero at an end 0.
+
+    The end values are those of the samples, whatever tolerance counted
+    them; only the rounds evaluate, each in one _bc_matrix call at
+    DEFAULT_RTOL over every bracket still running."""
+    below, one, c = lo[1], hi[1] - lo[1] == 1, np.maximum(lo[3], hi[3])
+
+    def target(samples, live):
+        _, n, det, log_s, phase_sum = samples
+        return np.where(one[live], (-1.0) ** n * det * np.exp(log_s - c[live]),
+                        phase_sum - 2 * np.pi * (n - below[live]))
+    every = np.arange(len(below))
+    root, ok = minimize_scalar(lambda x, live: target(_samples(p, bc, x, DEFAULT_RTOL), live),
+                               lo[0], hi[0], target(lo, every), target(hi, every), DEFAULT_RTOL)
+    for e in lo[0, ~ok]:
         log.warning("refinement did not converge near E = %g: the target is not finite", e)
     return root, ok
 
@@ -365,9 +375,13 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
 
     The scan counts the levels below every grid energy at the coarse
     SCAN_RTOL, and rounds of one batched call each bisect every interval
-    that holds three or more.  The intervals holding two levels are solved
-    in one vectorized call, and those holding one in one more, to
-    DEFAULT_RTOL (1 + |E|); the count gives each root its multiplicity.  A
+    that holds three or more.  Every call keeps its samples (_samples), so
+    the intervals holding one level or two start their refinement from the
+    end values that counted them and are solved together in one
+    vectorized run, to DEFAULT_RTOL (1 + |E|); the count gives each root
+    its multiplicity.  Only the one-level parts that a two-level root or
+    the bisection by count splits off run again, from the samples of the
+    call that split them.  A
     root whose eigenfunctions, one per multiplicity, miss the boundary
     relation or the join of their parts from -a and from a by more than
     RESIDUAL_LIMIT (or by NaN) is dropped with a warning.  These residuals
@@ -402,58 +416,58 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
             raise ValueError(f"{name} must be finite, got {bound}")
     if e_min >= e_max:
         raise ValueError(f"empty scan range [{e_min}, {e_max}]")
-    energies = _scan_grid(e_min, e_max, p.a, 16)
-    cols, _, count, _ = _bc_matrix(p, bc, energies, SCAN_RTOL)
-    det_trace = list(zip(energies.tolist(), np.abs(np.linalg.det(cols)).tolist()))
-    while default_floor and count[0] > 0:  # double the depth below -sup|V| = e_min + 1
-        step = _scan_grid(2.0 * energies[0] - e_min - 1.0, energies[0], p.a, 2)[:-1]
-        below = _bc_matrix(p, bc, step, SCAN_RTOL)[2]
+    samples = _samples(p, bc, _scan_grid(e_min, e_max, p.a, 16), SCAN_RTOL)
+    det_trace = list(zip(samples[0].tolist(), samples[2].tolist()))
+    while default_floor and samples[1, 0] > 0:  # double the depth below -sup|V| = e_min + 1
+        floor = samples[0, 0]
+        step = _samples(p, bc, _scan_grid(2.0 * floor - e_min - 1.0, floor, p.a, 2)[:-1],
+                        SCAN_RTOL)
         # N(E) never falls, so counts that fall read the rounding noise of
         # S(E) at depth: such a step keeps only its floor
-        keep = len(step) if np.all(np.diff(np.r_[below, count[0]]) >= 0) else 1
-        energies, count = np.r_[step[:keep], energies], np.r_[below[:keep], count]
+        keep = step.shape[1] if np.all(np.diff(np.r_[step[1], samples[1, 0]]) >= 0) else 1
+        samples = np.c_[step[:, :keep], samples]
     while True:  # bisect every interval that holds three or more levels
+        energies, count = samples[:2]
         mid = 0.5 * (energies[:-1] + energies[1:])
         split = np.flatnonzero((np.diff(count) > 2) & (energies[:-1] < mid) & (mid < energies[1:]))
         if not len(split):
             break
-        energies = np.insert(energies, split + 1, mid[split])
-        count = np.insert(count, split + 1, _bc_matrix(p, bc, mid[split], SCAN_RTOL)[2])
+        samples = np.insert(samples, split + 1, _samples(p, bc, mid[split], SCAN_RTOL), axis=1)
 
-    lo, hi, below, held = energies[:-1], energies[1:], count[:-1], np.diff(count)
-    levels = []  # (E, multiplicity)
-    lo1, hi1, below1 = lo[held == 1], hi[held == 1], below[held == 1]
-    lo2, hi2, below2 = lo[held == 2], hi[held == 2], below[held == 2]
-    if len(lo2):
-        root, ok = _solve(p, bc, lo2, hi2, below2, lambda m, t, n, log_s, below: (
-            t.sum(axis=-1) - 2 * np.pi * (n - below), 0.0 * log_s))
+    held = np.diff(samples[1])
+    lo, hi = (ends[:, (held == 1) | (held == 2)] for ends in (samples[:, :-1], samples[:, 1:]))
+    root, ok = _solve(p, bc, lo, hi)
+    one = hi[1] - lo[1] == 1
+    levels = [(e, 1) for e in root[ok & one].tolist()]  # (E, multiplicity)
+    lo2, hi2, root = lo[:, ok & ~one], hi[:, ok & ~one], root[ok & ~one]
+    lo1, hi1 = lo[:, :0], hi[:, :0]  # one-level brackets left for a second run
+    if len(root):
         tol = DEFAULT_RTOL * (1 + np.abs(root))
-        side = _bc_matrix(p, bc, np.r_[root - tol, root + tol], DEFAULT_RTOL)[2].reshape(2, -1)
-        double = ok & (side[0] == below2) & (side[1] == below2 + 2)
-        split = ok & (side[0] == below2 + 1) & (side[1] == below2 + 1)  # one level on each side
+        side = _samples(p, bc, np.r_[root - tol, root + tol], DEFAULT_RTOL)
+        left, right, below = side[:, :len(root)], side[:, len(root):], lo2[1]
+        double = (left[1] == below) & (right[1] == below + 2)
+        split = (left[1] == below + 1) & (right[1] == below + 1)  # one level on each side
         levels += [(e, 2) for e in root[double].tolist()]
-        lo1, hi1 = np.r_[lo1, lo2[split], root[split]], np.r_[hi1, root[split], hi2[split]]
-        below1 = np.r_[below1, below2[split], below2[split] + 1]
+        lo1 = np.c_[lo1, lo2[:, split], right[:, split]]
+        hi1 = np.c_[hi1, left[:, split], hi2[:, split]]
         # where the root splits nothing, bisect by count until each part holds
         # one level or two within the root tolerance, a double
-        rest = ok & ~double & ~split
-        lo2, hi2, below2 = lo2[rest], hi2[rest], below2[rest]
-        while len(lo2):
-            mid = 0.5 * (lo2 + hi2)
-            tight = hi2 - lo2 <= 2 * DEFAULT_RTOL * (1 + np.abs(mid))
-            levels += [(e, 2) for e in mid[tight].tolist()]
-            lo2, hi2, below2, mid = (v[~tight] for v in (lo2, hi2, below2, mid))
-            if not len(mid):
-                break
-            n = _bc_matrix(p, bc, mid, DEFAULT_RTOL)[2]
-            parts = np.r_[lo2, mid], np.r_[mid, hi2], np.r_[below2, n]
-            parts_held = np.r_[n - below2, below2 + 2 - n]
-            lo1, hi1, below1 = (np.r_[v, part[parts_held == 1]]
-                                for v, part in zip((lo1, hi1, below1), parts))
-            lo2, hi2, below2 = (part[parts_held == 2] for part in parts)
-    if len(lo1):
-        root, ok = _solve(p, bc, lo1, hi1, below1, lambda m, t, n, log_s, below: (
-            (-1.0) ** n * np.abs(np.linalg.det(m)), log_s))
+        lo2, hi2 = lo2[:, ~double & ~split], hi2[:, ~double & ~split]
+    while lo2.shape[1]:
+        mid = 0.5 * (lo2[0] + hi2[0])
+        tight = hi2[0] - lo2[0] <= 2 * DEFAULT_RTOL * (1 + np.abs(mid))
+        levels += [(e, 2) for e in mid[tight].tolist()]
+        lo2, hi2, mid = lo2[:, ~tight], hi2[:, ~tight], mid[~tight]
+        if not len(mid):
+            break
+        mid = _samples(p, bc, mid, DEFAULT_RTOL)
+        parts_lo, parts_hi = np.c_[lo2, mid], np.c_[mid, hi2]
+        parts_held = parts_hi[1] - parts_lo[1]
+        lo1 = np.c_[lo1, parts_lo[:, parts_held == 1]]
+        hi1 = np.c_[hi1, parts_hi[:, parts_held == 1]]
+        lo2, hi2 = parts_lo[:, parts_held == 2], parts_hi[:, parts_held == 2]
+    if lo1.shape[1]:
+        root, ok = _solve(p, bc, lo1, hi1)
         levels += [(e, 1) for e in root[ok].tolist()]
 
     levels.sort()

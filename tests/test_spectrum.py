@@ -540,30 +540,70 @@ def test_stacked_eigen_solve_matches_three_solves(bc):
         assert np.angle(bc.Ucal.matrix[0, 0]) % (2 * np.pi) > 2 * np.pi - 1e-12
 
 
-def test_solve_evaluates_all_bracket_ends_in_one_call(monkeypatch):
-    # the periodic box has a simple level at 0 and double ones at (n pi)^2,
-    # so both the one-level and the two-level solve run
-    solves, calls = [], []
-    solve, propagate = spectrum._solve, odesolve.propagate
+def _recording_full_propagate(monkeypatch):
+    """The energies of every full-tolerance odesolve.propagate call, one
+    array per call, as find_eigenvalues makes them."""
+    calls, propagate = [], odesolve.propagate
 
-    def recording_solve(p, bc, lo, hi, *args):
-        calls.clear()
-        result = solve(p, bc, lo, hi, *args)
-        solves.append((lo, hi, list(calls)))
-        return result
+    def recording(p, lam, x0, x1, rtol=odesolve.DEFAULT_RTOL):
+        if rtol == odesolve.DEFAULT_RTOL:
+            calls.append(np.atleast_1d(lam))
+        return propagate(p, lam, x0, x1, rtol)
+    monkeypatch.setattr(odesolve, "propagate", recording)
+    return calls
 
-    def recording_propagate(p, lam, *args):
-        calls.append(np.atleast_1d(lam))
-        return propagate(p, lam, *args)
 
-    monkeypatch.setattr(spectrum, "_solve", recording_solve)
-    monkeypatch.setattr(odesolve, "propagate", recording_propagate)
+def test_one_refinement_run_starts_from_the_scan_samples(monkeypatch):
+    # the periodic box has a simple level at 0 and double ones at (n pi)^2.
+    # One run refines the simple and the double brackets together, from the
+    # end values the scan counted, so no full-tolerance call comes back to a
+    # scan energy
+    runs, chandrupatla = [], spectrum.minimize_scalar
+
+    def recording_run(g, x1, x2, *args):
+        runs.append((x1, x2))
+        return chandrupatla(g, x1, x2, *args)
+
+    monkeypatch.setattr(spectrum, "minimize_scalar", recording_run)
+    full = _recording_full_propagate(monkeypatch)
     result = find_eigenvalues(P0, bc_named("periodic"), e_max=40.0)
-    assert 1 in result.degeneracies and 2 in result.degeneracies
-    assert len(solves) == 2
-    for lo, hi, energies in solves:
-        assert np.array_equal(energies[0], np.r_[lo, hi])
-        assert not any(np.array_equal(e, lo) or np.array_equal(e, hi) for e in energies[1:])
+    assert_matches(result, [(0.0, 1), (np.pi ** 2, 2), (4 * np.pi ** 2, 2)], rel=1e-9)
+    assert len(runs) == 1
+    (x1, x2), = runs
+    levels = np.array(result.eigenvalues)
+    assert len(x1) == 3 and np.all((x1 <= levels) & (levels <= x2))
+    scan = [e for e, _ in result.det_trace]
+    assert not np.isin(np.concatenate(full), scan).any()
+
+
+@pytest.mark.parametrize("family, levels, budget", [("periodic", 3, 7), ("neumann", 5, 5)])
+def test_full_tolerance_propagate_budget(monkeypatch, family, levels, budget):
+    # one refinement run started from the scan's samples, then the two-level
+    # side check: 14 and 6 calls when every bracket end was evaluated again
+    # and the simple and double brackets ran one after the other
+    full = _recording_full_propagate(monkeypatch)
+    result = find_eigenvalues(P0, bc_named(family), e_max=40.0)
+    assert len(result.eigenvalues) == levels
+    assert len(full) <= budget
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7])
+def test_level_on_a_scan_energy(caplog, offset):
+    # e_min puts scan point 5 at (pi / 2)^2 + offset, where the coarse count
+    # may put the level on either side of it and |det M| is about 0
+    target, e_max, i = (np.pi / 2) ** 2 + offset, 12.0, 5
+    e_min = target - 1.0
+    for _ in range(30):
+        grid = spectrum._scan_grid(e_min, e_max, P0.a, 16)
+        e_min += (target - grid[i]) / (1 - (i / (len(grid) - 1)) ** 2)
+    assert spectrum._scan_grid(e_min, e_max, P0.a, 16)[i] == target
+    with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
+        result = find_eigenvalues(P0, bc_named("dirichlet"), e_min=e_min, e_max=e_max)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+    assert result.degeneracies == [1, 1]
+    for got, n in zip(result.eigenvalues, (1, 2)):
+        want = (n * np.pi / 2) ** 2
+        assert abs(got - want) <= 2 * odesolve.DEFAULT_RTOL * (1 + want)
 
 
 def chandrupatla(g, lo, hi, rtol):
@@ -642,13 +682,20 @@ def test_one_level_refinement_rounds(monkeypatch, p, bc, e_max, rounds):
     assert len(counts) == 1 and counts[0] <= rounds
 
 
-def test_solve_warns_when_the_target_is_not_finite(caplog):
+def test_solve_warns_when_the_target_is_not_finite(monkeypatch, caplog):
     # the Dirichlet box levels (pi/2)^2 and pi^2, the second with a NaN target
-    def target(m, t, n, log_s, below):
-        return np.where(below == 1, np.nan, (-1.0) ** n * np.abs(np.linalg.det(m))), log_s
+    samples = spectrum._samples
+
+    def nan_above_nine(p, bc, energy, rtol):
+        out = samples(p, bc, energy, rtol)
+        out[2, out[0] >= 9.0] = np.nan
+        return out
+    monkeypatch.setattr(spectrum, "_samples", nan_above_nine)
+    bc = bc_named("dirichlet")
+    lo, hi = (spectrum._samples(P0, bc, np.array(e), odesolve.DEFAULT_RTOL)
+              for e in ([2.0, 9.0], [3.0, 10.0]))
     with caplog.at_level(logging.WARNING, logger="saext.spectrum"):
-        root, ok = spectrum._solve(P0, bc_named("dirichlet"), np.array([2.0, 9.0]),
-                                   np.array([3.0, 10.0]), np.array([0, 1]), target)
+        root, ok = spectrum._solve(P0, bc, lo, hi)
     assert ok.tolist() == [True, False]
     assert abs(root[0] - np.pi ** 2 / 4) <= 1e-9
     messages = [r.getMessage() for r in caplog.records]
@@ -870,9 +917,9 @@ def test_floor_descent_is_scanned_at_the_scan_density(monkeypatch):
             scans.append(np.atleast_1d(energy))
         return bc_matrix(p, bc, energy, rtol)
 
-    def recording(p, bc, lo, hi, *args):
-        brackets.append((lo, hi))
-        return solve(p, bc, lo, hi, *args)
+    def recording(p, bc, lo, hi):
+        brackets.append((lo[0], hi[0]))  # the energies of the bracket ends
+        return solve(p, bc, lo, hi)
 
     monkeypatch.setattr(spectrum, "_bc_matrix", scanning)
     monkeypatch.setattr(spectrum, "_solve", recording)
