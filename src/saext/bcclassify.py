@@ -27,13 +27,15 @@ K for automorphic (t in (0, pi)), and nothing for the six fixed families.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import numbers
+from typing import NamedTuple
 
 import numpy as np
 
 from .deficiency import boundary_waves
 from .errors import ParameterError
 from .extmap import Unitary2, _entries, _matrix, _singular_values, _solve
+from .jsonio import matrix_to_json
 
 DEFAULT_TOL = 1e-8
 
@@ -61,39 +63,45 @@ FAMILIES = {"robin": ("alpha", "gamma"), "automorphic": ("K",),
             **dict.fromkeys(_FIXED, ())}
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
-    """A boundary unitary with its case, named family and parameters."""
+class BoundaryCondition(NamedTuple):
+    """A boundary unitary with its case, named family and parameters.
+
+    H (cases I and II) and H' (case III) are kept as their four entries and
+    built as matrices when read."""
 
     Ucal: Unitary2
     case: str
     name: str
-    H: np.ndarray | None = None
-    Hprime: np.ndarray | None = None
+    sigma: dict                         # singular values of I -/+ Ucal
+    h_entries: tuple | None = None      # (h00, h01, h10, h11) of H, or of H' in case III
     robin: tuple | None = None          # (alpha, beta, gamma) of f' = H (f(a), -f(-a))
     robin_prime: tuple | None = None    # (alpha', beta', gamma') of the case-III form
     angles: tuple | None = None         # (theta, phi), case IV
     K: complex | None = None            # automorphic constant, case IV with theta in (0, pi)
-    sigma: dict = field(default_factory=dict)  # singular values of I -/+ Ucal
+
+    @property
+    def H(self):
+        return _matrix(*self.h_entries) if self.case in (CASE_I, CASE_II) else None
+
+    @property
+    def Hprime(self):
+        return _matrix(*self.h_entries) if self.case == CASE_III else None
 
     def to_json(self):
-        from .jsonio import matrix_to_json
-        data = {"case": self.case, "name": self.name,
-                "matrix": matrix_to_json(self.Ucal.matrix),
-                "singular_values": {k: [float(x) for x in v] for k, v in self.sigma.items()}}
-        params = {}
         if self.robin is not None:
             a, b, g = self.robin
-            params.update({"alpha": a, "beta": [b.real, b.imag], "gamma": g})
-        if self.robin_prime is not None:
+            params = {"alpha": a, "beta": [b.real, b.imag], "gamma": g}
+        elif self.robin_prime is not None:
             a, b, g = self.robin_prime
-            params.update({"alpha_prime": a, "beta_prime": [b.real, b.imag], "gamma_prime": g})
-        if self.angles is not None:
-            params.update({"theta": self.angles[0], "phi": self.angles[1]})
-        if self.K is not None:
-            params.update({"K": [self.K.real, self.K.imag]})
-        data["parameters"] = params
-        return data
+            params = {"alpha_prime": a, "beta_prime": [b.real, b.imag], "gamma_prime": g}
+        else:
+            theta, phi = self.angles
+            params = {"theta": theta, "phi": phi}
+            if self.K is not None:
+                params["K"] = [self.K.real, self.K.imag]
+        return {"case": self.case, "name": self.name, "matrix": matrix_to_json(self.Ucal.matrix),
+                "singular_values": {k: [float(x), float(y)] for k, (x, y) in self.sigma.items()},
+                "parameters": params}
 
 
 def _case_iv_data(a, b, c, d, tol):
@@ -116,6 +124,9 @@ def classify(ucal, tol=DEFAULT_TOL):
     against tol times the largest one in play (for a unitary the larger of
     the two matrices always has norm >= sqrt(2), so the scale is O(1)).
 
+    H (or H') is kept as the four entries that the solve gives; the
+    returned condition builds the matrix only when its H or Hprime is read.
+
     Args:
         ucal: certified Unitary2.
         tol: singularity threshold, in (0, 1e-4].
@@ -133,9 +144,10 @@ def classify(ucal, tol=DEFAULT_TOL):
 
     if not (minus_singular and plus_singular):  # H for cases I and II, else H'
         k, lhs, rhs = (1j, minus, plus) if not minus_singular else (-1j, plus, minus)
-        m00, m01, m10, m11 = (k * z for z in _solve(lhs, rhs))
+        x00, x01, x10, x11 = _solve(lhs, rhs)
+        m00, m01, m10, m11 = k * x00, k * x01, k * x10, k * x11
         h00, h01, h11 = m00.real, 0.5 * (m01 + m10.conjugate()), m11.real
-        h = _matrix(h00, h01, 0.5 * (m10 + m01.conjugate()), h11)
+        h = (h00, h01, 0.5 * (m10 + m01.conjugate()), h11)
     if not minus_singular:  # cases I and II share H
         robin = (h00, h01, -h11)
         if plus_singular:
@@ -143,12 +155,11 @@ def classify(ucal, tol=DEFAULT_TOL):
         else:
             h_scale = max(1.0, abs(h00), abs(h01), abs(h11))
             case, name = CASE_I, "robin" if abs(h01) <= tol * h_scale else "general-coupled"
-        return BoundaryCondition(ucal, case, name, H=h, robin=robin, sigma=sigma)
+        return BoundaryCondition(ucal, case, name, sigma, h, robin=robin)
 
     if not plus_singular:
         name = "dirichlet" if sig_minus[0] <= tol * scale else "general-case-III"
-        return BoundaryCondition(ucal, CASE_III, name, Hprime=h,
-                                 robin_prime=(h00, -h01, -h11), sigma=sigma)
+        return BoundaryCondition(ucal, CASE_III, name, sigma, h, robin_prime=(h00, -h01, -h11))
 
     theta, phi, sin_theta = _case_iv_data(a, b, c, d, tol)
     if sin_theta <= tol:
@@ -164,8 +175,7 @@ def classify(ucal, tol=DEFAULT_TOL):
             name = "anti-periodic"
         else:
             name = "automorphic"
-    return BoundaryCondition(ucal, CASE_IV, name, angles=(theta, phi), K=kval,
-                             sigma=sigma)
+    return BoundaryCondition(ucal, CASE_IV, name, sigma, angles=(theta, phi), K=kval)
 
 
 def _cayley(h):
@@ -183,6 +193,28 @@ def _cayley_prime(hp):
     return _solve((1j - a, 0j - b, 0j - c, 1j - d), (a + 1j, b + 0j, c + 0j, d + 1j))
 
 
+# each parameter's kind, the type that passes at once, and the numbers ABC that decides others
+_KINDS = {"alpha": ("real", float, numbers.Real), "gamma": ("real", float, numbers.Real),
+          "beta": ("complex", complex, numbers.Complex), "K": ("complex", complex, numbers.Complex)}
+
+
+def _checked(family, takes, name, value):
+    """ParameterError unless value is None where family does not take name,
+    and a finite number where it does: real for alpha and gamma, complex
+    for beta and K, a boolean never (as in jsonio); beta alone may be unset."""
+    if value is None:
+        if name in takes and name != "beta":
+            raise ParameterError(f"{family} needs {name}")
+        return
+    if name not in takes:
+        raise ParameterError(f"{family} takes {', '.join(takes) or 'no parameters'}, not {name}")
+    kind, exact, abstract = _KINDS[name]
+    if type(value) is not exact and (isinstance(value, bool) or not isinstance(value, abstract)):
+        raise ParameterError(f"{name} must be a {kind} number, got {value!r}")
+    if not cmath.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+
+
 def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
     """The boundary unitary of a named family from exactly the parameters
     FAMILIES lists for it; an unset beta is 0.  classify(synthesize(...))
@@ -190,18 +222,17 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
 
     Raises:
         ParameterError: for an unknown family, a parameter the family does
-            not take, a missing one, or one out of its domain.
+            not take, a missing one, one that is not a number of its kind
+            (real alpha and gamma, complex beta and K), or one out of its
+            domain.
     """
-    if family not in FAMILIES:
+    takes = FAMILIES.get(family)
+    if takes is None:
         raise ParameterError(f"unknown boundary-condition family {family!r}")
-    takes = FAMILIES[family]
-    for name, value in {"alpha": alpha, "beta": beta, "gamma": gamma, "K": K}.items():
-        if value is not None and name not in takes:
-            raise ParameterError(f"{family} takes {', '.join(takes) or 'no parameters'}, not {name}")
-        if value is None and name in takes and name != "beta":
-            raise ParameterError(f"{family} needs {name}")
-        if value is not None and not cmath.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
+    _checked(family, takes, "alpha", alpha)
+    _checked(family, takes, "beta", beta)
+    _checked(family, takes, "gamma", gamma)
+    _checked(family, takes, "K", K)
 
     if family in _FIXED:
         return Unitary2.certify(_FIXED[family])

@@ -38,8 +38,11 @@ certify their outputs unitary.
 Every map takes one 2x2 matrix or an (n, 2, 2) stack of them.  The maps and
 their closed-form singular values, solves and unitarity defects (shared with
 ``bcclassify``) are written on the four entries of a matrix: Python numbers
-for one matrix, length-n arrays for a stack.  ``check_identities`` certifies
-this same code: it sends all its Haar draws through ``forward_map`` as one stack.
+for one matrix, length-n arrays for a stack.  Each helper tests once whether
+it has a stack.  ``forward_map`` solves Ut on the entries of V and V~ and
+builds neither matrix: a MapPair builds them when its V or Vtilde is read,
+bit for bit the same.  ``check_identities`` certifies this same code: it
+sends all its Haar draws through ``forward_map`` as one stack.
 
 ``haar_unitary`` draws U the same way: the phase-fixed QR of a complex
 Gaussian Z in closed form on Z's four entries, with no LAPACK call.  It
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +77,11 @@ def _entries(m):
 
 def _matrix(a, b, c, d):
     """The complex matrix [[a, b], [c, d]], or the (n, 2, 2) stack of length-n arrays."""
-    m = np.array([[a, b], [c, d]], dtype=complex)
-    return m if m.ndim == 2 else m.transpose(2, 0, 1)  # a stack's index first
+    if isinstance(a, np.ndarray):
+        return np.array([[a, b], [c, d]], dtype=complex).transpose(2, 0, 1)  # a stack's index first
+    m = np.empty((2, 2), dtype=complex)  # filled in place: one array that owns its data
+    m[0, 0], m[0, 1], m[1, 0], m[1, 1] = a, b, c, d
+    return m
 
 
 def _gram(a, b, c, d):
@@ -109,18 +116,23 @@ def _singular_values(m):
     arrays alike.  A stack, and one matrix whose squares leave the float
     range, are computed from m / s (_balanced) and multiplied by s.
     """
-    stack = isinstance(m[0], np.ndarray)
-    (a, b, c, d), s = _balanced(*m) if stack else (m, 1.0)
-    try:
+    a, b, c, d = m
+    s = None
+    if isinstance(a, np.ndarray):
+        (a, b, c, d), s = _balanced(a, b, c, d)
         p, q, o = _gram(a, b, c, d)
-    except OverflowError:  # Python floats raise it where numpy gives inf
-        p = q = np.inf
-    if not stack and not 2.0 ** -1000 <= p + q <= 2.0 ** 1000:
-        (a, b, c, d), s = _balanced(*m)
-        p, q, o = _gram(a, b, c, d)
+    else:
+        try:
+            p, q, o = _gram(a, b, c, d)
+        except OverflowError:  # Python floats raise it where numpy gives inf
+            p = q = np.inf
+        if not 2.0 ** -1000 <= p + q <= 2.0 ** 1000:
+            (a, b, c, d), s = _balanced(a, b, c, d)
+            p, q, o = _gram(a, b, c, d)
     s_max = (0.5 * (p + q) + abs(0.5 * (p - q) + 1j * abs(o))) ** 0.5
     # the zero matrix has det 0: divide by 1 there, not by sigma_max = 0
-    return [s * s_max, s * (abs(a * d - b * c) / (s_max + (s_max == 0.0)))]
+    s_min = abs(a * d - b * c) / (s_max + (s_max == 0.0))
+    return [s_max, s_min] if s is None else [s * s_max, s * s_min]
 
 
 def _solve(lhs, rhs):
@@ -128,12 +140,15 @@ def _solve(lhs, rhs):
     2x2 matrices or of two stacks; a stack, and one lhs whose det leaves
     the float range, as adj(lhs / s) rhs / (s det(lhs / s)) (_balanced).
     ZeroDivisionError if a single lhs is exactly singular."""
-    stack = isinstance(lhs[0], np.ndarray)
-    (a, b, c, d), s = _balanced(*lhs) if stack else (lhs, 1.0)
-    det = (a * d - b * c) * s
-    if not stack and not 2.0 ** -1000 <= abs(det) <= 2.0 ** 1000:
-        (a, b, c, d), s = _balanced(*lhs)
+    a, b, c, d = lhs
+    if isinstance(a, np.ndarray):
+        (a, b, c, d), s = _balanced(a, b, c, d)
         det = (a * d - b * c) * s
+    else:
+        det = (a * d - b * c) * 1.0  # as by s = 1: the complex product sets det's signed zeros
+        if not 2.0 ** -1000 <= abs(det) <= 2.0 ** 1000:
+            (a, b, c, d), s = _balanced(a, b, c, d)
+            det = (a * d - b * c) * s
     e, f, g, h = rhs
     return ((d * e - b * g) / det, (d * f - b * h) / det,
             (a * g - c * e) / det, (a * h - c * f) / det)
@@ -174,16 +189,22 @@ class Unitary2:
         return self.defect_of(self.matrix)
 
 
-@dataclass(frozen=True)
-class MapPair:
-    """One extension seen from both ends of the correspondence."""
+class MapPair(NamedTuple):
+    """One extension seen from both ends of the correspondence.  V and V~
+    are not kept: each read builds them from U (build_V_Vtilde)."""
 
     basis: DeficiencyBasis
     U: Unitary2
     Utilde: Unitary2
     Ucal: Unitary2
-    V: np.ndarray
-    Vtilde: np.ndarray
+
+    @property
+    def V(self):
+        return build_V_Vtilde(self.basis, self.U.matrix)[0]
+
+    @property
+    def Vtilde(self):
+        return build_V_Vtilde(self.basis, self.U.matrix)[1]
 
 
 def _require_mode(basis, mode):
@@ -191,13 +212,31 @@ def _require_mode(basis, mode):
         raise ModeError(f"basis is in {basis.parity_mode!r} mode, need {mode!r}")
 
 
-def _scaled(zs, ws, diag):
-    """z w for paired entries, plus the pair diag on the diagonal; on a stack's
-    arrays in the real arithmetic of Python's complex product (numpy's rounds apart)."""
-    stack = isinstance(zs[0], np.ndarray)
-    x = [(z.real * w.real - z.imag * w.imag) + 1j * (z.real * w.imag + z.imag * w.real) if stack
-         else z * w for z, w in zip(zs, ws)]
-    return [x[0] + diag[0], x[1], x[2], x[3] + diag[1]]
+def _product(z, w):
+    """z w on a stack's arrays in the real arithmetic of Python's complex product
+    (numpy's rounds apart)."""
+    return (z.real * w.real - z.imag * w.imag) + 1j * (z.real * w.imag + z.imag * w.real)
+
+
+def _scaled(zs, ws, diag, negate=False):
+    """z w for paired entries, plus the pair diag on the diagonal, negated
+    if asked; _product on a stack's arrays."""
+    z0, z1, z2, z3 = zs
+    w0, w1, w2, w3 = ws
+    if isinstance(z0, np.ndarray):
+        x = _product(z0, w0) + diag[0], _product(z1, w1), _product(z2, w2), _product(z3, w3) + diag[1]
+    else:
+        x = z0 * w0 + diag[0], z1 * w1, z2 * w2, z3 * w3 + diag[1]
+    return (-x[0], -x[1], -x[2], -x[3]) if negate else x
+
+
+def _v_vtilde(basis, u):
+    """The entries of V and V~ for the entries u of U, or of a stack."""
+    _require_mode(basis, EVEN_MODE)
+    d, ce, e, cd = basis._a_pm_ib  # D = A - iB and E = conj(A + iB), diagonal
+    u00, u01, u10, u11 = u
+    uc = u00.conjugate(), u01.conjugate(), u10.conjugate(), u11.conjugate()
+    return _scaled(uc, d * 2, e), _scaled(uc, ce * 2, cd, negate=True)
 
 
 def build_V_Vtilde(basis, u_matrix):
@@ -211,10 +250,8 @@ def build_V_Vtilde(basis, u_matrix):
     holds for every complex U and is the working test that the map lands
     on a unitary exactly when U is one.
     """
-    _require_mode(basis, EVEN_MODE)
-    d, ce, e, cd = basis._a_pm_ib  # D = A - iB and E = conj(A + iB), diagonal
-    uc = [z.conjugate() for z in _entries(np.asarray(u_matrix, dtype=complex))]
-    return _matrix(*_scaled(uc, d * 2, e)), _matrix(*[-z for z in _scaled(uc, ce * 2, cd)])
+    v, vt = _v_vtilde(basis, _entries(np.asarray(u_matrix, dtype=complex)))
+    return _matrix(*v), _matrix(*vt)
 
 
 def forward_map(basis, u):
@@ -225,21 +262,20 @@ def forward_map(basis, u):
         u: certified Unitary2, one matrix or a stack.
 
     Returns:
-        MapPair carrying U, Ut = V^-1 V~, Ucal = (1/2) P Ut Q and the
-        intermediate matrices, stacked as U is; Ut and Ucal are certified
-        unitary on return.  V is never singular for a unitary U (module
-        docstring).
+        MapPair carrying U, Ut = V^-1 V~ and Ucal = (1/2) P Ut Q, stacked
+        as U is; Ut and Ucal are certified unitary on return.  Ut is solved
+        on the entries of V and V~, which the pair builds again only when
+        its V or Vtilde is read.  V is never singular for a unitary U
+        (module docstring).
 
     Raises:
         UnitarityError: if Ut or Ucal fails its certification.
     """
-    v, vt = build_V_Vtilde(basis, u.matrix)
-    utilde = t00, t01, t10, t11 = _solve(_entries(v), _entries(vt))
+    utilde = t00, t01, t10, t11 = _solve(*_v_vtilde(basis, _entries(u.matrix)))
     r0, r1, r2, r3 = t00 + t10, t01 + t11, t10 - t00, t11 - t01  # P Ut
     ucal = 0.5 * (r0 + r1), 0.5 * (r1 - r0), 0.5 * (r2 + r3), 0.5 * (r3 - r2)
-    return MapPair(basis, u,
-                   Unitary2._certified(utilde, OUTPUT_UNITARITY_TOL),
-                   Unitary2._certified(ucal, OUTPUT_UNITARITY_TOL), v, vt)
+    return MapPair(basis, u, Unitary2._certified(utilde, OUTPUT_UNITARITY_TOL),
+                   Unitary2._certified(ucal, OUTPUT_UNITARITY_TOL))
 
 
 def _inverse_entries(basis, ucal):
@@ -250,7 +286,7 @@ def _inverse_entries(basis, ucal):
     q0, q1, q2, q3 = u00 - u10, u01 - u11, u00 + u10, u01 + u11  # Q Ucal
     t = 0.5 * (q0 - q1), 0.5 * (q0 + q1), 0.5 * (q2 - q3), 0.5 * (q2 + q3)
     return (_scaled(t, (d[0], d[0], d[1], d[1]), ce),
-            [-z for z in _scaled(t, (e[0], e[0], e[1], e[1]), cd)])
+            _scaled(t, (e[0], e[0], e[1], e[1]), cd, negate=True))
 
 
 def _inverse_system(basis, ucal):
@@ -274,7 +310,8 @@ def inverse_map(basis, ucal):
     """
     (m00, m01, m10, m11), (r00, r01, r10, r11) = _inverse_entries(basis, _entries(ucal.matrix))
     x00, x10, x01, x11 = _solve((m00, m10, m01, m11), (r00, r10, r01, r11))  # x m = rhs, transposed
-    return Unitary2._certified([z.conjugate() for z in (x00, x01, x10, x11)], OUTPUT_UNITARITY_TOL)
+    return Unitary2._certified((x00.conjugate(), x01.conjugate(), x10.conjugate(), x11.conjugate()),
+                               OUTPUT_UNITARITY_TOL)
 
 
 def forward_map_general(basis, u):
@@ -292,7 +329,9 @@ def forward_map_general(basis, u):
     psi = [(w0 + u00 * c0 + u01 * c2, w1 + u00 * c1 + u01 * c3,
             w2 + u10 * c0 + u11 * c2, w3 + u10 * c1 + u11 * c3)
            for (w0, w1, w2, w3), (c0, c1, c2, c3) in basis._waves]
-    return Unitary2._certified(tuple(z.conjugate() for z in _solve(*psi)), GENERAL_UNITARITY_TOL)
+    x00, x01, x10, x11 = _solve(*psi)
+    return Unitary2._certified((x00.conjugate(), x01.conjugate(), x10.conjugate(), x11.conjugate()),
+                               GENERAL_UNITARITY_TOL)
 
 
 def random_matrix(rng, n=None):
@@ -356,6 +395,7 @@ def check_identities(basis, samples, seed=0):
                 / np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2))))
     pair = forward_map(basis, Unitary2.certify(haar))
     m = _inverse_entries(basis, _entries(pair.Ucal.matrix))[0]
+    v, vt = v[:samples], vt[:samples]  # pair.V and pair.Vtilde, bit for bit
 
     def check(values, threshold, floor):  # singular values fail at or below a floor
         return {"worst": float(np.min(values, initial=np.inf) if floor
@@ -366,8 +406,8 @@ def check_identities(basis, samples, seed=0):
 
     checks = {name: check(values, threshold, floor) for name, values, threshold, floor in (
         ("identity", identity, 1e-8, False),
-        ("v_nonsingular", _singular_values(_entries(pair.V))[1], SIGMA_FLOOR, True),
-        ("vtilde_nonsingular", _singular_values(_entries(pair.Vtilde))[1], SIGMA_FLOOR, True),
+        ("v_nonsingular", _singular_values(_entries(v))[1], SIGMA_FLOOR, True),
+        ("vtilde_nonsingular", _singular_values(_entries(vt))[1], SIGMA_FLOOR, True),
         ("homogeneous_system", _singular_values(m)[1], SIGMA_FLOOR, True),
         ("forward_unitarity", pair.Ucal.defect, OUTPUT_UNITARITY_TOL, False))}
     return {"samples": samples,

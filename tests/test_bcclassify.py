@@ -355,6 +355,27 @@ def test_synthesize_rejects_non_finite_parameters(family, params, name):
         synthesize(family, **params)
 
 
+@pytest.mark.parametrize("family, params, message", [
+    ("robin", {"alpha": 1.0 + 1.0j, "gamma": 2.0}, "alpha must be a real number"),
+    ("robin", {"alpha": "1", "gamma": 2.0}, "alpha must be a real number"),
+    ("robin", {"alpha": True, "gamma": 2.0}, "alpha must be a real number"),
+    ("general-coupled", {"alpha": 1.0, "beta": "0.5", "gamma": -2.0}, "beta must be a complex number"),
+    ("automorphic", {"K": True}, "K must be a complex number"),
+], ids=["complex-alpha", "string-alpha", "boolean-alpha", "string-beta", "boolean-K"])
+def test_synthesize_rejects_parameters_that_are_not_numbers_of_their_kind(family, params, message):
+    # a complex or string alpha used to raise TypeError from float() or
+    # cmath.isfinite, and a boolean passed as 1; jsonio._real rejects booleans too
+    with pytest.raises(ParameterError, match=message):
+        synthesize(family, **params)
+
+
+def test_synthesize_takes_numpy_and_integer_numbers():
+    assert np.array_equal(synthesize("robin", alpha=np.float32(2.0), gamma=np.int64(-1)).matrix,
+                          synthesize("robin", alpha=2.0, gamma=-1.0).matrix)
+    assert np.array_equal(synthesize("automorphic", K=np.complex64(2.0 + 1.0j)).matrix,
+                          synthesize("automorphic", K=2.0 + 1.0j).matrix)
+
+
 def test_determinant_test_does_not_overflow():
     # |beta|^2 = 1e400 is no float: alpha*gamma + |beta|^2 is tested relative
     # to max |H|^2 without squaring either
