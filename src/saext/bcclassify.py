@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .deficiency import boundary_waves
-from .errors import ParameterError
+from .errors import ParameterError, UnitarityError
 from .extmap import Unitary2, _entries, _matrix, _singular_values, _solve
 from .jsonio import matrix_to_json
 
@@ -128,11 +128,16 @@ def classify(ucal, tol=DEFAULT_TOL):
     returned condition builds the matrix only when its H or Hprime is read.
 
     Args:
-        ucal: certified Unitary2.
+        ucal: certified Unitary2 holding one matrix.
         tol: singularity threshold, in (0, 1e-4].
+
+    Raises:
+        UnitarityError: for a certified stack of matrices.
     """
     if not 0.0 < tol <= 1e-4:
         raise ParameterError(f"tol must lie in (0, 1e-4], got {tol}")
+    if ucal.matrix.ndim != 2:
+        raise UnitarityError(f"classify takes one 2x2 matrix, got shape {ucal.matrix.shape}")
     a, b, c, d = _entries(ucal.matrix)
     # 0.0 - b, not -b: the signed zeros of I -/+ Ucal reach the reported parameters
     minus, plus = (1.0 - a, 0.0 - b, 0.0 - c, 1.0 - d), (1.0 + a, 0.0 + b, 0.0 + c, 1.0 + d)
@@ -264,22 +269,22 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
 
 
 def synthesize_from(bc):
-    """Rebuild the boundary unitary from a classified condition's parameters.
+    """Rebuild the boundary unitary from a classified condition.
 
-    Exact for the parameter-complete cases I and IV; cases II/III fall back
-    to the stored H / H' (their named parameters do not pin the matrix)."""
-    if bc.case == CASE_I:
-        alpha, beta, gamma = bc.robin
-        if bc.name == "robin":
-            return synthesize("robin", alpha=alpha, gamma=gamma)
-        return synthesize("general-coupled", alpha=alpha, beta=beta, gamma=gamma)
+    Cases I-III are rebuilt from the kept H (or H'), a case-I H made
+    Hermitian as its reported parameters give it; case IV from its named
+    family and K."""
     if bc.case == CASE_IV:
         if bc.K is None:  # the mixed Dirichlet/Neumann pairs carry no parameters
             return synthesize(bc.name)
         return synthesize("automorphic", K=bc.K)
+    if bc.case == CASE_I:
+        h00, h01, _, h11 = bc.h_entries
+        beta = 0.0 if bc.name == "robin" else h01
+        return Unitary2._certified(_cayley((h00, beta, beta.conjugate(), h11)))
     if bc.case == CASE_II:
-        return Unitary2._certified(_cayley(_entries(bc.H)), 1e-8)
-    return Unitary2._certified(_cayley_prime(_entries(bc.Hprime)), 1e-8)
+        return Unitary2._certified(_cayley(bc.h_entries), 1e-8)
+    return Unitary2._certified(_cayley_prime(bc.h_entries), 1e-8)
 
 
 def apply_bc(bc, rows):

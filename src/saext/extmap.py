@@ -289,11 +289,6 @@ def _inverse_entries(basis, ucal):
             _scaled(t, (e[0], e[0], e[1], e[1]), cd, negate=True))
 
 
-def _inverse_system(basis, ucal):
-    """(m, rhs) of _inverse_entries for a boundary unitary matrix or a stack."""
-    return tuple(_matrix(*x) for x in _inverse_entries(basis, _entries(ucal)))
-
-
 def inverse_map(basis, ucal):
     """Recover the von Neumann unitary U from a boundary unitary Ucal.
 

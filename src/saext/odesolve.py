@@ -160,9 +160,9 @@ class OdeSolution:
 
 
 def _segment_grid(p, x0, x1):
-    """Per-piece uniform abscissae from x0 to x1 plus the piece boundaries.
+    """Per-piece uniform abscissae from x0 to x1.
 
-    Returns a list of (lo, hi, V callable, grid) per piece, in integration
+    Returns a list of (V callable, grid) per piece, in integration
     order.  Grids share their junction points, and each piece's interval
     count is a multiple of _INTERVAL_MULTIPLE.  Raises DomainError when an
     endpoint lies outside [-a, a], with the slack of Potential.evaluate.
@@ -178,9 +178,9 @@ def _segment_grid(p, x0, x1):
         n = max(_MIN_SEGMENT_INTERVALS, int(np.ceil((s_hi - s_lo) / h_target)))
         n = -(-n // _INTERVAL_MULTIPLE) * _INTERVAL_MULTIPLE
         grid = np.linspace(s_lo, s_hi, n + 1)
-        pieces.append((s_lo, s_hi, p.piece_callable(s_lo, s_hi), grid))
+        pieces.append((p.piece_callable(s_lo, s_hi), grid))
     if x1 < x0:
-        pieces = [(s_hi, s_lo, vf, grid[::-1]) for s_lo, s_hi, vf, grid in pieces[::-1]]
+        pieces = [(vf, grid[::-1]) for vf, grid in pieces[::-1]]
     return pieces
 
 
@@ -219,7 +219,7 @@ def _step_plan(p, x0, x1):
     plans = p._plans
     plan = plans.get(key)
     if plan is None:
-        plan = tuple(_Piece(vfun, grid) for _, _, vfun, grid in _segment_grid(p, x0, x1))
+        plan = tuple(_Piece(vfun, grid) for vfun, grid in _segment_grid(p, x0, x1))
         if len(plans) >= _MAX_PLANS:
             plans.clear()
         plans[key] = plan

@@ -264,15 +264,10 @@ def _eigenfunctions(p, roots, end_data):
     (rows, join) that _boundary_data chose: for each row, its part from -a
     from its data there up to the sample nearest join, and its part from a
     from its data there on the samples past it.  The fundamental solutions
-    from -a of every level come from one call, and those from a from one
-    more, or by reflection where V and its grid are symmetric about 0."""
+    of every level come from two calls, one from -a and one from a."""
     roots = np.array(roots)
     lefts = odesolve.fundamental_solutions(p, roots, -p.a, p.a)
-    edges = np.array(p.breakpoints())
-    if p.is_even() and np.array_equal(edges, -edges[::-1]):
-        rights = map(_reflected, lefts)
-    else:
-        rights = odesolve.fundamental_solutions(p, roots, p.a, -p.a)
+    rights = odesolve.fundamental_solutions(p, roots, p.a, -p.a)
     out = []
     for left, right, (rows, join) in zip(lefts, rights, end_data):
         x = left[0].x
@@ -482,17 +477,6 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
         end_data.append(ends)
 
     return SpectrumResult(bc, p, eigenvalues, degeneracies, residuals, det_trace, end_data)
-
-
-def _reflected(left):
-    """The fundamental solutions launched at a, from the pair (u1, u2)
-    launched at -a, for an even V on a grid symmetric about 0.  The pair
-    from a is u1(-x), -u2(-x), and its sample i sits at -x_i, so it has the
-    samples of (u1, u2) in the same order, with u1' and u2 negated."""
-    u1, u2 = left
-    x = u1.x[::-1]
-    return (OdeSolution(u1.lam, x, u1.f, -u1.df, u1.segments),
-            OdeSolution(u2.lam, x, -u2.f, u2.df, u2.segments))
 
 
 def _derivative_uniform(y, h):

@@ -138,7 +138,7 @@ def reference_integrate(p, lam, x0, x1, f0, df0):
     y = np.array([f0, df0], dtype=complex)
     xs, fs, dfs, seg_starts = [], [], [], []
     count = 0
-    for _, _, vfun, grid in _segment_grid(p, x0, x1):
+    for vfun, grid in _segment_grid(p, x0, x1):
         ys = _solve_segment(vfun, lam, grid, y)
         skip = 1 if count else 0  # junction point already recorded
         seg_starts.append(count - skip)

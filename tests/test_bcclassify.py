@@ -8,7 +8,7 @@ from saext import bcclassify, spectrum
 from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, FAMILIES, apply_bc, classify,
                               synthesize, synthesize_from)
 from saext.deficiency import boundary_waves, endpoint_form
-from saext.errors import ParameterError
+from saext.errors import ParameterError, UnitarityError
 from saext.extmap import Unitary2, _entries, _matrix, haar_unitary
 
 IDENTITY = np.eye(2)
@@ -178,6 +178,26 @@ def test_partition_and_parameter_round_trip():
             rebuilt = synthesize_from(bc)
             worst = max(worst, np.abs(rebuilt.matrix - u.matrix).max())
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("delta, theta", [(4e-8, 2e-3), (1e-7, 1e-3), (1e-6, 1e-4),
+                                          (3e-8, 1e-2)])
+def test_near_singular_case_i_rebuilds_from_its_h(delta, theta):
+    # I + Ucal is regular by classify's rule (sigma_min > 1e-8 sigma_max), but
+    # det H is small enough that synthesize's own rule for general-coupled
+    # calls H singular; the rebuild reads the kept H and passes no such rule
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    ucal = Unitary2.certify(rot @ np.diag(np.exp([1j * (np.pi + delta), 1j * theta])) @ rot.T)
+    bc = classify(ucal)
+    assert (bc.case, bc.name) == ("I", "general-coupled")
+    assert np.abs(synthesize_from(bc).matrix - ucal.matrix).max() <= 1e-7
+
+
+def test_classify_rejects_a_stack():
+    stack = Unitary2.certify(haar_unitary(np.random.default_rng(0), 3))
+    with pytest.raises(UnitarityError, match=r"\(3, 2, 2\)"):
+        classify(stack)
 
 
 def test_parameter_errors():

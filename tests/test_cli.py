@@ -229,7 +229,7 @@ def test_spectrum_runs_a_dense_pass_only_for_the_dump(tmp_path, zero_potential_f
     config = tmp_path / "run.json"
     jsonio.write(config, {"eigenfunctions_out": str(tmp_path / "mode")})
     assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / "dump.json")]) == 0
-    assert starts == [-1.0]
+    assert starts == [-1.0, 1.0]
     result = spectrum.find_eigenvalues(Potential.zero(1.0),
                                        bcclassify.classify(bcclassify.synthesize("periodic")),
                                        e_min=-1.0, e_max=40.0)

@@ -171,8 +171,10 @@ def sigma_min(m):
 
 
 def inverse_system_sigma_min(basis, ucal):
-    """The smallest singular value of m in the inverse-map system conj(U) m = rhs."""
-    return sigma_min(extmap._inverse_system(basis, ucal.matrix)[0])
+    """The smallest singular value of m in the inverse-map system conj(U) m = rhs,
+    built from the entries that checks.py reads."""
+    m = extmap._inverse_entries(basis, extmap._entries(ucal.matrix))[0]
+    return sigma_min(extmap._matrix(*m))
 
 
 def test_homogeneous_system_well_conditioned(basis):

@@ -337,7 +337,7 @@ def test_deeper_double_well_returns_its_levels_or_raises():
 def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
     # find_eigenvalues makes no dense pass; on first access the solutions from
     # -a of every level come from one call, and those from a of every level
-    # from one more, or for an even V by reflection
+    # from one more
     sizes = []
     fundamental = odesolve.fundamental_solutions
 
@@ -356,9 +356,8 @@ def test_eigenfunctions_take_two_fundamental_passes(monkeypatch):
     funcs = result.eigenfunctions
     assert len(funcs) == len(result.eigenvalues)
     assert edge_passes == []
-    calls = len(sizes)
-    assert 1 <= calls <= 2
-    assert result.eigenfunctions is funcs and len(sizes) == calls  # built once
+    assert len(sizes) == 2
+    assert result.eigenfunctions is funcs and len(sizes) == 2  # built once
 
 
 EVEN_KINDS = [
@@ -374,20 +373,27 @@ EVEN_KINDS = [
 TILTED = Potential.piecewise([((-1.0, 0.0), [0.0, 2.0]), ((0.0, 1.0), [-3.0])], 1.0)
 
 
-@pytest.mark.parametrize("p", EVEN_KINDS, ids=lambda p: f"{p.kind}-a{p.a:g}")
-def test_reflected_pair_matches_the_pass_from_a(p):
-    # u1(-x) and -u2(-x) launched at a: the same samples in the same order,
-    # with u1' and u2 negated
-    energies = np.array([-7.0, 2.0, 17.3, 150.0])
-    lefts = odesolve.fundamental_solutions(p, energies, -p.a, p.a)
-    rights = odesolve.fundamental_solutions(p, energies, p.a, -p.a)
-    for left, right in zip(lefts, rights):
-        for got, want in zip(spectrum._reflected(left), right):
-            assert odesolve._same_grid(got, want)
-            assert (got.lam, got.x0, got.x1, got.f0, got.df0) == (
-                want.lam, want.x0, want.x1, want.f0, want.df0)
-            for g, w in ((got.f, want.f), (got.df, want.df)):
-                assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
+@pytest.mark.parametrize("p, bc, e_max", [
+    (Potential.harmonic(25.0, 1.0), bc_named("periodic"), 40.0),
+    (Potential.harmonic(25.0, 1.0), bc_named("dirichlet"), 40.0),
+    (Potential.finite_well(-10.0, 0.5, 1.0), bc_named("periodic"), 40.0),
+    (Potential.finite_well(-10.0, 0.5, 1.0), bc_named("neumann"), 40.0),
+    (Potential.cosine(5.0, np.pi, 8.0), bc_named("dirichlet"), 10.0),
+    (Potential.polynomial([100.0, 0.0, -800.0, 0.0, 1600.0], 1.0), bc_named("dirichlet"), 120.0),
+], ids=["harmonic-periodic", "harmonic-dirichlet", "well-periodic", "well-neumann",
+        "cosine-a8-dirichlet", "double-well-dirichlet"])
+def test_even_potential_eigenfunctions_have_a_parity(p, bc, e_max):
+    # an even V under a Ucal that parity maps to itself: every simple level's
+    # eigenfunction is even or odd on the grid symmetric about 0, although its
+    # parts from -a and from a come from two independent passes (a double
+    # level's pair may mix parities, so it is skipped)
+    result = find_eigenvalues(p, bc, e_max=e_max)
+    simple = [funcs[0] for funcs, d in zip(result.eigenfunctions, result.degeneracies) if d == 1]
+    assert len(simple) >= 3
+    for f in simple:
+        assert np.array_equal(f.x[::-1], -f.x)
+        defect = min(np.max(np.abs(f.f[::-1] - sign * f.f)) for sign in (1.0, -1.0))
+        assert defect <= 1e-8 * np.max(np.abs(f.f))
 
 
 @pytest.mark.parametrize("p", [p for p in EVEN_KINDS if p.a <= 2] + [TILTED],
@@ -446,17 +452,17 @@ def test_find_eigenvalues_makes_one_boundary_data_pass(monkeypatch, p, bc):
     assert len(calls) == 1 and calls[0] >= len(result.eigenvalues)
 
 
-@pytest.mark.parametrize("p, bc, calls", [
-    (Potential.harmonic(25.0, 1.0), bc_named("dirichlet"), 1),
-    (Potential.finite_well(-10.0, 0.5, 1.0), bc_named("periodic"), 1),
-    (TILTED, bc_named("automorphic", K=2.0 + 1.0j), 2),
-    # even, but its grid is not symmetric about 0: sample i from a is not at -x_i
+@pytest.mark.parametrize("p, bc", [
+    (Potential.harmonic(25.0, 1.0), bc_named("dirichlet")),
+    (Potential.finite_well(-10.0, 0.5, 1.0), bc_named("periodic")),
+    (TILTED, bc_named("automorphic", K=2.0 + 1.0j)),
+    # even, but its grid is not symmetric about 0
     (Potential.piecewise([((-1.0, 0.3), [2.0]), ((0.3, 1.0), [2.0])], 1.0),
-     bc_named("dirichlet"), 2),
+     bc_named("dirichlet")),
 ], ids=["harmonic-dirichlet", "well-periodic", "tilted-automorphic", "even-asymmetric-grid"])
-def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
-    # on first access, an even V takes its eigenfunctions from one fundamental
-    # pass, from -a; the tilted V launches every level from a in a second one
+def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc):
+    # on first access, every V, even or not, takes its eigenfunctions from two
+    # fundamental passes: every level from -a, then every level from a
     starts = []
     fundamental = odesolve.fundamental_solutions
 
@@ -469,7 +475,7 @@ def test_even_potential_reflects_the_pass_from_a(monkeypatch, p, bc, calls):
     assert result.degeneracies.count(1) >= 3
     assert starts == []
     result.eigenfunctions
-    assert starts == [-p.a, p.a][:calls]
+    assert starts == [-p.a, p.a]
 
 
 @pytest.mark.parametrize("p, bc", [
