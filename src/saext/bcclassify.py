@@ -18,7 +18,9 @@ whether I - Ucal and I + Ucal are singular:
                             the mixed Dirichlet/Neumann pairs.
 
 H and Ucal are a commuting Cayley pair: Ucal = (H + iI)^-1 (H - iI).
-classify and synthesize work on the entries of Ucal and H (``extmap._entries``).
+classify and synthesize work on the entries of Ucal and H (``extmap._entries``)
+and test singularity alike (_i_minus_plus): synthesize admits a family at
+DEFAULT_TOL only where classify finds the family's case.
 FAMILIES maps each named family to the parameters synthesize takes for it:
 the entries alpha, gamma and optional beta of H (H' for general-case-III),
 K for automorphic (t in (0, pi)), and nothing for the six fixed families.
@@ -117,12 +119,23 @@ def _case_iv_data(a, b, c, d, tol):
     return theta, phi, sin_theta
 
 
+def _i_minus_plus(entries, tol):
+    """The entries of I - Ucal and I + Ucal for those of Ucal, [sigma_max,
+    sigma_min] of each, and the bound at or below which a singular value
+    counts as zero: tol times the larger sigma_max (for a unitary at least
+    sqrt(2), so the scale is O(1))."""
+    a, b, c, d = entries
+    # 0.0 - b, not -b: the signed zeros of I -/+ Ucal reach the reported parameters
+    minus, plus = (1.0 - a, 0.0 - b, 0.0 - c, 1.0 - d), (1.0 + a, 0.0 + b, 0.0 + c, 1.0 + d)
+    sig_minus, sig_plus = _singular_values(minus), _singular_values(plus)
+    return minus, plus, sig_minus, sig_plus, tol * max(sig_minus[0], sig_plus[0])
+
+
 def classify(ucal, tol=DEFAULT_TOL):
     """Assign the case, named family and parameters of a boundary unitary.
 
-    Singularity of I -/+ Ucal is decided by the smallest singular value
-    against tol times the largest one in play (for a unitary the larger of
-    the two matrices always has norm >= sqrt(2), so the scale is O(1)).
+    Singularity of I -/+ Ucal is decided by _i_minus_plus, the test
+    synthesize admits its families by.
 
     H (or H') is kept as the four entries that the solve gives; the
     returned condition builds the matrix only when its H or Hprime is read.
@@ -138,13 +151,9 @@ def classify(ucal, tol=DEFAULT_TOL):
         raise ParameterError(f"tol must lie in (0, 1e-4], got {tol}")
     if ucal.matrix.ndim != 2:
         raise UnitarityError(f"classify takes one 2x2 matrix, got shape {ucal.matrix.shape}")
-    a, b, c, d = _entries(ucal.matrix)
-    # 0.0 - b, not -b: the signed zeros of I -/+ Ucal reach the reported parameters
-    minus, plus = (1.0 - a, 0.0 - b, 0.0 - c, 1.0 - d), (1.0 + a, 0.0 + b, 0.0 + c, 1.0 + d)
-    sig_minus, sig_plus = _singular_values(minus), _singular_values(plus)
-    scale = max(sig_minus[0], sig_plus[0])
-    minus_singular = sig_minus[1] <= tol * scale
-    plus_singular = sig_plus[1] <= tol * scale
+    entries = _entries(ucal.matrix)
+    minus, plus, sig_minus, sig_plus, zero = _i_minus_plus(entries, tol)
+    minus_singular, plus_singular = sig_minus[1] <= zero, sig_plus[1] <= zero
     sigma = {"I_minus_U": sig_minus, "I_plus_U": sig_plus}
 
     if not (minus_singular and plus_singular):  # H for cases I and II, else H'
@@ -156,17 +165,17 @@ def classify(ucal, tol=DEFAULT_TOL):
     if not minus_singular:  # cases I and II share H
         robin = (h00, h01, -h11)
         if plus_singular:
-            case, name = CASE_II, "neumann" if sig_plus[0] <= tol * scale else "general-case-II"
+            case, name = CASE_II, "neumann" if sig_plus[0] <= zero else "general-case-II"
         else:
             h_scale = max(1.0, abs(h00), abs(h01), abs(h11))
             case, name = CASE_I, "robin" if abs(h01) <= tol * h_scale else "general-coupled"
         return BoundaryCondition(ucal, case, name, sigma, h, robin=robin)
 
     if not plus_singular:
-        name = "dirichlet" if sig_minus[0] <= tol * scale else "general-case-III"
+        name = "dirichlet" if sig_minus[0] <= zero else "general-case-III"
         return BoundaryCondition(ucal, CASE_III, name, sigma, h, robin_prime=(h00, -h01, -h11))
 
-    theta, phi, sin_theta = _case_iv_data(a, b, c, d, tol)
+    theta, phi, sin_theta = _case_iv_data(*entries, tol)
     if sin_theta <= tol:
         if theta < 0.5 * np.pi:
             name, kval = "dirichlet-at-a-neumann-at-minus-a", None
@@ -220,16 +229,31 @@ def _checked(family, takes, name, value):
         raise ParameterError(f"{name} must be finite, got {value}")
 
 
+def _automorphic_matrix(K):
+    """The case-IV matrix of f(-a) = K f(a): t = 2 arccot |K| (pi at K = 0), p = arg K."""
+    theta = 2.0 * np.arctan(1.0 / abs(K) if K else np.inf)
+    phi = float(np.angle(K)) % (2.0 * np.pi)
+    return _case_iv_matrix(theta, phi)
+
+
 def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
     """The boundary unitary of a named family from exactly the parameters
-    FAMILIES lists for it; an unset beta is 0.  classify(synthesize(...))
-    reproduces the family and parameters.
+    FAMILIES lists for it; an unset beta is 0.
+
+    It is admitted only where classify's test at DEFAULT_TOL finds I + Ucal
+    regular (robin, general-coupled), I + Ucal singular (general-case-II),
+    I - Ucal singular (general-case-III) or sin t > DEFAULT_TOL, which
+    keeps K (automorphic).  So classify(synthesize(...)) at DEFAULT_TOL
+    gives the family's case and parameters, except that an H (or H') so
+    large that the other of I -/+ Ucal is singular too lands in Case III
+    or IV, and parameters within tol of a special member take its name
+    (robin, neumann, dirichlet, periodic or anti-periodic).
 
     Raises:
         ParameterError: for an unknown family, a parameter the family does
             not take, a missing one, one that is not a number of its kind
-            (real alpha and gamma, complex beta and K), or one out of its
-            domain.
+            (real alpha and gamma, complex beta and K), or parameters that
+            classify's test does not place in the family.
     """
     takes = FAMILIES.get(family)
     if takes is None:
@@ -243,41 +267,36 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
         return Unitary2.certify(_FIXED[family])
 
     if family == "automorphic":
-        K = complex(K)
-        if K == 0.0:
-            raise ParameterError("automorphic constant K must be nonzero")
-        theta = 2.0 * np.arctan(1.0 / abs(K))
-        phi = float(np.angle(K)) % (2.0 * np.pi)
-        return Unitary2.certify(_case_iv_matrix(theta, phi))
+        m = _automorphic_matrix(complex(K))
+        if _case_iv_data(*_entries(m), DEFAULT_TOL)[2] <= DEFAULT_TOL:
+            raise ParameterError(f"automorphic K = {K} gives sin t <= {DEFAULT_TOL}, "
+                                 "a mixed Dirichlet/Neumann pair")
+        return Unitary2.certify(m)
 
-    if family == "robin":
-        if alpha == 0.0 or gamma == 0.0:
-            raise ParameterError("strict Robin needs alpha != 0 and gamma != 0")
-        return Unitary2._certified(_cayley((float(alpha), 0.0, 0.0, -float(gamma))))
-
-    # general-coupled (H invertible), general-case-II (H singular) and
-    # general-case-III (singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']])
-    beta = complex(beta or 0.0) * (-1.0 if family == "general-case-III" else 1.0)
-    h = (float(alpha), beta, beta.conjugate(), -float(gamma))
-    # det H against max(1, max |H|)^2, both scaled so that no square overflows
-    scale = max(1.0, *map(abs, h))
-    det = (float(alpha) / scale) * (float(gamma) / scale) + abs(beta / scale) ** 2
-    singular = abs(det) <= 1e-10
-    if singular == (family == "general-coupled"):
-        raise ParameterError(f"{family} needs alpha*gamma + |beta|^2 {'!=' if singular else '='} 0")
-    return Unitary2._certified(_cayley_prime(h) if family == "general-case-III" else _cayley(h))
+    # robin is general-coupled at a real beta = 0.0 (whose signed zeros reach
+    # Ucal); general-case-III takes the singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']]
+    case_iii = family == "general-case-III"
+    beta = 0.0 if family == "robin" else complex(beta or 0.0) * (-1.0 if case_iii else 1.0)
+    ucal = (_cayley_prime if case_iii else _cayley)((float(alpha), beta, beta.conjugate(),
+                                                     -float(gamma)))
+    _, _, sig_minus, sig_plus, zero = _i_minus_plus(ucal, DEFAULT_TOL)
+    singular, sign = (sig_minus[1] <= zero, "-") if case_iii else (sig_plus[1] <= zero, "+")
+    if singular != family.startswith("general-case-"):
+        raise ParameterError(f"{family} needs alpha*gamma + |beta|^2 {'!=' if singular else '='} "
+                             f"0: I {sign} Ucal is {'' if singular else 'not '}singular")
+    return Unitary2._certified(ucal)
 
 
 def synthesize_from(bc):
     """Rebuild the boundary unitary from a classified condition.
 
     Cases I-III are rebuilt from the kept H (or H'), a case-I H made
-    Hermitian as its reported parameters give it; case IV from its named
-    family and K."""
+    Hermitian as its reported parameters give it; case IV from its fixed
+    matrix or from K, by synthesize's arithmetic but without its admission
+    test, so a condition classify named is always rebuilt."""
     if bc.case == CASE_IV:
-        if bc.K is None:  # the mixed Dirichlet/Neumann pairs carry no parameters
-            return synthesize(bc.name)
-        return synthesize("automorphic", K=bc.K)
+        # the mixed Dirichlet/Neumann pairs carry no parameters
+        return Unitary2.certify(_FIXED[bc.name] if bc.K is None else _automorphic_matrix(bc.K))
     if bc.case == CASE_I:
         h00, h01, _, h11 = bc.h_entries
         beta = 0.0 if bc.name == "robin" else h01

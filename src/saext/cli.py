@@ -192,8 +192,8 @@ def _cmd_map(config):
     elif direction == "u-to-bc":
         pair = extmap.forward_map(basis, u)
         out = pair.Ucal
-        diagnostics = {"V": jsonio.matrix_to_json(pair.V),
-                       "Vtilde": jsonio.matrix_to_json(pair.Vtilde),
+        v, vtilde = extmap.build_V_Vtilde(basis, u.matrix)  # pair.V and pair.Vtilde each build both
+        diagnostics = {"V": jsonio.matrix_to_json(v), "Vtilde": jsonio.matrix_to_json(vtilde),
                        "Utilde": jsonio.matrix_to_json(pair.Utilde.matrix),
                        "unitarity_defect": out.defect,
                        "roundtrip_error": _max_error(extmap.inverse_map(basis, out), u)}

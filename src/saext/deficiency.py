@@ -32,6 +32,7 @@ import numpy as np
 
 from . import odesolve
 from .errors import InvariantViolation, ModeError, ParityError
+from .jsonio import _complex, matrix_from_json, matrix_to_json
 from .potential import Potential
 
 EVEN_MODE = "even-potential"
@@ -81,7 +82,6 @@ class DeficiencyBasis:
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
-        from .jsonio import matrix_to_json
         data = {
             "mode": self.parity_mode,
             "potential": self.potential.to_json(),
@@ -100,7 +100,6 @@ class DeficiencyBasis:
         ModeError for an unknown mode, ValueError for a table that is not
         2 rows of 4 [re, im] pairs.  Older files also carry the matrix
         that scaled the raw solutions onto the basis; it is ignored."""
-        from .jsonio import _complex, matrix_from_json
         if data["mode"] not in (EVEN_MODE, GENERAL_MODE):
             raise ModeError(f"basis mode {data['mode']!r} is neither {EVEN_MODE!r} "
                             f"nor {GENERAL_MODE!r}")
@@ -136,11 +135,12 @@ def boundary_waves(rows):
     return psi[0], psi[1]
 
 
-def endpoint_form(f, g, conjugate_first=True):
+def endpoint_form(f, g):
     """The boundary form [conj(f') g - conj(f) g']_{-a}^{a} of boundary rows
-    f and g, over the last axis (module docstring); without conjugation of
-    f it vanishes between the rows of a deficiency basis."""
-    df1, f1, df0, f0 = _row_entries(np.conj(f) if conjugate_first else f)
+    f and g, over the last axis (module docstring); endpoint_form(conj(f), g),
+    the form without conjugation, vanishes between the rows of a deficiency
+    basis."""
+    df1, f1, df0, f0 = _row_entries(np.conj(f))
     dg1, g1, dg0, g0 = _row_entries(g)
     return df1 * g1 - f1 * dg1 - df0 * g0 + f0 * dg0
 
@@ -159,7 +159,7 @@ def _check_endpoint_identities(mode, table):
             if not abs(got - want) <= ORTHONORMALITY_TOL:  # NaN fails too, in any row
                 raise InvariantViolation(
                     f"endpoint identity ({j},{k}) = {got}, expected {want}")
-            got2 = endpoint_form(table[j], table[k], conjugate_first=False)
+            got2 = endpoint_form(np.conj(table[j]), table[k])
             if abs(got2) > ORTHONORMALITY_TOL:
                 raise InvariantViolation(f"conjugation-free identity ({j},{k}) = {got2} != 0")
     if mode == EVEN_MODE:

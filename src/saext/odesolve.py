@@ -111,8 +111,8 @@ class OdeSolution:
 
     Attributes:
         lam: spectral parameter (i for deficiency solves, real E otherwise).
-        x, f, df: sample abscissae, strictly monotone from x0 = x[0] to
-            x1 = x[-1], and values; f0, df0, f1 and df1 are the end values.
+        x, f, df: sample abscissae, strictly monotone, and values; f0, df0,
+            f1 and df1 are the values at x[0] and x[-1].
         segments: index of the first sample of each smooth piece; quadrature
             and differentiation operate piecewise so jumps in V never sit
             inside a stencil.
@@ -123,14 +123,6 @@ class OdeSolution:
     f: np.ndarray
     df: np.ndarray
     segments: tuple
-
-    @property
-    def x0(self):
-        return self.x[0]
-
-    @property
-    def x1(self):
-        return self.x[-1]
 
     @property
     def f0(self):

@@ -153,7 +153,7 @@ def test_criterion_09_general_potential_construction():
             for k in range(2):
                 want = 2j if j == k else 0.0
                 ok = ok and abs(endpoint_form(table[j], table[k]) - want) <= 1e-8
-                ok = ok and abs(endpoint_form(table[j], table[k], conjugate_first=False)) <= 1e-8
+                ok = ok and abs(endpoint_form(np.conj(table[j]), table[k])) <= 1e-8
 
     rng = np.random.default_rng(9)
     basis_x = solve_orthonormal_pair(Potential.polynomial([0.0, 1.0], 1.0))

@@ -1,10 +1,12 @@
 """Case classification, named-family synthesis and the endpoint relation."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from saext import bcclassify, spectrum
+from saext import bcclassify, cli, spectrum
 from saext.bcclassify import (BoundaryCondition, DEFAULT_TOL, FAMILIES, apply_bc, classify,
                               synthesize, synthesize_from)
 from saext.deficiency import boundary_waves, endpoint_form
@@ -448,3 +450,109 @@ def test_synthesize_from_rebuilds_every_family(family, params):
     bc = classify(ucal)
     assert bc.name == family
     assert np.abs(synthesize_from(bc).matrix - ucal.matrix).max() <= 1e-12
+
+
+# alpha*gamma + |beta|^2 = -1e-9, a Case II H by classify's test
+NEAR_CASE_II = ["--alpha", "1", "--beta", "0.5", "--gamma", "-0.249999999"]
+
+
+def test_near_singular_general_coupled_exits_2(capsys):
+    assert cli.main(["classify", "--family", "general-coupled", *NEAR_CASE_II]) == cli.USAGE_ERROR
+    assert "general-coupled needs alpha*gamma + |beta|^2 != 0" in capsys.readouterr().err
+
+
+def test_near_singular_general_case_ii_is_admitted(capsys):
+    assert cli.main(["classify", "--family", "general-case-II", *NEAR_CASE_II]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["case"], report["name"]) == ("II", "general-case-II")
+
+
+def test_robin_with_a_negligible_alpha_is_refused():
+    # I + Ucal has sigma_min 2e-12: classify would name it general-case-II
+    with pytest.raises(ParameterError, match="robin needs"):
+        synthesize("robin", alpha=1e-12, gamma=1.0)
+
+
+def test_automorphic_at_a_huge_k_is_refused():
+    # t = 2e-9: classify would name the mixed pair and drop K
+    with pytest.raises(ParameterError, match="mixed Dirichlet/Neumann pair"):
+        synthesize("automorphic", K=1e9)
+
+
+def coupled_h_families(alpha, beta, gamma):
+    """{family: classify's case of synthesize(family, ...), None if refused}
+    for the families that take (alpha, beta, gamma), robin too at beta = 0."""
+    families = ("general-coupled", "general-case-II", "general-case-III")
+    cases = {}
+    for family in families + (("robin",) if beta == 0.0 else ()):
+        params = {"alpha": alpha, "gamma": gamma, **({} if family == "robin" else {"beta": beta})}
+        try:
+            cases[family] = classify(synthesize(family, **params)).case
+        except ParameterError:
+            cases[family] = None
+    return cases
+
+
+@pytest.mark.parametrize("delta", 10.0 ** np.arange(-12.0, -5.5, 0.5))
+def test_admission_is_classify_test_near_the_case_boundary(delta):
+    # alpha*gamma + |beta|^2 = +-delta: general-coupled and general-case-II
+    # split every input between them, robin agrees with general-coupled at
+    # beta = 0, an admitted family has its own case, and general-case-III
+    # is refused exactly where classify puts its Ucal outside Case III
+    rng = np.random.default_rng(16)
+    want = {"robin": "I", "general-coupled": "I", "general-case-II": "II",
+            "general-case-III": "III"}
+    for sign in (1.0, -1.0):
+        for beta in [0.0] + [complex(*rng.normal(size=2)) for _ in range(4)]:
+            alpha = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+            gamma = (sign * delta - abs(beta) ** 2) / alpha
+            cases = coupled_h_families(alpha, beta, gamma)
+            assert (cases["general-coupled"] is None) != (cases["general-case-II"] is None)
+            assert cases.get("robin", cases["general-coupled"]) == cases["general-coupled"]
+            for family, case in cases.items():
+                assert case in (want[family], None), (family, alpha, beta, gamma)
+            hp = (alpha, -beta, -np.conj(beta), -gamma)
+            ucal = Unitary2._certified(bcclassify._cayley_prime(hp))
+            assert (cases["general-case-III"] is None) == (classify(ucal).case != "III")
+
+
+def test_automorphic_admission_keeps_k():
+    # |K| from 1e-10 to 1e10: an admitted K comes back from classify, and a
+    # refused one is where classify names a mixed Dirichlet/Neumann pair
+    rng = np.random.default_rng(17)
+    admitted = refused = 0
+    for modulus in 10.0 ** np.arange(-10.0, 10.25, 0.25):
+        k = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        try:
+            bc = classify(synthesize("automorphic", K=k))
+        except ParameterError:
+            refused += 1
+            bc = classify(Unitary2.certify(bcclassify._automorphic_matrix(k)))
+            assert bc.case == "IV" and bc.K is None and bc.name != "automorphic"
+            continue
+        admitted += 1
+        assert bc.case == "IV" and bc.K is not None
+        # near t = pi, |K| ~ (pi - t) / 2 keeps the absolute precision of t
+        assert abs(bc.K - k) <= 1e-9 * abs(k) + 1e-15
+    assert admitted and refused
+
+
+def test_case_iv_just_above_the_tolerance_rebuilds_from_k():
+    # at sin t within a few ulps above DEFAULT_TOL classify keeps K, but the
+    # matrix that K gives back can sit at sin t <= DEFAULT_TOL, where
+    # synthesize would refuse K; synthesize_from rebuilds it all the same
+    rebuilt_below = 0
+    for base in (np.arcsin(DEFAULT_TOL), np.pi - np.arcsin(DEFAULT_TOL)):
+        for theta in base + np.spacing(base) * np.arange(-60, 61):  # within 60 ulps
+            for phi in np.arange(12) * np.pi / 6:
+                ucal = Unitary2.certify(case_iv_matrix(theta, phi))
+                bc = classify(ucal)
+                if bc.K is None:
+                    continue
+                rebuilt = synthesize_from(bc)
+                assert np.abs(rebuilt.matrix - ucal.matrix).max() < 1e-15
+                try:
+                    synthesize("automorphic", K=bc.K)
+                except ParameterError:
+                    rebuilt_below += 1
+    assert rebuilt_below
