@@ -18,9 +18,9 @@ whether I - Ucal and I + Ucal are singular:
                             the mixed Dirichlet/Neumann pairs.
 
 H and Ucal are a commuting Cayley pair: Ucal = (H + iI)^-1 (H - iI).
-classify and synthesize work on the entries of Ucal and H (``extmap._entries``)
-and test singularity alike (_i_minus_plus): synthesize admits a family at
-DEFAULT_TOL only where classify finds the family's case.
+classify and synthesize work on the entries of Ucal (``Unitary2.entries``)
+and of H, and test singularity alike (_i_minus_plus): synthesize admits a
+family at DEFAULT_TOL only where classify finds the family's case.
 FAMILIES maps each named family to the parameters synthesize takes for it:
 the entries alpha, gamma and optional beta of H (H' for general-case-III),
 K for automorphic (t in (0, pi)), and nothing for the six fixed families.
@@ -37,7 +37,6 @@ import numpy as np
 from .deficiency import boundary_waves
 from .errors import ParameterError, UnitarityError
 from .extmap import Unitary2, _entries, _matrix, _singular_values, _solve
-from .jsonio import matrix_to_json
 
 DEFAULT_TOL = 1e-8
 
@@ -53,11 +52,13 @@ def _case_iv_matrix(theta, phi):
                      [np.exp(1j * phi) * st, -ct]])
 
 
-# negated as complex matrices, so the reports keep their -0.0 imaginary parts
-_FIXED = {"dirichlet": _IDENTITY, "neumann": -_IDENTITY.astype(complex),
-          "periodic": _SWAP, "anti-periodic": -_SWAP.astype(complex),
-          "dirichlet-at-a-neumann-at-minus-a": _case_iv_matrix(0.0, 0.0),
-          "neumann-at-a-dirichlet-at-minus-a": _case_iv_matrix(np.pi, 0.0)}
+# the entries of each fixed family's matrix, negated as complex matrices,
+# so the reports keep their -0.0 imaginary parts
+_FIXED = {name: _entries(np.asarray(m, dtype=complex)) for name, m in (
+    ("dirichlet", _IDENTITY), ("neumann", -_IDENTITY.astype(complex)),
+    ("periodic", _SWAP), ("anti-periodic", -_SWAP.astype(complex)),
+    ("dirichlet-at-a-neumann-at-minus-a", _case_iv_matrix(0.0, 0.0)),
+    ("neumann-at-a-dirichlet-at-minus-a", _case_iv_matrix(np.pi, 0.0)))}
 
 FAMILIES = {"robin": ("alpha", "gamma"), "automorphic": ("K",),
             **dict.fromkeys(("general-coupled", "general-case-II", "general-case-III"),
@@ -101,7 +102,9 @@ class BoundaryCondition(NamedTuple):
             params = {"theta": theta, "phi": phi}
             if self.K is not None:
                 params["K"] = [self.K.real, self.K.imag]
-        return {"case": self.case, "name": self.name, "matrix": matrix_to_json(self.Ucal.matrix),
+        a, b, c, d = self.Ucal.entries  # matrix_to_json's rows, read off the entries
+        rows = [[[a.real, a.imag], [b.real, b.imag]], [[c.real, c.imag], [d.real, d.imag]]]
+        return {"case": self.case, "name": self.name, "matrix": {"rows": rows},
                 "singular_values": {k: [float(x), float(y)] for k, (x, y) in self.sigma.items()},
                 "parameters": params}
 
@@ -149,9 +152,9 @@ def classify(ucal, tol=DEFAULT_TOL):
     """
     if not 0.0 < tol <= 1e-4:
         raise ParameterError(f"tol must lie in (0, 1e-4], got {tol}")
-    if ucal.matrix.ndim != 2:
+    entries = ucal.entries
+    if isinstance(entries[0], np.ndarray):
         raise UnitarityError(f"classify takes one 2x2 matrix, got shape {ucal.matrix.shape}")
-    entries = _entries(ucal.matrix)
     minus, plus, sig_minus, sig_plus, zero = _i_minus_plus(entries, tol)
     minus_singular, plus_singular = sig_minus[1] <= zero, sig_plus[1] <= zero
     sigma = {"I_minus_U": sig_minus, "I_plus_U": sig_plus}
@@ -264,14 +267,14 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
     _checked(family, takes, "K", K)
 
     if family in _FIXED:
-        return Unitary2.certify(_FIXED[family])
+        return Unitary2._certified(_FIXED[family])
 
     if family == "automorphic":
-        m = _automorphic_matrix(complex(K))
-        if _case_iv_data(*_entries(m), DEFAULT_TOL)[2] <= DEFAULT_TOL:
+        ucal = _entries(_automorphic_matrix(complex(K)))
+        if _case_iv_data(*ucal, DEFAULT_TOL)[2] <= DEFAULT_TOL:
             raise ParameterError(f"automorphic K = {K} gives sin t <= {DEFAULT_TOL}, "
                                  "a mixed Dirichlet/Neumann pair")
-        return Unitary2.certify(m)
+        return Unitary2._certified(ucal)
 
     # robin is general-coupled at a real beta = 0.0 (whose signed zeros reach
     # Ucal); general-case-III takes the singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']]
@@ -296,7 +299,8 @@ def synthesize_from(bc):
     test, so a condition classify named is always rebuilt."""
     if bc.case == CASE_IV:
         # the mixed Dirichlet/Neumann pairs carry no parameters
-        return Unitary2.certify(_FIXED[bc.name] if bc.K is None else _automorphic_matrix(bc.K))
+        return Unitary2._certified(_FIXED[bc.name] if bc.K is None
+                                   else _entries(_automorphic_matrix(bc.K)))
     if bc.case == CASE_I:
         h00, h01, _, h11 = bc.h_entries
         beta = 0.0 if bc.name == "robin" else h01

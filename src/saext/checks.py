@@ -53,7 +53,7 @@ def map_roundtrip(basis, samples, rng):
     u = extmap.Unitary2.certify(extmap.haar_unitary(rng, samples))
     ucal = extmap.forward_map(basis, u).Ucal
     worst = float(np.abs(extmap.inverse_map(basis, ucal).matrix - u.matrix).max(initial=0.0))
-    m = extmap._inverse_entries(basis, extmap._entries(ucal.matrix))[0]
+    m = extmap._inverse_entries(basis, ucal.entries)[0]
     sigma_min = float(np.min(extmap._singular_values(m)[1], initial=np.inf))
     record = _record(worst, 1e-8, sigma_min=sigma_min, sigma_floor=extmap.SIGMA_FLOOR)
     record["passed"] &= sigma_min > extmap.SIGMA_FLOOR

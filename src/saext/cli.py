@@ -209,8 +209,17 @@ def _cmd_map(config):
 
 
 def _classify(config):
-    return bcclassify.classify(_load_unitary(config),
-                               tol=config.get("tol", bcclassify.DEFAULT_TOL))
+    """The condition classified at --tol; UsageError for a --family whose case
+    there differs from the one synthesize admitted it in, at DEFAULT_TOL."""
+    ucal = _load_unitary(config)
+    bc = bcclassify.classify(ucal, tol=config.get("tol", bcclassify.DEFAULT_TOL))
+    if "family" in config and "tol" in config:
+        admitted = bcclassify.classify(ucal).case
+        if bc.case != admitted:
+            raise UsageError(f"--family {config['family']} is Case {admitted} at the default "
+                             f"tol {bcclassify.DEFAULT_TOL:g} but Case {bc.case} at --tol "
+                             f"{config['tol']:g}")
+    return bc
 
 
 def _cmd_classify(config):

@@ -39,10 +39,12 @@ Every map takes one 2x2 matrix or an (n, 2, 2) stack of them.  The maps and
 their closed-form singular values, solves and unitarity defects (shared with
 ``bcclassify``) are written on the four entries of a matrix: Python numbers
 for one matrix, length-n arrays for a stack.  Each helper tests once whether
-it has a stack.  ``forward_map`` solves Ut on the entries of V and V~ and
-builds neither matrix: a MapPair builds them when its V or Vtilde is read,
-bit for bit the same.  ``check_identities`` certifies this same code: it
-sends all its Haar draws through ``forward_map`` as one stack.
+it has a stack.  A Unitary2 is its entries: the maps read them and certify
+the entries they compute, and its matrix is built only when first read.
+``forward_map`` solves Ut on the entries of V and V~ and builds neither
+matrix: a MapPair builds them when its V or Vtilde is read, bit for bit the
+same.  ``check_identities`` certifies this same code: it sends all its Haar
+draws through ``forward_map`` as one stack.
 
 ``haar_unitary`` draws U the same way: the phase-fixed QR of a complex
 Gaussian Z in closed form on Z's four entries, with no LAPACK call.  It
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +75,7 @@ SIGMA_FLOOR = 1e-6
 def _entries(m):
     """(m00, m01, m10, m11) of a 2x2 matrix as Python numbers, or of an
     (n, 2, 2) stack as four length-n arrays."""
-    return m.ravel().tolist() if m.ndim == 2 else tuple(m.reshape(-1, 4).T)
+    return tuple(m.ravel().tolist()) if m.ndim == 2 else tuple(m.reshape(-1, 4).T)
 
 
 def _matrix(a, b, c, d):
@@ -157,9 +160,23 @@ def _solve(lhs, rhs):
 @dataclass(frozen=True)
 class Unitary2:
     """A certified 2x2 unitary matrix, or an (n, 2, 2) stack of them
-    certified by its worst defect (read-only entries)."""
+    certified by its worst defect.
 
-    matrix: np.ndarray
+    A unitary is its ``entries`` (m00, m01, m10, m11): Python numbers for
+    one matrix, read-only length-n arrays for a stack.  Equality and hashing
+    read them, so equal single matrices are equal unitaries; a stack, like
+    an array, has no truth value to compare by.  The read-only ``matrix`` is
+    built from the entries on first read and then kept; ``certify`` keeps
+    the array it was given.
+    """
+
+    entries: tuple
+
+    @cached_property
+    def matrix(self):
+        m = _matrix(*self.entries)
+        m.setflags(write=False)
+        return m
 
     @staticmethod
     def defect_of(m):
@@ -171,27 +188,33 @@ class Unitary2:
         m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2) and (m.ndim != 3 or m.shape[1:] != (2, 2)):
             raise UnitarityError(f"expected a 2x2 matrix or a stack of them, got shape {m.shape}")
-        return cls._certified(_entries(m), tol, m)
+        m.setflags(write=False)
+        u = cls._certified(_entries(m), tol)
+        vars(u)["matrix"] = m  # what the first read of matrix would have cached
+        return u
 
     @classmethod
-    def _certified(cls, entries, tol=INPUT_UNITARITY_TOL, matrix=None):
-        """Certify the entries of one matrix or a stack, then freeze ``matrix`` or their own."""
+    def _certified(cls, entries, tol=INPUT_UNITARITY_TOL):
+        """Certify the entries tuple of one matrix or a stack, and keep it (a stack's
+        arrays read-only)."""
         defect = _unitarity_defect(*entries)
-        defect = np.max(defect, initial=0.0) if isinstance(defect, np.ndarray) else defect
+        if isinstance(defect, np.ndarray):
+            defect = np.max(defect, initial=0.0)
+            for x in entries:
+                x.setflags(write=False)
         if not defect <= tol:  # a NaN defect fails too
             raise UnitarityError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.1e}")
-        m = _matrix(*entries) if matrix is None else matrix
-        m.setflags(write=False)
-        return cls(m)
+        return cls(entries)
 
     @property
     def defect(self):
-        return self.defect_of(self.matrix)
+        return _unitarity_defect(*self.entries)
 
 
 class MapPair(NamedTuple):
     """One extension seen from both ends of the correspondence.  V and V~
-    are not kept: each read builds them from U (build_V_Vtilde)."""
+    are not kept: each read builds them from U's entries, as build_V_Vtilde
+    does."""
 
     basis: DeficiencyBasis
     U: Unitary2
@@ -200,11 +223,11 @@ class MapPair(NamedTuple):
 
     @property
     def V(self):
-        return build_V_Vtilde(self.basis, self.U.matrix)[0]
+        return _matrix(*_v_vtilde(self.basis, self.U.entries)[0])
 
     @property
     def Vtilde(self):
-        return build_V_Vtilde(self.basis, self.U.matrix)[1]
+        return _matrix(*_v_vtilde(self.basis, self.U.entries)[1])
 
 
 def _require_mode(basis, mode):
@@ -271,7 +294,7 @@ def forward_map(basis, u):
     Raises:
         UnitarityError: if Ut or Ucal fails its certification.
     """
-    utilde = t00, t01, t10, t11 = _solve(*_v_vtilde(basis, _entries(u.matrix)))
+    utilde = t00, t01, t10, t11 = _solve(*_v_vtilde(basis, u.entries))
     r0, r1, r2, r3 = t00 + t10, t01 + t11, t10 - t00, t11 - t01  # P Ut
     ucal = 0.5 * (r0 + r1), 0.5 * (r1 - r0), 0.5 * (r2 + r3), 0.5 * (r3 - r2)
     return MapPair(basis, u, Unitary2._certified(utilde, OUTPUT_UNITARITY_TOL),
@@ -303,7 +326,7 @@ def inverse_map(basis, ucal):
     ucal may be one certified matrix or a stack, and so is the returned U,
     certified unitary (UnitarityError otherwise).
     """
-    (m00, m01, m10, m11), (r00, r01, r10, r11) = _inverse_entries(basis, _entries(ucal.matrix))
+    (m00, m01, m10, m11), (r00, r01, r10, r11) = _inverse_entries(basis, ucal.entries)
     x00, x10, x01, x11 = _solve((m00, m10, m01, m11), (r00, r10, r01, r11))  # x m = rhs, transposed
     return Unitary2._certified((x00.conjugate(), x01.conjugate(), x10.conjugate(), x11.conjugate()),
                                OUTPUT_UNITARITY_TOL)
@@ -320,7 +343,7 @@ def forward_map_general(basis, u):
     certified unitary (UnitarityError otherwise).
     """
     _require_mode(basis, GENERAL_MODE)
-    u00, u01, u10, u11 = _entries(u.matrix)
+    u00, u01, u10, u11 = u.entries
     psi = [(w0 + u00 * c0 + u01 * c2, w1 + u00 * c1 + u01 * c3,
             w2 + u10 * c0 + u11 * c2, w3 + u10 * c1 + u11 * c3)
            for (w0, w1, w2, w3), (c0, c1, c2, c3) in basis._waves]
@@ -389,7 +412,7 @@ def check_identities(basis, samples, seed=0):
     identity = (np.linalg.norm(lhs - rhs, axis=(1, 2))
                 / np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2))))
     pair = forward_map(basis, Unitary2.certify(haar))
-    m = _inverse_entries(basis, _entries(pair.Ucal.matrix))[0]
+    m = _inverse_entries(basis, pair.Ucal.entries)[0]
     v, vt = v[:samples], vt[:samples]  # pair.V and pair.Vtilde, bit for bit
 
     def check(values, threshold, floor):  # singular values fail at or below a floor

@@ -196,6 +196,13 @@ def test_near_singular_case_i_rebuilds_from_its_h(delta, theta):
     assert np.abs(synthesize_from(bc).matrix - ucal.matrix).max() <= 1e-7
 
 
+def test_equal_conditions_are_equal():
+    assert classify(synthesize("dirichlet")) == classify(synthesize("dirichlet"))
+    ucal = Unitary2.certify(haar_unitary(np.random.default_rng(8)))
+    assert classify(ucal) == classify(Unitary2.certify(ucal.matrix.copy()))
+    assert classify(synthesize("dirichlet")) != classify(synthesize("neumann"))
+
+
 def test_classify_rejects_a_stack():
     stack = Unitary2.certify(haar_unitary(np.random.default_rng(0), 3))
     with pytest.raises(UnitarityError, match=r"\(3, 2, 2\)"):

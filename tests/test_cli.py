@@ -288,6 +288,23 @@ def test_spectrum_classifies_with_tol(tmp_path, zero_potential_file):
     assert names == ["general-coupled", "dirichlet"]
 
 
+@pytest.mark.parametrize("command", ["classify", "spectrum"])
+def test_family_whose_case_changes_at_tol_is_rejected(tmp_path, zero_potential_file,
+                                                      command, capsys):
+    # sigma_min(I + Ucal) = 1.6e-5: Case I at the default tol, where synthesize
+    # admits general-coupled, but Case II at tol 1e-4
+    out = tmp_path / "out.json"
+    argv = [command, "--family", "general-coupled", "--alpha", "1", "--beta", "0.5",
+            "--gamma", "-0.24999", "--out", str(out)]
+    if command == "spectrum":
+        argv += ["--potential", zero_potential_file, "--emax", "5"]
+    assert cli.main([*argv, "--tol", "1e-4"]) == cli.USAGE_ERROR
+    assert "Case I at the default tol 1e-08 but Case II at --tol 0.0001" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([*argv, "--tol", "1e-9"]) == 0  # Case I at both
+    assert out.exists()
+
+
 def test_usage_errors_exit_2(tmp_path, zero_potential_file):
     assert cli.main(["classify"]) == cli.USAGE_ERROR                      # no matrix
     assert cli.main(["map", "--potential", zero_potential_file]) == cli.USAGE_ERROR

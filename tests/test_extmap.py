@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from saext import extmap
+from saext.bcclassify import classify, synthesize, synthesize_from
 from saext.deficiency import (GENERAL_MODE, DeficiencyBasis, boundary_waves, change_of_basis,
                               solve_even_odd, solve_orthonormal_pair)
 from saext.errors import ModeError, UnitarityError
@@ -44,6 +45,50 @@ def test_unitary2_certifies_a_stack_by_its_worst_defect():
         Unitary2.certify(stack)
     with pytest.raises(UnitarityError, match=r"shape \(2, 2, 2, 2\)"):
         Unitary2.certify(np.broadcast_to(IDENTITY, (2, 2, 2, 2)))
+
+
+def test_equal_unitaries_are_equal_and_hash_alike():
+    u, w = Unitary2.certify(np.eye(2)), Unitary2.certify(np.eye(2))
+    assert u == w and hash(u) == hash(w)
+    assert u != Unitary2.certify(-np.eye(2))
+    assert len({u, w, Unitary2.certify(1j * np.eye(2))}) == 2
+    stack = haar_unitary(np.random.default_rng(5), 3)
+    with pytest.raises(ValueError, match="ambiguous"):  # a stack compares as arrays do
+        Unitary2.certify(stack) == Unitary2.certify(stack.copy())
+
+
+def unread(u):
+    """u, after checking that it holds its entries and no matrix yet."""
+    assert "matrix" not in vars(u)
+    return u
+
+
+def test_map_outputs_build_their_matrix_when_read(basis):
+    general = solve_orthonormal_pair(tilted(1.0))
+    u = Unitary2.certify(haar_unitary(np.random.default_rng(6)))
+    pair = forward_map(basis, u)
+    outputs = [pair.Utilde, pair.Ucal, inverse_map(basis, pair.Ucal),
+               forward_map_general(general, u),
+               synthesize("dirichlet"), synthesize("automorphic", K=2.0 + 1.0j),
+               synthesize("general-coupled", alpha=1.0, beta=0.5j, gamma=-2.0),
+               *(synthesize_from(classify(ucal)) for ucal in (pair.Ucal, synthesize("periodic")))]
+    for out in map(unread, outputs):
+        first = out.matrix
+        assert not first.flags.writeable and first.dtype == complex and first.shape == (2, 2)
+        assert first.tobytes() == np.array(out.entries).tobytes()  # signed zeros too
+        assert out.matrix is first
+    stack = Unitary2.certify(haar_unitary(np.random.default_rng(7), 4))
+    for out in (stack, *map(unread, (forward_map(basis, stack).Ucal,
+                                     inverse_map(basis, forward_map(basis, stack).Ucal)))):
+        assert all(isinstance(x, np.ndarray) and x.shape == (4,) and not x.flags.writeable
+                   for x in out.entries)
+        assert not out.matrix.flags.writeable and out.matrix.shape == (4, 2, 2)
+
+
+def test_certify_keeps_the_array_it_was_given():
+    u = Unitary2.certify([[0, 1], [1, 0]])
+    assert "matrix" in vars(u) and not u.matrix.flags.writeable
+    assert u.entries == (0j, 1 + 0j, 1 + 0j, 0j)
 
 
 def test_build_with_zero_parameter(basis):

@@ -82,6 +82,12 @@ def test_dirichlet_box_spectrum():
     assert_matches(result, oracles.box_levels("dirichlet", 30.0))
 
 
+def test_equal_results_are_equal():
+    results = [find_eigenvalues(P0, bc_named("dirichlet"), e_min=0.1, e_max=12.0)
+               for _ in range(2)]
+    assert results[0] == results[1]
+
+
 def test_neumann_box_spectrum():
     result = find_eigenvalues(P0, bc_named("neumann"), e_min=-0.5, e_max=12.0)
     assert_matches(result, oracles.box_levels("neumann", 12.0))
