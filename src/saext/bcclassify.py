@@ -70,17 +70,27 @@ class BoundaryCondition(NamedTuple):
     """A boundary unitary with its case, named family and parameters.
 
     H (cases I and II) and H' (case III) are kept as their four entries and
-    built as matrices when read."""
+    built as matrices when read; robin and robin_prime are read off them."""
 
     Ucal: Unitary2
     case: str
     name: str
     sigma: dict                         # singular values of I -/+ Ucal
     h_entries: tuple | None = None      # (h00, h01, h10, h11) of H, or of H' in case III
-    robin: tuple | None = None          # (alpha, beta, gamma) of f' = H (f(a), -f(-a))
-    robin_prime: tuple | None = None    # (alpha', beta', gamma') of the case-III form
     angles: tuple | None = None         # (theta, phi), case IV
     K: complex | None = None            # automorphic constant, case IV with theta in (0, pi)
+
+    @property
+    def robin(self):
+        """(alpha, beta, gamma) = (h00, h01, -h11) of f' = H (f(a), -f(-a)), cases I and II."""
+        h = self.h_entries
+        return (h[0], h[1], -h[3]) if self.case in (CASE_I, CASE_II) else None
+
+    @property
+    def robin_prime(self):
+        """(alpha', beta', gamma') = (h00, -h01, -h11) of H', case III."""
+        h = self.h_entries
+        return (h[0], -h[1], -h[3]) if self.case == CASE_III else None
 
     @property
     def H(self):
@@ -110,16 +120,18 @@ class BoundaryCondition(NamedTuple):
 
 
 def _case_iv_data(a, b, c, d, tol):
-    """Angles of the traceless Hermitian unitary nearest to [[a, b], [c, d]] (Pauli direction)."""
+    """Angles (theta, phi), sin theta and the unit Pauli vector n of the
+    traceless Hermitian unitary nearest to [[a, b], [c, d]]: n3 = cos theta
+    and n1 + i n2 = e^{i phi} sin theta."""
     n3 = 0.5 * (a - d).real
     n1 = 0.5 * (c + b).real
     n2 = 0.5 * (c - b).imag
     vec = np.array([n1, n2, n3])
-    vec = vec / np.linalg.norm(vec)
-    sin_theta = float(np.hypot(vec[0], vec[1]))
-    theta = float(np.arctan2(sin_theta, vec[2]))
-    phi = float(np.arctan2(vec[1], vec[0])) % (2.0 * np.pi) if sin_theta > tol else 0.0
-    return theta, phi, sin_theta
+    n = n1, n2, n3 = (vec / np.linalg.norm(vec)).tolist()
+    sin_theta = float(np.hypot(n1, n2))
+    theta = float(np.arctan2(sin_theta, n3))
+    phi = float(np.arctan2(n2, n1)) % (2.0 * np.pi) if sin_theta > tol else 0.0
+    return theta, phi, sin_theta, n
 
 
 def _i_minus_plus(entries, tol):
@@ -166,26 +178,26 @@ def classify(ucal, tol=DEFAULT_TOL):
         h00, h01, h11 = m00.real, 0.5 * (m01 + m10.conjugate()), m11.real
         h = (h00, h01, 0.5 * (m10 + m01.conjugate()), h11)
     if not minus_singular:  # cases I and II share H
-        robin = (h00, h01, -h11)
         if plus_singular:
             case, name = CASE_II, "neumann" if sig_plus[0] <= zero else "general-case-II"
         else:
             h_scale = max(1.0, abs(h00), abs(h01), abs(h11))
             case, name = CASE_I, "robin" if abs(h01) <= tol * h_scale else "general-coupled"
-        return BoundaryCondition(ucal, case, name, sigma, h, robin=robin)
+        return BoundaryCondition(ucal, case, name, sigma, h)
 
     if not plus_singular:
         name = "dirichlet" if sig_minus[0] <= zero else "general-case-III"
-        return BoundaryCondition(ucal, CASE_III, name, sigma, h, robin_prime=(h00, -h01, -h11))
+        return BoundaryCondition(ucal, CASE_III, name, sigma, h)
 
-    theta, phi, sin_theta = _case_iv_data(*entries, tol)
+    theta, phi, sin_theta, (n1, n2, n3) = _case_iv_data(*entries, tol)
     if sin_theta <= tol:
         if theta < 0.5 * np.pi:
             name, kval = "dirichlet-at-a-neumann-at-minus-a", None
         else:
             name, kval = "neumann-at-a-dirichlet-at-minus-a", None
     else:
-        kval = complex(np.exp(1j * phi) / np.tan(0.5 * theta))
+        # K = e^{i phi} cot(theta/2), in the form whose denominator does not cancel
+        kval = complex(n1, n2) / (1.0 - n3) if n3 <= 0.0 else (1.0 + n3) / complex(n1, -n2)
         if abs(theta - 0.5 * np.pi) <= tol and abs(phi) <= tol:
             name = "periodic"
         elif abs(theta - 0.5 * np.pi) <= tol and abs(phi - np.pi) <= tol:
@@ -233,10 +245,15 @@ def _checked(family, takes, name, value):
 
 
 def _automorphic_matrix(K):
-    """The case-IV matrix of f(-a) = K f(a): t = 2 arccot |K| (pi at K = 0), p = arg K."""
-    theta = 2.0 * np.arctan(1.0 / abs(K) if K else np.inf)
-    phi = float(np.angle(K)) % (2.0 * np.pi)
-    return _case_iv_matrix(theta, phi)
+    """The case-IV matrix of f(-a) = K f(a), t = 2 arccot |K| and p = arg K,
+    built from K: cos t = (|K|^2 - 1)/(|K|^2 + 1) and e^{ip} sin t =
+    2K/(1 + |K|^2), both from q = min(|K|, 1/|K|) so neither overflows.
+    K = 0 gives t = pi."""
+    r = abs(K)
+    q = min(r, 1.0 / r) if r else 0.0
+    cos_t = np.copysign((1.0 - q * q) / (1.0 + q * q), r - 1.0)
+    sin_t = 2.0 * q / (1.0 + q * q) * (K / r) if r else 0j  # times e^{ip}
+    return _matrix(cos_t, sin_t.conjugate(), sin_t, -cos_t)
 
 
 def synthesize(family, alpha=None, beta=None, gamma=None, K=None):

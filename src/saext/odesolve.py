@@ -30,12 +30,17 @@ pass, up to MAX_HALVINGS, after which IntegrationError is raised.
 One rule, in _piece_prefix, picks where k starts: the coarsest level
 whose steps span at most 2**_MAX_COARSENINGS grid intervals, no more
 than a block of the products returned, and turn the phase of a solution
-by less than pi/4 at the block's highest energy.  ``fundamental_solutions``,
-whose output lives on the grid, thus starts at k = 0, and every block of
+by less than pi/4 at the block's highest energy.  Every block of
 energies is stepped as a call on that block alone would step it.
-``propagate``, the one pass that takes rtol, returns only products over
-whole blocks of intervals, evaluates many energies at once and counts
-the zeros of a solution on the way.  For an
+
+One pass, _chain, serves both propagate and fundamental_solutions: it
+multiplies each piece's prefix products onto T at the piece's start, in
+deviation form, and returns T(x0 -> x) - I at x0 and at every block edge.
+``fundamental_solutions``, whose output lives on the grid, reads it at
+blocks of one grid interval, so its steps start at k = 0.
+``propagate``, the one pass that takes rtol, reads it at the longest
+blocks that hold at most one zero of a solution, keeps T at the last
+edge and counts the zeros as the sign changes of f between edges.  For an
 even V over a span symmetric about 0, where the mirror image of a
 solution solves too, it steps only the half from 0: the even and odd
 solutions there give the whole span's T by reflection, and the sum of
@@ -487,8 +492,7 @@ def fundamental_solutions(p, lam, x0, x1):
         raise ValueError("x0 and x1 must differ")
     lams = _spectral_array(lam)
     plan = _step_plan(p, x0, x1)
-    skips = [0] + [1] * (len(plan) - 1)  # junction points already recorded
-    x = np.concatenate([piece.grid[skip:] for piece, skip in zip(plan, skips)])
+    x = np.concatenate([plan[0].grid[:1]] + [piece.grid[1:] for piece in plan])
     x.setflags(write=False)
     seg_starts = tuple(np.cumsum([0] + [len(piece.grid) - 1 for piece in plan[:-1]]).tolist())
 
@@ -496,17 +500,9 @@ def fundamental_solutions(p, lam, x0, x1):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
             block = lams[start:start + ENERGY_BLOCK]
-            # rows f, f'; column k: u_k at the piece start, for every energy
-            y = np.broadcast_to(np.eye(2, dtype=complex), (len(block), 2, 2))
-            ys = []
-            for piece, skip in zip(plan, skips):
-                prefix = _piece_prefix(piece, block, 0, DEFAULT_RTOL)
-                t = _plus_identity(prefix)[..., None]  # T at the piece's grid points
-                path = np.concatenate([y[None], np.moveaxis(t[:, 0] * y[:, 0] + t[:, 1] * y[:, 1],
-                                                            0, 2)])
-                ys.append(path[skip:])
-                y = path[-1]
-            y = np.moveaxis(np.concatenate(ys), 0, -1).copy()  # energy, row, k, sample
+            # T(x0 -> x) at every sample, whose column k is (f, f') of u_k
+            t = _plus_identity(_chain(plan, block, 0, DEFAULT_RTOL, lambda grid: float(grid[0])))
+            y = np.moveaxis(t, -1, 0).astype(complex, order="C")  # energy, row, k, sample
             y.setflags(write=False)
             pairs += [tuple(OdeSolution(complex(e), x, y[j, 0, k], y[j, 1, k], seg_starts)
                             for k in (0, 1)) for j, e in enumerate(block.tolist())]
@@ -580,27 +576,36 @@ def propagate(p, lam, x0, x1, rtol=DEFAULT_RTOL):
     return (out[0], int(zeros[0])) if np.ndim(lam) == 0 else (out, zeros)
 
 
+def _chain(plan, lams, rounds, rtol, entry):
+    """T(x0 -> x) - I over the plan's span from x0, at x0 and at the end of
+    every block of 2**rounds grid intervals of every piece, for a block of
+    energies lams: an array of shape (2, 2, 1 + number of blocks, len(lams)).
+    Each piece's prefix products (_piece_prefix at rounds and rtol, whose
+    errors carry entry(grid) of the piece's grid) multiply T at the piece
+    start by _mul, so the product stays in deviation form throughout."""
+    t = [np.zeros((2, 2, 1, len(lams)))]
+    for piece in plan:
+        prefix = _piece_prefix(piece, lams, rounds, rtol, entry(piece.grid))
+        t.append(_mul(prefix, t[-1][..., -1:, :]))
+    return np.concatenate(t, axis=2)
+
+
 def _transfer(p, lams, x0, x1, rtol, counted, entry):
     """propagate's pass from x0 to x1 over the 1-D array lams: the
     (n, 2, 2) transfer matrices and, per energy, the zeros in (x0, x1) of
-    the solutions in the counted columns of T.  Errors on a piece carry
-    entry(grid) of its grid."""
+    the solutions in the counted columns of T, as the sign changes of f
+    between the edges of _chain's zero-count blocks.  Errors on a piece
+    carry entry(grid) of its grid."""
     plan = _step_plan(p, x0, x1)
     out = np.empty((len(lams), 2, 2), dtype=complex)
     zeros = np.zeros(len(lams), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(lams), ENERGY_BLOCK):
-            block = lams[start:start + ENERGY_BLOCK]
-            t = np.zeros((2, 2, len(block)))  # deviation from the identity
-            for piece in plan:
-                prefix = _piece_prefix(piece, block, None, rtol, entry(piece.grid))
-                # rows f and f' of the counted columns of T at the piece start
-                u0, du0 = _plus_identity(t)[:, counted]
-                u = np.concatenate([u0[None].real, ((1.0 + prefix[0, 0][:, None]) * u0
-                                                    + prefix[0, 1][:, None] * du0).real])
-                zeros[start:start + len(block)] += np.sum(u[1:] * u[:-1] < 0, axis=(0, 1))
-                t = _mul(prefix[..., -1, :], t)
-            out[start:start + len(block)] = np.moveaxis(_plus_identity(t), -1, 0)
+            block = slice(start, start + ENERGY_BLOCK)
+            t = _plus_identity(_chain(plan, lams[block], None, rtol, entry))
+            u = t[0, counted].real  # f of the counted columns at every edge
+            zeros[block] = np.sum(u[:, 1:] * u[:, :-1] < 0, axis=(0, 1))
+            out[block] = np.moveaxis(t[..., -1, :], -1, 0)
     return out, zeros
 
 

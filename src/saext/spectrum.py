@@ -20,21 +20,22 @@ the Neumann-at-0 and Dirichlet-at-0 levels on the half interval, from one
 pass over [0, a] that also gives T over [-a, a] by reflection.  The rest
 counts the eigenphase crossings of 0 along exp(i t K), K >= 0, from I to Ucal
 (Bailey, Everitt and Zettl, ACM TOMS 27 (2001) 143; Howard and Sukhtayev,
-JDE 260 (2016) 4499).  A scan counts the levels below every grid energy;
-bisection splits every interval holding three or more.  One holding one
-level is solved for the sign change of the characteristic function
-(-1)^N |det M|, M = minus - Ucal plus = (S - Ucal) plus, which is real
-analytic in E.  It is 4 prod_j sin(t_j / 2) |det plus|, t_j the eigenphases
+JDE 260 (2016) 4499).  A scan counts the levels below every grid energy,
+and bisection by the count splits every interval holding three or more.
+One holding one level is solved for the sign change of the characteristic
+function (-1)^N |det M|, M = minus - Ucal plus = (S - Ucal) plus, which is
+real analytic in E.  It is 4 prod_j sin(t_j / 2) |det plus|, t_j the eigenphases
 of W.  Without the factor |det plus|, the product is a step smoothed over a
 width of about |f(+-a)|^2 for a level whose normalized eigenfunction f is
 small at both ends, and a root finder can only bisect it there; the
 miss-distance function should be smooth (Pryce, Numerical Solution of
 Sturm-Liouville Problems, 1993).  One holding two levels is solved for the
 zero of C(W) - 2 pi N, the phase sum continued across levels: a double
-level if N steps by two within the root tolerance there, else the point
-splitting it into two single ones when N there is one more than below.
-Failing both, the interval is bisected by the count until each part holds
-one level or two within the root tolerance.
+level if N steps by two within the root tolerance there.  Otherwise the
+probes on either side of that root cut the interval into three parts, and
+the same bisection by the count splits each until it holds one level, or
+two within the root tolerance, a double; the one-level parts are solved in
+one more run.
 
 Each located level is accepted or dropped from boundary data alone: one
 pass over [-a, a] (odesolve._edge_transfers) gives each block's own
@@ -225,6 +226,29 @@ def _solve(p, bc, lo, hi):
     return root, ok
 
 
+def _split_by_count(p, bc, lo, hi, most, rtol):
+    """Bisect by the count every bracket between the _samples columns lo and
+    hi, in ascending order, that holds more than most levels, in rounds of
+    one _samples call at rtol over the ascending midpoints.  Returns the
+    parts that hold 1 to most levels, in ascending order, and the midpoints
+    of the tight doubles: parts that hold two levels, more than most,
+    within the root tolerance 2 DEFAULT_RTOL (1 + |E|).  Parts that hold no
+    level are dropped, and so are the other tight parts that hold more than
+    most."""
+    doubles = []
+    while True:
+        held, mid = hi[1] - lo[1], 0.5 * (lo[0] + hi[0])
+        tight = hi[0] - lo[0] <= 2 * DEFAULT_RTOL * (1 + np.abs(mid))
+        split = (held > most) & ~tight
+        doubles += mid[(held > most) & tight & (held == 2)].tolist()
+        keep = split | (held >= 1) & (held <= most)
+        if not split.any():
+            return lo[:, keep], hi[:, keep], doubles
+        at = np.flatnonzero(split[keep])  # where the split parts sit among the kept ones
+        mid, lo, hi = _samples(p, bc, mid[split], rtol), lo[:, keep], hi[:, keep]
+        lo, hi = np.insert(lo, at + 1, mid, axis=1), np.insert(hi, at, mid, axis=1)
+
+
 def _phase_fixed(sol):
     """sol made real positive at its leftmost sample within 1e-8 relative of
     the largest |f|, so that the mirror-image peaks of a state even or odd
@@ -369,19 +393,21 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
     """Locate all eigenvalues of the extension in [e_min, e_max).
 
     The scan counts the levels below every grid energy at the coarse
-    SCAN_RTOL, and rounds of one batched call each bisect every interval
-    that holds three or more.  Every call keeps its samples (_samples), so
-    the intervals holding one level or two start their refinement from the
-    end values that counted them and are solved together in one
-    vectorized run, to DEFAULT_RTOL (1 + |E|); the count gives each root
-    its multiplicity.  Only the one-level parts that a two-level root or
-    the bisection by count splits off run again, from the samples of the
-    call that split them.  A
-    root whose eigenfunctions, one per multiplicity, miss the boundary
-    relation or the join of their parts from -a and from a by more than
-    RESIDUAL_LIMIT (or by NaN) is dropped with a warning.  These residuals
-    come from the boundary data of one more pass at the roots (module
-    docstring); no dense eigenfunction is built until the result's
+    SCAN_RTOL, and _split_by_count bisects, in rounds of one batched call
+    each, every interval that holds three or more.  Every call keeps its
+    samples (_samples), so the intervals holding one level or two start
+    their refinement from the end values that counted them and are solved
+    together in one vectorized run, to DEFAULT_RTOL (1 + |E|); the count
+    gives each root its multiplicity.  A two-level root whose probes at
+    -+ the root tolerance show no double cuts its interval into three
+    parts, and _split_by_count bisects those at DEFAULT_RTOL until each
+    holds one level, or two within the root tolerance, a double.  The
+    one-level parts run once more, from the samples of the calls that
+    split them.  A root whose eigenfunctions, one per multiplicity, miss
+    the boundary relation or the join of their parts from -a and from a by
+    more than RESIDUAL_LIMIT (or by NaN) is dropped with a warning.  These
+    residuals come from the boundary data of one more pass at the roots
+    (module docstring); no dense eigenfunction is built until the result's
     ``eigenfunctions`` is read.
 
     The scan is uniform in the wavenumber k = sqrt(E - e_min), eight
@@ -421,49 +447,25 @@ def find_eigenvalues(p, bc, e_min=None, e_max=40.0):
         # S(E) at depth: such a step keeps only its floor
         keep = step.shape[1] if np.all(np.diff(np.r_[step[1], samples[1, 0]]) >= 0) else 1
         samples = np.c_[step[:, :keep], samples]
-    while True:  # bisect every interval that holds three or more levels
-        energies, count = samples[:2]
-        mid = 0.5 * (energies[:-1] + energies[1:])
-        split = np.flatnonzero((np.diff(count) > 2) & (energies[:-1] < mid) & (mid < energies[1:]))
-        if not len(split):
+    lo, hi, _ = _split_by_count(p, bc, samples[:, :-1], samples[:, 1:], 2, SCAN_RTOL)
+    levels = []  # (E, multiplicity)
+    while lo.shape[1]:  # at most twice: the second run gets one-level parts alone
+        root, ok = _solve(p, bc, lo, hi)
+        one = hi[1] - lo[1] == 1
+        levels += [(e, 1) for e in root[ok & one].tolist()]
+        lo, hi, root = lo[:, ok & ~one], hi[:, ok & ~one], root[ok & ~one]
+        if not len(root):
             break
-        samples = np.insert(samples, split + 1, _samples(p, bc, mid[split], SCAN_RTOL), axis=1)
-
-    held = np.diff(samples[1])
-    lo, hi = (ends[:, (held == 1) | (held == 2)] for ends in (samples[:, :-1], samples[:, 1:]))
-    root, ok = _solve(p, bc, lo, hi)
-    one = hi[1] - lo[1] == 1
-    levels = [(e, 1) for e in root[ok & one].tolist()]  # (E, multiplicity)
-    lo2, hi2, root = lo[:, ok & ~one], hi[:, ok & ~one], root[ok & ~one]
-    lo1, hi1 = lo[:, :0], hi[:, :0]  # one-level brackets left for a second run
-    if len(root):
         tol = DEFAULT_RTOL * (1 + np.abs(root))
         side = _samples(p, bc, np.r_[root - tol, root + tol], DEFAULT_RTOL)
-        left, right, below = side[:, :len(root)], side[:, len(root):], lo2[1]
-        double = (left[1] == below) & (right[1] == below + 2)
-        split = (left[1] == below + 1) & (right[1] == below + 1)  # one level on each side
+        left, right = side[:, :len(root)], side[:, len(root):]
+        double = (left[1] == lo[1]) & (right[1] == lo[1] + 2)
         levels += [(e, 2) for e in root[double].tolist()]
-        lo1 = np.c_[lo1, lo2[:, split], right[:, split]]
-        hi1 = np.c_[hi1, left[:, split], hi2[:, split]]
-        # where the root splits nothing, bisect by count until each part holds
-        # one level or two within the root tolerance, a double
-        lo2, hi2 = lo2[:, ~double & ~split], hi2[:, ~double & ~split]
-    while lo2.shape[1]:
-        mid = 0.5 * (lo2[0] + hi2[0])
-        tight = hi2[0] - lo2[0] <= 2 * DEFAULT_RTOL * (1 + np.abs(mid))
-        levels += [(e, 2) for e in mid[tight].tolist()]
-        lo2, hi2, mid = lo2[:, ~tight], hi2[:, ~tight], mid[~tight]
-        if not len(mid):
-            break
-        mid = _samples(p, bc, mid, DEFAULT_RTOL)
-        parts_lo, parts_hi = np.c_[lo2, mid], np.c_[mid, hi2]
-        parts_held = parts_hi[1] - parts_lo[1]
-        lo1 = np.c_[lo1, parts_lo[:, parts_held == 1]]
-        hi1 = np.c_[hi1, parts_hi[:, parts_held == 1]]
-        lo2, hi2 = parts_lo[:, parts_held == 2], parts_hi[:, parts_held == 2]
-    if lo1.shape[1]:
-        root, ok = _solve(p, bc, lo1, hi1)
-        levels += [(e, 1) for e in root[ok].tolist()]
+        # the parts lo-left, left-right and right-hi of every other root, in ascending order
+        ends = np.stack([lo, left, right, hi], axis=-1)[:, ~double]
+        lo, hi, doubles = _split_by_count(p, bc, ends[..., :-1].reshape(len(ends), -1),
+                                          ends[..., 1:].reshape(len(ends), -1), 1, DEFAULT_RTOL)
+        levels += [(e, 2) for e in doubles]
 
     levels.sort()
     eigenvalues, degeneracies, residuals, end_data = [], [], [], []

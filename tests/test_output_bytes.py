@@ -44,7 +44,7 @@ DIGESTS = {
     "even zero(1)": "f897de805cd628ff6cb1621d7a9b119e813d6e9ab0bc08cb3907119514425ffd",
     "even harmonic(25)": "f921d7938862d0b842295233c03de5865bfe4a2d2cc614e7f0565e2e2019aa9f",
     "general tilted": "935a80d9b3ce91c747682eb3d57d5b4df3b0ece69bd0aa31556e52c6f801095d",
-    "families": "cbc18bc440ac3391ba880ee43dc151625c966bea60bf3a1e014119dfa7741c76",
+    "families": "3c56093bd43f5d6b8d1065f2dc4c0bdfb1eed0ef5771eea15dbf717859602da9",
     "cli map": "d3cc3680b0257058abb3df176d5f65c83c05f78808a3e108d881624e4ece03fb",
 }
 

@@ -19,6 +19,7 @@ from saext.potential import Potential
 from saext.spectrum import det_function, eigenfunction_residuals, find_eigenvalues
 
 P0 = Potential.zero(1.0)
+DOUBLE_WELL_6400 = Potential.polynomial([400.0, 0.0, -3200.0, 0.0, 6400.0], 1.0)
 
 
 def bc_named(family, **params):
@@ -309,8 +310,7 @@ def test_doublet_below_a_split_point_that_splits_nothing():
     # V = 6400 (x^2 - 1/4)^2: the two-level solve over the lowest doublet
     # (split by 0.0024) lands on its upper level, where N = 2, so that point
     # splits nothing; bisection by count must separate the two levels
-    p = Potential.polynomial([400.0, 0.0, -3200.0, 0.0, 6400.0], 1.0)
-    result = find_eigenvalues(p, bc_named("dirichlet"), e_max=400.0)
+    result = find_eigenvalues(DOUBLE_WELL_6400, bc_named("dirichlet"), e_max=400.0)
     expected = oracles.fd_dirichlet_levels(lambda x: 6400.0 * (x * x - 0.25) ** 2, 6)
     assert_matches(result, [(e, 1) for e in expected], rel=1e-8)
 
@@ -588,15 +588,30 @@ def test_one_refinement_run_starts_from_the_scan_samples(monkeypatch):
     assert not np.isin(np.concatenate(full), scan).any()
 
 
-@pytest.mark.parametrize("family, levels, budget", [("periodic", 3, 7), ("neumann", 5, 5)])
-def test_full_tolerance_propagate_budget(monkeypatch, family, levels, budget):
+@pytest.mark.parametrize("p, family, params, e_max, levels, budget", [
+    (P0, "periodic", {}, 40.0, 3, 7), (P0, "neumann", {}, 40.0, 5, 5),
+    (P0, "automorphic", {"K": np.exp(1e-7j)}, 12.0, 3, 32),
+    (P0, "robin", {"alpha": 3.0, "gamma": -3.0}, 40.0, 5, 15),
+    (DOUBLE_WELL_6400, "dirichlet", {}, 400.0, 6, 55)],
+    ids=["periodic-3-7", "neumann-5-5", "automorphic-3-32", "robin-5-15", "dirichlet-6-55"])
+def test_full_tolerance_propagate_budget(monkeypatch, p, family, params, e_max, levels, budget):
     # one refinement run started from the scan's samples, then the two-level
-    # side check: 14 and 6 calls when every bracket end was evaluated again
-    # and the simple and double brackets ran one after the other
+    # side check (periodic and neumann: 14 and 6 calls when every bracket end
+    # was evaluated again and the simple and double brackets ran one after
+    # the other).  The parts that a two-level root leaves, split off by its
+    # probes or by bisection by count, take one more run
+    runs, chandrupatla = [], spectrum.minimize_scalar
+
+    def recording_run(*args):
+        runs.append(args)
+        return chandrupatla(*args)
+
+    monkeypatch.setattr(spectrum, "minimize_scalar", recording_run)
     full = _recording_full_propagate(monkeypatch)
-    result = find_eigenvalues(P0, bc_named(family), e_max=40.0)
+    result = find_eigenvalues(p, bc_named(family, **params), e_max=e_max)
     assert len(result.eigenvalues) == levels
     assert len(full) <= budget
+    assert len(runs) <= 2
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7])
