@@ -36,7 +36,7 @@ import numpy as np
 
 from .deficiency import boundary_waves
 from .errors import ParameterError, UnitarityError
-from .extmap import Unitary2, _entries, _matrix, _singular_values, _solve
+from .extmap import INPUT_UNITARITY_TOL, Unitary2, _entries, _matrix, _singular_values, _solve
 
 DEFAULT_TOL = 1e-8
 
@@ -46,19 +46,14 @@ _IDENTITY = np.eye(2)
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _case_iv_matrix(theta, phi):
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.array([[ct, np.exp(-1j * phi) * st],
-                     [np.exp(1j * phi) * st, -ct]])
-
-
-# the entries of each fixed family's matrix, negated as complex matrices,
-# so the reports keep their -0.0 imaginary parts
+# the entries of each fixed family's matrix: neumann and anti-periodic are
+# negated as complex matrices, so their reports keep -0.0 imaginary parts,
+# and the mixed pairs are real, so theirs keep +0.0
 _FIXED = {name: _entries(np.asarray(m, dtype=complex)) for name, m in (
     ("dirichlet", _IDENTITY), ("neumann", -_IDENTITY.astype(complex)),
     ("periodic", _SWAP), ("anti-periodic", -_SWAP.astype(complex)),
-    ("dirichlet-at-a-neumann-at-minus-a", _case_iv_matrix(0.0, 0.0)),
-    ("neumann-at-a-dirichlet-at-minus-a", _case_iv_matrix(np.pi, 0.0)))}
+    ("dirichlet-at-a-neumann-at-minus-a", np.diag([1.0, -1.0])),
+    ("neumann-at-a-dirichlet-at-minus-a", np.diag([-1.0, 1.0])))}
 
 FAMILIES = {"robin": ("alpha", "gamma"), "automorphic": ("K",),
             **dict.fromkeys(("general-coupled", "general-case-II", "general-case-III"),
@@ -222,9 +217,17 @@ def _cayley_prime(hp):
     return _solve((1j - a, 0j - b, 0j - c, 1j - d), (a + 1j, b + 0j, c + 0j, d + 1j))
 
 
-# each parameter's kind, the type that passes at once, and the numbers ABC that decides others
-_KINDS = {"alpha": ("real", float, numbers.Real), "gamma": ("real", float, numbers.Real),
-          "beta": ("complex", complex, numbers.Complex), "K": ("complex", complex, numbers.Complex)}
+def _hermitian_cayley(name, case_iii, h00, h01, h11):
+    """Entries of the Ucal of H = [[h00, h01], [conj(h01), h11]], or of H' in
+    case III; robin's h01 is a real 0.0, whose signed zeros reach Ucal."""
+    h01 = 0.0 if name == "robin" else h01
+    return (_cayley_prime if case_iii else _cayley)((h00, h01, h01.conjugate(), h11))
+
+
+# each parameter's kind, the type that passes at once, and the numbers ABC that decides
+# others, in synthesize's parameter order (the CLI's flags follow it)
+_KINDS = {"alpha": ("real", float, numbers.Real), "beta": ("complex", complex, numbers.Complex),
+          "gamma": ("real", float, numbers.Real), "K": ("complex", complex, numbers.Complex)}
 
 
 def _checked(family, takes, name, value):
@@ -278,10 +281,8 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
     takes = FAMILIES.get(family)
     if takes is None:
         raise ParameterError(f"unknown boundary-condition family {family!r}")
-    _checked(family, takes, "alpha", alpha)
-    _checked(family, takes, "beta", beta)
-    _checked(family, takes, "gamma", gamma)
-    _checked(family, takes, "K", K)
+    for name, value in zip(_KINDS, (alpha, beta, gamma, K)):
+        _checked(family, takes, name, value)
 
     if family in _FIXED:
         return Unitary2._certified(_FIXED[family])
@@ -293,12 +294,10 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
                                  "a mixed Dirichlet/Neumann pair")
         return Unitary2._certified(ucal)
 
-    # robin is general-coupled at a real beta = 0.0 (whose signed zeros reach
-    # Ucal); general-case-III takes the singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']]
+    # general-case-III takes the singular H' = [[alpha', -beta'], [-conj(beta'), -gamma']]
     case_iii = family == "general-case-III"
-    beta = 0.0 if family == "robin" else complex(beta or 0.0) * (-1.0 if case_iii else 1.0)
-    ucal = (_cayley_prime if case_iii else _cayley)((float(alpha), beta, beta.conjugate(),
-                                                     -float(gamma)))
+    beta = complex(beta or 0.0) * (-1.0 if case_iii else 1.0)
+    ucal = _hermitian_cayley(family, case_iii, float(alpha), beta, -float(gamma))
     _, _, sig_minus, sig_plus, zero = _i_minus_plus(ucal, DEFAULT_TOL)
     singular, sign = (sig_minus[1] <= zero, "-") if case_iii else (sig_plus[1] <= zero, "+")
     if singular != family.startswith("general-case-"):
@@ -310,21 +309,17 @@ def synthesize(family, alpha=None, beta=None, gamma=None, K=None):
 def synthesize_from(bc):
     """Rebuild the boundary unitary from a classified condition.
 
-    Cases I-III are rebuilt from the kept H (or H'), a case-I H made
-    Hermitian as its reported parameters give it; case IV from its fixed
-    matrix or from K, by synthesize's arithmetic but without its admission
-    test, so a condition classify named is always rebuilt."""
+    Cases I-III are rebuilt from the kept H (or H') made Hermitian from
+    its h00, h01 and h11, as the reported parameters give it; case IV from
+    its fixed matrix or from K, by synthesize's arithmetic but without its
+    admission test, so a condition classify named is always rebuilt."""
     if bc.case == CASE_IV:
         # the mixed Dirichlet/Neumann pairs carry no parameters
         return Unitary2._certified(_FIXED[bc.name] if bc.K is None
                                    else _entries(_automorphic_matrix(bc.K)))
-    if bc.case == CASE_I:
-        h00, h01, _, h11 = bc.h_entries
-        beta = 0.0 if bc.name == "robin" else h01
-        return Unitary2._certified(_cayley((h00, beta, beta.conjugate(), h11)))
-    if bc.case == CASE_II:
-        return Unitary2._certified(_cayley(bc.h_entries), 1e-8)
-    return Unitary2._certified(_cayley_prime(bc.h_entries), 1e-8)
+    h00, h01, _, h11 = bc.h_entries
+    return Unitary2._certified(_hermitian_cayley(bc.name, bc.case == CASE_III, h00, h01, h11),
+                               INPUT_UNITARITY_TOL if bc.case == CASE_I else 1e-8)
 
 
 def apply_bc(bc, rows):

@@ -1,9 +1,10 @@
 """Command-line front end: saext deficiency|map|classify|spectrum|verify.
 
 Configuration comes from flags, from a JSON file passed with --config, or
-both (flags win).  A config key is a flag's dest and its value goes through
-the flag's own type and choices.  All emitted files use the canonical JSON
-writer, so a repeated run with the same inputs is byte-identical.
+both (flags win).  A config key is a flag's dest, and each entry is parsed
+as that flag: {"fmt": "csv"} reads as --format=csv, placed before the
+command line's flags.  All emitted files use the canonical JSON writer, so
+a repeated run with the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ def _complex(text):
     return jsonio._complex(value if isinstance(value, list) else [value, 0.0])
 
 
-# the flag type of each parameter bcclassify.FAMILIES names
-_FAMILY_PARAMETERS = {"alpha": float, "beta": _complex, "gamma": float, "K": _complex}
+# the flag type of each parameter bcclassify.FAMILIES names, by its kind there
+_FAMILY_PARAMETERS = {name: {"real": float, "complex": _complex}[kind]
+                      for name, (kind, _, _) in bcclassify._KINDS.items()}
 
 
 def _build_parser():
-    """The parser and, per subcommand, {dest: Action} of its flags and config-only keys."""
+    """The parser and, per subcommand, {dest: Action} of its flags."""
     # no abbreviations: an unknown flag such as --a must not turn into --alpha
     parser = argparse.ArgumentParser(prog="saext", allow_abbrev=False,
                                      description="self-adjoint extensions of -d2/dx2 + V on [-a, a]")
@@ -59,15 +61,16 @@ def _build_parser():
             own += [cmd.add_argument(f"--{param}", type=kind)
                     for param, kind in _FAMILY_PARAMETERS.items()]
         if name == "deficiency":
-            own.append(argparse.Action([], "mode", choices=(deficiency.EVEN_MODE,
-                                                            deficiency.GENERAL_MODE)))
+            own.append(cmd.add_argument("--mode", choices=(deficiency.EVEN_MODE,
+                                                           deficiency.GENERAL_MODE)))
         if name == "map":
             own.append(cmd.add_argument("--direction", choices=("u-to-bc", "bc-to-u")))
         if name == "spectrum":
             own += [cmd.add_argument("--emin", type=float),
                     cmd.add_argument("--emax", type=float),
                     cmd.add_argument("--format", choices=("json", "csv"), dest="fmt"),
-                    argparse.Action([], "eigenfunctions_out")]
+                    cmd.add_argument("--eigenfunctions-out",
+                                     help="write each eigenfunction to <prefix>_<level>_<j>.csv")]
         if name == "verify":
             own.append(cmd.add_argument("--samples", type=int))
         actions[name] = {action.dest: action for action in own}
@@ -78,36 +81,19 @@ class UsageError(SaextError):
     pass
 
 
-def _admit(action, value):
-    """A config value converted and checked as the flag's text would be."""
-    try:
-        value = (action.type or str)(str(value))
-    except (TypeError, ValueError):
-        raise UsageError(f"config {action.dest!r}: invalid value {value!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise UsageError(f"config {action.dest!r}: {value!r} is not one of "
-                         f"{', '.join(action.choices)}")
-    return value
-
-
-def _merge_config(args, actions):
-    """Config-file values admitted through the subcommand's actions, then
-    the flags, which win; JSON null leaves a value unset."""
-    own = actions[args.command]
-    data = jsonio.read(args.config) if args.config else {}
+def _config_args(args, actions):
+    """The --config file's entries as --flag=value arguments of the subcommand;
+    JSON null leaves a flag unset and keys of other subcommands are skipped."""
+    data = jsonio.read(args.config)
     if not isinstance(data, dict):
         raise UsageError("a config file holds one JSON object")
-    config = {}
+    entries = []
     for key, value in data.items():
-        if key in own:
-            if value is not None:
-                config[key] = _admit(own[key], value)
-        elif not any(key in other for other in actions.values()):
+        if not any(key in own for own in actions.values()):
             raise UsageError(f"config key {key!r} is not an option of any subcommand")
-    for key in own:
-        if getattr(args, key, None) is not None:
-            config[key] = getattr(args, key)
-    return config
+        if key in actions[args.command] and value is not None:
+            entries.append(f"{actions[args.command][key].option_strings[0]}={value}")
+    return entries
 
 
 def _read_potential(config):
@@ -279,9 +265,17 @@ _COMMANDS = {"deficiency": _cmd_deficiency, "map": _cmd_map, "classify": _cmd_cl
 
 def main(argv=None):
     parser, actions = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        config = _merge_config(args, actions)
+        if args.config:
+            at = argv.index(args.command) + 1  # the file's entries go before the flags, which win
+            argv = [*argv[:at], *_config_args(args, actions), *argv[at:]]
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:  # argparse has reported the entry it could not parse
+                return USAGE_ERROR
+        config = {key: value for key, value in vars(args).items() if value is not None}
         return _COMMANDS[args.command](config)
     except UsageError as exc:
         print(f"saext: {exc}", file=sys.stderr)

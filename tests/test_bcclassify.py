@@ -110,10 +110,17 @@ def test_case_iv_iff_traceless_and_det_minus_one():
 
 
 def test_synthesize_named_families():
-    assert np.allclose(synthesize("dirichlet").matrix, IDENTITY)
-    assert np.allclose(synthesize("neumann").matrix, -IDENTITY)
-    assert np.allclose(synthesize("periodic").matrix, np.array([[0, 1], [1, 0]]))
-    assert np.allclose(synthesize("anti-periodic").matrix, np.array([[0, -1], [-1, 0]]))
+    # the fixed families are exact, so each singular I -/+ Ucal has sigma_min 0.0
+    singular = {"II": ["I_plus_U"], "III": ["I_minus_U"], "IV": ["I_minus_U", "I_plus_U"]}
+    for family, want in (("dirichlet", IDENTITY), ("neumann", -IDENTITY),
+                         ("periodic", [[0, 1], [1, 0]]), ("anti-periodic", [[0, -1], [-1, 0]]),
+                         ("dirichlet-at-a-neumann-at-minus-a", np.diag([1, -1])),
+                         ("neumann-at-a-dirichlet-at-minus-a", np.diag([-1, 1]))):
+        ucal = synthesize(family)
+        assert np.array_equal(ucal.matrix, want), family
+        bc = classify(ucal)
+        zeros = [0.0] * len(singular[bc.case])
+        assert [bc.sigma[key][1] for key in singular[bc.case]] == zeros, family
 
 
 def test_synthesize_robin_cayley_oracle():

@@ -1,8 +1,11 @@
 """End-to-end command-line runs: artifacts, pipelines, determinism."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -197,17 +200,59 @@ def test_output_is_deterministic(tmp_path, zero_potential_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_eigenfunction_dump_via_config(tmp_path, zero_potential_file):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_eigenfunction_dump_via_config(tmp_path, zero_potential_file, source):
+    # the config key eigenfunctions_out is parsed as --eigenfunctions-out
     config = tmp_path / "run.json"
-    prefix = tmp_path / "mode"
+    prefix = str(tmp_path / "mode")
+    entry = {"eigenfunctions_out": prefix} if source == "config" else {}
     jsonio.write(config, {"potential": zero_potential_file, "family": "dirichlet",
-                          "emin": 1.0, "emax": 4.0,
-                          "eigenfunctions_out": str(prefix)})
+                          "emin": 1.0, "emax": 4.0, **entry})
+    flag = ["--eigenfunctions-out", prefix] if source == "flag" else []
     out = tmp_path / "spec.json"
-    assert cli.main(["spectrum", "--config", str(config), "--out", str(out)]) == 0
+    assert cli.main(["spectrum", "--config", str(config), *flag, "--out", str(out)]) == 0
     dump = (tmp_path / "mode_0_0.csv").read_text().splitlines()
     assert dump[0] == "x,re_f,im_f"
     assert len(dump) > 500
+
+
+def test_mode_flag_and_config_entry_write_the_same_basis(tmp_path, zero_potential_file):
+    config = tmp_path / "run.json"
+    jsonio.write(config, {"mode": deficiency.GENERAL_MODE})
+    by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+    assert cli.main(["deficiency", "--potential", zero_potential_file,
+                     "--mode", deficiency.GENERAL_MODE, "--out", str(by_flag)]) == 0
+    assert cli.main(["deficiency", "--potential", zero_potential_file,
+                     "--config", str(config), "--out", str(by_config)]) == 0
+    assert json.loads(by_flag.read_text())["mode"] == deficiency.GENERAL_MODE
+    assert by_flag.read_bytes() == by_config.read_bytes()
+
+
+def test_config_keys_are_the_flags_dests():
+    # every config key is a flag, parsed by the subcommand's own parser
+    _, actions = cli._build_parser()
+    assert {name: len(own) for name, own in actions.items()} == {
+        "deficiency": 4, "map": 11, "classify": 9, "spectrum": 14, "verify": 3}
+    for own in actions.values():
+        assert all(action.option_strings for action in own.values())
+
+
+def test_module_entry_point_runs(tmp_path):
+    # python -m saext.cli runs main and exits with its status
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "saext.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+
+    done = run("classify", "--family", "neumann-at-a-dirichlet-at-minus-a")
+    assert done.returncode == 0
+    report = json.loads(done.stdout)
+    assert report["matrix"] == jsonio.matrix_to_json(np.diag([-1.0, 1.0]).astype(complex))
+    assert report["singular_values"] == {"I_minus_U": [2.0, 0.0], "I_plus_U": [2.0, 0.0]}
+    assert run("verify", "--samples", "0").returncode == cli.USAGE_ERROR
 
 
 def test_spectrum_runs_a_dense_pass_only_for_the_dump(tmp_path, zero_potential_file,
